@@ -29,11 +29,12 @@ class PmemPool:
         self.base = base
         self.size = size
         self.lanes = lanes
-        heap_base = base + HEADER_SIZE + lanes * LANE_SIZE
-        self.heap = Heap(heap_base, base + size - heap_base)
         self._root_offset = 0
         if _open:
+            # The persisted geometry, not the defaults, sizes the heap.
             self._read_header()
+        heap_base = base + HEADER_SIZE + self.lanes * LANE_SIZE
+        self.heap = Heap(heap_base, base + self.size - heap_base)
 
     # -- header ---------------------------------------------------------------
 

@@ -12,6 +12,12 @@ program wrote sequentially.  That scrambling is the root cause the
 paper gives for guideline #2 (flush or use ntstore; letting the cache
 evict naturally "adds nondeterminism to the access stream", collapsing
 EWR from ~0.98 to ~0.26).
+
+Replacement is exact LRU, and recency *is* the set table's insertion
+order: every access that refreshes a line (a load hit, a store hit, a
+refill) moves its entry to the end of the set dict, a fill appends, and
+the victim is the first key.  Flush-side operations (``clean``,
+``clean_ready``, ``ready_time``, ``is_dirty``) do not touch recency.
 """
 
 _HASH_MULT = 2654435761
@@ -25,22 +31,13 @@ class CacheModel:
         self._ways = config.ways
         nsets = max(1, config.capacity_bytes // 64 // config.ways)
         self._nsets = nsets
-        # Sets are allocated lazily (index -> {key: entry}): a fresh
-        # machine per sweep point would otherwise pay for tens of
-        # thousands of empty dicts it never touches.
+        # Sets are allocated lazily (index -> {key: [dirty, ready_ns]},
+        # least recently used first): a fresh machine per sweep point
+        # would otherwise pay for tens of thousands of empty dicts it
+        # never touches.
         self._sets = {}
-        self._stamp = 0
         self.hits = 0
         self.misses = 0
-
-    def _table(self, key):
-        """The (lazily created) set table that ``key`` maps to."""
-        index = self._index(key)
-        table = self._sets.get(index)
-        if table is None:
-            table = {}
-            self._sets[index] = table
-        return table
 
     def _index(self, key):
         ns_id, line = key
@@ -50,35 +47,24 @@ class CacheModel:
         h ^= h >> 13
         return h % self._nsets
 
-    def _tick(self):
-        self._stamp += 1
-        return self._stamp
-
     # -- queries --------------------------------------------------------------
 
     def lookup(self, key):
         """True if ``key`` is cached; refreshes its recency."""
-        table = self._sets.get(self._index(key))
-        entry = table.get(key) if table is not None else None
-        if entry is None:
-            self.misses += 1
-            return False
-        entry[0] = self._tick()
-        self.hits += 1
-        return True
+        return self.probe(key)[0]
 
     def is_dirty(self, key):
         table = self._sets.get(self._index(key))
         entry = table.get(key) if table is not None else None
-        return bool(entry and entry[1])
+        return bool(entry and entry[0])
 
     # -- fused hot-path helpers ------------------------------------------------
     #
     # The per-line access paths used to hash every key twice (lookup
     # then fill, mark_dirty then fill, ready_time then clean).  These
     # helpers hash once and hand the set table back to the caller so the
-    # follow-up mutation can reuse it.  Counter and recency ("stamp")
-    # sequences are identical to the two-call forms.
+    # follow-up mutation can reuse it.  Counter and recency sequences are
+    # identical to the two-call forms.
 
     def probe(self, key):
         """Like :meth:`lookup` but also returns the set table.
@@ -94,11 +80,11 @@ class CacheModel:
         table = sets.get(index)
         if table is None:
             table = sets[index] = {}
-        entry = table.get(key)
+        entry = table.pop(key, None)
         if entry is None:
             self.misses += 1
             return False, table
-        entry[0] = self._tick()
+        table[key] = entry                       # now most recent
         self.hits += 1
         return True, table
 
@@ -116,21 +102,20 @@ class CacheModel:
         table = sets.get(index)
         if table is None:
             table = sets[index] = {}
-        entry = table.get(key)
+        entry = table.pop(key, None)
         if entry is None:
             return False, table
-        entry[0] = self._tick()
-        entry[1] = True
+        entry[0] = True
+        table[key] = entry                       # now most recent
         return True, table
 
     def fill_in(self, table, key, dirty=False, ready_ns=0.0):
         """:meth:`fill` for a key already known absent from ``table``."""
         victim = None
         if len(table) >= self._ways:
-            vkey = min(table, key=lambda k: table[k][0])
-            ventry = table.pop(vkey)
-            victim = (vkey, ventry[1])
-        table[key] = [self._tick(), dirty, ready_ns]
+            vkey = next(iter(table))             # least recently used
+            victim = (vkey, table.pop(vkey)[0])
+        table[key] = [dirty, ready_ns]
         return victim
 
     def clean_ready(self, key):
@@ -145,10 +130,10 @@ class CacheModel:
         h = (h * 0x45D9F3B) & 0xFFFFFFFF
         table = self._sets.get((h ^ (h >> 13)) % self._nsets)
         entry = table.get(key) if table is not None else None
-        if entry is None or not entry[1]:
+        if entry is None or not entry[0]:
             return False, 0.0
-        entry[1] = False
-        return True, entry[2]
+        entry[0] = False
+        return True, entry[1]
 
     # -- mutations ------------------------------------------------------------
 
@@ -160,20 +145,14 @@ class CacheModel:
         then (the RFO-coupling that penalises store+clwb on fresh
         lines).
         """
-        table = self._table(key)
-        existing = table.get(key)
+        table = self._sets.setdefault(self._index(key), {})
+        existing = table.pop(key, None)
         if existing is not None:
-            existing[0] = self._tick()
             if dirty:
-                existing[1] = True
+                existing[0] = True
+            table[key] = existing                # now most recent
             return None
-        victim = None
-        if len(table) >= self._ways:
-            vkey = min(table, key=lambda k: table[k][0])
-            ventry = table.pop(vkey)
-            victim = (vkey, ventry[1])
-        table[key] = [self._tick(), dirty, ready_ns]
-        return victim
+        return self.fill_in(table, key, dirty, ready_ns)
 
     def ready_time(self, key):
         """When the line's fill completes (0.0 if unknown/absent)."""
@@ -181,17 +160,11 @@ class CacheModel:
         entry = table.get(key) if table is not None else None
         if entry is None:
             return 0.0
-        return entry[2]
+        return entry[1]
 
     def mark_dirty(self, key):
         """Mark a (present) line dirty; returns False if not cached."""
-        table = self._sets.get(self._index(key))
-        entry = table.get(key) if table is not None else None
-        if entry is None:
-            return False
-        entry[0] = self._tick()
-        entry[1] = True
-        return True
+        return self.store_probe(key)[0]
 
     def clean(self, key):
         """clwb semantics: write back but keep the line cached.
@@ -200,9 +173,9 @@ class CacheModel:
         """
         table = self._sets.get(self._index(key))
         entry = table.get(key) if table is not None else None
-        if entry is None or not entry[1]:
+        if entry is None or not entry[0]:
             return False
-        entry[1] = False
+        entry[0] = False
         return True
 
     def invalidate(self, key):
@@ -212,18 +185,22 @@ class CacheModel:
         h = (h * 0x45D9F3B) & 0xFFFFFFFF
         table = self._sets.get((h ^ (h >> 13)) % self._nsets)
         entry = table.pop(key, None) if table is not None else None
-        return bool(entry and entry[1])
+        return bool(entry and entry[0])
 
     def drop_all(self):
         """Power failure: every line (dirty or not) is lost."""
         self._sets.clear()
 
     def dirty_keys(self):
-        """All currently dirty lines (used by tests and crash checks)."""
+        """All currently dirty lines, in no particular order.
+
+        Used by tests and the eADR drain, which persists each line
+        independently.
+        """
         out = []
         for table in self._sets.values():
             for key, entry in table.items():
-                if entry[1]:
+                if entry[0]:
                     out.append(key)
         return out
 

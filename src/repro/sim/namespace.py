@@ -176,11 +176,9 @@ class Namespace:
             table = sets.get(index)
             if table is None:
                 table = sets[index] = {}
-            entry = table.get(key)
+            entry = table.pop(key, None)
             if entry is not None:
-                stamp = cache._stamp + 1
-                cache._stamp = stamp
-                entry[0] = stamp
+                table[key] = entry               # now most recent
                 cache.hits += 1
                 completion = issued + hit_ns
                 thread.now = completion
@@ -226,9 +224,8 @@ class Namespace:
                 if victim is not None and victim[1]:
                     machine._evict_writeback(victim[0], thread.now)
             else:
-                stamp = cache._stamp + 1         # fill_in sans victim,
-                cache._stamp = stamp             # inlined
-                table[key] = [stamp, False, data_ready]
+                # fill_in sans victim, inlined
+                table[key] = [False, data_ready]
             loads.append(data_ready)             # track_load, inlined
             thread.bytes_read += CACHELINE
             if latencies is not None:
@@ -251,11 +248,9 @@ class Namespace:
         table = sets.get(index)
         if table is None:
             table = sets[index] = {}
-        entry = table.get(key)
+        entry = table.pop(key, None)
         if entry is not None:
-            stamp = cache._stamp + 1
-            cache._stamp = stamp
-            entry[0] = stamp
+            table[key] = entry                   # now most recent
             cache.hits += 1
             completion = thread.now + cfg.hit_ns
             thread.now = completion
@@ -307,9 +302,8 @@ class Namespace:
             if victim is not None and victim[1]:
                 machine._evict_writeback(victim[0], thread.now)
         else:
-            stamp = cache._stamp + 1             # fill_in sans victim,
-            cache._stamp = stamp                 # inlined
-            table[key] = [stamp, False, data_ready]
+            # fill_in sans victim, inlined
+            table[key] = [False, data_ready]
         loads.append(data_ready)                 # track_load, inlined
         thread.bytes_read += CACHELINE
         if thread.latencies is not None:
@@ -381,12 +375,10 @@ class Namespace:
             table = sets.get(index)
             if table is None:
                 table = sets[index] = {}
-            entry = table.get(key)
+            entry = table.pop(key, None)
             if entry is not None:
-                stamp = cache._stamp + 1
-                cache._stamp = stamp
-                entry[0] = stamp
-                entry[1] = True
+                entry[0] = True
+                table[key] = entry               # now most recent
                 continue
             # Write-allocate: fetch the line before modifying it (RFO).
             if len(loads) >= load_window:        # admit_load, inlined
@@ -427,9 +419,8 @@ class Namespace:
                 if victim is not None and victim[1]:
                     machine._evict_writeback(victim[0], thread.now)
             else:
-                stamp = cache._stamp + 1         # fill_in sans victim,
-                cache._stamp = stamp             # inlined
-                table[key] = [stamp, True, data_ready]
+                # fill_in sans victim, inlined
+                table[key] = [True, data_ready]
             loads.append(data_ready)             # track_load, inlined
 
     def _store_line(self, thread, line):
@@ -448,12 +439,10 @@ class Namespace:
         table = sets.get(index)
         if table is None:
             table = sets[index] = {}
-        entry = table.get(key)
+        entry = table.pop(key, None)
         if entry is not None:
-            stamp = cache._stamp + 1
-            cache._stamp = stamp
-            entry[0] = stamp
-            entry[1] = True
+            entry[0] = True
+            table[key] = entry                   # now most recent
             return
         # Write-allocate: fetch the line before modifying it (RFO).
         loads = thread._loads
@@ -500,9 +489,8 @@ class Namespace:
             if victim is not None and victim[1]:
                 machine._evict_writeback(victim[0], thread.now)
         else:
-            stamp = cache._stamp + 1             # fill_in sans victim,
-            cache._stamp = stamp                 # inlined
-            table[key] = [stamp, True, data_ready]
+            # fill_in sans victim, inlined
+            table[key] = [True, data_ready]
         loads.append(data_ready)                 # track_load, inlined
 
     # -- flushes ----------------------------------------------------------------
@@ -619,16 +607,16 @@ class Namespace:
                 # ready_time + invalidate, one lookup (same entry).
                 entry = table.pop(key, None) if table is not None \
                     else None
-                if entry is None or not entry[1]:
+                if entry is None or not entry[0]:
                     continue
-                ready = entry[2]
+                ready = entry[1]
             else:
                 # clean_ready, inlined.
                 entry = table.get(key) if table is not None else None
-                if entry is None or not entry[1]:
+                if entry is None or not entry[0]:
                     continue
-                entry[1] = False
-                ready = entry[2]
+                entry[0] = False
+                ready = entry[1]
             # -- _send_store(instr="clwb", not_before=ready), inlined --
             issued = thread.now
             if len(stores) >= store_window:      # admit_store, inlined
@@ -904,12 +892,10 @@ class Namespace:
         else:
             rlink, wlink, ccfg, dimm = only
             dev_addr = line
-        entry = table.get(key)                   # store_probe, inlined
+        entry = table.pop(key, None)             # store_probe, inlined
         if entry is not None:
-            stamp = cache._stamp + 1
-            cache._stamp = stamp
-            entry[0] = stamp
-            entry[1] = True
+            entry[0] = True
+            table[key] = entry                   # now most recent
         else:
             # Write-allocate: fetch the line before modifying it (RFO).
             loads = thread._loads
@@ -946,14 +932,13 @@ class Namespace:
                     machine._evict_writeback(victim[0], thread.now)
                 entry = table[key]
             else:
-                stamp = cache._stamp + 1         # fill_in sans victim,
-                cache._stamp = stamp             # inlined
-                entry = table[key] = [stamp, True, data_ready]
+                # fill_in sans victim, inlined
+                entry = table[key] = [True, data_ready]
             loads.append(data_ready)
         # -- clwb of the line just stored (always present and dirty) --
         thread.now += cfg.flush_issue_ns
-        entry[1] = False                         # clean_ready, inlined
-        ready = entry[2]
+        entry[0] = False                         # clean_ready, inlined
+        ready = entry[1]
         insert_lat = self._insert_clwb_ns        # _send_store, inlined
         lead = insert_lat
         if remote:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._units import MIB
 from repro.pmdk import (
     Heap, MicroBufferTx, PmemPool, Transaction, TransactionError,
     class_bytes, recover, recover_microbuffer, size_class,
@@ -66,6 +67,26 @@ class TestPool:
         m.power_fail()
         reopened = PmemPool.open(m)
         assert reopened.root() == 4242
+
+    def test_open_sizes_heap_from_persisted_header(self):
+        # open() used to build the heap from the default 64 MiB / lane
+        # count before reading the header, so recovery of a larger pool
+        # could not reserve past 64 MiB.
+        m = Machine()
+        t = m.thread()
+        pool = PmemPool.create(m, t, size=96 * MIB, lanes=2)
+        pool.heap.reserve_to(pool.base + 64 * MIB)
+        high = pool.heap.alloc(4096)
+        assert high >= pool.base + 64 * MIB
+        pool.set_root(t, high - pool.base)
+        m.power_fail()
+        reopened = PmemPool.open(m)
+        assert (reopened.size, reopened.lanes) == (96 * MIB, 2)
+        assert reopened.root() == high - pool.base
+        assert (reopened.heap.base, reopened.heap.span) == (
+            pool.heap.base, pool.heap.span)
+        reopened.heap.reserve_to(high + 4096)
+        assert reopened.heap.alloc(64) >= high + 4096
 
     def test_open_without_pool_fails(self):
         m = Machine()

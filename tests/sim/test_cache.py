@@ -1,5 +1,6 @@
 """Unit tests for the CPU cache model."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,7 +112,30 @@ class TestEvictions:
         c = make_cache()
         c.fill(KEY, dirty=True)
         c.fill(KEY2)
-        assert c.dirty_keys() == [KEY]
+        assert sorted(c.dirty_keys()) == [KEY]
+
+    @pytest.mark.parametrize("clean", ("clean", "clean_ready"))
+    def test_clean_does_not_refresh_recency(self, clean):
+        c = make_cache(capacity_lines=2, ways=2)
+        c.fill((0, 0), dirty=True)
+        c.fill((0, 64))
+        assert getattr(c, clean)((0, 0))
+        assert c.fill((0, 128)) == ((0, 0), False)
+
+    def test_refill_of_resident_line_refreshes_recency(self):
+        c = make_cache(capacity_lines=2, ways=2)
+        c.fill((0, 0))
+        c.fill((0, 64))
+        assert c.fill((0, 0)) is None
+        assert c.fill((0, 128)) == ((0, 64), False)
+
+    def test_invalidate_then_refill_makes_line_youngest(self):
+        c = make_cache(capacity_lines=2, ways=2)
+        c.fill((0, 0))
+        c.fill((0, 64))
+        c.invalidate((0, 0))
+        c.fill((0, 0))
+        assert c.fill((0, 128)) == ((0, 64), False)
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 127)),
@@ -134,3 +158,118 @@ def test_resident_line_always_hits(lines):
         assert c.lookup(key) == (key in seen)
         c.fill(key)
         seen.add(key)
+
+
+class StampLRU:
+    """Reference model: the cache as it was before recency moved into
+    set order — one global stamp, refreshed on every access, and a
+    ``min`` over the set to find the victim."""
+
+    def __init__(self, model):
+        self._index, self._ways = model._index, model._ways
+        self._sets = {}
+        self._stamp = 0
+        self.hits = self.misses = 0
+
+    def _touch(self, key, dirty=False):
+        entry = self._sets.setdefault(self._index(key), {}).get(key)
+        if entry is not None:
+            self._stamp += 1
+            entry[0] = self._stamp
+            entry[1] = entry[1] or dirty
+        return entry is not None
+
+    def lookup(self, key):
+        hit = self._touch(key)
+        self.hits += hit
+        self.misses += not hit
+        return hit
+
+    def mark_dirty(self, key):
+        return self._touch(key, dirty=True)
+
+    def fill(self, key, dirty=False, ready_ns=0.0):
+        if self._touch(key, dirty):
+            return None
+        table = self._sets[self._index(key)]
+        victim = None
+        if len(table) >= self._ways:
+            vkey = min(table, key=lambda k: table[k][0])
+            victim = (vkey, table.pop(vkey)[1])
+        self._stamp += 1
+        table[key] = [self._stamp, dirty, ready_ns]
+        return victim
+
+    def clean_ready(self, key):
+        entry = self._sets.get(self._index(key), {}).get(key)
+        if entry is None or not entry[1]:
+            return False, 0.0
+        entry[1] = False
+        return True, entry[2]
+
+    def invalidate(self, key):
+        entry = self._sets.get(self._index(key), {}).pop(key, None)
+        return bool(entry and entry[1])
+
+    def drop_all(self):
+        self._sets.clear()
+
+    def occupancy(self):
+        return sum(len(table) for table in self._sets.values())
+
+    def dirty_keys(self):
+        return [key for table in self._sets.values()
+                for key, entry in table.items() if entry[1]]
+
+
+def _colliding_keys():
+    """Five lines in each of two sets of the 8-set, 4-way test cache:
+    few enough keys that a random trace keeps evicting among them."""
+    index = make_cache(capacity_lines=32, ways=4)._index
+    lines = [(n % 2, n * 64) for n in range(4096)]
+    return [key for s in (0, 1)
+            for key in [k for k in lines if index(k) == s][:5]]
+
+
+# Fills dominate so the sets stay full and recency decides victims;
+# drop_all is rare or no trace would ever reach capacity.
+_OPS = st.tuples(
+    st.sampled_from(("fill", "fill_in") * 4
+                    + ("lookup", "probe", "store_probe", "mark_dirty",
+                       "clean", "clean_ready") * 2
+                    + ("invalidate", "drop_all")),
+    st.sampled_from(_colliding_keys()), st.booleans(),
+    st.integers(0, 9).map(float))
+
+
+@given(st.lists(_OPS, min_size=100, max_size=400))
+@settings(max_examples=50, deadline=None)
+def test_set_order_lru_is_the_stamp_lru(trace):
+    new = make_cache(capacity_lines=32, ways=4)
+    ref = StampLRU(new)
+    for op, key, dirty, ready in trace:
+        if op in ("lookup", "mark_dirty", "invalidate"):
+            assert getattr(new, op)(key) == getattr(ref, op)(key)
+        elif op == "probe":
+            assert new.probe(key)[0] == ref.lookup(key)
+        elif op == "store_probe":
+            assert new.store_probe(key)[0] == ref.mark_dirty(key)
+        elif op == "fill":
+            assert new.fill(key, dirty, ready) == ref.fill(key, dirty, ready)
+        elif op == "fill_in":
+            # fill_in's contract: the caller has just probed and missed.
+            hit, table = new.probe(key)
+            assert hit == ref.lookup(key)
+            if not hit:
+                assert (new.fill_in(table, key, dirty, ready)
+                        == ref.fill(key, dirty, ready))
+        elif op == "clean":
+            assert new.clean(key) == ref.clean_ready(key)[0]
+        elif op == "clean_ready":
+            assert new.clean_ready(key) == ref.clean_ready(key)
+        else:
+            new.drop_all()
+            ref.drop_all()
+        assert (new.hits, new.misses) == (ref.hits, ref.misses)
+        assert new.occupancy() == ref.occupancy()
+        assert sorted(new.dirty_keys()) == sorted(ref.dirty_keys())

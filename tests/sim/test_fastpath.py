@@ -12,7 +12,10 @@ installed) the serialized trace, byte for byte.
 """
 
 import contextlib
+import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.lattester.bandwidth import (
 )
 from repro.sim import Machine, run_workloads
 from repro.sim import engine
+from repro.sim.config import CacheConfig, default_config
 from repro.sim.engine import Scheduler, ThreadCtx
 from repro.telemetry import chrome_trace, recording
 
@@ -287,3 +291,101 @@ class TestSchedulerReuse:
         with fastpath(False):
             ref = run_point("read", "seq", 1, yield_every=1)
         assert fast == ref
+
+
+# -- over-capacity golden ----------------------------------------------------
+
+def run_over_capacity():
+    """A seeded access mix over 4x a 64 KiB cache; every observable.
+
+    Single- and multi-line ``load``/``store``/``store``+``clwb``/
+    ``ntstore`` plus the run entry points, so each hit path in
+    ``namespace.py`` (fused, per-line, and the composed bodies when the
+    fast path is off) refreshes recency on lines that later compete for
+    eviction.
+    """
+    machine = Machine(default_config().with_overrides(
+        cache=CacheConfig(capacity_bytes=64 * KIB)))
+    ns = machine.namespace("optane")
+    t = machine.thread()
+    snaps = ns.counter_snapshots()
+    victims = []
+    evict = machine._evict_writeback
+
+    def spy(key, now):
+        victims.append(key[1])
+        evict(key, now)
+
+    machine._evict_writeback = spy
+    rng = random.Random(1313)
+    region = 256 * KIB
+    for i in range(4000):
+        op = rng.randrange(7)
+        size = rng.choice((CACHELINE, CACHELINE, 256, 200))
+        line = rng.randrange(0, region - 512, CACHELINE)
+        addr = line + 8 if size == 200 else line  # unaligned, straddles
+        if op == 0:
+            ns.load(t, addr, size)
+        elif op == 1:
+            ns.store(t, addr, size)
+        elif op == 2:
+            ns.store(t, addr, size)
+            ns.clwb(t, addr, size)
+        elif op == 3:
+            ns.ntstore(t, addr, size)
+        elif op == 4:
+            ns.store_run(t, line, 3, clwb=True)
+        elif op == 5:
+            ns.load_run(t, line, 3)
+        else:
+            ns.store_run(t, line, 2)
+        if not i % 64:
+            t.sfence()
+    t.sfence()
+    cache = machine.caches[0]
+    return {
+        "now": t.now,
+        "hits": cache.hits,
+        "misses": cache.misses,
+        "occupancy": cache.occupancy(),
+        "dirty": len(cache.dirty_keys()),
+        "victims": len(victims),
+        "victims_head": victims[:8],
+        "victims_sha": hashlib.sha256(
+            repr(victims).encode()).hexdigest()[:16],
+        "counters": [dataclasses.astuple(d)
+                     for d in ns.counter_deltas(snaps)],
+    }
+
+
+OVER_CAPACITY_GOLDEN = {
+    "now": 279204.4000000011,
+    "hits": 706,
+    "misses": 2313,
+    "occupancy": 1023,
+    "dirty": 325,
+    "victims": 1726,
+    "victims_head": [138624, 8512, 50688, 218432, 123584, 27968, 63616,
+                     121344],
+    "victims_sha": "d6b144b7f5e4a41d",
+    # Per DIMM: iMC read, iMC write, media read, media write bytes,
+    # migrations.
+    "counters": [
+        (76288, 70976, 202496, 140288, 0),
+        (72832, 64192, 183552, 124928, 0),
+        (75776, 75200, 201472, 143872, 0),
+        (75712, 71360, 196864, 139008, 0),
+        (66432, 62912, 159744, 118784, 0),
+        (69248, 63104, 164608, 120320, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("enabled", (True, False))
+def test_over_capacity_matches_stamp_lru_golden(enabled):
+    # Recorded with the per-entry-stamp cache (min-stamp victim scan)
+    # that preceded recency-in-set-order.  A hit path in namespace.py
+    # that forgets to move its line to the end of the set changes which
+    # dirty lines are evicted, and in what order.
+    with fastpath(enabled):
+        assert run_over_capacity() == OVER_CAPACITY_GOLDEN
