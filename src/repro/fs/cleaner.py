@@ -46,7 +46,7 @@ def clean_file(fs, thread, inode):
     f.overlays.clear()
     # 2. Rewrite the log: one WriteEntry per live page.
     new_head = fs.policy.alloc_for(thread)
-    new_log = InodeLog(fs, new_head, thread=thread)
+    new_log = InodeLog(fs, inode, new_head, thread=thread)
     for pgoff in sorted(f.pages):
         new_log.append(thread, encode_write_entry(
             pgoff, f.pages[pgoff], f.size))
@@ -54,7 +54,7 @@ def clean_file(fs, thread, inode):
     # then reclaim the old chain's pages.
     old_head = f.log.head
     f.log = new_log
-    fs._commit_inode(thread, f)
+    new_log.commit(thread)
     _reclaim_chain(fs, old_head)
     return old_length - new_log.length
 

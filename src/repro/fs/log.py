@@ -13,14 +13,21 @@ Entries are multiples of 64 bytes:
 
 Every entry carries a CRC over its header (and, for embed entries, the
 data), so recovery can detect torn appends.
+
+The log's root is the inode's slot in the inode table: the head of the
+chain plus the tail position.  An append is acknowledged only once
+:meth:`InodeLog.commit` has persisted the tail behind it, and recovery
+(:meth:`InodeLog.open_persistent` + :meth:`InodeLog.scan_persistent`)
+replays the chain up to that committed tail and no further.  Both
+halves of that rule live here.
 """
 
 import struct
 import zlib
 
 from repro._units import CACHELINE, align_up
-from repro.faults.model import tolerant_read
-from repro.fs.layout import PAGE, split_gaddr
+from repro.faults.model import MediaError, overlaps_lost, tolerant_read
+from repro.fs.layout import INODE_TABLE_PAGE, PAGE, split_gaddr
 
 LOG_PAGE_HEADER = 64
 
@@ -33,6 +40,17 @@ SIZE_ENTRY = 3          # truncate / explicit size change
 _ENTRY = struct.Struct("<BBHIQQHHI")
 ENTRY_SIZE = 64
 assert _ENTRY.size <= ENTRY_SIZE
+
+_TERMINATOR = b"\x00" * ENTRY_SIZE
+
+#: inode-table slot: log_head u64 | tail_page u64 | tail_off u32 | crc u32
+_INODE_SLOT = struct.Struct("<QQII")
+INODE_SLOT_SIZE = 64
+
+
+def slot_addr(inode):
+    """Device-0 address of an inode's slot in the inode table."""
+    return INODE_TABLE_PAGE * PAGE + inode * INODE_SLOT_SIZE
 
 
 def encode_write_entry(pgoff, page_gaddr, file_size):
@@ -100,15 +118,64 @@ def entry_span(entry_blob):
 class InodeLog:
     """The volatile handle onto one inode's persistent log chain."""
 
-    def __init__(self, fs, head_gaddr, thread=None):
+    def __init__(self, fs, inode, head_gaddr, thread=None):
         self.fs = fs
+        self.inode = inode
         self.head = head_gaddr
         self.tail_page = head_gaddr
         self.tail_off = LOG_PAGE_HEADER       # within the tail page
+        self.committed = None                 # tail persisted in the slot
         self.length = 0                       # live entries appended
         self.pages_seen = [head_gaddr]        # chain pages (for recovery)
         if thread is not None:
             self._adopt_page(thread, head_gaddr)
+
+    @property
+    def uncommitted(self):
+        """True while entries sit past the committed tail: a crash now
+        would drop them."""
+        return self.committed != (self.tail_page, self.tail_off)
+
+    def commit(self, thread, fence=True):
+        """Persist the inode slot (log head + tail position), atomically
+        enough: the payload is CRC'd, so recovery rejects torn slots.
+
+        This is what acknowledges the entries appended since the last
+        commit — recovery stops replaying at the tail stored here — and,
+        for a freshly built chain, what switches the inode over to it.
+        """
+        body = struct.pack("<QQI", self.head, self.tail_page, self.tail_off)
+        blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        self.fs.devices[0].ntstore(thread, slot_addr(self.inode), len(blob),
+                                   data=blob)
+        if fence:
+            thread.sfence()
+        self.committed = (self.tail_page, self.tail_off)
+
+    @classmethod
+    def open_persistent(cls, fs, inode, report):
+        """Recovery: the handle the inode's persistent slot describes,
+        or ``None`` when the slot is empty, torn or unreadable."""
+        try:
+            raw = fs.devices[0].read_persistent(slot_addr(inode),
+                                                INODE_SLOT_SIZE)
+        except MediaError:
+            report.lost += 1
+            report.note("inode %d: slot unreadable, file lost" % inode)
+            return None
+        head, tail_page, tail_off, crc = _INODE_SLOT.unpack_from(raw)
+        body = raw[:_INODE_SLOT.size - 4]
+        if head == 0 or zlib.crc32(body) & 0xFFFFFFFF != crc:
+            if any(raw):
+                # Non-empty slot failing its CRC = torn inode commit:
+                # expected crash semantics (slots are overwritten in
+                # place, so a torn slot drops the file).
+                report.truncated += 1
+                report.note("inode %d: torn slot dropped" % inode)
+            return None
+        log = cls(fs, inode, head)
+        log.committed = (tail_page, tail_off)
+        return log
 
     def _adopt_page(self, thread, gaddr):
         """Initialise a (possibly recycled) page as a log page: its
@@ -122,7 +189,9 @@ class InodeLog:
 
         The entry is written with non-temporal stores and fenced, then
         the in-page sequence continues; chaining a fresh log page links
-        it before use (next-pointer persisted first, NOVA-style).
+        it before use (next-pointer persisted first, NOVA-style).  The
+        entry only counts once :meth:`commit` has moved the tail past
+        it, so one commit makes a multi-entry operation atomic.
         """
         span = len(entry_blob)
         if span > PAGE - LOG_PAGE_HEADER:
@@ -154,6 +223,13 @@ class InodeLog:
                 note="nova log grow: the fresh page's zeroed "
                      "next-pointer must be durable before the old "
                      "tail links to it")
+        if self.tail_off <= PAGE - ENTRY_SIZE:
+            # A recycled page still holds whatever it was last used
+            # for: end this page's entries with a zero terminator so a
+            # scan of an intact page never decodes the slack behind
+            # them.
+            ns.ntstore(thread, off + self.tail_off, ENTRY_SIZE,
+                       data=_TERMINATOR)
         # Persist the next-pointer in the old tail's header (only after
         # the new page's own header is durably clean).
         ns.ntstore(thread, off, 8, data=struct.pack("<Q", new_page))
@@ -162,7 +238,15 @@ class InodeLog:
         self.tail_off = LOG_PAGE_HEADER
 
     def scan_persistent(self, report=None):
-        """Recovery: yield decoded entries from the persistent view.
+        """Recovery: yield decoded entries from the persistent view, up
+        to the committed tail (see :meth:`open_persistent`).
+
+        Log pages are recycled without being wiped, so bytes behind the
+        live entries may be CRC-valid entries from a page's previous
+        life.  The scan therefore ends, quietly, at the committed tail
+        (nothing past it was ever acknowledged) and leaves a non-tail
+        page at the zero terminator ``_grow`` wrote behind its last
+        entry.
 
         As a side effect (recovery runs this on a fresh handle) the
         log's tail position and ``pages_seen`` are restored, so appends
@@ -170,11 +254,15 @@ class InodeLog:
 
         Tolerates media faults: a torn tail entry truncates the log, a
         poisoned XPLine inside a page loses the entries it covers (the
-        scan resyncs at the next 64 B-aligned intact entry), and a
-        poisoned next-pointer loses the rest of the chain.  ``report``
-        (a :class:`~repro.faults.report.RecoveryReport`) collects the
+        scan resyncs at the next 64 B-aligned intact entry, or ends the
+        page at a readable terminator), and a poisoned next-pointer
+        loses the rest of the chain.  A hole that swallows a page's
+        terminator leaves the scan nothing to stop at, so stale entries
+        behind it can still be replayed.  ``report`` (a
+        :class:`~repro.faults.report.RecoveryReport`) collects the
         accounting when provided.
         """
+        tail_page, tail_off = self.committed
         page = self.head
         seen = set()
         self.pages_seen = []
@@ -186,8 +274,16 @@ class InodeLog:
             self.pages_seen.append(page)
             ns = self.fs.devices[dev]
             raw, lost = tolerant_read(ns, off, PAGE)
+            if page == tail_page:
+                raw = raw[:tail_off]
+            end = len(raw)
+
+            def at_terminator(pos):
+                return not any(raw[pos:pos + ENTRY_SIZE]) and \
+                    not overlaps_lost(lost, pos, ENTRY_SIZE)
+
             pos = LOG_PAGE_HEADER
-            while pos <= PAGE - ENTRY_SIZE:
+            while pos <= end - ENTRY_SIZE:
                 decoded = decode_entry(raw, pos)
                 if decoded is not None:
                     entry, pos = decoded
@@ -195,6 +291,8 @@ class InodeLog:
                         report.recovered += 1
                     yield entry
                     continue
+                if at_terminator(pos):
+                    break                  # the page's entries end here
                 hole = next(((lo, ll) for lo, ll in lost
                              if lo + ll > pos), None)
                 if hole is not None:
@@ -204,17 +302,20 @@ class InodeLog:
                                     % (page, hole[0], hole[1]))
                     pos = align_up(max(hole[0] + hole[1], pos + 1),
                                    CACHELINE)
-                    while pos <= PAGE - ENTRY_SIZE and \
-                            decode_entry(raw, pos) is None:
+                    while pos <= end - ENTRY_SIZE and \
+                            decode_entry(raw, pos) is None and \
+                            not at_terminator(pos):
                         pos += CACHELINE
                     continue
-                if report is not None and any(raw[pos:]):
+                if report is not None:
                     report.truncated += 1
                     report.note("log page %#x: torn entry truncated at +%d"
                                 % (page, pos))
                 break
             self.tail_page = page
             self.tail_off = pos
+            if page == tail_page:
+                break
             if any(lo + ll > 0 and lo < 8 for lo, ll in lost):
                 if report is not None:
                     report.lost += 1

@@ -12,23 +12,15 @@ rebuilt from the logs on recovery, exactly as NOVA rebuilds its DRAM
 structures on mount.
 """
 
-import struct
-import zlib
-
-from repro.faults.model import MediaError
 from repro.faults.report import RecoveryReport
 from repro.fs.layout import (
-    INODE_TABLE_PAGE, PAGE, AllocationPolicy, PageAllocator, make_gaddr,
-    split_gaddr,
+    PAGE, AllocationPolicy, PageAllocator, make_gaddr, split_gaddr,
 )
 from repro.fs.log import (
-    EMBED_ENTRY, SIZE_ENTRY, WRITE_ENTRY, InodeLog, encode_embed_entry,
-    encode_size_entry, encode_write_entry,
+    EMBED_ENTRY, INODE_SLOT_SIZE, SIZE_ENTRY, WRITE_ENTRY, InodeLog,
+    encode_embed_entry, encode_size_entry, encode_write_entry, slot_addr,
 )
 
-#: inode-table slot: log_head u64 | tail_page u64 | tail_off u32 | crc u32
-_INODE_SLOT = struct.Struct("<QQII")
-INODE_SLOT_SIZE = 64
 MAX_INODES = ((16 - 1) * PAGE) // INODE_SLOT_SIZE
 
 #: syscall + VFS overhead for a kernel file system call.
@@ -36,6 +28,19 @@ SYSCALL_NS = 500.0
 
 #: Compact a file's log once it accumulates this many entries.
 CLEANER_THRESHOLD = 512
+
+
+def _patched(piece, in_off, overlays):
+    """``piece`` (page bytes from ``in_off``) with the intersecting part
+    of each embedded extent applied, oldest first."""
+    end = in_off + len(piece)
+    buf = bytearray(piece)
+    for ext_off, dlen, data in overlays:
+        lo = max(ext_off, in_off)
+        hi = min(ext_off + dlen, end)
+        if lo < hi:
+            buf[lo - in_off:hi - in_off] = data[lo - ext_off:hi - ext_off]
+    return bytes(buf)
 
 
 class NovaFile:
@@ -73,24 +78,6 @@ class NovaFS:
         if _mount:
             self._recover()
 
-    # -- inode table -----------------------------------------------------------
-
-    def _slot_addr(self, inode):
-        return INODE_TABLE_PAGE * PAGE + inode * INODE_SLOT_SIZE
-
-    def _commit_inode(self, thread, f, fence=True):
-        """Persist the inode slot (log head + tail position), atomically
-        enough: the 24-byte payload is CRC'd, so recovery rejects torn
-        slots and falls back to scanning from the head."""
-        body = struct.pack("<QQI", f.log.head, f.log.tail_page,
-                           f.log.tail_off)
-        crc = zlib.crc32(body) & 0xFFFFFFFF
-        blob = body + struct.pack("<I", crc)
-        ns = self.devices[0]
-        ns.ntstore(thread, self._slot_addr(f.inode), len(blob), data=blob)
-        if fence:
-            thread.sfence()
-
     # -- file operations ---------------------------------------------------------
 
     def create(self, thread, name=None):
@@ -101,10 +88,9 @@ class NovaFS:
         self._next_inode += 1
         thread.sleep(SYSCALL_NS)
         head = self.policy.alloc_for(thread)
-        log = InodeLog(self, head, thread=thread)
-        f = NovaFile(self, inode, log)
-        self._files[inode] = f
-        self._commit_inode(thread, f)
+        log = InodeLog(self, inode, head, thread=thread)
+        self._files[inode] = NovaFile(self, inode, log)
+        log.commit(thread)
         return inode
 
     def write(self, thread, inode, offset, data, sync=True):
@@ -125,7 +111,7 @@ class NovaFS:
             pos += chunk
         new_size = max(f.size, offset + len(data))
         f.size = new_size
-        self._commit_inode(thread, f, fence=sync)
+        f.log.commit(thread, fence=sync)
         if f.log.length >= CLEANER_THRESHOLD:
             self.clean(thread, inode)
 
@@ -167,18 +153,17 @@ class NovaFS:
         if new_size >= f.size:
             f.size = new_size
             f.log.append(thread, encode_size_entry(new_size))
-            self._commit_inode(thread, f)
+            f.log.commit(thread)
             return
         keep_pages = -(-new_size // PAGE) if new_size else 0
         tail = new_size % PAGE
         if tail and (keep_pages - 1) in f.pages:
             # COW the final partial page with its tail zeroed.
             pgoff = keep_pages - 1
-            page = bytearray(self._page_contents(thread, f, pgoff))
-            for in_off, dlen, data in f.overlays.get(pgoff, ()):
-                page[in_off:in_off + dlen] = data
-            page[tail:] = b"\x00" * (PAGE - tail)
-            self._write_cow(thread, f, pgoff, 0, bytes(page))
+            page = _patched(self._page_contents(thread, f, pgoff), 0,
+                            f.overlays.get(pgoff, ()))
+            self._write_cow(thread, f, pgoff, 0,
+                            page[:tail] + bytes(PAGE - tail))
         for pgoff in [p for p in f.pages if p >= keep_pages]:
             self.policy.free(f.pages.pop(pgoff))
             f.overlays.pop(pgoff, None)
@@ -186,14 +171,14 @@ class NovaFS:
             f.overlays.pop(pgoff)
         f.size = new_size
         f.log.append(thread, encode_size_entry(new_size))
-        self._commit_inode(thread, f)
+        f.log.commit(thread)
 
     def unlink(self, thread, inode):
         """Delete a file: zero its inode slot, reclaim its pages."""
         thread.sleep(SYSCALL_NS)
         f = self._files.pop(inode)
         ns = self.devices[0]
-        ns.ntstore(thread, self._slot_addr(inode), INODE_SLOT_SIZE,
+        ns.ntstore(thread, slot_addr(inode), INODE_SLOT_SIZE,
                    data=b"\x00" * INODE_SLOT_SIZE)
         thread.sfence()
         for gaddr in f.pages.values():
@@ -202,37 +187,39 @@ class NovaFS:
         _reclaim_chain(self, f.log.head)
 
     def read(self, thread, inode, offset, size):
-        """Read, merging embedded writes over page contents."""
+        """Read up to EOF, copying out only the requested byte ranges.
+
+        Like NOVA's DAX read, each touched page is loaded at cache-line
+        grain over just the bytes asked for (a hole loads nothing).
+        Embedded writes live in the DRAM index, so patching them in
+        loads nothing either: it costs 40 ns of merge bookkeeping per
+        extent indexed on the page.
+        """
         thread.sleep(SYSCALL_NS)
         f = self._files[inode]
-        out = bytearray()
+        size = min(size, f.size - offset)
+        parts = []
         pos = 0
         while pos < size:
-            pgoff = (offset + pos) // PAGE
-            in_off = (offset + pos) % PAGE
+            pgoff, in_off = divmod(offset + pos, PAGE)
             chunk = min(PAGE - in_off, size - pos)
-            page = self._merged_page(thread, f, pgoff)
-            out += page[in_off:in_off + chunk]
+            piece = self._page_contents(thread, f, pgoff, in_off, chunk)
+            overlays = f.overlays.get(pgoff)
+            if overlays:
+                piece = _patched(piece, in_off, overlays)
+                thread.sleep(40.0 * len(overlays))
+            parts.append(piece)
             pos += chunk
-        return bytes(out[:max(0, min(size, f.size - offset))])
+        return b"".join(parts)
 
-    def _page_contents(self, thread, f, pgoff):
-        """Raw page bytes (no overlays), loading from the device."""
+    def _page_contents(self, thread, f, pgoff, in_off=0, length=PAGE):
+        """Raw bytes of (a range of) one page (no overlays), loading
+        from the device."""
         gaddr = f.pages.get(pgoff)
         if gaddr is None:
-            return b"\x00" * PAGE
+            return bytes(length)
         dev, off = split_gaddr(gaddr)
-        return self.devices[dev].pread(thread, off, PAGE)
-
-    def _merged_page(self, thread, f, pgoff):
-        page = bytearray(self._page_contents(thread, f, pgoff))
-        for in_off, dlen, data in f.overlays.get(pgoff, ()):
-            # The read path pays for loading each embedded extent too.
-            page[in_off:in_off + dlen] = data
-        overlays = f.overlays.get(pgoff, ())
-        if overlays:
-            thread.sleep(40.0 * len(overlays))      # merge bookkeeping
-        return page
+        return self.devices[dev].pread(thread, off + in_off, length)
 
     def mmap(self, thread, inode, pgoff=0):
         """DAX-map one page of a file; returns its global address.
@@ -246,12 +233,14 @@ class NovaFS:
         f = self._files[inode]
         overlays = f.overlays.get(pgoff)
         if overlays:
-            page = bytearray(self._page_contents(thread, f, pgoff))
-            for in_off, dlen, data in overlays:
-                page[in_off:in_off + dlen] = data
-            self._write_cow(thread, f, pgoff, 0, bytes(page))
+            self._write_cow(thread, f, pgoff, 0, _patched(
+                self._page_contents(thread, f, pgoff), 0, overlays))
         if pgoff not in f.pages:
             self._write_cow(thread, f, pgoff, 0, b"\x00" * PAGE)
+        if f.log.uncommitted:
+            # The mapping must survive a crash: stores through it land
+            # in the COW page the entry just appended points at.
+            f.log.commit(thread)
         return f.pages[pgoff]
 
     def stat_size(self, inode):
@@ -273,29 +262,11 @@ class NovaFS:
                    pages_per_device=pages_per_device, _mount=True)
 
     def _recover(self):
-        ns = self.devices[0]
         report = RecoveryReport(component="nova")
         for inode in range(1, MAX_INODES):
-            try:
-                raw = ns.read_persistent(self._slot_addr(inode),
-                                         INODE_SLOT_SIZE)
-            except MediaError:
-                report.lost += 1
-                report.note("inode %d: slot unreadable, file lost" % inode)
+            log = InodeLog.open_persistent(self, inode, report)
+            if log is None:
                 continue
-            head, tail_page, tail_off, crc = _INODE_SLOT.unpack_from(raw)
-            body = raw[:_INODE_SLOT.size - 4]
-            if head == 0 or zlib.crc32(body) & 0xFFFFFFFF != crc:
-                if any(raw):
-                    # Non-empty slot failing its CRC = torn inode
-                    # commit: expected crash semantics (the file keeps
-                    # its pre-crash state if an older intact slot
-                    # version exists; here slots are overwritten in
-                    # place, so a torn slot drops the file).
-                    report.truncated += 1
-                    report.note("inode %d: torn slot dropped" % inode)
-                continue
-            log = InodeLog(self, head)
             f = NovaFile(self, inode, log)
             applied = 0
             for entry in log.scan_persistent(report=report):

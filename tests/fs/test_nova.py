@@ -1,9 +1,12 @@
 """Unit, integration and crash tests for the NOVA file system."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.model import FaultController
 from repro.fs import DAXFileSystem, NovaFS, PAGE
 from repro.fs.layout import (
     AllocationPolicy, PageAllocator, make_gaddr, split_gaddr,
@@ -11,6 +14,7 @@ from repro.fs.layout import (
 from repro.fs.log import (
     decode_entry, encode_embed_entry, encode_write_entry,
 )
+from repro.fs.nova import CLEANER_THRESHOLD
 from repro.sim import Machine
 
 
@@ -361,3 +365,174 @@ class TestMmap:
         inode = fs.create(t)
         gaddr = fs.mmap(t, inode, pgoff=2)
         assert gaddr
+
+    @pytest.mark.parametrize("datalog", [False, True])
+    def test_mapping_survives_power_fail(self, datalog):
+        # Regression: mmap appended its COW entry without committing
+        # the log tail, so recovery dropped the entry and remapped the
+        # file to the page mmap had already freed.
+        m = Machine()
+        t = m.thread()
+        fs = NovaFS(m, datalog=datalog)
+        inode = fs.create(t)
+        other = fs.create(t)
+        fs.write(t, inode, 0, b"M" * PAGE)
+        fs.write(t, inode, 100, b"patched")     # an embed under datalog
+        mapped = {}
+        for pgoff in (0, 3):                    # merged page, sparse page
+            gaddr = fs.mmap(t, inode, pgoff=pgoff)
+            assert not fs._files[inode].log.uncommitted
+            dev, off = split_gaddr(gaddr)
+            fs.devices[dev].pwrite(t, off + 10, b"DIRECT", instr="ntstore")
+            t.sfence()
+            mapped[pgoff] = gaddr
+        # Another file takes whatever pages mmap's COW freed.
+        fs.write(t, other, 0, b"o" * (2 * PAGE))
+        m.power_fail()
+        fs2 = NovaFS.mount(m, datalog=datalog)
+        assert fs2._files[inode].pages == mapped
+        page0 = fs2.read_persistent_file(inode, 0, PAGE)
+        assert page0[10:16] == b"DIRECT"
+        assert page0[100:107] == b"patched"
+        assert b"o" not in page0
+
+
+class TestRangeReads:
+    """Reads load only the byte ranges they return."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_bytearray_model(self, seed, datalog):
+        rng = random.Random(seed)
+        m = Machine()
+        t = m.thread()
+        fs = NovaFS(m, datalog=datalog)
+        inode = fs.create(t)
+        span = 6 * PAGE
+        model = bytearray(span + PAGE)
+        size = 0
+        for _ in range(30):
+            # No operation may return with entries past the committed
+            # tail: a crash would drop them.
+            assert not fs._files[inode].log.uncommitted
+            if rng.random() < 0.1:
+                fs.mmap(t, inode, pgoff=rng.randrange(6))
+            elif rng.random() < 0.4:
+                kind = rng.choice(("sub", "cross", "page"))
+                if kind == "page":             # COW, drops the overlays
+                    offset = rng.randrange(6) * PAGE
+                    length = PAGE
+                elif kind == "cross":          # embed on either side
+                    offset = rng.randrange(1, 6) * PAGE - rng.randrange(1, 200)
+                    length = rng.randrange(200, 600)
+                else:
+                    offset = rng.randrange(span - 300)
+                    length = rng.randrange(1, 300)
+                data = bytes(rng.getrandbits(8) for _ in range(length))
+                fs.write(t, inode, offset, data)
+                model[offset:offset + length] = data
+                size = max(size, offset + length)
+            else:
+                # Sub-page, page-crossing, hole-spanning and past-EOF.
+                offset = rng.randrange(span + PAGE)
+                length = rng.choice((1, 2, 100, 300, PAGE, 2 * PAGE + 17))
+                want = bytes(model[offset:min(offset + length, size)])
+                assert fs.read(t, inode, offset, length) == want
+
+    def test_small_read_loads_only_its_lines(self):
+        m = Machine()
+        t = m.thread()
+        fs = NovaFS(m, datalog=True)
+        inode = fs.create(t)
+        fs.write(t, inode, 0, b"A" * (2 * PAGE))
+        before = t.bytes_read
+        assert fs.read(t, inode, PAGE + 130, 100) == b"A" * 100
+        assert 0 < t.bytes_read - before <= 3 * 64
+        before = t.bytes_read
+        fs.read(t, inode, PAGE, PAGE)
+        assert t.bytes_read - before == 64 * 64
+
+    def test_hole_and_past_eof_load_nothing(self):
+        m = Machine()
+        t = m.thread()
+        fs = NovaFS(m)
+        inode = fs.create(t)
+        fs.write(t, inode, 2 * PAGE, b"far")
+        before = t.bytes_read
+        assert fs.read(t, inode, 100, PAGE) == b"\x00" * PAGE
+        assert fs.read(t, inode, 2 * PAGE + 3, 500) == b""
+        assert fs.read(t, inode, 5 * PAGE, 8) == b""
+        assert t.bytes_read == before
+
+    def test_aligned_4k_read_cost_is_pinned(self):
+        # Recorded on the commit before reads became range-granular:
+        # a page-aligned 4 KiB read must cost exactly what it did.
+        from repro.fs.study import figure12
+        bars = figure12(systems=("nova", "nova-datalog"), ops=250)
+        assert bars["nova", "read", 4096].mean_ns == 1991.6967999999767
+        assert bars["nova-datalog", "read", 4096].mean_ns == \
+            1991.6967999999767
+
+
+class TestRecycledLogPages:
+    """Regression: recovery replayed stale entries left in recycled log
+    pages — behind a page's last entry and beyond the committed tail."""
+
+    def test_recovery_ignores_stale_entries(self):
+        rng = random.Random(3)
+        m = Machine()
+        t = m.thread()
+        fs = NovaFS(m, datalog=True)
+        inode = fs.create(t)
+        slots, stride = 256, 128
+        model = {}
+        cleans = 0
+        for _ in range(4 * CLEANER_THRESHOLD + 100):
+            slot = rng.randrange(slots)
+            # Two entry sizes, so pages end with slack behind the
+            # last entry that fits.
+            value = bytes(rng.getrandbits(8)
+                          for _ in range(rng.choice((102, 30))))
+            before = fs._files[inode].log.length
+            fs.write(t, inode, slot * stride, value)
+            cleans += fs._files[inode].log.length < before
+            model[slot] = value
+        assert cleans >= 3                    # log pages were recycled
+        live_length = fs._files[inode].log.length
+        m.power_fail()
+        fs2 = NovaFS.mount(m, datalog=True)
+        stale = [slot for slot, value in model.items()
+                 if fs2.read_persistent_file(
+                     inode, slot * stride, len(value)) != value]
+        assert stale == []
+        assert fs2._files[inode].log.length == live_length
+        assert fs2.recovery_report.truncated == 0
+
+    def test_hole_before_terminator_does_not_resync_into_slack(self):
+        m = Machine()
+        fc = FaultController(m)
+        t = m.thread()
+        fs = NovaFS(m, datalog=True)
+        # A page whose previous life left CRC-valid entries all over it.
+        stale = fs.policy.alloc_for(t)
+        dev, off = split_gaddr(stale)
+        ns = fs.devices[dev]
+        ns.ntstore(t, off + 64, PAGE - 64,
+                   data=encode_write_entry(999, stale, 7) * 63)
+        t.sfence()
+        fs.policy.free(stale)
+        inode = fs.create(t)
+        log = fs._files[inode].log
+        assert log.head == stale              # the log head recycles it
+        fs.write(t, inode, 0, b"A" * PAGE)    # one 64 B write entry
+        for i in range(29):                   # 29 embed entries of 128 B
+            fs.write(t, inode, i * 64, b"e" * 64)
+        assert (log.tail_page, log.tail_off) == (stale, 3840)
+        fs.write(t, inode, 0, b"g" * 200)     # does not fit: the log grows
+        assert log.tail_page != stale         # terminator at +3840
+        fc.poison(ns, off + 3584, 1)          # the page's last two entries
+        m.power_fail()
+        fs2 = NovaFS.mount(m, datalog=True)
+        assert 999 not in fs2._files[inode].pages
+        assert fs2.recovery_report.lost >= 1
+        assert fs2.read_persistent_file(inode, 0, 200) == b"g" * 200
