@@ -22,9 +22,9 @@ stress different code:
 * ``serve_chaos``    — one chaos-serving cell (mid-serve power
   failures, recovery, and the durability oracle's read-back);
 * ``pmcheck_overhead`` — the ``serve_closed`` workload with the
-  persistency-order checker installed (the composed per-line paths
-  plus the checker's state machine; compare against ``serve_closed``
-  for the checking tax);
+  persistency-order checker installed (the checker's state machine
+  riding the inline hooks; compare against ``serve_closed`` for the
+  checking tax);
 * ``obs_overhead``    — the ``serve_closed`` workload with the
   always-on observability recorder attached (two list appends per
   request in the loop, histogram/window folding after it).  Each run
@@ -190,8 +190,7 @@ def bench_pmcheck_overhead(quick=False):
     """``serve_closed`` with the persistency-order checker riding along.
 
     The delta against ``serve_closed`` is the whole checking tax: the
-    fused fast path disabled (composed per-line stores/flushes) plus
-    the checker's per-line state machine and ack-window bookkeeping.
+    checker's per-line state machine and ack-window bookkeeping.
     Like ``serve_closed``, only the serve loop is timed (the preload
     still runs with the checker installed, so checker state at serve
     start is unchanged).
@@ -228,7 +227,7 @@ def bench_obs_overhead(quick=False):
     """``serve_closed`` with the obs recorder attached.
 
     The recording tax is the per-request latency/timestamp appends
-    inside the (still fused) serve loop plus the post-loop histogram
+    inside the serve loop plus the post-loop histogram
     and burn-window folding.  Each call times the identical serve
     loop twice on fresh machines — recording off, then on — so the
     gate in :func:`main` compares a *paired* measurement; the timed

@@ -39,8 +39,6 @@ property this matrix is probing.
 import heapq
 from random import Random
 
-from repro.sim import engine as _engine
-
 from repro.chaos_serve.degrade import (
     BROKEN, DEADLINE, FAILED, OK, SHED, CircuitBreaker, DegradeConfig,
     DegradeStats, RetryPolicy,
@@ -121,8 +119,8 @@ class _Env:
         self._breaker_seen = 0
         self.load_end = 0.0
         self.injector = None
-        # Always-on observability: request-granularity recording that
-        # keeps the fused fast paths enabled (REPRO_OBS=0 disables).
+        # Always-on observability: request-granularity recording
+        # (REPRO_OBS=0 disables).
         self.obs = ObsRecorder.from_env(payload["substrate"],
                                         workload=payload["workload"])
 
@@ -389,89 +387,53 @@ def _closed_serve(env):
     obs = env.obs
     obs_ts = None if obs is None else []
     ts_append = None if obs_ts is None else obs_ts.append
-    if _engine.FASTPATH_ENABLED:
-        # Batched dispatch: each client's request sequence depends only
-        # on its own seeded RNG (never on machine state or the other
-        # clients), so the whole budget can be materialized up front —
-        # the interleaving below consumes it in the reference order.
-        # The min() over the active set becomes a strict-< scan of a
-        # live list kept in client order: lowest ``now`` wins, first
-        # occurrence (= lowest client id) on ties, exactly the
-        # reference's (now, id) key.
-        queues = [streams[c].next_requests(budgets[c])
-                  for c in range(clients)]
-        qpos = [0] * clients
-        triggers_pop = triggers.pop
-        live = list(range(clients))
-        while live:
-            c = live[0]
-            best_now = threads[c].now
-            for i in live[1:]:
-                now = threads[i].now
-                if now < best_now:
-                    c = i
-                    best_now = now
-            thread = threads[c]
-            if pending[c] is not None:
-                req, pending[c] = pending[c], None
-            else:
-                pos = qpos[c]
-                queue = queues[c]
-                if pos == len(queue):
-                    live.remove(c)
-                    continue
-                qpos[c] = pos + 1
-                req = queue[pos]
-                dispatched += 1
-                kind = triggers_pop(dispatched, None)
-                if kind is not None:
-                    _fire(env, kind, dispatched)
-            try:
-                disp, latency = _serve_one(env, thread, c, req)
-            except SimulatedPowerFailure:
-                _recover_and_audit(env, dispatched)
-                pending[c] = req      # the client retries the request
+    # Each client's request sequence depends only on its own seeded
+    # RNG (never on machine state or the other clients), so the whole
+    # budget is materialized up front.  Dispatch order is a strict-<
+    # scan of a live list kept in client order: lowest ``now`` wins,
+    # first occurrence (= lowest client id) on ties.
+    queues = [streams[c].next_requests(budgets[c])
+              for c in range(clients)]
+    qpos = [0] * clients
+    triggers_pop = triggers.pop
+    live = list(range(clients))
+    while live:
+        c = live[0]
+        best_now = threads[c].now
+        for i in live[1:]:
+            now = threads[i].now
+            if now < best_now:
+                c = i
+                best_now = now
+        thread = threads[c]
+        if pending[c] is not None:
+            req, pending[c] = pending[c], None
+        else:
+            pos = qpos[c]
+            queue = queues[c]
+            if pos == len(queue):
+                live.remove(c)
                 continue
-            results[disp] = results.get(disp, 0) + 1
-            if disp == OK:
-                ops_by_type[req.op] = ops_by_type.get(req.op, 0) + 1
-                latencies.append(latency)
-                if ts_append is not None:
-                    ts_append(thread.now)
-            elif obs is not None and (disp == FAILED or disp == BROKEN):
-                obs.error(req.op, thread.now)
-    else:
-        iters = [iter(streams[c].requests(budgets[c]))
-                 for c in range(clients)]
-        active = set(range(clients))
-        while active:
-            c = min(active, key=lambda i: (threads[i].now, i))
-            thread = threads[c]
-            if pending[c] is not None:
-                req, pending[c] = pending[c], None
-            else:
-                req = next(iters[c], None)
-                if req is None:
-                    active.discard(c)
-                    continue
-                dispatched += 1
-                kind = triggers.pop(dispatched, None)
-                if kind is not None:
-                    _fire(env, kind, dispatched)
-            try:
-                disp, latency = _serve_one(env, thread, c, req)
-            except SimulatedPowerFailure:
-                _recover_and_audit(env, dispatched)
-                pending[c] = req      # the client retries the request
-                continue
-            results[disp] = results.get(disp, 0) + 1
-            if disp == OK:
-                ops_by_type[req.op] = ops_by_type.get(req.op, 0) + 1
-                latencies.append(latency)
-                if ts_append is not None:
-                    ts_append(thread.now)
-            elif obs is not None and (disp == FAILED or disp == BROKEN):
-                obs.error(req.op, thread.now)
+            qpos[c] = pos + 1
+            req = queue[pos]
+            dispatched += 1
+            kind = triggers_pop(dispatched, None)
+            if kind is not None:
+                _fire(env, kind, dispatched)
+        try:
+            disp, latency = _serve_one(env, thread, c, req)
+        except SimulatedPowerFailure:
+            _recover_and_audit(env, dispatched)
+            pending[c] = req      # the client retries the request
+            continue
+        results[disp] = results.get(disp, 0) + 1
+        if disp == OK:
+            ops_by_type[req.op] = ops_by_type.get(req.op, 0) + 1
+            latencies.append(latency)
+            if ts_append is not None:
+                ts_append(thread.now)
+        elif obs is not None and (disp == FAILED or disp == BROKEN):
+            obs.error(req.op, thread.now)
     end_ns = max(t.now for t in threads)
     if obs is not None:
         obs.ingest(latencies, obs_ts)
@@ -510,109 +472,62 @@ def _open_serve(env):
     obs = env.obs
     obs_ts = None if obs is None else []
     ts_append = None if obs_ts is None else obs_ts.append
-    if _engine.FASTPATH_ENABLED:
-        # Hoisted dispatch loop: per-arrival work drops the lambda-key
-        # min() (threads are scanned strict-< in tid order, which is
-        # the same (now, tid) order) and the throwaway one-request
-        # generator (``next_request`` is the single-step equivalent).
-        # The degrade config and the arrival-rate inverse are
-        # loop-invariant; ``1.0 / mean_gap_ns`` is computed once, the
-        # identical float the reference recomputes per arrival.
-        expovariate = arrival_rng.expovariate
-        inv_gap = 1.0 / mean_gap_ns
-        triggers_pop = triggers.pop
-        heappop, heappush = heapq.heappop, heapq.heappush
-        cfg_enabled = cfg.enabled
-        max_inflight = cfg.max_inflight
-        deadline_ns = cfg.deadline_ns
-        stats = env.stats
-        for i in range(1, env.ops + 1):
-            clock += expovariate(inv_gap)
-            kind = triggers_pop(i, None)
-            if kind is not None:
-                _fire(env, kind, i)
-            while inflight and inflight[0] <= clock:
-                heappop(inflight)
-            if cfg_enabled and max_inflight \
-                    and len(inflight) >= max_inflight:
-                stats.shed += 1
-                results[SHED] = results.get(SHED, 0) + 1
-                env.chaos_instant("degrade.shed", {"at_op": i})
-                continue
-            wi = 0
-            worker = threads[0]
-            best_now = worker.now
-            for j, t in enumerate(threads):
-                now = t.now
-                if now < best_now:
-                    wi = j
-                    worker = t
-                    best_now = now
-            if cfg_enabled and best_now - clock > deadline_ns:
-                # The client gave up in the queue before dispatch.
-                stats.deadline_misses += 1
-                results[DEADLINE] = results.get(DEADLINE, 0) + 1
-                continue
-            req = streams[wi].next_request()
-            if worker.now < clock:
-                worker.now = clock
-            while True:
-                try:
-                    disp, latency = _serve_one(env, worker, wi, req,
-                                               arrival_ns=clock)
-                    break
-                except SimulatedPowerFailure:
-                    _recover_and_audit(env, i)
-            results[disp] = results.get(disp, 0) + 1
-            if disp == OK:
-                ops_by_type[req.op] = ops_by_type.get(req.op, 0) + 1
-                latencies.append(latency)
-                if ts_append is not None:
-                    ts_append(worker.now)
-            elif obs is not None and (disp == FAILED or disp == BROKEN):
-                obs.error(req.op, worker.now)
-            heappush(inflight, worker.now)
-    else:
-        for i in range(1, env.ops + 1):
-            clock += arrival_rng.expovariate(1.0 / mean_gap_ns)
-            kind = triggers.pop(i, None)
-            if kind is not None:
-                _fire(env, kind, i)
-            while inflight and inflight[0] <= clock:
-                heapq.heappop(inflight)
-            if cfg.enabled and cfg.max_inflight \
-                    and len(inflight) >= cfg.max_inflight:
-                env.stats.shed += 1
-                results[SHED] = results.get(SHED, 0) + 1
-                env.chaos_instant("degrade.shed", {"at_op": i})
-                continue
-            wi, worker = min(enumerate(threads),
-                             key=lambda p: (p[1].now, p[1].tid))
-            wait = max(0.0, worker.now - clock)
-            if cfg.enabled and wait > cfg.deadline_ns:
-                # The client gave up in the queue before dispatch.
-                env.stats.deadline_misses += 1
-                results[DEADLINE] = results.get(DEADLINE, 0) + 1
-                continue
-            req = next(streams[wi].requests(1))
-            if worker.now < clock:
-                worker.now = clock
-            while True:
-                try:
-                    disp, latency = _serve_one(env, worker, wi, req,
-                                               arrival_ns=clock)
-                    break
-                except SimulatedPowerFailure:
-                    _recover_and_audit(env, i)
-            results[disp] = results.get(disp, 0) + 1
-            if disp == OK:
-                ops_by_type[req.op] = ops_by_type.get(req.op, 0) + 1
-                latencies.append(latency)
-                if ts_append is not None:
-                    ts_append(worker.now)
-            elif obs is not None and (disp == FAILED or disp == BROKEN):
-                obs.error(req.op, worker.now)
-            heapq.heappush(inflight, worker.now)
+    # Workers are scanned strict-< in tid order (earliest free, ties
+    # to the lowest id); the degrade config is loop-invariant.
+    expovariate = arrival_rng.expovariate
+    inv_gap = 1.0 / mean_gap_ns
+    triggers_pop = triggers.pop
+    heappop, heappush = heapq.heappop, heapq.heappush
+    cfg_enabled = cfg.enabled
+    max_inflight = cfg.max_inflight
+    deadline_ns = cfg.deadline_ns
+    stats = env.stats
+    for i in range(1, env.ops + 1):
+        clock += expovariate(inv_gap)
+        kind = triggers_pop(i, None)
+        if kind is not None:
+            _fire(env, kind, i)
+        while inflight and inflight[0] <= clock:
+            heappop(inflight)
+        if cfg_enabled and max_inflight \
+                and len(inflight) >= max_inflight:
+            stats.shed += 1
+            results[SHED] = results.get(SHED, 0) + 1
+            env.chaos_instant("degrade.shed", {"at_op": i})
+            continue
+        wi = 0
+        worker = threads[0]
+        best_now = worker.now
+        for j, t in enumerate(threads):
+            now = t.now
+            if now < best_now:
+                wi = j
+                worker = t
+                best_now = now
+        if cfg_enabled and best_now - clock > deadline_ns:
+            # The client gave up in the queue before dispatch.
+            stats.deadline_misses += 1
+            results[DEADLINE] = results.get(DEADLINE, 0) + 1
+            continue
+        req = streams[wi].next_request()
+        if worker.now < clock:
+            worker.now = clock
+        while True:
+            try:
+                disp, latency = _serve_one(env, worker, wi, req,
+                                           arrival_ns=clock)
+                break
+            except SimulatedPowerFailure:
+                _recover_and_audit(env, i)
+        results[disp] = results.get(disp, 0) + 1
+        if disp == OK:
+            ops_by_type[req.op] = ops_by_type.get(req.op, 0) + 1
+            latencies.append(latency)
+            if ts_append is not None:
+                ts_append(worker.now)
+        elif obs is not None and (disp == FAILED or disp == BROKEN):
+            obs.error(req.op, worker.now)
+        heappush(inflight, worker.now)
     end_ns = max(t.now for t in threads)
     if obs is not None:
         obs.ingest(latencies, obs_ts)

@@ -23,11 +23,6 @@ class EmulatedNamespace(Namespace):
                          is_optane=False)
         self.pretend_persistent = pretend_persistent
 
-    def _send_store(self, thread, line, instr, ordered, not_before=0.0):
-        insert = super()._send_store(thread, line, instr, ordered,
-                                     not_before=not_before)
-        return insert
-
 
 def make_emulated_namespace(machine, methodology="dram"):
     """Build an emulated-NVM namespace on a machine.

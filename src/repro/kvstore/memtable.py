@@ -6,7 +6,6 @@ allocation, charged to the simulated thread as compute time.
 """
 
 from repro.kvstore.skiplist import SkipList
-from repro.sim import engine as _engine
 
 _COMPARE_NS = 12.0
 _ALLOC_NS = 60.0
@@ -29,18 +28,11 @@ class VolatileMemtable:
     def put(self, thread, key, value):
         vlen = len(value) if value is not None else 0
         copy = (len(key) + vlen) * _COPY_NS_PER_BYTE
-        if _engine.FASTPATH_ENABLED:
-            # Fused: one traversal both counts seek steps (timing) and
-            # finds the insert point.  Sleep and structure mutation
-            # happen in the reference order, so clocks and the seeded
-            # height draws are identical.
-            steps, preds = self._sl.seek_preds(key)
-            thread.sleep(steps * _COMPARE_NS + _ALLOC_NS + copy)
-            self._sl.put_at(preds, key, value)
-            return
-        steps = self._sl.seek_steps(key)
+        # One traversal both counts seek steps (timing) and finds the
+        # insert point.
+        steps, preds = self._sl.seek_preds(key)
         thread.sleep(steps * _COMPARE_NS + _ALLOC_NS + copy)
-        self._sl.put(key, value)
+        self._sl.put_at(preds, key, value)
 
     def delete(self, thread, key):
         """Record a tombstone (the LSM delete path)."""
@@ -51,13 +43,9 @@ class VolatileMemtable:
 
     def lookup(self, thread, key):
         """Timed lookup distinguishing absent from tombstoned."""
-        if _engine.FASTPATH_ENABLED:
-            steps, found, value = self._sl.seek_lookup(key)
-            thread.sleep(steps * _COMPARE_NS)
-            return found, value
-        steps = self._sl.seek_steps(key)
+        steps, found, value = self._sl.seek_lookup(key)
         thread.sleep(steps * _COMPARE_NS)
-        return self._sl.lookup(key)
+        return found, value
 
     def items(self):
         return self._sl.items()

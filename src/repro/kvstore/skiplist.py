@@ -67,9 +67,9 @@ class SkipList:
     def put_at(self, preds, key, value):
         """:meth:`put` with the predecessors already located.
 
-        The fused memtable path finds predecessors while counting seek
-        steps for timing, then inserts through here — one traversal
-        instead of two.  ``preds`` must come from
+        The memtable finds predecessors while counting seek steps for
+        timing, then inserts through here — one traversal instead of
+        two.  ``preds`` must come from
         :meth:`_find_predecessors`/:meth:`seek_preds` for this exact
         ``key`` with no intervening mutation.
         """
@@ -120,25 +120,12 @@ class SkipList:
             yield node.key, node.value
             node = node.nexts[0]
 
-    def seek_steps(self, key):
-        """Number of node hops a lookup of ``key`` takes (for timing)."""
-        steps = 0
-        node = self._head
-        for lvl in range(self._level - 1, -1, -1):
-            nxt = node.nexts[lvl]
-            while nxt is not None and nxt.key < key:
-                node = nxt
-                nxt = node.nexts[lvl]
-                steps += 1
-            steps += 1
-        return steps
-
     def seek_preds(self, key):
-        """One walk returning ``(seek_steps, predecessors)``.
+        """One walk returning ``(steps, predecessors)``.
 
-        The walk is exactly :meth:`seek_steps`'s, recording the
-        per-level predecessors :meth:`put_at` needs — step count and
-        resulting structure match the two-walk composition.
+        ``steps`` is the number of node hops the walk took (what the
+        memtable charges as compare time); the per-level predecessors
+        are what :meth:`put_at` needs.
         """
         preds = [self._head] * MAX_LEVEL
         steps = 0
@@ -154,7 +141,7 @@ class SkipList:
         return steps, preds
 
     def seek_lookup(self, key):
-        """One walk returning ``(seek_steps, found, value)``."""
+        """One walk returning ``(steps, found, value)``."""
         steps = 0
         node = self._head
         for lvl in range(self._level - 1, -1, -1):

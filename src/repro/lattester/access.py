@@ -23,7 +23,6 @@ spread load evenly across the interleave set.
 import random
 
 from repro._units import CACHELINE, KIB, align_up
-from repro.sim import engine as _engine
 
 #: Default batch granularity (in cache lines) for single-thread runs.
 BATCH_LINES = 64
@@ -34,12 +33,9 @@ def auto_yield_every(threads):
 
     A lone thread has nobody to interleave with, so batching cannot
     change any booking order; concurrent threads must yield per beat or
-    contention modelling would coarsen.  Returns 1 when the fast path
-    is globally disabled (``REPRO_FASTPATH=0``).
+    contention modelling would coarsen.
     """
-    if threads == 1 and _engine.FASTPATH_ENABLED:
-        return BATCH_LINES
-    return 1
+    return BATCH_LINES if threads == 1 else 1
 
 
 def staggered_base(tid, span, block_bytes=4 * KIB, dimms=6):

@@ -13,7 +13,6 @@ from repro.lattester.access import (
     stream_signature,
 )
 from repro.sim import Machine, aggregate, effective_write_ratio, run_workloads
-from repro.sim import engine as _engine
 from repro.telemetry.tracer import current_tracer
 
 #: Within-process memo of experiment points that are provably the same
@@ -22,9 +21,8 @@ from repro.telemetry.tracer import current_tracer
 #: sweep — whose expanded line sequence does not depend on the access
 #: size — are computed once.  Only the four measured numbers are
 #: stored; the echo fields (op/access/pattern) always come from the
-#: caller's request.  Disabled alongside the other fast paths
-#: (``REPRO_FASTPATH=0``) and whenever a tracer is active, a machine is
-#: supplied, or non-default kernel arguments are in play.
+#: caller's request.  Disabled whenever a tracer is active, a machine
+#: is supplied, or non-default kernel arguments are in play.
 _POINT_MEMO = {}
 
 
@@ -65,8 +63,7 @@ def measure_bandwidth(kind="optane", op="read", threads=4, access=256,
     """
     kernel_kwargs.setdefault("yield_every", auto_yield_every(threads))
     memo_key = None
-    if (machine is None and _engine.FASTPATH_ENABLED
-            and current_tracer() is None
+    if (machine is None and current_tracer() is None
             and not (kernel_kwargs.keys() - {"yield_every"})):
         # Fresh machine, no tracer, default kernel shape: the result is
         # a pure function of the expanded per-line streams and the

@@ -7,8 +7,8 @@ The pieces, bottom to top:
   merge;
 * :mod:`repro.obs.recorder` — the per-run :class:`ObsRecorder`:
   request-granularity latency/counter recording plus virtual-time
-  windowed SLO burn tracking, cheap enough that the fused fast paths
-  stay enabled (``REPRO_OBS=0`` turns it off);
+  windowed SLO burn tracking, cheap enough to stay on by default
+  (``REPRO_OBS=0`` turns it off);
 * :mod:`repro.obs.artifacts` — content-addressed JSON blobs written
   next to run manifests and referenced from them;
 * :mod:`repro.obs.schema` — structural validation of those blobs;

@@ -1,7 +1,6 @@
 """Deterministic log-linear latency histograms (HdrHistogram-style).
 
-The recorder that stays on while the fused fast paths run needs a
-latency sketch that is
+The always-on recorder needs a latency sketch that is
 
 * **cheap** — classifying a value is one ``frexp`` plus integer
   arithmetic, no search;

@@ -2,9 +2,8 @@
 
 One :class:`ObsRecorder` rides along with one serve point or chaos
 cell.  It records at *request* granularity — never per simulated
-event — so the fused substrate fast paths stay enabled and the cost
-per request is a couple of list appends in the hot loop plus a bulk
-fold after the loop finishes (:meth:`ingest`).
+event — so the cost per request is a couple of list appends in the
+hot loop plus a bulk fold after the loop finishes (:meth:`ingest`).
 
 Three kinds of state:
 

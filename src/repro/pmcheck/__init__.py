@@ -9,8 +9,9 @@ call-site attribution.  The crash matrix (:mod:`repro.chaos_serve`)
 only catches ordering bugs that happen to corrupt bytes at a sampled
 crash point; the checker catches them on every execution.
 
-Zero overhead when off: the sim hooks are one ``is None`` test, and the
-fused fast paths are only vacated while a checker is installed.
+Zero overhead when off: the sim hooks are one ``is None`` test inside
+the one body each memory instruction has, so a checked run executes
+the same code as an unchecked one.
 
 Entry points: :class:`PmCheck` / :func:`checking` to check any run;
 :func:`run_pmcheck` for the cached (workload, substrate) matrix behind

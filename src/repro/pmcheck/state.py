@@ -50,11 +50,10 @@ deduplicated by ``(kind, site)`` with an occurrence count, and is
 exported as a ``pmcheck`` telemetry instant when a tracer is installed.
 
 Zero overhead when off: nothing here runs unless a checker is
-installed — the sim hooks are a single ``machine.pmcheck is None`` test,
-and installing the checker flips namespaces off the fused fast path
-(``_recompute_plain``) onto the composed reference paths, which PR 4
-proved byte-identical, so checker-on runs report the same simulated
-results as checker-off runs.
+installed — the sim hooks are a single ``machine.pmcheck is None`` test
+inside the one body each memory instruction has, so checker-on runs
+execute the same code and report the same simulated results as
+checker-off runs.
 """
 
 from contextlib import contextmanager
@@ -112,20 +111,16 @@ class PmCheck:
     # install / uninstall
 
     def install(self):
-        """Attach to the machine; namespaces leave the fused fast path."""
+        """Attach to the machine; the namespace hooks start firing."""
         if self.machine.pmcheck is not None:
             raise RuntimeError("a PmCheck is already installed on this machine")
         self.machine.pmcheck = self
-        for ns in self.machine.namespaces():
-            ns._recompute_plain()
         return self
 
     def uninstall(self):
         if self.machine.pmcheck is not self:
             raise RuntimeError("this PmCheck is not installed")
         self.machine.pmcheck = None
-        for ns in self.machine.namespaces():
-            ns._recompute_plain()
         return self
 
     # ------------------------------------------------------------------

@@ -10,24 +10,8 @@ host machine speed.
 """
 
 import heapq
-import os
 from bisect import bisect_left
 from collections import deque
-
-#: Master switch for the batched fast paths (kernel ``yield_every``
-#: batching and the single-workload scheduler bypass).  Both are
-#: byte-identical to the reference per-beat execution; the switch
-#: exists so CI determinism gates can prove it (``REPRO_FASTPATH=0``)
-#: and so the equivalence tests can drive both paths in one process.
-FASTPATH_ENABLED = os.environ.get("REPRO_FASTPATH", "1") != "0"
-
-
-def set_fastpath(enabled):
-    """Toggle the batched fast paths at runtime (returns prior value)."""
-    global FASTPATH_ENABLED
-    prior = FASTPATH_ENABLED
-    FASTPATH_ENABLED = bool(enabled)
-    return prior
 
 
 class Resource:
@@ -402,7 +386,7 @@ class Scheduler:
         """Drive all workloads to completion; returns the final max clock."""
         entries = self._entries
         live = [e for e in entries if not e[2]]
-        if len(live) == 1 and FASTPATH_ENABLED:
+        if len(live) == 1:
             # One live workload: no interleaving decisions to make, so
             # drain its generator in a tight loop with no heap traffic.
             # Virtual time is advanced by the simulated operations
@@ -486,7 +470,7 @@ def run_workloads(pairs):
 
 
 def run_interleaved(entries):
-    """Serving fast path: step bounded per-thread loops in clock order.
+    """Step bounded per-thread loops in clock order (the closed loop).
 
     ``entries`` is ``[(thread, budget, step), ...]`` in spawn order;
     each ``step()`` call performs exactly one unit of work (one served

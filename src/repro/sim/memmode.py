@@ -123,14 +123,25 @@ class MemoryModeNamespace(Namespace):
             self._evict_writeback(victim[0], thread.now)
         thread.track_load(data_ready)
 
-    def _send_store(self, thread, line, instr, ordered, not_before=0.0):
+    def _ntstore_line(self, thread, line):
+        pmcheck = self.machine.pmcheck
+        if pmcheck is not None:
+            pmcheck.on_ntstore(thread, self.ns_id, line)
+        thread.now += self._cfg.cache.issue_ns
+        self._cache(thread).invalidate((self.ns_id, line))
+        self._send_store(thread, line, 0.0)
+
+    def _store_clwb_line(self, thread, line):
+        self._store_line(thread, line)
+        self._clwb_line(thread, line)
+
+    def _send_store(self, thread, line, not_before):
         """Write-backs land in the near-memory cache, not the media."""
         insert_lat = 40.0
         thread.admit_store(lead_ns=insert_lat)
         issued = thread.now
         insert = max(thread.now, not_before) + insert_lat
-        if ordered:
-            thread.pending_persists.append(insert)
+        thread.pending_persists.append(insert)
         if thread.latencies is not None:
             thread.record_latency(insert - issued)
         accept = self._dimm_access_at(insert, line)
@@ -138,7 +149,6 @@ class MemoryModeNamespace(Namespace):
         thread.bytes_written += CACHELINE
         # Memory Mode is volatile: nothing is copied to the persistent
         # view, ever.
-        return insert
 
     def _dimm_access_at(self, now, line):
         index, dev_addr = self._mapping.locate(line)

@@ -18,13 +18,12 @@ pending insertions this thread ordered.
 """
 
 from repro._units import CACHELINE
-from repro.sim import engine as _engine
 from repro.sim.address import DataStore, line_addresses
 from repro.sim.imc import wpq_insert_latency
 
 # Cache-index hash constants, kept in lockstep with
-# repro.sim.cache.CacheModel._index (the fused per-line paths inline
-# the hash so the tag lookup and the later mutation share one table
+# repro.sim.cache.CacheModel._index (the per-line bodies inline the
+# hash so the tag lookup and the later mutation share one table
 # reference).
 _HASH_MULT = 2654435761
 _HASH_MIX = 0x45D9F3B
@@ -64,38 +63,13 @@ class Namespace:
             for ch, dimm in devices)
         if getattr(mapping, "dimms", 0) == 1:
             # Non-interleaved: one device, device address == address.
-            self._only = devices[getattr(mapping, "dimm_index", 0)]
             self._only_dev = self._dev[getattr(mapping, "dimm_index", 0)]
             self._block_bytes = 0
             self._ndimms = 1
         else:
-            self._only = None
             self._only_dev = None
             self._block_bytes = mapping.block_bytes
             self._ndimms = mapping.dimms
-        # The fused per-line paths (_store_clwb_line, _ntstore_line)
-        # flatten the whole store pipeline into one function.  They are
-        # only equivalent when no subclass specializes the primitives
-        # they fold together and nothing is tracing; otherwise — and
-        # under REPRO_FASTPATH=0 — the composed generic path runs.
-        self._recompute_plain()
-
-    def _recompute_plain(self):
-        """(Re)derive eligibility for the fused per-line fast paths.
-
-        Called at construction and whenever a persistency checker is
-        installed/uninstalled on the machine: while a checker observes
-        the persist path, the composed reference paths must run so the
-        per-event hooks fire (PR 4 proved them byte-identical to the
-        fused bodies, so results do not change — only speed).
-        """
-        cls = type(self)
-        self._plain = (
-            cls._send_store is Namespace._send_store
-            and cls._store_line is Namespace._store_line
-            and cls._load_line is Namespace._load_line
-            and self.machine.tracer is None
-            and self.machine.pmcheck is None)
 
     # -- helpers --------------------------------------------------------------
 
@@ -119,118 +93,9 @@ class Namespace:
         """Issue loads covering ``[addr, addr+size)``; returns last completion."""
         if not addr % CACHELINE and 0 < size <= CACHELINE:
             return self._load_line(thread, addr)
-        if self._plain and _engine.FASTPATH_ENABLED:
-            return self._load_lines_fused(thread,
-                                          line_addresses(addr, size))
         completion = thread.now
         for line in line_addresses(addr, size):
             completion = self._load_line(thread, line)
-        return completion
-
-    def _load_lines_fused(self, thread, lines):
-        """Multi-line load with the loop invariants hoisted.
-
-        The loop body is :meth:`_load_line` statement for statement —
-        same state mutations in the same order, so timing, counters and
-        shared-resource bookings are byte-identical — with the cache,
-        config and routing lookups that cannot change between the lines
-        of one call lifted out.  Only runs when ``_plain`` (no tracer,
-        no checker, no subclass overrides); fault hooks do not observe
-        loads, so fault injection does not force the composed path.
-        """
-        cfg = self._cache_cfg
-        issue_ns = cfg.issue_ns
-        hit_ns = cfg.hit_ns
-        cache = self._caches[thread.socket]
-        sets = cache._sets
-        nsets = cache._nsets
-        ways = cache._ways
-        ns_id = self.ns_id
-        ns_salt = ns_id * 40503
-        loads = thread._loads
-        load_window = thread.load_window
-        machine = self.machine
-        remote = thread.socket != self.socket
-        upi = machine.upi
-        is_optane = self.is_optane
-        tid = thread.tid
-        only = self._only_dev
-        if only is not None:
-            rlink, _w, ccfg, dimm = only
-            occ_r = ccfg.read_occ_ns
-            dimm_read = dimm.read
-        else:
-            block_bytes = self._block_bytes
-            ndimms = self._ndimms
-            dev = self._dev
-        latencies = thread.latencies
-        completion = thread.now
-        for line in lines:
-            issued = thread.now + issue_ns
-            thread.now = issued
-            key = (ns_id, line)
-            h = ((line >> 6) * _HASH_MULT + ns_salt) & 0xFFFFFFFF
-            h ^= h >> 16                         # cache.probe, inlined
-            h = (h * _HASH_MIX) & 0xFFFFFFFF
-            index = (h ^ (h >> 13)) % nsets
-            table = sets.get(index)
-            if table is None:
-                table = sets[index] = {}
-            entry = table.pop(key, None)
-            if entry is not None:
-                table[key] = entry               # now most recent
-                cache.hits += 1
-                completion = issued + hit_ns
-                thread.now = completion
-                thread.bytes_read += CACHELINE
-                if latencies is not None:
-                    latencies.append(completion - issued)
-                continue
-            cache.misses += 1
-            if len(loads) >= load_window:        # admit_load, inlined
-                done = loads.popleft()
-                if done > thread.now:
-                    thread.now = done
-            start = thread.now
-            if remote:
-                start = upi.read_transfer(start, source=tid,
-                                          heavy=is_optane)
-            if only is None:
-                block, offset = divmod(line, block_bytes)
-                sub, di = divmod(block, ndimms)
-                rlink, _w, ccfg, dimm = dev[di]
-                dev_addr = sub * block_bytes + offset
-                occ_r = ccfg.read_occ_ns
-                dimm_read = dimm.read
-            else:
-                dev_addr = line
-            if rlink._gap_start:
-                _s, ch_end = rlink.acquire(start, occ_r)
-            else:
-                # Gap list empty: tail booking only (acquire, inlined).
-                rlink.busy_ns += occ_r
-                tail = rlink._tail
-                rstart = tail if tail > start else start
-                if rstart - tail > 1e-9:
-                    rlink._gap_start.append(tail)
-                    rlink._gap_end.append(rstart)
-                ch_end = rstart + occ_r
-                rlink._tail = ch_end
-            data_ready = dimm_read(ch_end, dev_addr)
-            if remote:
-                data_ready += upi.read_extra_ns
-            if len(table) >= ways:
-                victim = cache.fill_in(table, key, ready_ns=data_ready)
-                if victim is not None and victim[1]:
-                    machine._evict_writeback(victim[0], thread.now)
-            else:
-                # fill_in sans victim, inlined
-                table[key] = [False, data_ready]
-            loads.append(data_ready)             # track_load, inlined
-            thread.bytes_read += CACHELINE
-            if latencies is not None:
-                latencies.append(data_ready - issued)
-            completion = data_ready
         return completion
 
     def _load_line(self, thread, line):
@@ -328,100 +193,8 @@ class Namespace:
         if not addr % CACHELINE and 0 < size <= CACHELINE:
             self._store_line(thread, addr)
             return
-        if self._plain and _engine.FASTPATH_ENABLED:
-            self._store_lines_fused(thread, line_addresses(addr, size))
-            return
         for line in line_addresses(addr, size):
             self._store_line(thread, line)
-
-    def _store_lines_fused(self, thread, lines):
-        """Multi-line cached store with the loop invariants hoisted.
-
-        Statement-for-statement :meth:`_store_line` per line (the
-        pmcheck hook is vacuously absent — ``_plain`` implies no
-        checker), so hit/miss counters, RFO fills, evictions and the
-        thread clock advance identically.
-        """
-        issue_ns = self._cache_cfg.issue_ns
-        cache = self._caches[thread.socket]
-        sets = cache._sets
-        nsets = cache._nsets
-        ways = cache._ways
-        ns_id = self.ns_id
-        ns_salt = ns_id * 40503
-        loads = thread._loads
-        load_window = thread.load_window
-        machine = self.machine
-        remote = thread.socket != self.socket
-        upi = machine.upi
-        is_optane = self.is_optane
-        tid = thread.tid
-        only = self._only_dev
-        if only is not None:
-            rlink, _w, ccfg, dimm = only
-            occ_r = ccfg.read_occ_ns
-            dimm_read = dimm.read
-        else:
-            block_bytes = self._block_bytes
-            ndimms = self._ndimms
-            dev = self._dev
-        for line in lines:
-            thread.now += issue_ns
-            key = (ns_id, line)
-            h = ((line >> 6) * _HASH_MULT + ns_salt) & 0xFFFFFFFF
-            h ^= h >> 16                    # cache.store_probe, inlined
-            h = (h * _HASH_MIX) & 0xFFFFFFFF
-            index = (h ^ (h >> 13)) % nsets
-            table = sets.get(index)
-            if table is None:
-                table = sets[index] = {}
-            entry = table.pop(key, None)
-            if entry is not None:
-                entry[0] = True
-                table[key] = entry               # now most recent
-                continue
-            # Write-allocate: fetch the line before modifying it (RFO).
-            if len(loads) >= load_window:        # admit_load, inlined
-                done = loads.popleft()
-                if done > thread.now:
-                    thread.now = done
-            start = thread.now
-            if remote:
-                start = upi.read_transfer(start, source=tid,
-                                          heavy=is_optane)
-            if only is None:
-                block, offset = divmod(line, block_bytes)
-                sub, di = divmod(block, ndimms)
-                rlink, _w, ccfg, dimm = dev[di]
-                dev_addr = sub * block_bytes + offset
-                occ_r = ccfg.read_occ_ns
-                dimm_read = dimm.read
-            else:
-                dev_addr = line
-            if rlink._gap_start:
-                _s, ch_end = rlink.acquire(start, occ_r)
-            else:
-                # Gap list empty: tail booking only (acquire, inlined).
-                rlink.busy_ns += occ_r
-                tail = rlink._tail
-                rstart = tail if tail > start else start
-                if rstart - tail > 1e-9:
-                    rlink._gap_start.append(tail)
-                    rlink._gap_end.append(rstart)
-                ch_end = rstart + occ_r
-                rlink._tail = ch_end
-            data_ready = dimm_read(ch_end, dev_addr)
-            if remote:
-                data_ready += upi.read_extra_ns
-            if len(table) >= ways:
-                victim = cache.fill_in(table, key, dirty=True,
-                                       ready_ns=data_ready)
-                if victim is not None and victim[1]:
-                    machine._evict_writeback(victim[0], thread.now)
-            else:
-                # fill_in sans victim, inlined
-                table[key] = [True, data_ready]
-            loads.append(data_ready)             # track_load, inlined
 
     def _store_line(self, thread, line):
         pmcheck = self.machine.pmcheck
@@ -500,22 +273,32 @@ class Namespace:
         if not addr % CACHELINE and 0 < size <= CACHELINE:
             self._clwb_line(thread, addr)
             return
-        self._flush(thread, addr, size, invalidate=False)
+        clwb_line = self._clwb_line
+        for line in line_addresses(addr, size):
+            clwb_line(thread, line)
 
     def clflushopt(self, thread, addr, size=CACHELINE):
         """Write back and evict every line of the range (non-blocking)."""
-        self._flush(thread, addr, size, invalidate=True)
+        cache = self._caches[thread.socket]
+        flush_issue_ns = self._cache_cfg.flush_issue_ns
+        ns_id = self.ns_id
+        pmcheck = self.machine.pmcheck
+        for line in line_addresses(addr, size):
+            thread.now += flush_issue_ns
+            key = (ns_id, line)
+            ready = cache.ready_time(key)
+            dirty = cache.invalidate(key)
+            if pmcheck is not None:
+                pmcheck.on_flush(thread, ns_id, line)
+            if dirty:
+                self._send_store(thread, line, ready)
 
     # clflush has the same simulated cost; its serialization is modelled
     # by callers fencing after each line.
     clflush = clflushopt
 
     def _clwb_line(self, thread, line):
-        """Write back one (line-aligned) cache line; ``clwb`` semantics.
-
-        Exactly the single-line body of :meth:`_flush` without the
-        range plumbing — the per-line kernel paths call this directly.
-        """
+        """Write back one (line-aligned) cache line; ``clwb`` semantics."""
         thread.now += self._cache_cfg.flush_issue_ns
         dirty, ready = self._caches[thread.socket].clean_ready(
             (self.ns_id, line))
@@ -523,140 +306,7 @@ class Namespace:
         if pmcheck is not None:
             pmcheck.on_flush(thread, self.ns_id, line)
         if dirty:
-            self._send_store(thread, line, instr="clwb", ordered=True,
-                             not_before=ready)
-
-    def _flush(self, thread, addr, size, invalidate):
-        if not addr % CACHELINE and 0 < size <= CACHELINE:
-            lines = (addr,)
-        else:
-            lines = line_addresses(addr, size)
-        if self._plain and _engine.FASTPATH_ENABLED:
-            self._flush_lines_fused(thread, lines, invalidate)
-            return
-        cache = self._caches[thread.socket]
-        flush_issue_ns = self._cache_cfg.flush_issue_ns
-        ns_id = self.ns_id
-        send = self._send_store
-        pmcheck = self.machine.pmcheck
-        for line in lines:
-            thread.now += flush_issue_ns
-            key = (ns_id, line)
-            if invalidate:
-                ready = cache.ready_time(key)
-                dirty = cache.invalidate(key)
-            else:
-                dirty, ready = cache.clean_ready(key)
-            if pmcheck is not None:
-                pmcheck.on_flush(thread, ns_id, line)
-            if dirty:
-                send(thread, line, instr="clwb", ordered=True,
-                     not_before=ready)
-
-    def _flush_lines_fused(self, thread, lines, invalidate):
-        """Multi-line flush with the write-back pipeline inlined.
-
-        Per line this performs exactly the composed
-        ``cache.ready_time``/``invalidate`` (or ``clean_ready``) and —
-        for dirty lines — the full :meth:`_send_store` clwb body, on
-        the same state in the same order.  The cache hash is computed
-        once per line and shared by the ready-time read and the
-        invalidate/clean mutation, which is invisible to results (both
-        address the same entry).
-        """
-        flush_issue_ns = self._cache_cfg.flush_issue_ns
-        cache = self._caches[thread.socket]
-        sets = cache._sets
-        nsets = cache._nsets
-        ns_id = self.ns_id
-        ns_salt = ns_id * 40503
-        insert_lat = self._insert_clwb_ns
-        machine = self.machine
-        remote = thread.socket != self.socket
-        upi = machine.upi
-        is_optane = self.is_optane
-        tid = thread.tid
-        lead = insert_lat
-        if remote:
-            lead += upi.write_extra_ns
-        stores = thread._stores
-        store_window = thread.store_window
-        pending = thread.pending_persists
-        latencies = thread.latencies
-        only = self._only_dev
-        if only is not None:
-            _r, wlink, ccfg, dimm = only
-            occ = ccfg.writeback_occ_ns
-            free = wlink._free
-            ingest = dimm.ingest_write
-        else:
-            block_bytes = self._block_bytes
-            ndimms = self._ndimms
-            dev = self._dev
-        faults = machine.faults
-        data = self.data
-        hook = machine._persist_hook
-        for line in lines:
-            thread.now += flush_issue_ns
-            key = (ns_id, line)
-            h = ((line >> 6) * _HASH_MULT + ns_salt) & 0xFFFFFFFF
-            h ^= h >> 16                         # CacheModel._index
-            h = (h * _HASH_MIX) & 0xFFFFFFFF
-            table = sets.get((h ^ (h >> 13)) % nsets)
-            if invalidate:
-                # ready_time + invalidate, one lookup (same entry).
-                entry = table.pop(key, None) if table is not None \
-                    else None
-                if entry is None or not entry[0]:
-                    continue
-                ready = entry[1]
-            else:
-                # clean_ready, inlined.
-                entry = table.get(key) if table is not None else None
-                if entry is None or not entry[0]:
-                    continue
-                entry[0] = False
-                ready = entry[1]
-            # -- _send_store(instr="clwb", not_before=ready), inlined --
-            issued = thread.now
-            if len(stores) >= store_window:      # admit_store, inlined
-                done = stores.popleft()
-                if done - lead > thread.now:
-                    thread.now = done - lead
-            insert = max(thread.now + insert_lat, ready + insert_lat)
-            if remote:
-                insert = upi.write_transfer(
-                    thread.now, source=tid, heavy=is_optane) + insert_lat
-                insert += upi.write_extra_ns
-            pending.append(insert)
-            if latencies is not None:
-                latencies.append(insert - issued)
-            if only is None:
-                block, offset = divmod(line, block_bytes)
-                sub, di = divmod(block, ndimms)
-                _r, wlink, ccfg, dimm = dev[di]
-                dev_addr = sub * block_bytes + offset
-                occ = ccfg.writeback_occ_ns
-                free = wlink._free
-                ingest = dimm.ingest_write
-            else:
-                dev_addr = line
-            earliest = free[0]                   # single-server write
-            wstart = earliest if earliest > insert else insert
-            ch_end = wstart + occ                # link, inlined
-            free[0] = ch_end
-            wlink.busy_ns += occ
-            if ch_end > wlink._last_end:
-                wlink._last_end = ch_end
-            accept = ingest(ch_end, dev_addr)
-            stores.append(accept)                # track_store, inlined
-            thread.bytes_written += CACHELINE
-            if faults is not None:               # _persist_line, inlined
-                faults.before_persist(self, line)
-            if data._volatile:
-                data.persist_line(line)
-            if hook is not None:
-                hook()
+            self._send_store(thread, line, ready)
 
     # -- non-temporal stores -------------------------------------------------------
 
@@ -667,130 +317,24 @@ class Namespace:
         if not addr % CACHELINE and 0 < size <= CACHELINE:
             self._ntstore_line(thread, addr)
             return
-        if self._plain and _engine.FASTPATH_ENABLED:
-            self._ntstore_lines_fused(thread,
-                                      line_addresses(addr, size))
-            return
-        invalidate = self._caches[thread.socket].invalidate
-        issue_ns = self._cache_cfg.issue_ns
-        ns_id = self.ns_id
-        send = self._send_store
-        pmcheck = self.machine.pmcheck
+        nt_line = self._ntstore_line
         for line in line_addresses(addr, size):
-            if pmcheck is not None:
-                pmcheck.on_ntstore(thread, ns_id, line)
-            thread.now += issue_ns
-            invalidate((ns_id, line))
-            send(thread, line, instr="nt", ordered=True)
-
-    def _ntstore_lines_fused(self, thread, lines):
-        """Multi-line non-temporal store, the whole pipeline inlined.
-
-        Per line this is exactly :meth:`_ntstore_line`'s fused body
-        (itself proven byte-identical to the composed
-        ``invalidate`` + ``_send_store`` pair), with the per-call
-        invariants — WPQ latency, window references, routing for
-        non-interleaved namespaces — hoisted out of the loop.  Fault
-        hooks and the crash-injection persist hook still run per line,
-        in order, so chaos scenarios interrupt at exactly the same
-        store as the composed path.
-        """
-        issue_ns = self._cache_cfg.issue_ns
-        cache = self._caches[thread.socket]
-        sets = cache._sets
-        nsets = cache._nsets
-        ns_id = self.ns_id
-        ns_salt = ns_id * 40503
-        insert_lat = self._insert_nt_ns
-        machine = self.machine
-        remote = thread.socket != self.socket
-        upi = machine.upi
-        is_optane = self.is_optane
-        tid = thread.tid
-        lead = insert_lat
-        if remote:
-            lead += upi.write_extra_ns
-        stores = thread._stores
-        store_window = thread.store_window
-        pending = thread.pending_persists
-        latencies = thread.latencies
-        only = self._only_dev
-        if only is not None:
-            _r, wlink, ccfg, dimm = only
-            occ = ccfg.ntstore_occ_ns
-            free = wlink._free
-            ingest = dimm.ingest_write
-        else:
-            block_bytes = self._block_bytes
-            ndimms = self._ndimms
-            dev = self._dev
-        faults = machine.faults
-        data = self.data
-        hook = machine._persist_hook
-        for line in lines:
-            thread.now += issue_ns
-            h = ((line >> 6) * _HASH_MULT + ns_salt) & 0xFFFFFFFF
-            h ^= h >> 16                         # cache.invalidate,
-            h = (h * _HASH_MIX) & 0xFFFFFFFF     # inlined (the dirty
-            table = sets.get((h ^ (h >> 13)) % nsets)    # flag is
-            if table is not None:                # unused here)
-                table.pop((ns_id, line), None)
-            issued = thread.now
-            if len(stores) >= store_window:      # admit_store, inlined
-                done = stores.popleft()
-                if done - lead > issued:
-                    thread.now = done - lead
-            insert = thread.now + insert_lat
-            if remote:
-                insert = upi.write_transfer(
-                    thread.now, source=tid, heavy=is_optane) + insert_lat
-                insert += upi.write_extra_ns
-            pending.append(insert)
-            if latencies is not None:
-                latencies.append(insert - issued)
-            if only is None:
-                block, offset = divmod(line, block_bytes)
-                sub, di = divmod(block, ndimms)
-                _r, wlink, ccfg, dimm = dev[di]
-                dev_addr = sub * block_bytes + offset
-                occ = ccfg.ntstore_occ_ns
-                free = wlink._free
-                ingest = dimm.ingest_write
-            else:
-                dev_addr = line
-            earliest = free[0]                   # single-server write
-            wstart = earliest if earliest > insert else insert
-            ch_end = wstart + occ                # link, inlined
-            free[0] = ch_end
-            wlink.busy_ns += occ
-            if ch_end > wlink._last_end:
-                wlink._last_end = ch_end
-            accept = ingest(ch_end, dev_addr)
-            stores.append(accept)                # track_store, inlined
-            thread.bytes_written += CACHELINE
-            if faults is not None:               # _persist_line, inlined
-                faults.before_persist(self, line)
-            if data._volatile:
-                data.persist_line(line)
-            if hook is not None:
-                hook()
+            nt_line(thread, line)
 
     def _ntstore_line(self, thread, line):
-        """One (line-aligned) non-temporal store; per-line kernel path.
+        """One (line-aligned) non-temporal store: the only ntstore body.
 
-        The fused body below is :meth:`_send_store` with the ``nt``
-        branches resolved and the channel booking inlined — same
-        operations on the same state in the same order, minus the call
-        chain.  Falls back to the composed path whenever a subclass
-        specializes a primitive, a tracer is attached, or the fast path
-        is globally disabled.
+        Cache invalidate, then the WPQ -> channel -> DIMM pipeline of
+        :meth:`_send_store` at ``ntstore`` latency and occupancy, in
+        one frame (composing the two cost ``device-sweep`` +4 %, see
+        DESIGN.md).  Checker and tracer hooks ride inline.
         """
-        pmcheck = self.machine.pmcheck
-        if pmcheck is not None:
-            pmcheck.on_ntstore(thread, self.ns_id, line)
+        machine = self.machine
+        ns_id = self.ns_id
+        if machine.pmcheck is not None:
+            machine.pmcheck.on_ntstore(thread, ns_id, line)
         thread.now += self._cache_cfg.issue_ns
         cache = self._caches[thread.socket]
-        ns_id = self.ns_id
         h = ((line >> 6) * _HASH_MULT + ns_id * 40503) & 0xFFFFFFFF
         h ^= h >> 16                             # cache.invalidate,
         h = (h * _HASH_MIX) & 0xFFFFFFFF         # inlined (the dirty
@@ -798,11 +342,7 @@ class Namespace:
             (h ^ (h >> 13)) % cache._nsets)
         if table is not None:
             table.pop((ns_id, line), None)
-        if not (self._plain and _engine.FASTPATH_ENABLED):
-            self._send_store(thread, line, instr="nt", ordered=True)
-            return
         insert_lat = self._insert_nt_ns
-        machine = self.machine
         remote = thread.socket != self.socket
         lead = insert_lat
         if remote:
@@ -820,6 +360,12 @@ class Namespace:
                 heavy=self.is_optane) + insert_lat
             insert += machine.upi.write_extra_ns
         thread.pending_persists.append(insert)
+        if machine.tracer is not None:
+            machine.tracer.complete(
+                issued, "wpq", "wpq.insert.nt", insert - issued,
+                track="t%d" % thread.tid,
+                args={"line": line, "ns": self.name,
+                      "stall_ns": thread.now - issued, "remote": remote})
         if thread.latencies is not None:
             thread.latencies.append(insert - issued)
         only = self._only_dev
@@ -856,22 +402,22 @@ class Namespace:
     def _store_clwb_line(self, thread, line):
         """``store`` then ``clwb`` of one line — the Figure 2/14 pairing.
 
-        The per-line body of :meth:`_store_line` + :meth:`_clwb_line` +
-        :meth:`_send_store` flattened into one frame, with the cache
-        hash computed once and its set table shared between the store's
-        probe/fill and the flush's clean.  State mutations happen in
-        exactly the order of the composed calls; the composition runs
-        instead whenever it might diverge (subclass overrides, tracer,
-        ``REPRO_FASTPATH=0``).
+        The only store+clwb body: :meth:`_store_line` +
+        :meth:`_clwb_line` + :meth:`_send_store` flattened into one
+        frame, with the cache hash computed once and its set table
+        shared between the store's probe/fill and the flush's clean.
+        State mutations happen in exactly the order of the composed
+        calls (composing them cost ``device-sweep`` +12 %, see
+        DESIGN.md).  Checker and tracer hooks ride inline.
         """
-        if not (self._plain and _engine.FASTPATH_ENABLED):
-            self._store_line(thread, line)
-            self._clwb_line(thread, line)
-            return
+        machine = self.machine
+        ns_id = self.ns_id
+        pmcheck = machine.pmcheck
+        if pmcheck is not None:
+            pmcheck.on_store(thread, ns_id, line)
         cfg = self._cache_cfg
         thread.now += cfg.issue_ns
         cache = self._caches[thread.socket]
-        ns_id = self.ns_id
         key = (ns_id, line)
         h = ((line >> 6) * _HASH_MULT + ns_id * 40503) & 0xFFFFFFFF
         h ^= h >> 16                             # CacheModel._index
@@ -881,7 +427,6 @@ class Namespace:
         table = sets.get(index)
         if table is None:
             table = sets[index] = {}
-        machine = self.machine
         remote = thread.socket != self.socket
         only = self._only_dev
         if only is None:
@@ -939,6 +484,8 @@ class Namespace:
         thread.now += cfg.flush_issue_ns
         entry[0] = False                         # clean_ready, inlined
         ready = entry[1]
+        if pmcheck is not None:
+            pmcheck.on_flush(thread, ns_id, line)
         insert_lat = self._insert_clwb_ns        # _send_store, inlined
         lead = insert_lat
         if remote:
@@ -959,6 +506,12 @@ class Namespace:
                 heavy=self.is_optane) + insert_lat
             insert += machine.upi.write_extra_ns
         thread.pending_persists.append(insert)
+        if machine.tracer is not None:
+            machine.tracer.complete(
+                issued, "wpq", "wpq.insert.clwb", insert - issued,
+                track="t%d" % thread.tid,
+                args={"line": line, "ns": self.name,
+                      "stall_ns": thread.now - issued, "remote": remote})
         if thread.latencies is not None:
             thread.latencies.append(insert - issued)
         occ = ccfg.writeback_occ_ns
@@ -987,13 +540,14 @@ class Namespace:
     #
     # One call per contiguous run of cache lines instead of one call
     # per line: the per-line work goes through the exact same
-    # primitives (`_load_line`, `_store_line`, `_send_store`) in the
-    # same order, so timing, counters, shared-resource bookings and
-    # trace events are identical to issuing the lines one by one.  Only
-    # the Python wrapper overhead (argument parsing, `line_addresses`
-    # ranges, method dispatch) is amortized.  ``addr`` must be
-    # cache-line aligned — unaligned run batching would straddle an
-    # extra line and is not semantics-preserving (see README).
+    # primitives (`_load_line`, `_store_line`, `_store_clwb_line`,
+    # `_ntstore_line`) in the same order, so timing, counters,
+    # shared-resource bookings and trace events are identical to
+    # issuing the lines one by one.  Only the Python wrapper overhead
+    # (argument parsing, `line_addresses` ranges, method dispatch) is
+    # amortized.  ``addr`` must be cache-line aligned — unaligned run
+    # batching would straddle an extra line and is not
+    # semantics-preserving (see README).
 
     def load_run(self, thread, addr, n_lines):
         """Load ``n_lines`` consecutive lines; returns last completion."""
@@ -1031,14 +585,14 @@ class Namespace:
 
     # -- the store pipeline ---------------------------------------------------------
 
-    def _send_store(self, thread, line, instr, ordered, not_before=0.0):
-        """Push one 64 B line through WPQ -> channel -> DIMM.
+    def _send_store(self, thread, line, not_before):
+        """Write one dirty 64 B line back: WPQ -> channel -> DIMM.
 
-        ``not_before`` delays the WPQ insertion until the line's cache
-        fill has completed (a write-back cannot outrun its own RFO).
+        The pipeline behind ``clwb`` / ``clflushopt``.  ``not_before``
+        delays the WPQ insertion until the line's cache fill has
+        completed (a write-back cannot outrun its own RFO).
         """
-        nt = instr == "nt"
-        insert_lat = self._insert_nt_ns if nt else self._insert_clwb_ns
+        insert_lat = self._insert_clwb_ns
         machine = self.machine
         remote = thread.socket != self.socket
         lead = insert_lat
@@ -1050,21 +604,20 @@ class Namespace:
             done = stores.popleft()
             if done - lead > thread.now:
                 thread.now = done - lead
-        stalled = thread.now - issued       # per-thread WPQ back-pressure
         insert = max(thread.now + insert_lat, not_before + insert_lat)
         if remote:
             insert = machine.upi.write_transfer(
                 thread.now, source=thread.tid,
                 heavy=self.is_optane) + insert_lat
             insert += machine.upi.write_extra_ns
-        if ordered:
-            thread.pending_persists.append(insert)
+        thread.pending_persists.append(insert)
         if machine.tracer is not None:
+            # stall_ns: per-thread WPQ back-pressure.
             machine.tracer.complete(
-                issued, "wpq", "wpq.insert." + instr, insert - issued,
+                issued, "wpq", "wpq.insert.clwb", insert - issued,
                 track="t%d" % thread.tid,
                 args={"line": line, "ns": self.name,
-                      "stall_ns": stalled, "remote": remote})
+                      "stall_ns": thread.now - issued, "remote": remote})
         if thread.latencies is not None:
             # A store's latency, as seen by software, is the time until
             # it reaches the ADR domain — including any back-pressure
@@ -1079,7 +632,7 @@ class Namespace:
         else:
             _, wlink, ccfg, dimm = only
             dev_addr = line
-        occ = ccfg.ntstore_occ_ns if nt else ccfg.writeback_occ_ns
+        occ = ccfg.writeback_occ_ns
         free = wlink._free                       # single-server channel
         earliest = free[0]                       # write link: Resource
         wstart = earliest if earliest > insert else insert   # .acquire,
@@ -1100,7 +653,6 @@ class Namespace:
             data.persist_line(line)
         if machine._persist_hook is not None:
             machine._persist_hook()
-        return insert
 
     def _persist_line(self, line):
         """Commit one line to the ADR domain, with fault/crash hooks.

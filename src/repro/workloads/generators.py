@@ -418,8 +418,8 @@ class RequestStream:
         """One :class:`Request`, without generator machinery.
 
         Draw-for-draw identical to one step of :meth:`requests` — the
-        serving fast paths use it where batching is impossible (the
-        next stream to consume depends on simulated completion times).
+        open loops use it where batching is impossible (the next
+        stream to consume depends on simulated completion times).
         """
         spec = self.spec
         op = self._next_op()

@@ -24,7 +24,7 @@ report on any host, serial or parallel.
 from random import Random
 
 from repro.lattester.stats import percentile
-from repro.sim import engine as _engine
+from repro.sim.engine import run_interleaved
 from repro.telemetry.events import CAT_SERVE
 from repro.workloads.generators import (
     RequestStream, make_key, make_value,
@@ -94,13 +94,6 @@ def preload(service, machine, spec, records, seed=0):
     return thread.now
 
 
-def _trace(machine, thread, op, start, end):
-    tracer = machine.tracer
-    if tracer is not None:
-        tracer.complete(start, CAT_SERVE, op, end - start,
-                        track="client%d" % thread.tid)
-
-
 def _summarize(latencies_ns, ops_by_type, start_ns, end_ns, ops):
     """The common report body from recorded latencies."""
     elapsed_s = max(end_ns - start_ns, 1.0) / _NS_PER_S
@@ -122,7 +115,7 @@ def _summarize(latencies_ns, ops_by_type, start_ns, end_ns, ops):
     }
 
 
-#: Requests prefetched per client between executions on the fast path.
+#: Requests prefetched per client between executions.
 #: Generation never reads machine state, so any chunking is safe; this
 #: bounds the prefetch memory while amortizing the batch setup.
 _CHUNK = 256
@@ -130,14 +123,12 @@ _CHUNK = 256
 
 def _client_step(service, machine, spec, thread, stream, budget,
                  ops_by_type, obs_lists=None):
-    """One-request step closure for the closed-loop fast path.
+    """One-request step closure for the closed loop.
 
-    Each call performs exactly what one iteration of the reference
-    ``client_loop`` generator body does: take the client's next
-    request, apply it (the :func:`execute_request` dispatch inlined
-    with the per-op attribute lookups hoisted), record the latency,
-    trace, and count.  Requests are prefetched in chunks via the
-    stream's batch API.
+    Each call takes the client's next request, applies it (the
+    :func:`execute_request` dispatch inlined with the per-op attribute
+    lookups hoisted), records the latency, traces, and counts.
+    Requests are prefetched in chunks via the stream's batch API.
 
     ``obs_lists`` is the observability hook: a ``(latencies, ts)``
     pair of lists that receive each *request's* latency and completion
@@ -228,9 +219,9 @@ def closed_loop(machine, service, spec, records, ops, clients=2,
 
     ``obs`` is an optional :class:`repro.obs.ObsRecorder`: during the
     loop only per-request latencies and completion timestamps are
-    collected (two list appends per request, fast paths stay fused);
-    latency histogram, SLO windows and per-op counts are folded in
-    bulk once the loop finishes.  The recorder keeps its own
+    collected (two list appends per request); latency histogram, SLO
+    windows and per-op counts are folded in bulk once the loop
+    finishes.  The recorder keeps its own
     request-granularity series because ``thread.latencies`` — which
     :func:`_summarize` reports on — also carries per-cache-line
     entries from the namespace paths.
@@ -245,48 +236,20 @@ def closed_loop(machine, service, spec, records, ops, clients=2,
                   for c in range(clients)]
     obs_lists = None if obs is None else [([], []) for _ in threads]
 
-    if _engine.FASTPATH_ENABLED:
-        # Fast path: batched request prefetch and direct min-clock
-        # interleaving — the same execution order and simulated events
-        # as the generator/scheduler reference below, byte-identically.
-        entries = []
-        for client, thread in enumerate(threads):
-            thread.now = start_ns
-            thread.collect_latencies()
-            stream = RequestStream(spec, records, seed=seed,
-                                   client=client)
-            entries.append((thread, per_client[client],
-                            _client_step(service, machine, spec,
-                                         thread, stream,
-                                         per_client[client],
-                                         ops_by_type,
-                                         None if obs_lists is None
-                                         else obs_lists[client])))
-        end_ns = _engine.run_interleaved(entries)
-    else:
-        def client_loop(thread, client, budget):
-            stream = RequestStream(spec, records, seed=seed,
-                                   client=client)
-            pair = None if obs_lists is None else obs_lists[client]
-            for req in stream.requests(budget):
-                begin = thread.now
-                op = execute_request(service, thread, spec, req)
-                latency = thread.now - begin
-                thread.record_latency(latency)
-                if pair is not None:
-                    pair[0].append(latency)
-                    pair[1].append(thread.now)
-                _trace(machine, thread, op, begin, thread.now)
-                ops_by_type[op] = ops_by_type.get(op, 0) + 1
-                yield
-
-        pairs = []
-        for client, thread in enumerate(threads):
-            thread.now = start_ns
-            thread.collect_latencies()
-            pairs.append((thread, client_loop(thread, client,
-                                              per_client[client])))
-        end_ns = _engine.run_workloads(pairs)
+    # Requests are prefetched in chunks and clients stepped in
+    # min-clock order (ties to the lowest client id).
+    entries = []
+    for client, thread in enumerate(threads):
+        thread.now = start_ns
+        thread.collect_latencies()
+        stream = RequestStream(spec, records, seed=seed, client=client)
+        entries.append((thread, per_client[client],
+                        _client_step(service, machine, spec, thread,
+                                     stream, per_client[client],
+                                     ops_by_type,
+                                     None if obs_lists is None
+                                     else obs_lists[client])))
+    end_ns = run_interleaved(entries)
     latencies = []
     for thread in threads:
         latencies.extend(thread.latencies)
@@ -338,69 +301,44 @@ def open_loop(machine, service, spec, records, ops, rate_kops,
     end_ts = None if obs is None else []
     clock = start_ns
     queue_peak = 0
-    if _engine.FASTPATH_ENABLED:
-        # Fast path: the dispatch loop with the worker scan fused (one
-        # pass finds the earliest-free worker and counts busy ones),
-        # per-arrival attribute lookups hoisted, and the per-request
-        # generator replaced by the stream's direct step.  Arrival
-        # draws, worker choice and executed requests are identical.
-        expovariate = arrival_rng.expovariate
-        inv_gap = 1.0 / mean_gap_ns
-        execute = execute_request
-        tracer = machine.tracer
-        ops_get = ops_by_type.get
-        append_latency = latencies.append
-        ts_append = None if end_ts is None else end_ts.append
-        for _ in range(ops):
-            clock += expovariate(inv_gap)
-            # Earliest-free worker (ties to the lowest id: threads are
-            # in tid order and the scan keeps the first minimum) and
-            # the count of workers still busy past the arrival.
-            worker = 0
-            thread = threads[0]
-            best_now = thread.now
-            waiting = 1 if best_now > clock else 0
-            for wi in range(1, workers):
-                t = threads[wi]
-                now = t.now
-                if now > clock:
-                    waiting += 1
-                if now < best_now:
-                    worker = wi
-                    thread = t
-                    best_now = now
-            if waiting > queue_peak:
-                queue_peak = waiting
-            if best_now < clock:
-                thread.now = clock
-            req = streams[worker].next_request()
-            begin = thread.now
-            op = execute(service, thread, spec, req)
-            if tracer is not None:
-                tracer.complete(begin, CAT_SERVE, op,
-                                thread.now - begin,
-                                track="client%d" % thread.tid)
-            ops_by_type[op] = ops_get(op, 0) + 1
-            append_latency(thread.now - clock)
-            if ts_append is not None:
-                ts_append(thread.now)
-    else:
-        for _ in range(ops):
-            clock += arrival_rng.expovariate(1.0 / mean_gap_ns)
-            # Earliest-free worker; ties resolved by worker id.
-            thread = min(threads, key=lambda t: (t.now, t.tid))
-            waiting = sum(1 for t in threads if t.now > clock)
-            queue_peak = max(queue_peak, waiting)
-            if thread.now < clock:
-                thread.now = clock
-            req = next(streams[thread.tid - threads[0].tid].requests(1))
-            begin = thread.now
-            op = execute_request(service, thread, spec, req)
-            _trace(machine, thread, op, begin, thread.now)
-            ops_by_type[op] = ops_by_type.get(op, 0) + 1
-            latencies.append(thread.now - clock)
-            if end_ts is not None:
-                end_ts.append(thread.now)
+    expovariate = arrival_rng.expovariate
+    inv_gap = 1.0 / mean_gap_ns
+    tracer = machine.tracer
+    ops_get = ops_by_type.get
+    append_latency = latencies.append
+    ts_append = None if end_ts is None else end_ts.append
+    for _ in range(ops):
+        clock += expovariate(inv_gap)
+        # Earliest-free worker (ties to the lowest id: threads are in
+        # tid order and the scan keeps the first minimum) and the count
+        # of workers still busy past the arrival, in one pass.
+        worker = 0
+        thread = threads[0]
+        best_now = thread.now
+        waiting = 1 if best_now > clock else 0
+        for wi in range(1, workers):
+            t = threads[wi]
+            now = t.now
+            if now > clock:
+                waiting += 1
+            if now < best_now:
+                worker = wi
+                thread = t
+                best_now = now
+        if waiting > queue_peak:
+            queue_peak = waiting
+        if best_now < clock:
+            thread.now = clock
+        req = streams[worker].next_request()
+        begin = thread.now
+        op = execute_request(service, thread, spec, req)
+        if tracer is not None:
+            tracer.complete(begin, CAT_SERVE, op, thread.now - begin,
+                            track="client%d" % thread.tid)
+        ops_by_type[op] = ops_get(op, 0) + 1
+        append_latency(thread.now - clock)
+        if ts_append is not None:
+            ts_append(thread.now)
     end_ns = max(t.now for t in threads)
     if obs is not None:
         obs.ingest(latencies, end_ts)

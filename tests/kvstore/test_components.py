@@ -45,7 +45,7 @@ class TestSkipList:
         for i in range(200):
             a.put(b"%05d" % i, b"x")
             b.put(b"%05d" % i, b"x")
-        assert a.seek_steps(b"00150") == b.seek_steps(b"00150")
+        assert a.seek_lookup(b"00150") == b.seek_lookup(b"00150")
 
     @given(st.dictionaries(st.binary(min_size=1, max_size=12),
                            st.binary(max_size=24), max_size=60))

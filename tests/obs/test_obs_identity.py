@@ -1,10 +1,10 @@
 """Recording rides along without changing anything it observes.
 
-Three invariants: (1) an attached recorder leaves the serving reports
-byte-identical to recording-off runs, (2) the substrate fast paths
-stay fused (``_plain`` true) with recording on, and (3) the recorded
-blob itself is byte-identical between the fast and reference
-execution paths — observability must not fork determinism.
+Two invariants: (1) an attached recorder leaves the serving reports
+byte-identical to recording-off runs, and (2) the recorded blob itself
+equals what the per-beat reference loops recorded before they were
+deleted (``tests/golden/single_path.json``) — observability must not
+fork determinism.
 """
 
 import json
@@ -13,80 +13,30 @@ import math
 import pytest
 
 from repro.obs import ObsRecorder
-from repro.sim.engine import set_fastpath
-from repro.sim.platform import Machine
-from repro.workloads import closed_loop, get_workload, make_service, open_loop
-
-QUICK = dict(records=96, ops=240)
+from tests.golden.cases import (
+    QUICK, SUBSTRATES, check, run_closed, run_open,
+)
 
 
 def as_bytes(data):
     return json.dumps(data, sort_keys=True).encode()
 
 
-def run_closed(substrate, obs=None, workload="ycsb-a", seed=0):
-    spec = get_workload(workload)
-    machine = Machine()
-    service = make_service(substrate, machine, spec, seed=seed, **QUICK)
-    report = closed_loop(machine, service, spec, clients=3, seed=seed,
-                         obs=obs, **QUICK)
-    return report, machine
-
-
-def run_open(substrate, obs=None, workload="ycsb-b", seed=0):
-    spec = get_workload(workload)
-    machine = Machine()
-    service = make_service(substrate, machine, spec, seed=seed, **QUICK)
-    report = open_loop(machine, service, spec, rate_kops=400.0,
-                       workers=2, seed=seed, obs=obs, **QUICK)
-    return report, machine
-
-
-@pytest.fixture
-def both_paths():
-    def run_both(thunk):
-        prior = set_fastpath(True)
-        try:
-            fast = thunk()
-            set_fastpath(False)
-            reference = thunk()
-        finally:
-            set_fastpath(prior)
-        return fast, reference
-    return run_both
-
-
 class TestRecordingChangesNothing:
     @pytest.mark.parametrize("runner", [run_closed, run_open])
     def test_report_identical_with_and_without_obs(self, runner):
-        plain, _ = runner("lsm")
-        observed, _ = runner("lsm", obs=ObsRecorder("lsm"))
+        plain = runner("lsm")
+        observed = runner("lsm", obs=ObsRecorder("lsm"))
         assert as_bytes(plain) == as_bytes(observed)
-
-    @pytest.mark.parametrize("runner", [run_closed, run_open])
-    def test_fast_paths_stay_fused(self, runner):
-        _, machine = runner("lsm", obs=ObsRecorder("lsm"))
-        assert all(ns._plain for ns in machine.namespaces())
 
 
 class TestRecordingIsPathIndependent:
-    @pytest.mark.parametrize("substrate", ("lsm", "pmemkv", "nova",
-                                           "pmdk"))
-    def test_closed_blob_byte_identical(self, substrate, both_paths):
-        def thunk():
-            obs = ObsRecorder(substrate)
-            run_closed(substrate, obs=obs)
-            return obs.to_dict()
-        fast, reference = both_paths(thunk)
-        assert as_bytes(fast) == as_bytes(reference)
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
+    def test_closed_blob_byte_identical(self, substrate):
+        check("obs/closed/" + substrate)
 
-    def test_open_blob_byte_identical(self, both_paths):
-        def thunk():
-            obs = ObsRecorder("pmemkv")
-            run_open("pmemkv", obs=obs)
-            return obs.to_dict()
-        fast, reference = both_paths(thunk)
-        assert as_bytes(fast) == as_bytes(reference)
+    def test_open_blob_byte_identical(self):
+        check("obs/open/pmemkv")
 
 
 class TestRequestGranularity:
@@ -94,7 +44,7 @@ class TestRequestGranularity:
         # thread.latencies also carries per-cache-line entries; the
         # recorder must see exactly one latency per *request*.
         obs = ObsRecorder("lsm")
-        report, _ = run_closed("lsm", obs=obs)
+        run_closed("lsm", obs=obs)
         assert obs.hist.total() == QUICK["ops"]
         assert sum(w[0] for w in obs.windows.values()) == QUICK["ops"]
         assert sum(obs.ops[op]["ok"] for op in obs.ops) == QUICK["ops"]

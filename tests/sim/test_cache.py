@@ -1,7 +1,7 @@
 """Unit tests for the CPU cache model."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.cache import CacheModel
@@ -149,9 +149,13 @@ def test_occupancy_never_exceeds_capacity(ops):
 
 
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=300))
+@example(lines=[37, 23, 47, 57, 58, 37])
 @settings(max_examples=50, deadline=None)
 def test_resident_line_always_hits(lines):
-    c = make_cache(capacity_lines=128, ways=4)   # big enough: no evictions
+    # One fully-associative set holding all 64 candidate lines:
+    # placement is hashed, so only this geometry cannot evict (the
+    # example's five lines share a set and evicted 37 at 4 ways).
+    c = make_cache(capacity_lines=64, ways=64)
     seen = set()
     for line in lines:
         key = (0, line * 64)

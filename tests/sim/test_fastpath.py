@@ -1,14 +1,15 @@
-"""Fast-path equivalence: batching must be invisible in the results.
+"""Batching is invisible in the results, and so are the hooks.
 
-The batched kernels (``yield_every`` + the namespace run entry
-points), the fused per-line bodies in ``namespace.py``, the
-single-workload scheduler bypass and the ``measure_bandwidth`` point
-memo are pure performance work.  Every test here runs the same
-experiment twice — fast paths on (the default) and forced off via
-``engine.set_fastpath(False)``, which is the ``REPRO_FASTPATH=0``
-code path — and requires *exact* equality: per-operation latencies,
-per-DIMM counter deltas, final thread clocks, and (with a tracer
-installed) the serialized trace, byte for byte.
+There is one execution path: every simulated instruction has one body
+in ``namespace.py``, the kernels batch by thread count
+(``auto_yield_every``), a lone workload bypasses the scheduler heap and
+``measure_bandwidth`` memoizes provably identical points.  The goldens
+in ``tests/golden/single_path.json`` were recorded from the per-line /
+composed / heap-scheduled reference execution before it was deleted
+(on the parent commit, fast-path switch off); every case here must
+reproduce them *exactly* — per-operation latencies, per-DIMM counter
+deltas, final thread clocks, and (with a tracer installed) the
+serialized trace, byte for byte.
 """
 
 import contextlib
@@ -16,36 +17,27 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
 from repro._units import CACHELINE, KIB
 from repro.lattester.access import (
-    BATCH_LINES, address_stream, auto_yield_every, make_kernel,
-    staggered_base, stream_signature,
+    BATCH_LINES, address_stream, auto_yield_every, stream_signature,
 )
 from repro.lattester.bandwidth import (
     _POINT_MEMO, clear_point_memo, measure_bandwidth,
 )
+from repro.pmcheck import PmCheck
 from repro.sim import Machine, run_workloads
-from repro.sim import engine
 from repro.sim.config import CacheConfig, default_config
 from repro.sim.engine import Scheduler, ThreadCtx
-from repro.telemetry import chrome_trace, recording
-
-SPAN = 8 * KIB
-KERNELS = ("read", "ntstore", "clwb", "store")
-PATTERNS = ("seq", "rand")
-THREAD_COUNTS = (1, 4)
-
-
-@contextlib.contextmanager
-def fastpath(enabled):
-    prior = engine.set_fastpath(enabled)
-    try:
-        yield
-    finally:
-        engine.set_fastpath(prior)
+from repro.sim.namespace import Namespace
+from repro.telemetry import recording
+from tests.golden.cases import (
+    KERNELS, PATTERNS, SPAN, THREAD_COUNTS, check, names, run_case,
+    run_point,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -55,109 +47,110 @@ def _clean_memo():
     clear_point_memo()
 
 
-def run_point(op, pattern, threads, kind="optane", access=256,
-              yield_every=None):
-    """One experiment on a fresh machine; returns every observable.
-
-    Counter deltas are frozen dataclasses and latencies are plain
-    floats, so the returned dict compares exactly with ``==``.
-    """
-    machine = Machine()
-    ns = machine.namespace(kind)
-    ts = machine.threads(threads)
-    snaps = ns.counter_snapshots()
-    if yield_every is None:
-        yield_every = auto_yield_every(threads)
-    pairs = []
-    for t in ts:
-        t.collect_latencies()
-        base = staggered_base(t.tid, SPAN)
-        addrs = address_stream(base, SPAN, access, pattern,
-                               seed=77 + t.tid)
-        pairs.append((t, make_kernel(op, ns, t, addrs, access,
-                                     yield_every=yield_every)))
-    elapsed = run_workloads(pairs)
-    for dimm in ns.dimms:
-        dimm.drain(elapsed)
-    return {
-        "elapsed": elapsed,
-        "clocks": [t.now for t in ts],
-        "latencies": [t.latencies for t in ts],
-        "counters": ns.counter_deltas(snaps),
-    }
-
-
 class TestKernelEquivalence:
-    """Batched execution vs the per-line reference, for every kernel."""
+    """Batched execution vs the recorded per-line reference."""
 
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
     @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("op", KERNELS)
     def test_batched_matches_reference(self, op, pattern, threads):
-        with fastpath(True):
-            fast = run_point(op, pattern, threads)
-        with fastpath(False):
-            ref = run_point(op, pattern, threads)
-        assert fast == ref
+        check("kernel/%s/%s/%dt" % (op, pattern, threads))
 
     @pytest.mark.parametrize("kind", ("optane-ni", "dram"))
     def test_other_kinds_match_reference(self, kind):
-        with fastpath(True):
-            fast = run_point("ntstore", "seq", 1, kind=kind)
-        with fastpath(False):
-            ref = run_point("ntstore", "seq", 1, kind=kind)
-        assert fast == ref
+        check("kernel/ntstore/seq/1t/" + kind)
 
     @pytest.mark.parametrize("access", (64, 1024))
     def test_access_sizes_match_reference(self, access):
-        with fastpath(True):
-            fast = run_point("clwb", "rand", 1, access=access)
-        with fastpath(False):
-            ref = run_point("clwb", "rand", 1, access=access)
-        assert fast == ref
+        check("kernel/clwb/rand/1t/%dB" % access)
+
+    @pytest.mark.parametrize("kind", ("pmep", "memory-mode"))
+    def test_emulated_kinds_match_reference(self, kind):
+        # PMEP used to be diverted to the composed bodies by a no-op
+        # override; Memory Mode still composes its own.
+        for name in names("kernel/"):
+            if name.endswith("/" + kind):
+                check(name)
 
     def test_explicit_batch_matches_per_line(self):
-        # Same fast-path setting, only the batch size differs: the run
-        # entry points must book exactly the per-line loop's events.
+        # Only the batch size differs: the run entry points must book
+        # exactly the per-line loop's events.
         batched = run_point("ntstore", "seq", 1, yield_every=BATCH_LINES)
         per_line = run_point("ntstore", "seq", 1, yield_every=1)
         assert batched == per_line
 
 
+class TestInstrumentedGoldens:
+    """Tracer and checker ride the same bodies and see the same events.
+
+    The goldens come from the composed bodies the instrumented runs used
+    to be diverted to; the event stream / checker summary is part of
+    each observable.
+    """
+
+    @pytest.mark.parametrize(
+        "name", names("ntstore_run/") + names("store_clwb_run/"))
+    def test_instrumented_run_matches_golden(self, name):
+        check(name)
+
+    def test_hooks_do_not_swap_code_objects(self):
+        """Plain, traced and checked runs execute the same four bodies."""
+        bodies = {getattr(Namespace, attr).__code__: attr for attr in (
+            "_load_line", "_store_line", "_ntstore_line",
+            "_store_clwb_line")}
+
+        def executed(hook):
+            seen = set()
+
+            def profiler(frame, event, arg):
+                if event == "call" and frame.f_code in bodies:
+                    seen.add(bodies[frame.f_code])
+
+            machine = Machine()
+            ns = machine.namespace("optane")
+            t = machine.thread()
+            checker = PmCheck(machine).install() if hook == "pmcheck" \
+                else None
+            sys.setprofile(profiler)
+            try:
+                ns.load_run(t, 0, 4)
+                ns.store_run(t, 0, 4)
+                ns.ntstore(t, 4 * KIB, 256)
+                ns.store_run(t, 8 * KIB, 4, clwb=True)
+                t.sfence()
+            finally:
+                sys.setprofile(None)
+            if checker is not None:
+                checker.uninstall()
+            return seen
+
+        plain = executed(None)
+        assert plain == set(bodies.values())
+        with recording():
+            assert executed("traced") == plain
+        assert executed("pmcheck") == plain
+
+
 class TestAutoYieldEvery:
     def test_single_thread_batches(self):
-        with fastpath(True):
-            assert auto_yield_every(1) == BATCH_LINES
+        assert auto_yield_every(1) == BATCH_LINES
 
     def test_multi_thread_forces_per_line(self):
         # Concurrent threads must interleave per beat or contention
         # modelling would coarsen.
-        with fastpath(True):
-            for threads in (2, 4, 16):
-                assert auto_yield_every(threads) == 1
-
-    def test_disabled_fastpath_forces_per_line(self):
-        with fastpath(False):
-            assert auto_yield_every(1) == 1
+        for threads in (2, 4, 16):
+            assert auto_yield_every(threads) == 1
 
 
 class TestTraceIdentity:
     """The tracer still sees every per-line event, in the same order."""
 
-    def _trace(self, enabled):
-        with fastpath(enabled):
-            with recording() as tracer:
-                run_point("clwb", "seq", 1)
-            return chrome_trace(tracer)
-
     def test_fastpath_trace_matches_reference(self):
-        fast = json.dumps(self._trace(True), sort_keys=True)
-        ref = json.dumps(self._trace(False), sort_keys=True)
-        assert fast == ref
+        check("trace/clwb/seq/1t")
 
     def test_same_seed_traces_are_byte_identical(self):
-        first = json.dumps(self._trace(True), sort_keys=True)
-        second = json.dumps(self._trace(True), sort_keys=True)
+        first = json.dumps(run_case("trace/clwb/seq/1t"), sort_keys=True)
+        second = json.dumps(run_case("trace/clwb/seq/1t"), sort_keys=True)
         assert first == second
 
 
@@ -171,12 +164,11 @@ class TestPointMemo:
         return (res.gbps, res.elapsed_ns, res.total_bytes, res.ewr)
 
     def test_hit_equals_fresh_compute(self):
-        with fastpath(True):
-            first = measure_bandwidth(**self.POINT)
-            assert _POINT_MEMO
-            hit = measure_bandwidth(**self.POINT)
-            clear_point_memo()
-            fresh = measure_bandwidth(**self.POINT)
+        first = measure_bandwidth(**self.POINT)
+        assert _POINT_MEMO
+        hit = measure_bandwidth(**self.POINT)
+        clear_point_memo()
+        fresh = measure_bandwidth(**self.POINT)
         assert self._numbers(hit) == self._numbers(first)
         assert self._numbers(fresh) == self._numbers(first)
 
@@ -184,41 +176,30 @@ class TestPointMemo:
         # A line-aligned sequential stream expands to the same per-line
         # sequence whatever the access size, so the sweep's seq rows
         # share one simulation.
-        with fastpath(True):
-            small = measure_bandwidth(**dict(self.POINT, access=64))
-            assert len(_POINT_MEMO) == 1
-            large = measure_bandwidth(**dict(self.POINT, access=4096))
-            assert len(_POINT_MEMO) == 1
+        small = measure_bandwidth(**dict(self.POINT, access=64))
+        assert len(_POINT_MEMO) == 1
+        large = measure_bandwidth(**dict(self.POINT, access=4096))
+        assert len(_POINT_MEMO) == 1
         assert self._numbers(small) == self._numbers(large)
         # The echo fields still reflect what the caller asked for.
         assert small.access == 64 and large.access == 4096
 
     def test_rand_points_do_not_collapse(self):
-        with fastpath(True):
-            measure_bandwidth(**dict(self.POINT, pattern="rand",
-                                     access=64))
-            measure_bandwidth(**dict(self.POINT, pattern="rand",
-                                     access=256))
+        measure_bandwidth(**dict(self.POINT, pattern="rand", access=64))
+        measure_bandwidth(**dict(self.POINT, pattern="rand", access=256))
         assert len(_POINT_MEMO) == 2
 
-    def test_disabled_when_fastpath_off(self):
-        with fastpath(False):
-            measure_bandwidth(**self.POINT)
-        assert not _POINT_MEMO
-
     def test_disabled_with_tracer(self):
-        with fastpath(True), recording():
+        with recording():
             measure_bandwidth(**self.POINT)
         assert not _POINT_MEMO
 
     def test_disabled_with_supplied_machine(self):
-        with fastpath(True):
-            measure_bandwidth(machine=Machine(), **self.POINT)
+        measure_bandwidth(machine=Machine(), **self.POINT)
         assert not _POINT_MEMO
 
     def test_disabled_with_custom_kernel_kwargs(self):
-        with fastpath(True):
-            measure_bandwidth(fence_every=256, **self.POINT)
+        measure_bandwidth(fence_every=256, **self.POINT)
         assert not _POINT_MEMO
 
 
@@ -286,11 +267,9 @@ class TestSchedulerReuse:
         assert run_workloads([(t, self._workload(t, 5))]) == 50.0
 
     def test_single_workload_bypass_matches_heap_path(self):
-        with fastpath(True):
-            fast = run_point("read", "seq", 1, yield_every=1)
-        with fastpath(False):
-            ref = run_point("read", "seq", 1, yield_every=1)
-        assert fast == ref
+        # The golden was scheduled through the heap, one beat per step.
+        check("kernel/read/seq/1t",
+              run_point("read", "seq", 1, yield_every=1))
 
 
 # -- over-capacity golden ----------------------------------------------------
@@ -300,8 +279,7 @@ def run_over_capacity():
 
     Single- and multi-line ``load``/``store``/``store``+``clwb``/
     ``ntstore`` plus the run entry points, so each hit path in
-    ``namespace.py`` (fused, per-line, and the composed bodies when the
-    fast path is off) refreshes recency on lines that later compete for
+    ``namespace.py`` refreshes recency on lines that later compete for
     eviction.
     """
     machine = Machine(default_config().with_overrides(
@@ -381,11 +359,12 @@ OVER_CAPACITY_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("enabled", (True, False))
-def test_over_capacity_matches_stamp_lru_golden(enabled):
+@pytest.mark.parametrize("traced", (True, False))
+def test_over_capacity_matches_stamp_lru_golden(traced):
     # Recorded with the per-entry-stamp cache (min-stamp victim scan)
     # that preceded recency-in-set-order.  A hit path in namespace.py
     # that forgets to move its line to the end of the set changes which
-    # dirty lines are evicted, and in what order.
-    with fastpath(enabled):
+    # dirty lines are evicted, and in what order — with or without a
+    # tracer watching.
+    with recording() if traced else contextlib.nullcontext():
         assert run_over_capacity() == OVER_CAPACITY_GOLDEN

@@ -1,150 +1,67 @@
-"""The serving fast path is byte-identical to the reference paths.
+"""The serving loops reproduce the recorded reference execution.
 
-The batched request execution in the load loops and the fused
-substrate hot loops are *optimisations*, not semantics: with
-``REPRO_FASTPATH=0`` (here: ``set_fastpath(False)``) every loop and
-substrate falls back to the composed per-beat/per-line reference
-implementation, and the two must agree to the byte — same latencies,
-same counters, same chaos oracle verdicts.  These tests run both
-paths in one process and compare the JSON-serialised reports, which
-is exactly the comparison the CI determinism gate makes across whole
-manifests.
+The batched request execution in the load loops and the chaos driver
+replaced per-beat generator/``min(key=...)`` reference loops; before
+those were deleted their output was recorded (on the parent commit,
+fast-path switch off) into ``tests/golden/single_path.json``.  The single
+path must agree with it to the byte — same latencies, same counters,
+same chaos oracle verdicts, same checker summary — which is the
+comparison the CI determinism gate used to make across whole manifests.
 """
-
-import json
 
 import pytest
 
-from repro.chaos_serve import chaos_serve_cell
-from repro.sim.engine import set_fastpath
-from repro.sim.platform import Machine
-from repro.workloads import closed_loop, get_workload, make_service, open_loop
-
-SUBSTRATES = ("lsm", "pmemkv", "nova", "pmdk")
-QUICK = dict(records=96, ops=240)
-
-
-@pytest.fixture
-def both_paths():
-    """Run a thunk under the fast path and the reference path."""
-    def run_both(thunk):
-        prior = set_fastpath(True)
-        try:
-            fast = thunk()
-            set_fastpath(False)
-            reference = thunk()
-        finally:
-            set_fastpath(prior)
-        return fast, reference
-    return run_both
-
-
-def as_bytes(report):
-    return json.dumps(report, sort_keys=True).encode()
-
-
-def run_closed(substrate, workload="ycsb-a", seed=0, clients=3):
-    spec = get_workload(workload)
-    machine = Machine()
-    service = make_service(substrate, machine, spec, seed=seed, **QUICK)
-    return closed_loop(machine, service, spec, clients=clients,
-                       seed=seed, **QUICK)
-
-
-def run_open(substrate, workload="ycsb-b", seed=0, workers=2,
-             rate_kops=400.0):
-    spec = get_workload(workload)
-    machine = Machine()
-    service = make_service(substrate, machine, spec, seed=seed, **QUICK)
-    return open_loop(machine, service, spec, rate_kops=rate_kops,
-                     workers=workers, seed=seed, **QUICK)
+from tests.golden.cases import (
+    SUBSTRATES, check, golden, golden_entry, run_case,
+)
 
 
 class TestClosedLoopIdentity:
     @pytest.mark.parametrize("substrate", SUBSTRATES)
-    def test_report_byte_identical(self, substrate, both_paths):
-        fast, reference = both_paths(lambda: run_closed(substrate))
-        assert as_bytes(fast) == as_bytes(reference)
+    def test_report_byte_identical(self, substrate):
+        check("closed/" + substrate)
 
-    def test_latency_percentiles_match(self, both_paths):
-        fast, reference = both_paths(lambda: run_closed("lsm"))
-        assert fast["latency_us"] == reference["latency_us"]
-        assert fast["ops_by_type"] == reference["ops_by_type"]
+    def test_latency_percentiles_match(self):
+        # Serve reports are stored whole, so the fields can be named.
+        report = golden_entry(run_case("closed/lsm"))
+        recorded = golden("closed/lsm")
+        assert report["latency_us"] == recorded["latency_us"]
+        assert report["ops_by_type"] == recorded["ops_by_type"]
 
-    def test_write_heavy_workload_matches(self, both_paths):
-        fast, reference = both_paths(
-            lambda: run_closed("nova", workload="ycsb-f", seed=3))
-        assert as_bytes(fast) == as_bytes(reference)
+    def test_write_heavy_workload_matches(self):
+        check("closed/nova/ycsb-f/seed3")
 
 
 class TestOpenLoopIdentity:
     @pytest.mark.parametrize("substrate", SUBSTRATES)
-    def test_report_byte_identical(self, substrate, both_paths):
-        fast, reference = both_paths(lambda: run_open(substrate))
-        assert as_bytes(fast) == as_bytes(reference)
+    def test_report_byte_identical(self, substrate):
+        check("open/" + substrate)
 
-    def test_saturated_rate_matches(self, both_paths):
+    def test_saturated_rate_matches(self):
         # Past the knee the backlog (and the deadline check) dominates.
-        fast, reference = both_paths(
-            lambda: run_open("pmemkv", rate_kops=4000.0))
-        assert as_bytes(fast) == as_bytes(reference)
+        check("open/pmemkv/saturated")
 
 
 class TestChaosIdentity:
-    CELL = {"workload": "ycsb-a", "substrate": "lsm",
-            "scenario": "power-fail", "mode": "closed", "naive": False,
-            "seed": 0, "records": 128, "ops": 320, "clients": 2}
-
-    def run_cell(self, **overrides):
-        return chaos_serve_cell(dict(self.CELL, **overrides))
-
     @pytest.mark.parametrize("substrate", SUBSTRATES)
-    def test_closed_cell_byte_identical(self, substrate, both_paths):
-        fast, reference = both_paths(
-            lambda: self.run_cell(substrate=substrate))
-        assert as_bytes(fast) == as_bytes(reference)
+    def test_closed_cell_byte_identical(self, substrate):
+        check("chaos/closed/" + substrate)
 
-    def test_open_cell_byte_identical(self, both_paths):
-        fast, reference = both_paths(
-            lambda: self.run_cell(mode="open", rate_kops=400.0))
-        assert as_bytes(fast) == as_bytes(reference)
+    def test_open_cell_byte_identical(self):
+        check("chaos/open/lsm")
 
-    def test_oracle_verdicts_match_even_when_naive(self, both_paths):
+    def test_oracle_verdicts_match_even_when_naive(self):
         # The naive open-loop cell is the one that *finds* violations;
-        # the fast path must find the very same ones.
-        fast, reference = both_paths(
-            lambda: self.run_cell(mode="open", rate_kops=400.0,
-                                  naive=True))
-        assert fast["violations"] == reference["violations"]
-        assert len(fast["violations"]) >= 1
-        assert as_bytes(fast) == as_bytes(reference)
+        # the single path must find the very same ones.
+        record = run_case("chaos/open/lsm/naive")
+        assert len(record["violations"]) >= 1
+        check("chaos/open/lsm/naive", record)
 
 
 class TestPmcheckForcesComposedPath:
     def test_install_clears_plain_and_reports_identically(self):
-        from repro.pmcheck import PmCheck
-        spec = get_workload("ycsb-a")
-
-        def run(with_fastpath):
-            prior = set_fastpath(with_fastpath)
-            try:
-                machine = Machine()
-                checker = PmCheck(machine).install()
-                # Installing the checker flips every namespace off the
-                # fused fast path regardless of the master switch.
-                assert all(not ns._plain
-                           for ns in machine.namespaces())
-                service = make_service("lsm", machine, spec, seed=0,
-                                       **QUICK)
-                report = closed_loop(machine, service, spec,
-                                     clients=2, seed=0, **QUICK)
-                summary = checker.summary()
-                checker.uninstall()
-            finally:
-                set_fastpath(prior)
-            return report, summary
-
-        fast, fast_summary = run(True)
-        reference, reference_summary = run(False)
-        assert as_bytes(fast) == as_bytes(reference)
-        assert as_bytes(fast_summary) == as_bytes(reference_summary)
+        # Historical name: an installed checker used to divert every
+        # namespace to the composed bodies.  It now rides the one body;
+        # report and checker summary must equal what the composed
+        # bodies produced.
+        check("pmcheck/closed/lsm")
