@@ -16,7 +16,7 @@ Public surface::
     assert fs2.read_persistent_file(inode, 0, 5) == b"hello"
 """
 
-from repro.fs.cleaner import clean_file, live_overlays
+from repro.fs.cleaner import clean_file
 from repro.fs.dax import DAXFileSystem
 from repro.fs.fio import FIOResult, run_fio
 from repro.fs.layout import PAGE, AllocationPolicy, PageAllocator
@@ -32,5 +32,5 @@ __all__ = [
     "FIOResult", "IOLatency", "InodeLog", "NameSpaceFS", "NovaFS",
     "PAGE", "PageAllocator",
     "clean_file", "encode_embed_entry", "encode_write_entry",
-    "figure12", "figure17", "file_io_latency", "live_overlays", "run_fio",
+    "figure12", "figure17", "file_io_latency", "run_fio",
 ]

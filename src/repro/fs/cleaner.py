@@ -3,68 +3,80 @@
 NOVA-datalog "requires small changes to the log cleaner to track the
 liveness of embedded file data": an embed entry is dead once a later
 COW write replaced its page or a later embed overwrote its byte range.
-Cleaning a file merges all live embedded extents into fresh COW pages,
-then rewrites the log as a compact chain of WriteEntries and atomically
-switches the inode's log head to it.
+The file's overlay index keeps exactly the live extents (see
+:meth:`~repro.fs.nova.NovaFile.index_embed`), so cleaning a file merges
+them into fresh COW pages, rewrites the log as a compact chain of
+WriteEntries and atomically switches the inode's log head to it.
+
+The new pages and the new chain are built aside: until the new log's
+commit is durable the inode slot still names the old chain, which
+still points at the old pages, so neither is touched.  The commit then
+recycles both (:meth:`~repro.fs.log.InodeLog.retire`), and only after
+it returns does the open file switch over — a clean that fails half
+way (the allocator runs dry) leaves the file as it was.
+
+A page the media will not give back cannot be folded.  The clean goes
+around it: the page keeps its place in the new log and its live embeds
+are appended again behind it, so the damage stays where the reader (and
+the recovery report) will find it, and the writes that follow do not
+each pay for — and fail on — a clean that can never finish.
 """
 
+from repro.faults.model import MediaError
 from repro.fs.layout import PAGE, split_gaddr
-from repro.fs.log import InodeLog, encode_write_entry
-
-
-def live_overlays(file):
-    """Prune overlay lists to only the live (visible) extents."""
-    pruned = {}
-    for pgoff, extents in file.overlays.items():
-        shadow = {}                         # byte -> extent index
-        for idx, (in_off, dlen, _) in enumerate(extents):
-            for b in range(in_off, in_off + dlen):
-                shadow[b] = idx
-        live_idx = sorted(set(shadow.values()))
-        if live_idx:
-            pruned[pgoff] = [extents[i] for i in live_idx]
-    return pruned
+from repro.fs.log import InodeLog, encode_embed_entry, encode_write_entry
+from repro.fs.nova import _patched
 
 
 def clean_file(fs, thread, inode):
     """Compact one file's log; returns the number of entries reclaimed."""
     f = fs._files[inode]
-    old_length = f.log.length
-    # 1. Merge live embedded data into fresh pages (COW semantics).
-    for pgoff, extents in sorted(live_overlays(f).items()):
-        page = bytearray(fs._page_contents(thread, f, pgoff))
-        for in_off, dlen, data in extents:
-            page[in_off:in_off + dlen] = data
-        new_page = fs.policy.alloc_for(thread)
-        dev, off = split_gaddr(new_page)
-        fs.devices[dev].ntstore(thread, off, PAGE, data=bytes(page))
-        thread.sfence()
-        old = f.pages.get(pgoff)
-        f.pages[pgoff] = new_page
-        if old is not None:
-            fs.policy.free(old)
-    f.overlays.clear()
-    # 2. Rewrite the log: one WriteEntry per live page.
-    new_head = fs.policy.alloc_for(thread)
-    new_log = InodeLog(fs, inode, new_head, thread=thread)
-    for pgoff in sorted(f.pages):
-        new_log.append(thread, encode_write_entry(
-            pgoff, f.pages[pgoff], f.size))
-    # 3. Atomic switch: persist the inode slot pointing at the new log,
-    # then reclaim the old chain's pages.
-    old_head = f.log.head
+    old_log = f.log
+    pages = dict(f.pages)
+    fresh = []                 # allocated here, unreferenced until commit
+    folded = []                # replaced here, referenced until commit
+    carried = {}               # unreadable pages keep their live embeds
+    new_log = None
+    try:
+        # 1. Merge live embedded data into fresh pages (COW semantics).
+        for pgoff, extents in sorted(f.overlays.items()):
+            try:
+                base = fs._page_contents(thread, f, pgoff)
+            except MediaError:
+                carried[pgoff] = extents
+                continue
+            page = _patched(base, 0, extents)
+            new_page = fs.policy.alloc_for(thread)
+            fresh.append(new_page)
+            dev, off = split_gaddr(new_page)
+            fs.devices[dev].ntstore(thread, off, PAGE, data=page)
+            thread.sfence()
+            if pgoff in pages:
+                folded.append(pages[pgoff])
+            pages[pgoff] = new_page
+        # 2. Rewrite the log: one WriteEntry per live page, then the
+        # embeds that could not be folded into theirs.
+        new_log = InodeLog(fs, inode, fs.policy.alloc_for(thread),
+                           thread=thread)
+        for pgoff in sorted(pages):
+            new_log.append(thread, encode_write_entry(
+                pgoff, pages[pgoff], f.size))
+        for pgoff, extents in sorted(carried.items()):
+            for in_off, _, data in extents:
+                new_log.append(thread, encode_embed_entry(
+                    pgoff, in_off, data, f.size))
+        # 3. Atomic switch: persist the inode slot pointing at the new
+        # log; that commit recycles what only the old log referenced.
+        for gaddr in old_log.retired + folded + old_log.chain_pages():
+            new_log.retire(gaddr)
+        new_log.commit(thread)
+    except BaseException:
+        if new_log is not None:
+            fresh += new_log.chain_pages()
+        for gaddr in fresh:
+            fs.policy.free(gaddr)
+        raise
+    f.pages = pages
+    f.overlays = carried
     f.log = new_log
-    new_log.commit(thread)
-    _reclaim_chain(fs, old_head)
-    return old_length - new_log.length
-
-
-def _reclaim_chain(fs, head):
-    import struct
-    page = head
-    while page:
-        dev, off = split_gaddr(page)
-        raw = fs.devices[dev].read_volatile(off, 8)
-        nxt = struct.unpack("<Q", raw)[0]
-        fs.policy.free(page)
-        page = nxt
+    return old_log.length - new_log.length

@@ -127,6 +127,7 @@ class InodeLog:
         self.committed = None                 # tail persisted in the slot
         self.length = 0                       # live entries appended
         self.pages_seen = [head_gaddr]        # chain pages (for recovery)
+        self.retired = []                     # freed by the next commit
         if thread is not None:
             self._adopt_page(thread, head_gaddr)
 
@@ -143,6 +144,11 @@ class InodeLog:
         This is what acknowledges the entries appended since the last
         commit — recovery stops replaying at the tail stored here — and,
         for a freshly built chain, what switches the inode over to it.
+        From here on nothing the slot names references the pages handed
+        to :meth:`retire`, so this is also where they go back to the
+        allocator.  (With ``fence=False`` the caller has taken over the
+        fence — the async FIO engine batches it — and pages still
+        recycle here, not at that later fence.)
         """
         body = struct.pack("<QQI", self.head, self.tail_page, self.tail_off)
         blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
@@ -151,6 +157,31 @@ class InodeLog:
         if fence:
             thread.sfence()
         self.committed = (self.tail_page, self.tail_off)
+        for gaddr in self.retired:
+            self.fs.policy.free(gaddr)
+        self.retired = []
+
+    def retire(self, gaddr):
+        """Give up a page the *committed* log may still reference.
+
+        The allocator is LIFO, so a page freed on the spot is the next
+        one handed out and overwritten — while a crash would still
+        replay the entry (or walk the chain) that points at it.  A
+        retired page is recycled only by the :meth:`commit` that makes
+        its replacement the durable truth.
+        """
+        self.retired.append(gaddr)
+
+    def chain_pages(self):
+        """Every page of the chain, head first (volatile view)."""
+        pages = []
+        page = self.head
+        while page:
+            pages.append(page)
+            dev, off = split_gaddr(page)
+            raw = self.fs.devices[dev].read_volatile(off, 8)
+            page = struct.unpack("<Q", raw)[0]
+        return pages
 
     @classmethod
     def open_persistent(cls, fs, inode, report):

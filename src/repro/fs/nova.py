@@ -54,7 +54,20 @@ class NovaFile:
         self.log = log
         self.size = 0
         self.pages = {}           # pgoff -> page gaddr
-        self.overlays = {}        # pgoff -> [(in_off, data_len, data)]
+        self.overlays = {}        # pgoff -> live [(in_off, data_len, data)]
+
+    def index_embed(self, pgoff, in_off, data):
+        """Index an embedded extent, newest last, dropping every extent
+        it fully covers: the index holds live extents only, so a re-put
+        of a range replaces its predecessor and a page's list is bounded
+        by the distinct ranges written, not by the writes.  Recovery
+        replays the log through this same method and so rebuilds the
+        same index."""
+        end = in_off + len(data)
+        extents = self.overlays.setdefault(pgoff, [])
+        extents[:] = [ext for ext in extents
+                      if ext[0] < in_off or ext[0] + ext[1] > end]
+        extents.append((in_off, len(data), data))
 
 
 class NovaFS:
@@ -112,7 +125,9 @@ class NovaFS:
         new_size = max(f.size, offset + len(data))
         f.size = new_size
         f.log.commit(thread, fence=sync)
-        if f.log.length >= CLEANER_THRESHOLD:
+        # A clean leaves one WriteEntry per page behind: only what lies
+        # beyond those is reclaimable.
+        if f.log.length - len(f.pages) >= CLEANER_THRESHOLD:
             self.clean(thread, inode)
 
     def _write_cow(self, thread, f, pgoff, in_off, piece):
@@ -135,7 +150,7 @@ class NovaFS:
         f.pages[pgoff] = new_page
         f.overlays.pop(pgoff, None)
         if old is not None:
-            self.policy.free(old)
+            f.log.retire(old)
 
     def _write_embed(self, thread, f, pgoff, in_off, piece):
         """NOVA-datalog: append the data itself to the log."""
@@ -143,8 +158,7 @@ class NovaFS:
             pgoff, in_off, bytes(piece),
             max(f.size, pgoff * PAGE + in_off + len(piece)))
         f.log.append(thread, entry)
-        f.overlays.setdefault(pgoff, []).append(
-            (in_off, len(piece), bytes(piece)))
+        f.index_embed(pgoff, in_off, bytes(piece))
 
     def truncate(self, thread, inode, new_size):
         """Atomically set the file size (shrinking drops pages)."""
@@ -157,15 +171,15 @@ class NovaFS:
             return
         keep_pages = -(-new_size // PAGE) if new_size else 0
         tail = new_size % PAGE
-        if tail and (keep_pages - 1) in f.pages:
+        pgoff = keep_pages - 1
+        if tail and (pgoff in f.pages or pgoff in f.overlays):
             # COW the final partial page with its tail zeroed.
-            pgoff = keep_pages - 1
             page = _patched(self._page_contents(thread, f, pgoff), 0,
                             f.overlays.get(pgoff, ()))
             self._write_cow(thread, f, pgoff, 0,
                             page[:tail] + bytes(PAGE - tail))
         for pgoff in [p for p in f.pages if p >= keep_pages]:
-            self.policy.free(f.pages.pop(pgoff))
+            f.log.retire(f.pages.pop(pgoff))
             f.overlays.pop(pgoff, None)
         for pgoff in [p for p in f.overlays if p >= keep_pages]:
             f.overlays.pop(pgoff)
@@ -181,10 +195,9 @@ class NovaFS:
         ns.ntstore(thread, slot_addr(inode), INODE_SLOT_SIZE,
                    data=b"\x00" * INODE_SLOT_SIZE)
         thread.sfence()
-        for gaddr in f.pages.values():
+        for gaddr in (list(f.pages.values()) + f.log.retired
+                      + f.log.chain_pages()):
             self.policy.free(gaddr)
-        from repro.fs.cleaner import _reclaim_chain
-        _reclaim_chain(self, f.log.head)
 
     def read(self, thread, inode, offset, size):
         """Read up to EOF, copying out only the requested byte ranges.
@@ -275,9 +288,8 @@ class NovaFS:
                     f.pages[entry["pgoff"]] = entry["page_gaddr"]
                     f.overlays.pop(entry["pgoff"], None)
                 elif entry["type"] == EMBED_ENTRY:
-                    f.overlays.setdefault(entry["pgoff"], []).append(
-                        (entry["in_off"], len(entry["data"]),
-                         entry["data"]))
+                    f.index_embed(entry["pgoff"], entry["in_off"],
+                                  entry["data"])
                 elif entry["type"] == SIZE_ENTRY:
                     keep = -(-entry["file_size"] // PAGE)
                     for pgoff in [p for p in f.pages if p >= keep]:

@@ -243,16 +243,16 @@ class NovaFSService(Service):
         index = key_index(key)
         if index not in self._live:
             return None
-        off = self._slot(key)
-        raw = self.fs.read(thread, self.inode, off,
-                           self._SLOT_HEADER.size)
-        if len(raw) < self._SLOT_HEADER.size:
+        # One read serves header and value: a slot is ``stride`` bytes.
+        raw = self.fs.read(thread, self.inode, self._slot(key),
+                           self.stride)
+        header = self._SLOT_HEADER.size
+        if len(raw) < header:
             return None
-        (vlen,) = self._SLOT_HEADER.unpack(raw)
+        (vlen,) = self._SLOT_HEADER.unpack_from(raw)
         if vlen == 0:
             return None
-        return self.fs.read(thread, self.inode,
-                            off + self._SLOT_HEADER.size, vlen)
+        return raw[header:header + vlen]
 
     def put(self, thread, key, value):
         blob = self._SLOT_HEADER.pack(len(value)) + value

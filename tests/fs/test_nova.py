@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults.model import FaultController
+from repro.faults.model import FaultController, MediaError
 from repro.fs import DAXFileSystem, NovaFS, PAGE
 from repro.fs.layout import (
     AllocationPolicy, PageAllocator, make_gaddr, split_gaddr,
@@ -16,6 +16,7 @@ from repro.fs.log import (
 )
 from repro.fs.nova import CLEANER_THRESHOLD
 from repro.sim import Machine
+from repro.sim.crashpoints import CrashInjector, SimulatedPowerFailure
 
 
 class TestLayout:
@@ -234,6 +235,136 @@ class TestCleaner:
         free_before = fs.policy.allocators[0].free_pages
         fs.clean(t, inode)
         assert fs.policy.allocators[0].free_pages >= free_before
+
+    # -- a page is recycled only after the commit that stops
+    # referencing it (the allocator is LIFO: freed on the spot, it is
+    # the next page handed out and overwritten) ---------------------------
+
+    SLOT = 128
+
+    def _slotted_file(self, datalog=True, pages=3):
+        """A file of ``pages`` distinct pages, every 128 B slot of it
+        re-written by an embed; returns (machine, thread, fs, inode,
+        model bytes)."""
+        m = Machine()
+        t = m.thread()
+        fs = NovaFS(m, datalog=datalog)
+        inode = fs.create(t)
+        model = bytearray()
+        for pgoff in range(pages):
+            model += bytes([0x41 + pgoff]) * PAGE
+        fs.write(t, inode, 0, bytes(model))
+        if datalog:
+            for slot in range(pages * PAGE // self.SLOT):
+                data = bytes([0x61 + slot % 26]) * 100
+                fs.write(t, inode, slot * self.SLOT, data)
+                model[slot * self.SLOT:slot * self.SLOT + 100] = data
+        return m, t, fs, inode, bytes(model)
+
+    def _crash_everywhere(self, operation, datalog):
+        """Run ``operation(fs, thread, inode)`` once per persist boundary
+        it has, cutting the power there; yields what ``mount`` reads
+        back next to the contents acknowledged before the operation."""
+        m, t, fs, inode, model = self._slotted_file(datalog)
+        counter = CrashInjector(m)
+        operation(fs, t, inode)
+        assert counter.persists > 2 * PAGE // 64
+        for crash_at in range(1, counter.persists + 1):
+            m, t, fs, inode, model = self._slotted_file(datalog)
+            injector = CrashInjector(m, crash_at=crash_at)
+            with pytest.raises(SimulatedPowerFailure):
+                operation(fs, t, inode)
+            injector.uninstall()
+            m.power_fail()
+            fs2 = NovaFS.mount(m, datalog=datalog)
+            yield fs2.read_persistent_file(inode, 0, len(model)), model
+
+    def test_crash_at_every_persist_of_a_clean(self):
+        # A clean changes no byte of the file, so whichever log the
+        # crash leaves in charge must still read back all of it.
+        for got, model in self._crash_everywhere(
+                lambda fs, t, inode: fs.clean(t, inode), datalog=True):
+            assert got == model
+
+    def test_crash_at_every_persist_of_a_two_page_cow_write(self):
+        new = b"N" * (2 * PAGE)
+        for got, model in self._crash_everywhere(
+                lambda fs, t, inode: fs.write(t, inode, 0, new),
+                datalog=False):
+            assert got in (model, new + model[2 * PAGE:])
+
+    def test_failure_mid_clean_leaves_the_file_as_it_was(self, monkeypatch):
+        m, t, fs, inode, model = self._slotted_file()
+        f = fs._files[inode]
+        pages, log, overlays, free = dict(f.pages), f.log, \
+            dict(f.overlays), fs.policy.allocators[0].free_pages
+        alloc_for = fs.policy.alloc_for
+        handed_out = []
+
+        def runs_dry(thread):
+            if len(handed_out) == 2:
+                raise RuntimeError("out of pages")
+            handed_out.append(alloc_for(thread))
+            return handed_out[-1]
+        monkeypatch.setattr(fs.policy, "alloc_for", runs_dry)
+        with pytest.raises(RuntimeError):
+            fs.clean(t, inode)                # two pages folded, then dry
+        monkeypatch.undo()
+        assert (f.pages, f.log, f.overlays) == (pages, log, overlays)
+        assert fs.policy.allocators[0].free_pages == free
+        assert fs.read(t, inode, 0, len(model)) == model
+        # The next clean reuses the two pages handed back; the crash
+        # after it must find every page where the committed log says.
+        fs.clean(t, inode)
+        assert not f.overlays
+        m.power_fail()
+        fs2 = NovaFS.mount(m, datalog=True)
+        assert fs2.read_persistent_file(inode, 0, len(model)) == model
+
+    def test_clean_goes_around_a_page_it_cannot_read(self):
+        m, t, fs, inode, model = self._slotted_file()
+        fc = FaultController(m)
+        f = fs._files[inode]
+        dead = f.pages[1]
+        dev, off = split_gaddr(dead)
+        fc.poison(fs.devices[dev], off + 512, 1)
+        live = list(f.overlays[1])
+        fs.clean(t, inode)                    # its own read of page 1 fails
+        # Pages 0 and 2 are folded; page 1 stays put, its live embeds
+        # re-appended behind the three WriteEntries.
+        assert f.pages[1] == dead and f.overlays == {1: live}
+        assert f.log.length == len(f.pages) + len(live)
+        assert fs.read(t, inode, 0, PAGE) == model[:PAGE]
+        assert fs.read(t, inode, 2 * PAGE, PAGE) == model[2 * PAGE:]
+        with pytest.raises(MediaError):
+            fs.read(t, inode, PAGE + 512, self.SLOT)
+        # Nothing left to reclaim, and nothing to fail on: the writes
+        # that follow do not each re-run (and pay for) a doomed clean.
+        fs.clean(t, inode)
+        assert f.pages[1] == dead and f.overlays == {1: live}
+        assert f.log.length == len(f.pages) + len(live)
+        m.power_fail()
+        fs2 = NovaFS.mount(m, datalog=True)
+        f2 = fs2._files[inode]
+        assert (f2.pages, f2.overlays) == (f.pages, f.overlays)
+        # A full-page write replaces the dead page; the crash after it
+        # must still find pages 0 and 2 where the committed log says.
+        t2 = m.thread()
+        fs2.write(t2, inode, PAGE, b"R" * PAGE)
+        model = model[:PAGE] + b"R" * PAGE + model[2 * PAGE:]
+        m.power_fail()
+        fs3 = NovaFS.mount(m, datalog=True)
+        assert fs3.read_persistent_file(inode, 0, len(model)) == model
+        # The dead page went back to the allocator with the write that
+        # replaced it; scrub it as the repair would before it is reused.
+        fc.clear_poison(fs.devices[dev], off + 512, 1)
+        fs3.clean(m.thread(), inode)
+        assert not fs3._files[inode].overlays
+        m.power_fail()
+        fs4 = NovaFS.mount(m, datalog=True)
+        assert fs4.read_persistent_file(inode, 0, len(model)) == model
+        assert fs4.recovery_report.truncated == 0
+        assert fs4.recovery_report.lost == 0
 
 
 class TestDAX:
@@ -472,6 +603,101 @@ class TestRangeReads:
         assert bars["nova", "read", 4096].mean_ns == 1991.6967999999767
         assert bars["nova-datalog", "read", 4096].mean_ns == \
             1991.6967999999767
+
+
+class TestLiveExtentIndex:
+    """The overlay index holds live extents only, and recovery rebuilds
+    the same index from the same log."""
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_embed_cow_truncate_match_model_and_remount(self, seed):
+        rng = random.Random(seed)
+        m = Machine()
+        t = m.thread()
+        fs = NovaFS(m, datalog=True)
+        inode = fs.create(t)
+        npages, slot = 4, 128
+        model = bytearray(npages * PAGE)
+        size = 0
+        ranges = {}               # pgoff -> distinct ranges embedded
+        for _ in range(60):
+            op = rng.choice(("slot", "slot", "slot", "sub", "cross",
+                             "page", "truncate", "clean", "remount"))
+            if op in ("slot", "sub", "cross", "page"):
+                if op == "slot":           # the KV adapter's re-put
+                    offset = rng.randrange(npages * PAGE // slot) * slot
+                    length = rng.choice((2, 50, 102))
+                elif op == "sub":
+                    offset = rng.randrange(npages * PAGE - 300)
+                    length = rng.randrange(1, 300)
+                elif op == "cross":
+                    offset = rng.randrange(1, npages) * PAGE \
+                        - rng.randrange(1, 200)
+                    length = rng.randrange(200, 600)
+                else:                      # COW: the page's embeds die
+                    offset = rng.randrange(npages) * PAGE
+                    length = PAGE
+                    ranges.pop(offset // PAGE, None)
+                data = bytes(rng.getrandbits(8) for _ in range(length))
+                fs.write(t, inode, offset, data)
+                model[offset:offset + length] = data
+                size = max(size, offset + length)
+                pos = offset
+                while length < PAGE and pos < offset + length:
+                    pgoff, in_off = divmod(pos, PAGE)
+                    chunk = min(PAGE - in_off, offset + length - pos)
+                    ranges.setdefault(pgoff, set()).add((in_off, chunk))
+                    pos += chunk
+            elif op == "truncate":
+                new_size = rng.randrange(npages * PAGE + 1)
+                fs.truncate(t, inode, new_size)
+                if new_size < size:        # the cut page is COWed
+                    model[new_size:] = bytes(len(model) - new_size)
+                    for pgoff in [p for p in ranges
+                                  if p >= new_size // PAGE]:
+                        del ranges[pgoff]
+                size = new_size
+            elif op == "clean":
+                fs.clean(t, inode)
+                ranges.clear()
+                f = fs._files[inode]
+                assert f.log.length == len(f.pages) and not f.overlays
+            else:
+                live = fs._files[inode]
+                m.power_fail()
+                fs = NovaFS.mount(m, datalog=True)
+                t = m.thread()
+                f = fs._files[inode]
+                assert f.overlays == live.overlays
+                assert (f.pages, f.size) == (live.pages, live.size)
+                assert f.log.length == live.log.length
+            overlays = fs._files[inode].overlays
+            assert all(extents for extents in overlays.values())
+            for pgoff, extents in overlays.items():
+                assert len(extents) <= len(ranges[pgoff])
+            assert fs.read(t, inode, 0, len(model)) == bytes(model[:size])
+
+    def test_reput_replaces_its_predecessor(self):
+        m = Machine()
+        t = m.thread()
+        fs = NovaFS(m, datalog=True)
+        inode = fs.create(t)
+        for version in range(40):
+            for slot in range(4):
+                fs.write(t, inode, slot * 128, bytes([version + 1]) * 102)
+        extents = fs._files[inode].overlays[0]
+        assert [(o, n) for o, n, _ in extents] == [
+            (slot * 128, 102) for slot in range(4)]
+        # A shorter re-put leaves its predecessor's tail visible: both
+        # stay, and the read patches them in oldest first.
+        fs.write(t, inode, 128, b"s" * 10)
+        assert len(extents) == 5
+        assert fs.read(t, inode, 128, 102) == b"s" * 10 + bytes([40]) * 92
+        # One that covers both drops both.
+        fs.write(t, inode, 100, b"c" * 200)
+        assert [(o, n) for o, n, _ in extents] == [
+            (0, 102), (256, 102), (384, 102), (100, 200)]
 
 
 class TestRecycledLogPages:

@@ -120,3 +120,103 @@ class TestMakeService:
             for index in range(8 + 200):
                 service.put(thread, make_key(index),
                             make_value(spec, index, 1))
+
+
+class TestNovaAdapter:
+    """The NOVA adapter does work in proportion to the request."""
+
+    @staticmethod
+    def _two_read_get(service, thread, key):
+        """The adapter's former get: a header read, then a value read."""
+        from repro.workloads.generators import key_index
+        if key_index(key) not in service._live:
+            return None
+        off = service._slot(key)
+        raw = service.fs.read(thread, service.inode, off, 2)
+        if len(raw) < 2:
+            return None
+        vlen = int.from_bytes(raw, "little")
+        if vlen == 0:
+            return None
+        return service.fs.read(thread, service.inode, off + 2, vlen)
+
+    def test_get_matches_the_two_read_version(self):
+        machine, service, spec = build("nova")
+        thread = machine.thread()
+        value = make_value(spec, 3, 1)
+        last = make_key(31)
+
+        def check(*keys):
+            for key in keys + (make_key(99),):        # + a missing key
+                want = self._two_read_get(service, thread, key)
+                assert service.get(thread, key) == want
+
+        service.put(thread, make_key(3), value)
+        service.put(thread, make_key(4), make_value(spec, 4, 1))
+        check(make_key(3), make_key(4))
+        assert service.get(thread, make_key(3)) == value
+        service.put(thread, make_key(3), value[:7])    # shorter re-put
+        check(make_key(3), make_key(4))
+        assert service.get(thread, make_key(3)) == value[:7]
+        service.delete(thread, make_key(3))
+        check(make_key(3), make_key(4))
+        assert service.get(thread, make_key(3)) is None
+        service.put(thread, make_key(3), value)        # re-put
+        check(make_key(3), make_key(4))
+        # The last slot ends at EOF, short of its stride.
+        service.put(thread, last, value[:5])
+        assert service.fs.stat_size(service.inode) < 32 * service.stride
+        check(last)
+        assert service.get(thread, last) == value[:5]
+        assert [k for k, _ in service.scan(thread, make_key(3), 5)] == [
+            make_key(3), make_key(4), last]
+
+    def test_get_is_one_read(self):
+        # Twin machines with the same history: a get must advance its
+        # thread exactly as one syscall, the slot's loads and the
+        # per-extent merge charge do — a second read would add a second
+        # syscall.
+        from repro.fs.layout import PAGE
+        from repro.fs.nova import SYSCALL_NS
+        clocks = []
+        for twin in range(2):
+            machine, service, spec = build("nova")
+            thread = machine.thread()
+            for version in range(3):
+                for index in range(32):
+                    service.put(thread, make_key(index),
+                                make_value(spec, index, version))
+            if twin == 0:
+                assert service.get(thread, make_key(9)) == \
+                    make_value(spec, 9, 2)
+            else:
+                f = service.fs._files[service.inode]
+                pgoff, in_off = divmod(9 * service.stride, PAGE)
+                thread.sleep(SYSCALL_NS)
+                service.fs._page_contents(thread, f, pgoff, in_off,
+                                          service.stride)
+                assert len(f.overlays[pgoff]) == 32
+                thread.sleep(40.0 * len(f.overlays[pgoff]))
+            clocks.append(thread.now)
+        assert clocks[0] == clocks[1]
+
+    def test_no_cleaner_cliff_past_512_pages(self):
+        # A clean leaves one WriteEntry per page behind; the trigger
+        # counts what lies beyond them, or a file of >= 512 pages would
+        # clean on every write.
+        spec = get_workload("ycsb-a")
+        machine = Machine()
+        records = 20000
+        service = make_service("nova", machine, spec, records=records)
+        preload(service, machine, spec, records)
+        f = service.fs._files[service.inode]
+        assert len(f.pages) + len(f.overlays) >= 625
+        thread = machine.thread()
+        heads = {f.log.head}
+        for index in range(300):
+            service.put(thread, make_key(index * 61 % records),
+                        make_value(spec, index, 1))
+            heads.add(f.log.head)
+        assert len(heads) - 1 <= 1             # cleans over 300 puts
+        service.fs.clean(thread, service.inode)
+        assert f.log.length == len(f.pages) >= 625
