@@ -25,9 +25,6 @@ Commands:
   tables per substrate, latency-vs-load curves, chaos timelines
   (``--json`` for the canonical JSON, ``--html`` for a self-contained
   single-file page)
-* ``bench [--quick]``     — wall-clock microbenchmarks of the
-  simulator's hot paths; ``--compare old.json`` exits 1 on a >20%
-  throughput regression
 * ``calibrate``           — the headline paper-vs-measured numbers
 * ``guidelines``          — print the four best practices
 * ``audit --access N ...``— audit an access pattern against them
@@ -309,11 +306,6 @@ def cmd_audit(args):
     return 1
 
 
-def cmd_bench(args):
-    from repro.bench import main as bench_main
-    return bench_main(args)
-
-
 def _cmd_serve_chaos(args):
     """The ``serve --chaos`` path: the fault matrix plus the oracle."""
     import json
@@ -587,7 +579,7 @@ def cmd_report(args):
 #: Every CLI verb, in help order (unknown-verb errors print this).
 COMMANDS = (
     "list", "run", "trace", "sweep", "serve", "pmcheck", "report",
-    "cache", "compare", "faults", "bench", "calibrate", "guidelines",
+    "cache", "compare", "faults", "calibrate", "guidelines",
     "audit",
 )
 
@@ -768,41 +760,6 @@ def build_parser():
     faults.add_argument("--trace-dir", default=None,
                         help="write a Chrome trace per chaos case into "
                              "this directory")
-    bench = sub.add_parser(
-        "bench", help="wall-clock microbenchmarks of the simulator")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller workloads for smoke runs")
-    bench.add_argument("--repeats", type=int, default=None, metavar="N",
-                       help="timed runs per benchmark; the minimum "
-                            "wall time is kept (default: 3, or 5 "
-                            "with --quick)")
-    bench.add_argument("--out", default="BENCH_sim.json",
-                       help="result path (default: BENCH_sim.json)")
-    bench.add_argument("--compare", default=None, metavar="BASELINE",
-                       help="print per-benchmark ops/s deltas vs this "
-                            "earlier result file; exit 1 past the fail "
-                            "tolerance")
-    bench.add_argument("--warn-tolerance", type=float, default=None,
-                       metavar="FRAC", dest="warn_tolerance",
-                       help="relative loss that only warns "
-                            "(default: 0.10)")
-    bench.add_argument("--fail-tolerance", type=float, default=None,
-                       metavar="FRAC", dest="fail_tolerance",
-                       help="relative loss that fails --compare "
-                            "(default: 0.20)")
-    bench.add_argument("--obs-tolerance", type=float, default=None,
-                       metavar="FRAC", dest="obs_tolerance",
-                       help="max throughput the obs recorder may cost "
-                            "vs serve_closed (default: 0.05; exceeding "
-                            "it fails the run)")
-    bench.add_argument("--profile", default=None, metavar="NAME",
-                       help="cProfile one benchmark instead of timing "
-                            "the suite; writes a .pstats dump and "
-                            "prints the top 25 by cumulative time")
-    bench.add_argument("--profile-out", default=None, metavar="PATH",
-                       dest="profile_out",
-                       help="pstats dump path (default: "
-                            "bench_profile_<name>.pstats)")
     sub.add_parser("calibrate", help="paper-vs-measured headline numbers")
     sub.add_parser("guidelines", help="print the four best practices")
     audit = sub.add_parser("audit", help="audit an access pattern")
@@ -841,7 +798,6 @@ def main(argv=None):
         "cache": cmd_cache,
         "compare": cmd_compare,
         "faults": cmd_faults,
-        "bench": cmd_bench,
         "guidelines": cmd_guidelines,
         "audit": cmd_audit,
     }

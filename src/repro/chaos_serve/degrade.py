@@ -31,8 +31,7 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
-#: Request dispositions beyond plain success.
-OK = "ok"
+#: Request dispositions beyond plain success (``loadloop.OK``).
 SHED = "shed"
 DEADLINE = "deadline"
 BROKEN = "breaker"

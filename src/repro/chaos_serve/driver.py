@@ -1,4 +1,4 @@
-"""The chaos serving loop: traffic, faults and recovery, interleaved.
+"""Chaos cells: traffic, faults and recovery, interleaved.
 
 One *cell* = one (workload, substrate, scenario, mode) combination:
 serve a seeded request stream against a live substrate while the
@@ -21,13 +21,17 @@ Every scenario ends with a **final audit**: power-fail the machine,
 ``Service.recover()``, and run the durable-linearizability check over
 the full history, so all four scenarios exercise the oracle.
 
-Requests are dispatched sequentially in virtual-time order (the
-earliest-free client goes next, ties to the lowest id — the same
-discipline :func:`repro.workloads.loadloop.open_loop` uses), so a
-power failure interrupts exactly one request, whose mutation stays
-un-acked in the history.  Everything — arrivals, retry jitter, fault
-sites, crash points — draws from seeded RNGs; a cell is a pure
-function of its payload.
+A cell has no serving loop of its own: it runs
+:func:`~repro.workloads.loadloop.closed_loop` or
+:func:`~repro.workloads.loadloop.open_loop`, the loops ``repro serve``
+runs, with :class:`_Env` as their ``chaos`` hooks.  Faults fire at
+their dispatch index; ``serve()`` wraps the one op dispatch in the
+breaker, retries, deadline and the mutation history.  Requests run one
+at a time in virtual-time order, so a power failure interrupts exactly
+one request, whose mutation stays un-acked; the cell recovers, audits,
+and the client re-issues the request.  Everything — arrivals, retry
+jitter, fault sites, crash points — draws from seeded RNGs; a cell is
+a pure function of its payload.
 
 Chaos cells only serve value-size-100 workloads: NOVA's slot stride is
 ``align_up(2 + value_size, 64)`` and must divide the 4 KiB page, or a
@@ -36,14 +40,14 @@ tear *independently* — a substrate-layout artifact, not a durability
 property this matrix is probing.
 """
 
-import heapq
+from heapq import heappop, heappush
 from random import Random
 
 from repro.chaos_serve.degrade import (
-    BROKEN, DEADLINE, FAILED, OK, SHED, CircuitBreaker, DegradeConfig,
+    BROKEN, DEADLINE, FAILED, SHED, CircuitBreaker, DegradeConfig,
     DegradeStats, RetryPolicy,
 )
-from repro.chaos_serve.history import DELETE, PUT, History
+from repro.chaos_serve.history import History
 from repro.chaos_serve.oracle import check_durability, service_read_fn
 from repro.faults.model import FaultController, MediaError, _mix
 from repro.faults.report import RecoveryReport
@@ -51,10 +55,10 @@ from repro.obs import ObsRecorder
 from repro.sim.crashpoints import CrashInjector, SimulatedPowerFailure
 from repro.sim.platform import Machine
 from repro.telemetry.events import CAT_CHAOS, CAT_DEGRADE
-from repro.workloads.generators import (
-    RequestStream, get_workload, make_key, make_value,
+from repro.workloads.generators import get_workload
+from repro.workloads.loadloop import (
+    OK, RETRY, closed_loop, execute_request, open_loop, preload,
 )
-from repro.workloads.loadloop import _summarize, preload
 from repro.workloads.service import make_service
 
 #: The fault scenarios every chaos matrix covers.
@@ -70,14 +74,13 @@ THERMAL_SPAN_NS = 250_000.0
 #: Transient scenario: failures per injected site.
 TRANSIENT_ERRORS = 2
 
-_NS_PER_S = 1e9
-
 
 class _Env:
-    """Everything one chaos cell threads through its serving loop."""
+    """One chaos cell's state, and the ``chaos`` hooks the serving
+    loops call (``dispatch``, ``admit``, ``serve``, ``arrival_rng``,
+    ``threads``)."""
 
     def __init__(self, payload):
-        self.payload = payload
         self.spec = get_workload(payload["workload"])
         self.seed = payload["seed"]
         self.naive = bool(payload.get("naive", False))
@@ -85,7 +88,7 @@ class _Env:
         self.ops = payload["ops"]
         self.records = payload["records"]
         self.clients = payload["clients"]
-        self.rate_kops = payload.get("rate_kops")
+        self.open = payload.get("mode") == "open"
         self.machine = Machine()
         # Optional persistency-order checking; the key is only present
         # in the payload when enabled, so checked and unchecked cells
@@ -107,22 +110,32 @@ class _Env:
             threshold=self.config.breaker_threshold,
             cooldown_ns=self.config.breaker_cooldown_ns)
         self.policy = RetryPolicy(self.config, self.seed)
+        self.attempts = self.policy.attempts()
         self.stats = DegradeStats()
         # Fault scheduling draws from its own stream, independent of
         # the per-client retry RNGs.
         self.chaos_rng = Random(_mix(
             self.seed, "chaos", payload["workload"],
             payload["substrate"], self.scenario))
+        self.arrival_rng = Random(_mix(self.seed, "arrivals",
+                                       self.spec.name))
+        self.triggers = _triggers(self.scenario, self.ops)
+        self.dispatched = 0
+        self.results = {}
+        # Open loop only: completion times of admitted requests.
+        self.inflight = [] if self.open else None
         self.threads = []
         self.recoveries = []
         self.violations = []
         self._breaker_seen = 0
-        self.load_end = 0.0
-        self.injector = None
         # Always-on observability: request-granularity recording
         # (REPRO_OBS=0 disables).
         self.obs = ObsRecorder.from_env(payload["substrate"],
                                         workload=payload["workload"])
+        self.load_end = preload(self.service, self.machine, self.spec,
+                                self.records, seed=self.seed)
+        self.history.preload(self.records)
+        self.injector = CrashInjector(self.machine)  # armed by _fire
 
     # -- tracing --------------------------------------------------------
 
@@ -157,6 +170,96 @@ class _Env:
             for ts, state in new:
                 self.obs.event(ts, "breaker." + state)
 
+    # -- the serving-loop hooks -----------------------------------------
+
+    def dispatch(self):
+        """Closed loop: a fresh request is next; fire its fault."""
+        self.dispatched += 1
+        kind = self.triggers.pop(self.dispatched, None)
+        if kind is not None:
+            _fire(self, kind, self.dispatched)
+
+    def admit(self, index, clock, best_now):
+        """Open loop: fire arrival ``index``'s fault, then decide it.
+
+        Returns False when the arrival is shed (the in-flight bound is
+        reached) or dropped (it would wait past its deadline for the
+        earliest-free worker, free at ``best_now``).
+        """
+        self.dispatched = index
+        kind = self.triggers.pop(index, None)
+        if kind is not None:
+            _fire(self, kind, index)
+        inflight = self.inflight
+        while inflight and inflight[0] <= clock:
+            heappop(inflight)
+        cfg = self.config
+        if not cfg.enabled:
+            return True
+        if cfg.max_inflight and len(inflight) >= cfg.max_inflight:
+            self.stats.shed += 1
+            self.results[SHED] = self.results.get(SHED, 0) + 1
+            self.chaos_instant("degrade.shed", {"at_op": index})
+            return False
+        if best_now - clock > cfg.deadline_ns:
+            # The client gave up in the queue before dispatch.
+            self.stats.deadline_misses += 1
+            self.results[DEADLINE] = self.results.get(DEADLINE, 0) + 1
+            return False
+        return True
+
+    def serve(self, thread, client, req, start):
+        """One request through breaker, retries and deadline accounting.
+
+        Returns the counted disposition, or ``RETRY`` when a power
+        failure interrupted the request: the machine has then been
+        recovered and audited, and the client re-issues the request.
+        ``start`` is the dispatch (closed) or arrival (open) time the
+        deadline counts from.
+        """
+        if not self.breaker.allow(thread.now):
+            self.stats.breaker_rejects += 1
+            thread.sleep(REJECT_NS)
+            self.degrade_instant(thread, "degrade.reject", client)
+            disp = BROKEN
+        else:
+            disp = FAILED
+            attempts = self.attempts
+            for attempt in range(1, attempts + 1):
+                try:
+                    execute_request(self.service, thread, self.spec, req,
+                                    self.history, client)
+                except SimulatedPowerFailure:
+                    _recover_and_audit(self, self.dispatched)
+                    return RETRY
+                except MediaError as exc:
+                    if not exc.transient or attempt == attempts:
+                        break
+                    self.stats.retries += 1
+                    self.degrade_instant(thread, "degrade.retry", client,
+                                         {"attempt": attempt,
+                                          "op": req.op})
+                    thread.sleep(self.policy.backoff_ns(client, attempt))
+                else:
+                    disp = OK
+                    if attempt > 1:
+                        self.stats.retry_successes += 1
+                    break
+            self.breaker.record(disp == OK, thread.now)
+            cfg = self.config
+            if disp == FAILED:
+                self.stats.failures += 1
+            elif cfg.enabled and thread.now - start > cfg.deadline_ns:
+                self.stats.deadline_misses += 1
+        if len(self.breaker.transitions) != self._breaker_seen:
+            self.drain_breaker_events()
+        self.results[disp] = self.results.get(disp, 0) + 1
+        if disp != OK and self.obs is not None:
+            self.obs.error(req.op, thread.now)
+        if self.inflight is not None:
+            heappush(self.inflight, thread.now)
+        return disp
+
 
 # -- fault scheduling --------------------------------------------------------
 
@@ -186,15 +289,11 @@ def _fire(env, kind, at_op):
         env.injector.crash_at = \
             env.injector.persists + 1 + rng.randrange(4)
         env.chaos_instant("chaos.crash_armed", {"at_op": at_op})
-    elif kind == "poison":
-        site = env.controller.poison_site(rng.randrange(1 << 16))
-        env.chaos_instant("chaos.poison", {
-            "at_op": at_op,
-            "site": None if site is None else list(site)})
-    elif kind == "transient":
-        site = env.controller.transient_site(
-            rng.randrange(1 << 16), errors=TRANSIENT_ERRORS)
-        env.chaos_instant("chaos.transient", {
+    elif kind == "poison" or kind == "transient":
+        draw = rng.randrange(1 << 16)
+        site = env.controller.poison_site(draw) if kind == "poison" \
+            else env.controller.transient_site(draw, errors=TRANSIENT_ERRORS)
+        env.chaos_instant("chaos." + kind, {
             "at_op": at_op,
             "site": None if site is None else list(site)})
     elif kind == "thermal":
@@ -206,102 +305,6 @@ def _fire(env, kind, at_op):
             "factor": THERMAL_FACTOR})
     else:
         raise ValueError("unknown fault kind %r" % kind)
-
-
-# -- one request through the degradation layer -------------------------------
-
-def _apply(env, thread, client, req):
-    """Perform one request, recording mutations in the history.
-
-    The mutation is *begun* before the substrate call and *acked* only
-    when the call returns — a power failure or media error in between
-    leaves it un-acked (in flight), which is exactly the client's view.
-    """
-    service = env.service
-    pmcheck = env.pmcheck
-    history = env.history
-    key = make_key(req.key_index)
-    op = req.op
-    if op == "read":
-        service.get(thread, key)
-        return
-    if op == "scan":
-        service.scan(thread, key, req.scan_len)
-        return
-    if op == "update" or op == "insert":
-        mut = history.begin(client, PUT, req.key_index,
-                            req.version, thread.now)
-        if pmcheck is not None:
-            pmcheck.op_begin(thread, op)
-        service.put(thread, key,
-                    make_value(env.spec, req.key_index, req.version))
-        if pmcheck is not None:
-            pmcheck.op_ack(thread)
-        history.ack(mut, thread.now)
-    elif op == "rmw":
-        service.get(thread, key)
-        mut = history.begin(client, PUT, req.key_index,
-                            req.version, thread.now)
-        if pmcheck is not None:
-            pmcheck.op_begin(thread, op)
-        service.put(thread, key,
-                    make_value(env.spec, req.key_index, req.version))
-        if pmcheck is not None:
-            pmcheck.op_ack(thread)
-        history.ack(mut, thread.now)
-    elif op == "delete":
-        mut = history.begin(client, DELETE, req.key_index, 0,
-                            thread.now)
-        if pmcheck is not None:
-            pmcheck.op_begin(thread, op)
-        service.delete(thread, key)
-        if pmcheck is not None:
-            pmcheck.op_ack(thread)
-        history.ack(mut, thread.now)
-    else:
-        raise ValueError("unknown op %r" % op)
-
-
-def _serve_one(env, thread, client, req, arrival_ns=None):
-    """One request through breaker, retries and deadline accounting.
-
-    Returns ``(disposition, latency_ns_or_None)``; latency is measured
-    from ``arrival_ns`` when given (open loop), else from dispatch.
-    A :class:`SimulatedPowerFailure` propagates to the caller.
-    """
-    cfg = env.config
-    start = thread.now if arrival_ns is None else arrival_ns
-    if not env.breaker.allow(thread.now):
-        env.stats.breaker_rejects += 1
-        thread.sleep(REJECT_NS)
-        env.degrade_instant(thread, "degrade.reject", client)
-        env.drain_breaker_events()
-        return BROKEN, None
-    attempts = env.policy.attempts()
-    ok = False
-    for attempt in range(1, attempts + 1):
-        try:
-            _apply(env, thread, client, req)
-            ok = True
-            if attempt > 1:
-                env.stats.retry_successes += 1
-            break
-        except MediaError as exc:
-            if not exc.transient or attempt == attempts:
-                break
-            env.stats.retries += 1
-            env.degrade_instant(thread, "degrade.retry", client,
-                                {"attempt": attempt, "op": req.op})
-            thread.sleep(env.policy.backoff_ns(client, attempt))
-    env.breaker.record(ok, thread.now)
-    env.drain_breaker_events()
-    if not ok:
-        env.stats.failures += 1
-        return FAILED, None
-    latency = thread.now - start
-    if cfg.enabled and latency > cfg.deadline_ns:
-        env.stats.deadline_misses += 1
-    return OK, latency
 
 
 # -- crash, recovery and the oracle ------------------------------------------
@@ -344,200 +347,16 @@ def _recover_and_audit(env, at_op, final=False):
         "report": report.to_dict(),
         "check": {k: v for k, v in check.items() if k != "violations"},
     })
+    outcome = {"recovered": report.recovered,
+               "truncated": report.truncated, "lost": report.lost,
+               "violations": len(check["violations"])}
     tracer = env.machine.tracer
     if tracer is not None:
         tracer.complete(start, CAT_CHAOS, "chaos.recovery",
-                        RECOVERY_GAP_NS, track="chaos", args={
-                            "recovered": report.recovered,
-                            "truncated": report.truncated,
-                            "lost": report.lost,
-                            "violations": len(check["violations"]),
-                        })
+                        RECOVERY_GAP_NS, track="chaos", args=outcome)
     if env.obs is not None:
-        env.obs.event(start, "chaos.recovery", {
-            "at_op": at_op,
-            "final": bool(final),
-            "recovered": report.recovered,
-            "truncated": report.truncated,
-            "lost": report.lost,
-            "violations": len(check["violations"]),
-        })
-
-
-# -- serving loops -----------------------------------------------------------
-
-def _closed_serve(env):
-    """Closed loop: each client issues back-to-back, chaos included."""
-    clients = env.clients
-    threads = env.machine.threads(clients)
-    env.threads = threads
-    start_ns = env.load_end
-    for t in threads:
-        t.now = start_ns
-    streams = [RequestStream(env.spec, env.records, seed=env.seed,
-                             client=c) for c in range(clients)]
-    budgets = [env.ops // clients + (1 if c < env.ops % clients else 0)
-               for c in range(clients)]
-    pending = [None] * clients
-    triggers = _triggers(env.scenario, env.ops)
-    dispatched = 0
-    latencies = []
-    ops_by_type = {}
-    results = {}
-    obs = env.obs
-    obs_ts = None if obs is None else []
-    ts_append = None if obs_ts is None else obs_ts.append
-    # Each client's request sequence depends only on its own seeded
-    # RNG (never on machine state or the other clients), so the whole
-    # budget is materialized up front.  Dispatch order is a strict-<
-    # scan of a live list kept in client order: lowest ``now`` wins,
-    # first occurrence (= lowest client id) on ties.
-    queues = [streams[c].next_requests(budgets[c])
-              for c in range(clients)]
-    qpos = [0] * clients
-    triggers_pop = triggers.pop
-    live = list(range(clients))
-    while live:
-        c = live[0]
-        best_now = threads[c].now
-        for i in live[1:]:
-            now = threads[i].now
-            if now < best_now:
-                c = i
-                best_now = now
-        thread = threads[c]
-        if pending[c] is not None:
-            req, pending[c] = pending[c], None
-        else:
-            pos = qpos[c]
-            queue = queues[c]
-            if pos == len(queue):
-                live.remove(c)
-                continue
-            qpos[c] = pos + 1
-            req = queue[pos]
-            dispatched += 1
-            kind = triggers_pop(dispatched, None)
-            if kind is not None:
-                _fire(env, kind, dispatched)
-        try:
-            disp, latency = _serve_one(env, thread, c, req)
-        except SimulatedPowerFailure:
-            _recover_and_audit(env, dispatched)
-            pending[c] = req      # the client retries the request
-            continue
-        results[disp] = results.get(disp, 0) + 1
-        if disp == OK:
-            ops_by_type[req.op] = ops_by_type.get(req.op, 0) + 1
-            latencies.append(latency)
-            if ts_append is not None:
-                ts_append(thread.now)
-        elif obs is not None and (disp == FAILED or disp == BROKEN):
-            obs.error(req.op, thread.now)
-    end_ns = max(t.now for t in threads)
-    if obs is not None:
-        obs.ingest(latencies, obs_ts)
-        obs.ingest_ops(ops_by_type)
-    report = _summarize(latencies, ops_by_type, start_ns, end_ns,
-                        len(latencies))
-    report["mode"] = "closed"
-    report["clients"] = clients
-    return report, results
-
-
-def _open_serve(env):
-    """Open loop: Poisson arrivals, admission control, chaos included.
-
-    Latency counts from *arrival*, so queueing behind a fault window
-    hits the deadline accounting; the in-flight bound sheds arrivals
-    (counted ``shed``) instead of letting the backlog diverge.
-    """
-    workers = env.clients
-    threads = env.machine.threads(workers)
-    env.threads = threads
-    start_ns = env.load_end
-    for t in threads:
-        t.now = start_ns
-    streams = [RequestStream(env.spec, env.records, seed=env.seed,
-                             client=w) for w in range(workers)]
-    arrival_rng = Random(_mix(env.seed, "arrivals", env.spec.name))
-    mean_gap_ns = _NS_PER_S / (env.rate_kops * 1e3)
-    cfg = env.config
-    triggers = _triggers(env.scenario, env.ops)
-    clock = start_ns
-    inflight = []                  # completion-time heap
-    latencies = []
-    ops_by_type = {}
-    results = {}
-    obs = env.obs
-    obs_ts = None if obs is None else []
-    ts_append = None if obs_ts is None else obs_ts.append
-    # Workers are scanned strict-< in tid order (earliest free, ties
-    # to the lowest id); the degrade config is loop-invariant.
-    expovariate = arrival_rng.expovariate
-    inv_gap = 1.0 / mean_gap_ns
-    triggers_pop = triggers.pop
-    heappop, heappush = heapq.heappop, heapq.heappush
-    cfg_enabled = cfg.enabled
-    max_inflight = cfg.max_inflight
-    deadline_ns = cfg.deadline_ns
-    stats = env.stats
-    for i in range(1, env.ops + 1):
-        clock += expovariate(inv_gap)
-        kind = triggers_pop(i, None)
-        if kind is not None:
-            _fire(env, kind, i)
-        while inflight and inflight[0] <= clock:
-            heappop(inflight)
-        if cfg_enabled and max_inflight \
-                and len(inflight) >= max_inflight:
-            stats.shed += 1
-            results[SHED] = results.get(SHED, 0) + 1
-            env.chaos_instant("degrade.shed", {"at_op": i})
-            continue
-        wi = 0
-        worker = threads[0]
-        best_now = worker.now
-        for j, t in enumerate(threads):
-            now = t.now
-            if now < best_now:
-                wi = j
-                worker = t
-                best_now = now
-        if cfg_enabled and best_now - clock > deadline_ns:
-            # The client gave up in the queue before dispatch.
-            stats.deadline_misses += 1
-            results[DEADLINE] = results.get(DEADLINE, 0) + 1
-            continue
-        req = streams[wi].next_request()
-        if worker.now < clock:
-            worker.now = clock
-        while True:
-            try:
-                disp, latency = _serve_one(env, worker, wi, req,
-                                           arrival_ns=clock)
-                break
-            except SimulatedPowerFailure:
-                _recover_and_audit(env, i)
-        results[disp] = results.get(disp, 0) + 1
-        if disp == OK:
-            ops_by_type[req.op] = ops_by_type.get(req.op, 0) + 1
-            latencies.append(latency)
-            if ts_append is not None:
-                ts_append(worker.now)
-        elif obs is not None and (disp == FAILED or disp == BROKEN):
-            obs.error(req.op, worker.now)
-        heappush(inflight, worker.now)
-    end_ns = max(t.now for t in threads)
-    if obs is not None:
-        obs.ingest(latencies, obs_ts)
-        obs.ingest_ops(ops_by_type)
-    report = _summarize(latencies, ops_by_type, start_ns, end_ns,
-                        len(latencies))
-    report["mode"] = "open"
-    report["workers"] = workers
-    report["offered_kops"] = round(env.rate_kops, 3)
-    return report, results
+        env.obs.event(start, "chaos.recovery", dict(
+            {"at_op": at_op, "final": bool(final)}, **outcome))
 
 
 # -- the cell ----------------------------------------------------------------
@@ -563,18 +382,19 @@ def chaos_serve_cell(payload):
 
 def _cell_inner(payload):
     env = _Env(payload)
-    env.load_end = preload(env.service, env.machine, env.spec,
-                           env.records, seed=env.seed)
-    env.history.preload(env.records)
-    env.injector = CrashInjector(env.machine)    # armed by _fire later
+    args = (env.machine, env.service, env.spec, env.records, env.ops)
+    hooks = dict(seed=env.seed, load_end=env.load_end, obs=env.obs,
+                 chaos=env)
     try:
-        if payload.get("mode") == "open":
-            served, results = _open_serve(env)
+        if env.open:
+            served = open_loop(*args, payload["rate_kops"],
+                               workers=env.clients, **hooks)
         else:
-            served, results = _closed_serve(env)
+            served = closed_loop(*args, clients=env.clients, **hooks)
         _recover_and_audit(env, env.ops, final=True)
     finally:
         env.injector.uninstall()
+    results = env.results
     crashes = sum(1 for r in env.recoveries if not r["final"])
     obs = env.obs
     if obs is not None:

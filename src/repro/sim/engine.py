@@ -488,6 +488,9 @@ def run_interleaved(entries):
     :func:`run_workloads`.  Exhausted budgets drop out; a zero budget
     never steps (the scheduler equivalent is a generator that raises
     StopIteration on first resume, which performs no simulated work).
+    A step that returns ``False`` did not finish its unit (a power
+    failure interrupted the request): it is not charged to the budget,
+    and the thread is stepped again when its clock is next the lowest.
     """
     threads = [e[0] for e in entries]
     live = [[thread, budget, step] for thread, budget, step in entries
@@ -500,12 +503,14 @@ def run_interleaved(entries):
             if now < best_now:
                 best = entry
                 best_now = now
-        best[2]()
+        if best[2]() is False:
+            continue
         best[1] -= 1
         if best[1] == 0:
             live.remove(best)
     if live:
         _thread, budget, step = live[0]
         for _ in range(budget):
-            step()
+            while step() is False:
+                pass
     return max((t.now for t in threads), default=0.0)

@@ -16,9 +16,11 @@ behavior — the distinction the paper's latency-vs-load curves hinge on:
   show (Schroeder et al.'s classic open-vs-closed distinction).
 
 Both record per-request latency and produce the same report shape, so
-reports are directly comparable.  Everything runs on virtual clocks
-from seeded generators: the same arguments produce a byte-identical
-report on any host, serial or parallel.
+reports are directly comparable.  Chaos cells run these same loops,
+with faults, recovery and the degradation layer behind a ``chaos``
+hook object (:mod:`repro.chaos_serve.driver`).  Everything runs on
+virtual clocks from seeded generators: the same arguments produce a
+byte-identical report on any host, serial or parallel.
 """
 
 from random import Random
@@ -36,48 +38,61 @@ _NS_PER_US = 1e3
 #: Latency fractions reported by every serve run.
 LATENCY_FRACTIONS = (0.50, 0.90, 0.99, 0.999)
 
+#: What a chaos ``serve`` hook returns: ``OK`` (the loop records the
+#: request), another disposition (already counted by the hook), or
+#: ``RETRY`` (a power failure interrupted it; the client re-issues it).
+OK = "ok"
+RETRY = "retry"
 
-def execute_request(service, thread, spec, req):
-    """Apply one generated request to a service on a thread.
 
-    Returns the op actually performed (rmw stays "rmw").
+def execute_request(service, thread, spec, req, history=None, client=0):
+    """Apply one generated request to a service on a thread — the one
+    op dispatch every serving loop, chaos included, goes through.
 
-    This is where the service acks: when a mutation returns, the client
-    may act on it, so an installed persistency checker
-    (:mod:`repro.pmcheck`) treats the return as the ack boundary —
-    every PM line the mutation wrote must be fence-ordered durable by
-    then.  Reads and scans promise nothing and are not windowed.
+    Returns the op actually performed (rmw stays "rmw").  This is where
+    the service acks: when a mutation returns, the client may act on
+    it, so an installed persistency checker (:mod:`repro.pmcheck`)
+    treats the return as the ack boundary — every PM line the mutation
+    wrote must be fence-ordered durable by then.  Reads and scans
+    promise nothing and are not windowed.
+
+    ``history`` (a chaos :class:`~repro.chaos_serve.history.History`)
+    records each mutation as ``client`` saw it: begun just before the
+    substrate call (after an rmw's get) and acked only when the call
+    returns, so a power failure or media error in between leaves it in
+    flight.
     """
-    pmcheck = thread.machine.pmcheck
-    key = make_key(req.key_index)
+    key = b"user%012d" % req.key_index      # make_key, inlined
     op = req.op
     if op == "read":
         service.get(thread, key)
-    elif op == "update" or op == "insert":
-        if pmcheck is not None:
-            pmcheck.op_begin(thread, op)
-        service.put(thread, key,
-                    make_value(spec, req.key_index, req.version))
-        if pmcheck is not None:
-            pmcheck.op_ack(thread)
-    elif op == "scan":
-        service.scan(thread, key, req.scan_len)
-    elif op == "rmw":
-        service.get(thread, key)
-        if pmcheck is not None:
-            pmcheck.op_begin(thread, op)
-        service.put(thread, key,
-                    make_value(spec, req.key_index, req.version))
-        if pmcheck is not None:
-            pmcheck.op_ack(thread)
-    elif op == "delete":
-        if pmcheck is not None:
-            pmcheck.op_begin(thread, op)
+        return op
+    if op != "update" and op != "insert":
+        if op == "scan":
+            service.scan(thread, key, req.scan_len)
+            return op
+        if op == "rmw":
+            service.get(thread, key)
+        elif op != "delete":
+            raise ValueError("unknown op %r" % op)
+    if history is not None:
+        # The history's mutation kinds: "put", or "delete" at version 0.
+        delete = op == "delete"
+        mut = history.begin(client, "delete" if delete else "put",
+                            req.key_index, 0 if delete else req.version,
+                            thread.now)
+    pmcheck = thread.machine.pmcheck
+    if pmcheck is not None:
+        pmcheck.op_begin(thread, op)
+    if op == "delete":
         service.delete(thread, key)
-        if pmcheck is not None:
-            pmcheck.op_ack(thread)
     else:
-        raise ValueError("unknown op %r" % op)
+        service.put(thread, key,
+                    make_value(spec, req.key_index, req.version))
+    if pmcheck is not None:
+        pmcheck.op_ack(thread)
+    if history is not None:
+        history.ack(mut, thread.now)
     return op
 
 
@@ -121,42 +136,38 @@ def _summarize(latencies_ns, ops_by_type, start_ns, end_ns, ops):
 _CHUNK = 256
 
 
-def _client_step(service, machine, spec, thread, stream, budget,
-                 ops_by_type, obs_lists=None):
+def _client_step(service, spec, thread, client, stream, budget,
+                 ops_by_type, lists=None, chaos=None):
     """One-request step closure for the closed loop.
 
-    Each call takes the client's next request, applies it (the
-    :func:`execute_request` dispatch inlined with the per-op attribute
-    lookups hoisted), records the latency, traces, and counts.
-    Requests are prefetched in chunks via the stream's batch API.
+    Each call takes the client's next request (prefetched in chunks via
+    the stream's batch API), applies it through :func:`execute_request`
+    or the chaos hook's ``serve``, records the latency, traces, and
+    counts.
 
-    ``obs_lists`` is the observability hook: a ``(latencies, ts)``
-    pair of lists that receive each *request's* latency and completion
-    time (``thread.latencies`` also carries per-cache-line entries
-    from the namespace paths, so the recorder needs its own
-    request-granularity series).  Two bound-method calls per request —
-    the entire hot-loop cost of recording; histogram and window folds
+    ``lists`` is a ``(latencies, ts)`` pair receiving each *request's*
+    latency and completion time — the obs recorder's input and the
+    chaos report's (``thread.latencies`` also carries per-cache-line
+    entries from the namespace paths).  Histogram and window folds
     happen in bulk after the loop.
+
+    A chaos request a power failure interrupted returns ``False``
+    unconsumed: :func:`run_interleaved` steps the client again when its
+    clock is next the lowest, and it re-issues the request without a
+    new dispatch.
     """
-    pmcheck = machine.pmcheck
-    tracer = machine.tracer
-    service_get = service.get
-    service_put = service.put
-    service_scan = service.scan
-    service_delete = service.delete
+    tracer = thread.machine.tracer
     latencies = thread.latencies
-    if obs_lists is None:
-        obs_lat_append = obs_ts_append = None
-    else:
-        obs_lat_append = obs_lists[0].append
-        obs_ts_append = obs_lists[1].append
+    lat_append, ts_append = (None, None) if lists is None \
+        else (lists[0].append, lists[1].append)
     next_requests = stream.next_requests
     batch = []
     pos = 0
     left = budget
+    reissue = False
 
     def step():
-        nonlocal batch, pos, left
+        nonlocal batch, pos, left, reissue
         if pos == len(batch):
             n = _CHUNK if left > _CHUNK else left
             batch = next_requests(n)
@@ -165,40 +176,25 @@ def _client_step(service, machine, spec, thread, stream, budget,
         req = batch[pos]
         pos += 1
         begin = thread.now
-        op = req.op
-        key = b"user%012d" % req.key_index
-        if op == "read":
-            service_get(thread, key)
-        elif op == "update" or op == "insert":
-            if pmcheck is not None:
-                pmcheck.op_begin(thread, op)
-            service_put(thread, key,
-                        make_value(spec, req.key_index, req.version))
-            if pmcheck is not None:
-                pmcheck.op_ack(thread)
-        elif op == "scan":
-            service_scan(thread, key, req.scan_len)
-        elif op == "rmw":
-            service_get(thread, key)
-            if pmcheck is not None:
-                pmcheck.op_begin(thread, op)
-            service_put(thread, key,
-                        make_value(spec, req.key_index, req.version))
-            if pmcheck is not None:
-                pmcheck.op_ack(thread)
-        elif op == "delete":
-            if pmcheck is not None:
-                pmcheck.op_begin(thread, op)
-            service_delete(thread, key)
-            if pmcheck is not None:
-                pmcheck.op_ack(thread)
+        if chaos is None:
+            op = execute_request(service, thread, spec, req)
+            end = thread.now
+            latencies.append(end - begin)
         else:
-            raise ValueError("unknown op %r" % op)
-        end = thread.now
-        latencies.append(end - begin)
-        if obs_ts_append is not None:
-            obs_lat_append(end - begin)
-            obs_ts_append(end)
+            if not reissue:
+                chaos.dispatch()
+            op = chaos.serve(thread, client, req, begin)
+            reissue = op is RETRY
+            if reissue:
+                pos -= 1
+                return False
+            if op != OK:
+                return
+            op = req.op
+            end = thread.now
+        if ts_append is not None:
+            lat_append(end - begin)
+            ts_append(end)
         if tracer is not None:
             tracer.complete(begin, CAT_SERVE, op, end - begin,
                             track="client%d" % thread.tid)
@@ -208,7 +204,7 @@ def _client_step(service, machine, spec, thread, stream, budget,
 
 
 def closed_loop(machine, service, spec, records, ops, clients=2,
-                seed=0, load_end=None, obs=None):
+                seed=0, load_end=None, obs=None, chaos=None):
     """Serve ``ops`` requests from ``clients`` closed-loop clients.
 
     The op budget is split evenly (the remainder goes to the lowest
@@ -221,46 +217,60 @@ def closed_loop(machine, service, spec, records, ops, clients=2,
     loop only per-request latencies and completion timestamps are
     collected (two list appends per request); latency histogram, SLO
     windows and per-op counts are folded in bulk once the loop
-    finishes.  The recorder keeps its own
-    request-granularity series because ``thread.latencies`` — which
-    :func:`_summarize` reports on — also carries per-cache-line
-    entries from the namespace paths.
+    finishes.
+
+    ``chaos`` is an optional chaos cell's hooks: ``dispatch()`` before
+    each fresh request, ``serve()`` in place of the plain dispatch, and
+    ``threads`` set to the serving threads.  The plain report
+    summarises ``thread.latencies`` (per-cache-line entries included);
+    a chaos report summarises per-request latencies, ``ops`` counting
+    only requests served ``OK``.
     """
     if clients < 1:
         raise ValueError("need at least one client")
     start_ns = preload(service, machine, spec, records, seed=seed) \
         if load_end is None else load_end
     threads = machine.threads(clients)
+    if chaos is not None:
+        chaos.threads = threads
     ops_by_type = {}
     per_client = [ops // clients + (1 if c < ops % clients else 0)
                   for c in range(clients)]
-    obs_lists = None if obs is None else [([], []) for _ in threads]
+    lists = None if obs is None and chaos is None \
+        else [([], []) for _ in threads]
 
     # Requests are prefetched in chunks and clients stepped in
     # min-clock order (ties to the lowest client id).
     entries = []
     for client, thread in enumerate(threads):
         thread.now = start_ns
-        thread.collect_latencies()
+        if chaos is None:
+            thread.collect_latencies()
         stream = RequestStream(spec, records, seed=seed, client=client)
         entries.append((thread, per_client[client],
-                        _client_step(service, machine, spec, thread,
+                        _client_step(service, spec, thread, client,
                                      stream, per_client[client],
                                      ops_by_type,
-                                     None if obs_lists is None
-                                     else obs_lists[client])))
+                                     None if lists is None
+                                     else lists[client], chaos)))
     end_ns = run_interleaved(entries)
-    latencies = []
-    for thread in threads:
-        latencies.extend(thread.latencies)
-    if obs is not None:
-        obs_lat = []
-        obs_ts = []
-        for pair in obs_lists:
-            obs_lat.extend(pair[0])
-            obs_ts.extend(pair[1])
-        obs.ingest(obs_lat, obs_ts)
-        obs.ingest_ops(ops_by_type)
+    if chaos is None:
+        # The big per-line list goes first: built after the per-request
+        # lists it raises serve-substrates-rmw's peak RSS by a MiB.
+        latencies = []
+        for thread in threads:
+            latencies.extend(thread.latencies)
+    if lists is not None:
+        req_lat = []
+        req_ts = []
+        for pair in lists:
+            req_lat.extend(pair[0])
+            req_ts.extend(pair[1])
+        if obs is not None:
+            obs.ingest(req_lat, req_ts)
+            obs.ingest_ops(ops_by_type)
+    if chaos is not None:
+        latencies, ops = req_lat, len(req_lat)
     report = _summarize(latencies, ops_by_type, start_ns, end_ns, ops)
     report["mode"] = "closed"
     report["clients"] = clients
@@ -268,7 +278,7 @@ def closed_loop(machine, service, spec, records, ops, clients=2,
 
 
 def open_loop(machine, service, spec, records, ops, rate_kops,
-              workers=2, seed=0, load_end=None, obs=None):
+              workers=2, seed=0, load_end=None, obs=None, chaos=None):
     """Serve ``ops`` Poisson arrivals at ``rate_kops`` thousand ops/s.
 
     Arrival times come from a seeded exponential interarrival stream —
@@ -277,10 +287,11 @@ def open_loop(machine, service, spec, records, ops, rate_kops,
     a request's latency is *completion minus arrival*, so queueing
     delay while every worker is busy counts against the SLO.  That is
     the open-loop property: past saturation the backlog — and p99 —
-    grows without bound.  ``load_end`` skips the internal preload like
-    :func:`closed_loop`'s, and ``obs`` records like
-    :func:`closed_loop`'s (one timestamp append per request in the
-    loop, bulk ingest after).
+    grows without bound.  ``load_end``, ``obs`` and ``chaos`` work like
+    :func:`closed_loop`'s; the chaos hooks add ``admit()`` after the
+    worker scan (it may shed or deadline-drop the arrival) and their
+    own ``arrival_rng``, and a chaos report has no
+    ``busy_workers_peak``.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -289,12 +300,15 @@ def open_loop(machine, service, spec, records, ops, rate_kops,
     start_ns = preload(service, machine, spec, records, seed=seed) \
         if load_end is None else load_end
     threads = machine.threads(workers)
+    if chaos is not None:
+        chaos.threads = threads
     streams = []
     for worker, thread in enumerate(threads):
         thread.now = start_ns
         streams.append(RequestStream(spec, records, seed=seed,
                                      client=worker))
-    arrival_rng = Random((seed << 8) ^ 0xA221)
+    arrival_rng = Random((seed << 8) ^ 0xA221) if chaos is None \
+        else chaos.arrival_rng
     mean_gap_ns = _NS_PER_S / (rate_kops * 1e3)
     ops_by_type = {}
     latencies = []
@@ -307,7 +321,7 @@ def open_loop(machine, service, spec, records, ops, rate_kops,
     ops_get = ops_by_type.get
     append_latency = latencies.append
     ts_append = None if end_ts is None else end_ts.append
-    for _ in range(ops):
+    for index in range(1, ops + 1):
         clock += expovariate(inv_gap)
         # Earliest-free worker (ties to the lowest id: threads are in
         # tid order and the scan keeps the first minimum) and the count
@@ -327,25 +341,38 @@ def open_loop(machine, service, spec, records, ops, rate_kops,
                 best_now = now
         if waiting > queue_peak:
             queue_peak = waiting
+        if chaos is not None and not chaos.admit(index, clock, best_now):
+            continue
         if best_now < clock:
             thread.now = clock
         req = streams[worker].next_request()
         begin = thread.now
-        op = execute_request(service, thread, spec, req)
+        if chaos is None:
+            op = execute_request(service, thread, spec, req)
+        else:
+            op = chaos.serve(thread, worker, req, clock)
+            while op is RETRY:
+                op = chaos.serve(thread, worker, req, clock)
+            if op != OK:
+                continue
+            op = req.op
+        end = thread.now
         if tracer is not None:
-            tracer.complete(begin, CAT_SERVE, op, thread.now - begin,
+            tracer.complete(begin, CAT_SERVE, op, end - begin,
                             track="client%d" % thread.tid)
         ops_by_type[op] = ops_get(op, 0) + 1
-        append_latency(thread.now - clock)
+        append_latency(end - clock)
         if ts_append is not None:
-            ts_append(thread.now)
+            ts_append(end)
     end_ns = max(t.now for t in threads)
     if obs is not None:
         obs.ingest(latencies, end_ts)
         obs.ingest_ops(ops_by_type)
-    report = _summarize(latencies, ops_by_type, start_ns, end_ns, ops)
+    report = _summarize(latencies, ops_by_type, start_ns, end_ns,
+                        len(latencies))
     report["mode"] = "open"
     report["workers"] = workers
     report["offered_kops"] = round(rate_kops, 3)
-    report["busy_workers_peak"] = queue_peak
+    if chaos is None:
+        report["busy_workers_peak"] = queue_peak
     return report

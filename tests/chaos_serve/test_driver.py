@@ -123,6 +123,27 @@ class TestDeterminism:
         assert a != b
 
 
+class TestTracedCell:
+    """A traced cell holds the serve spans its docstring promises."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"mode": "open", "rate_kops": 400.0},
+        # Failed requests, and no span for any of them.
+        {"scenario": "transient", "substrate": "pmemkv", "naive": True},
+    ], ids=["closed-power-fail", "open-power-fail", "closed-transient"])
+    def test_one_serve_span_per_ok_request(self, tmp_path, overrides):
+        path = str(tmp_path / "cell.trace.json")
+        traced = cell(trace_path=path, **overrides)
+        with open(path) as fh:
+            events = json.load(fh)["traceEvents"]
+        serve = [e for e in events if e.get("cat") == "serve"]
+        assert serve and all(e["ph"] == "X" for e in serve)
+        assert len(serve) == traced["results"]["ok"]
+        assert traced.pop("trace") == path
+        assert traced == cell(**overrides)
+
+
 class TestOpenLoop:
     def test_served_plus_shed_accounts_for_every_arrival(self):
         record = cell(mode="open", rate_kops=400.0)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim.engine import (
-    DirectionalLink, Resource, Scheduler, ThreadCtx, run_workloads,
+    DirectionalLink, Resource, Scheduler, ThreadCtx, run_interleaved,
+    run_workloads,
 )
 
 
@@ -209,6 +210,66 @@ class TestScheduler:
             return run_workloads([(t, work(t, i)) for i, t in enumerate(ts)])
 
         assert build() == build()
+
+
+def stepper(thread, label, log, costs):
+    """A ``run_interleaved`` step charging ``costs`` in turn; a ``None``
+    cost stalls 5 ns and returns ``False`` (the unit did not finish)."""
+    costs = iter(costs)
+
+    def step():
+        cost = next(costs)
+        log.append(label)
+        if cost is None:
+            thread.sleep(5.0)
+            return False
+        thread.sleep(cost)
+
+    return step
+
+
+class TestRunInterleaved:
+    """The closed loop's scheduler and its re-step contract."""
+
+    def test_false_step_is_restepped_and_not_charged(self):
+        log = []
+        t1, t2 = make_thread(), make_thread()
+        final = run_interleaved([
+            (t1, 2, stepper(t1, "a", log, [None, 10.0, 10.0])),
+            (t2, 2, stepper(t2, "b", log, [100.0, 100.0]))])
+        # The failed first step costs no budget: "a" runs three times.
+        assert log == ["a", "b", "a", "a", "b"]
+        assert (t1.now, t2.now, final) == (25.0, 200.0, 200.0)
+
+    def test_ties_after_a_restep_go_to_the_lowest_spawn_index(self):
+        log = []
+        t1, t2 = make_thread(), make_thread()
+        t1.now = 5.0
+        run_interleaved([
+            (t1, 1, stepper(t1, "a", log, [10.0])),
+            (t2, 1, stepper(t2, "b", log, [None, 10.0]))])
+        # "b" fails onto t1's clock; the tie goes to spawn index 0.
+        assert log == ["b", "a", "b"]
+        assert (t1.now, t2.now) == (15.0, 15.0)
+
+    def test_single_live_tail_honours_false(self):
+        log = []
+        t1 = make_thread()
+        final = run_interleaved(
+            [(t1, 2, stepper(t1, "a", log, [None, None, 10.0, 10.0]))])
+        assert log == ["a"] * 4
+        assert final == 30.0
+
+    def test_zero_budget_never_steps(self):
+        log = []
+        t1, t2 = make_thread(), make_thread()
+        t2.now = 7.0
+        final = run_interleaved([
+            (t1, 1, stepper(t1, "a", log, [1.0])),
+            (t2, 0, stepper(t2, "b", log, []))])
+        assert log == ["a"]
+        assert final == 7.0
+        assert run_interleaved([(t1, 0, stepper(t1, "a", log, []))]) == 1.0
 
 
 class TestBackfillResource:

@@ -22,6 +22,7 @@ import sys
 import pytest
 
 from repro._units import CACHELINE, KIB
+from repro.chaos_serve import chaos_serve_cell
 from repro.lattester.access import (
     BATCH_LINES, address_stream, auto_yield_every, stream_signature,
 )
@@ -34,6 +35,7 @@ from repro.sim.config import CacheConfig, default_config
 from repro.sim.engine import Scheduler, ThreadCtx
 from repro.sim.namespace import Namespace
 from repro.telemetry import recording
+from repro.workloads import loadloop
 from tests.golden.cases import (
     KERNELS, PATTERNS, SPAN, THREAD_COUNTS, check, names, run_case,
     run_point,
@@ -129,6 +131,39 @@ class TestInstrumentedGoldens:
         with recording():
             assert executed("traced") == plain
         assert executed("pmcheck") == plain
+
+    def test_chaos_runs_the_serving_loops(self):
+        """A chaos cell executes the loop and dispatch ``repro serve``
+        runs, not a copy of them."""
+        step = next(c for c in loadloop._client_step.__code__.co_consts
+                    if getattr(c, "co_name", None) == "step")
+        bodies = {step: "step"}
+        for name in ("closed_loop", "open_loop", "execute_request"):
+            bodies[getattr(loadloop, name).__code__] = name
+
+        def executed(**overrides):
+            seen = set()
+
+            def profiler(frame, event, arg):
+                if event == "call" and frame.f_code in bodies:
+                    seen.add(bodies[frame.f_code])
+
+            payload = dict({
+                "workload": "ycsb-a", "substrate": "lsm",
+                "scenario": "power-fail", "mode": "closed",
+                "naive": False, "seed": 0, "records": 64, "ops": 60,
+                "clients": 2}, **overrides)
+            sys.setprofile(profiler)
+            try:
+                record = chaos_serve_cell(payload)
+            finally:
+                sys.setprofile(None)
+            assert record["faults"]["crashes"] == 2
+            return seen
+
+        assert executed() == {"closed_loop", "step", "execute_request"}
+        assert executed(mode="open", rate_kops=400.0) == {
+            "open_loop", "execute_request"}
 
 
 class TestAutoYieldEvery:
