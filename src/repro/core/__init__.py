@@ -1,8 +1,7 @@
-"""The paper's contribution, distilled: guidelines, planning, experiments.
+"""The paper's contribution, distilled: guidelines and experiments.
 
 * :mod:`repro.core.guidelines` — the four best practices as an advisor
   and an access-pattern auditor;
-* :mod:`repro.core.planner` — automatic instruction/layout planning;
 * :mod:`repro.core.experiments` — the per-figure experiment registry;
 * :mod:`repro.core.figures` — composite figure regenerators.
 """
@@ -12,11 +11,9 @@ from repro.core.guidelines import (
     MAX_READERS_PER_DIMM, MAX_WRITERS_PER_DIMM, NTSTORE_CROSSOVER_BYTES,
     XPBUFFER_BYTES, AccessPlan, Advisor, Violation, audit_access_pattern,
 )
-from repro.core.planner import AccessPlanner, WritePlan, batched_log_append
 
 __all__ = [
-    "AccessPlan", "AccessPlanner", "Advisor", "Experiment",
-    "MAX_READERS_PER_DIMM", "MAX_WRITERS_PER_DIMM",
-    "NTSTORE_CROSSOVER_BYTES", "Violation", "WritePlan", "XPBUFFER_BYTES",
-    "all_experiments", "audit_access_pattern", "batched_log_append", "get",
+    "AccessPlan", "Advisor", "Experiment", "MAX_READERS_PER_DIMM",
+    "MAX_WRITERS_PER_DIMM", "NTSTORE_CROSSOVER_BYTES", "Violation",
+    "XPBUFFER_BYTES", "all_experiments", "audit_access_pattern", "get",
 ]

@@ -146,9 +146,10 @@ class InodeLog:
         for a freshly built chain, what switches the inode over to it.
         From here on nothing the slot names references the pages handed
         to :meth:`retire`, so this is also where they go back to the
-        allocator.  (With ``fence=False`` the caller has taken over the
-        fence — the async FIO engine batches it — and pages still
-        recycle here, not at that later fence.)
+        allocator — through :meth:`NovaFS.recycle`, which quarantines a
+        page the media reports poisoned.  (With ``fence=False`` the
+        caller has taken over the fence — the async FIO engine batches
+        it — and pages still recycle here, not at that later fence.)
         """
         body = struct.pack("<QQI", self.head, self.tail_page, self.tail_off)
         blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
@@ -158,7 +159,7 @@ class InodeLog:
             thread.sfence()
         self.committed = (self.tail_page, self.tail_off)
         for gaddr in self.retired:
-            self.fs.policy.free(gaddr)
+            self.fs.recycle(gaddr)
         self.retired = []
 
     def retire(self, gaddr):

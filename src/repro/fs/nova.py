@@ -87,6 +87,7 @@ class NovaFS:
             pinned=pinned)
         self._files = {}
         self._next_inode = 1
+        self.quarantined = []           # poisoned pages kept from reuse
         self.recovery_report = None     # set by _recover()
         if _mount:
             self._recover()
@@ -197,6 +198,22 @@ class NovaFS:
         thread.sfence()
         for gaddr in (list(f.pages.values()) + f.log.retired
                       + f.log.chain_pages()):
+            self.recycle(gaddr)
+
+    def recycle(self, gaddr):
+        """Hand a page nothing references back to the allocator.
+
+        A page the media reports poisoned is quarantined instead: the
+        allocator is LIFO, so it would be the next page written — blind,
+        since stores do not scrub poison — and every later read of it
+        would fail.
+        """
+        dev, off = split_gaddr(gaddr)
+        faults = self.machine.faults
+        if faults is not None \
+                and faults.poisoned_ranges(self.devices[dev], off, PAGE):
+            self.quarantined.append(gaddr)
+        else:
             self.policy.free(gaddr)
 
     def read(self, thread, inode, offset, size):

@@ -11,19 +11,16 @@ objects).  Figure 15 measures the crossover (~1 KB).
 Fault tolerance follows Pangolin: every object row belongs to a parity
 group; commit updates the row's parity line with an XOR delta (one
 64 B line per commit in this model).  ``redo=True`` selects a heavier
-redo-image scheme instead (append the staged image to the lane log
-before write-back), which :func:`recover_microbuffer` can replay after
-a crash — useful when you need byte-exact recovery in tests.
+redo-image scheme instead: the staged image goes into the lane log as a
+redo entry (the :mod:`repro.pmdk.lane` format undo transactions use)
+before write-back, and the epoch bump after it retires the image.
+:func:`recover_microbuffer` replays a live image after a crash — useful
+when you need byte-exact recovery in tests.
 """
 
-import struct
-import zlib
-
-from repro._units import CACHELINE, align_up
+from repro._units import CACHELINE
+from repro.pmdk.lane import REDO, encode, invalidate, recover_report
 from repro.pmdk.pool import LANE_SIZE
-
-_REDO_HEADER = struct.Struct("<QII")
-_LANE_HEADER = struct.Struct("<Q")
 
 
 class MicroBufferTx:
@@ -64,7 +61,7 @@ class MicroBufferTx:
         self.pool.write(self.thread, self._offset, data,
                         instr=self.writeback)
         if self.redo:
-            self._invalidate()
+            invalidate(self.pool, self.thread, self.lane)
         self._offset = None
         self._staged = None
 
@@ -83,43 +80,15 @@ class MicroBufferTx:
     # -- redo image (optional byte-exact recovery) -------------------------------
 
     def _append_redo(self, data):
-        header = _REDO_HEADER.pack(self._offset, len(data),
-                                   zlib.crc32(data) & 0xFFFFFFFF)
-        blob = header + data
-        span = align_up(len(blob), CACHELINE)
-        if CACHELINE + span > LANE_SIZE:
+        blob = encode(self.pool, self.lane, REDO, self._offset, data)
+        if CACHELINE + len(blob) > LANE_SIZE:
             raise RuntimeError("object too large for the lane log")
-        self.pool.ns.ntstore(
-            self.thread, self._lane_base + CACHELINE, span,
-            data=blob + b"\x00" * (span - len(blob)))
-        self.pool.ns.ntstore(self.thread, self._lane_base, 8,
-                             data=_LANE_HEADER.pack(1))
-        self.thread.sfence()
-
-    def _invalidate(self):
-        self.pool.ns.ntstore(self.thread, self._lane_base, 8,
-                             data=_LANE_HEADER.pack(0))
+        self.pool.ns.ntstore(self.thread, self._lane_base + CACHELINE,
+                             len(blob), data=blob)
         self.thread.sfence()
 
 
 def recover_microbuffer(pool, thread):
-    """Replay any committed-but-unapplied redo image after a crash."""
-    replayed = 0
-    for lane in range(pool.lanes):
-        lane_base = pool.lane_base(lane)
-        count = _LANE_HEADER.unpack(
-            pool.ns.read_persistent(lane_base, 8))[0]
-        if not count:
-            continue
-        raw = pool.ns.read_persistent(lane_base + CACHELINE,
-                                      _REDO_HEADER.size)
-        offset, size, crc = _REDO_HEADER.unpack(raw)
-        data = pool.ns.read_persistent(
-            lane_base + CACHELINE + _REDO_HEADER.size, size)
-        if zlib.crc32(data) & 0xFFFFFFFF == crc:
-            pool.ns.pwrite(thread, pool.addr(offset), data,
-                           instr="ntstore")
-            replayed += 1
-        pool.ns.ntstore(thread, lane_base, 8, data=_LANE_HEADER.pack(0))
-        thread.sfence()
-    return replayed
+    """Replay any committed-but-unapplied redo image after a crash
+    (the one lane scan undo transactions recover with, too)."""
+    return recover_report(pool, thread)[0]

@@ -1,7 +1,8 @@
 """Persistent object pools (the PMDK libpmemobj stand-in).
 
-A pool is a namespace region with a header, a fixed undo-log area per
-transaction lane, and a heap managed by :class:`~repro.pmdk.alloc.Heap`.
+A pool is a namespace region with a header, a fixed log area per
+transaction lane (:mod:`repro.pmdk.lane`), and a heap managed by
+:class:`~repro.pmdk.alloc.Heap`.
 Objects are referenced by pool offset (a ``PMEMoid`` without the pool
 uuid, since we keep one pool per namespace region).
 """
@@ -30,6 +31,8 @@ class PmemPool:
         self.size = size
         self.lanes = lanes
         self._root_offset = 0
+        #: lane -> live log epoch, kept in DRAM (see repro.pmdk.lane).
+        self.lane_epochs = {}
         if _open:
             # The persisted geometry, not the defaults, sizes the heap.
             self._read_header()

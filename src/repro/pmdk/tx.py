@@ -1,33 +1,19 @@
 """Undo-log transactions (PMDK's pmemobj_tx model).
 
 ``Transaction`` protects in-place updates: ``add(offset, size)``
-snapshots the range into the lane's undo log *before* modification;
-``commit`` flushes every modified range and invalidates the log;
-recovery applies intact undo entries backwards, restoring pre-tx state
-for any transaction that never committed.
-
-Undo-log entry: u64 offset | u32 size | u32 crc | data (64 B aligned);
-the CRC covers the header fields *and* the data, so a torn header
-(garbage offset/size) is rejected, not just torn data.  The lane
-header holds a u64 entry count whose persist *completes* the entry
-append (count-then-data torn states are rejected by CRC).
+snapshots the range into an undo entry of the lane log
+(:mod:`repro.pmdk.lane`) *before* modification; ``commit`` flushes every
+modified range, then invalidates the log by moving the lane epoch on;
+recovery rolls live entries back, newest first.  Entries validate
+themselves (CRC plus epoch), so one snapshotting update costs three
+fences — the entry's, the flush's, the epoch's — and one 8 B store.
 """
 
-import struct
-import zlib
-
-from repro._units import CACHELINE, align_up
-from repro.faults.model import MediaError
-from repro.faults.report import RecoveryReport
+from repro._units import CACHELINE
+from repro.pmdk.lane import (
+    UNDO, apply, encode, invalidate, recover_report, scan,
+)
 from repro.pmdk.pool import LANE_SIZE
-
-_LANE_HEADER = struct.Struct("<Q")
-_ENTRY_HEADER = struct.Struct("<QII")
-_CRC_BODY = struct.Struct("<QI")          # the header fields under CRC
-
-
-def _entry_crc(offset, size, data):
-    return zlib.crc32(_CRC_BODY.pack(offset, size) + data) & 0xFFFFFFFF
 
 
 class TransactionError(Exception):
@@ -45,7 +31,6 @@ class Transaction:
         self._log_tail = self._lane_base + CACHELINE
         self._entries = 0
         self._modified = []          # [(offset, size)]
-        self._staged = {}
         self._active = False
 
     # -- context manager ------------------------------------------------------
@@ -76,36 +61,24 @@ class Transaction:
         if not self._active:
             raise TransactionError("no active transaction")
         old = self.pool.read(self.thread, offset, size)
-        header = _ENTRY_HEADER.pack(
-            offset, size, _entry_crc(offset, size, old))
-        blob = header + old
-        span = align_up(len(blob), CACHELINE)
-        if self._log_tail + span > self._lane_base + LANE_SIZE:
+        blob = encode(self.pool, self.lane, UNDO, offset, old)
+        if self._log_tail + len(blob) > self._lane_base + LANE_SIZE:
             raise TransactionError("undo log full")
-        self.pool.ns.ntstore(self.thread, self._log_tail, span,
-                             data=blob + b"\x00" * (span - len(blob)))
-        # Two back-to-back fences, both load-bearing: the first orders
-        # the entry body before the count that makes it reachable (a
-        # single fence after both would admit a count-without-data torn
-        # state the CRC could *usually* but not *always* reject — the
-        # old data bytes might be valid-looking); the second orders the
-        # count before the caller's in-place modification of the
-        # snapshotted range, which must not outrun its own undo entry.
+        ns = self.pool.ns
+        ns.ntstore(self.thread, self._log_tail, len(blob), data=blob)
+        # The update's one load-bearing fence before the in-place store:
+        # the caller's modification of the snapshotted range must not
+        # outrun the entry that can undo it.
         pmcheck = self.thread.machine.pmcheck
         if pmcheck is not None:
             pmcheck.require_order(
-                [(self.pool.ns, self._log_tail, span)],
-                [(self.pool.ns, self._lane_base, _LANE_HEADER.size)],
-                note="pmdk undo log: the entry body must be durable "
-                     "before the lane count that makes it reachable")
+                [(ns, self._log_tail, len(blob))],
+                [(ns, self.pool.addr(offset), size)],
+                note="pmdk undo log: the entry must be durable before "
+                     "the in-place update of the range it snapshots")
         self.thread.sfence()
-        # Persist the new entry count: the entry is now reachable.
         self._entries += 1
-        self.pool.ns.ntstore(
-            self.thread, self._lane_base, 8,
-            data=_LANE_HEADER.pack(self._entries))
-        self.thread.sfence()
-        self._log_tail += span
+        self._log_tail += len(blob)
         self._modified.append((offset, size))
 
     def store(self, offset, data, snapshot=True):
@@ -118,122 +91,49 @@ class Transaction:
             self._modified.append((offset, len(data)))
 
     def commit(self):
-        """Flush modified ranges, then invalidate the undo log.
+        """Flush modified ranges, fence, then invalidate the undo log.
 
-        The fence between the flushes and the log invalidation (inside
-        :meth:`_invalidate_log`'s predecessor, the sfence below) is
-        load-bearing: the new data must be durable before the undo log
-        stops protecting it, or a crash in between replays stale bytes
-        over a half-flushed range.  An empty transaction skips both
-        steps — there is nothing to flush and the log was never armed,
-        so the fences would be pure cost (pmcheck: redundant-fence).
+        Both fences are load-bearing.  The first makes the new data
+        durable before the epoch bump stops the log protecting it, or a
+        crash in between leaves a half-flushed range with nothing to
+        roll it back; the second (in :func:`~repro.pmdk.lane.invalidate`)
+        makes the bump durable before ``commit`` returns, or a crash
+        after the ack rolls a committed transaction back.  An empty
+        transaction skips both — nothing to flush, no log armed, so the
+        fences would be pure cost (pmcheck: redundant-fence).
         """
         if not self._active:
             raise TransactionError("no active transaction")
+        ns = self.pool.ns
         if self._modified:
             for offset, size in self._modified:
-                self.pool.ns.clwb(self.thread, self.pool.addr(offset),
-                                  size)
+                ns.clwb(self.thread, self.pool.addr(offset), size)
             self.thread.sfence()
         if self._entries:
-            self._invalidate_log()
+            pmcheck = self.thread.machine.pmcheck
+            if pmcheck is not None:
+                pmcheck.require_order(
+                    [(ns, self.pool.addr(offset), size)
+                     for offset, size in self._modified],
+                    [(ns, self._lane_base, 8)],
+                    note="pmdk commit: the flushed ranges must be "
+                         "durable before the lane epoch that retires "
+                         "their undo entries")
+            invalidate(self.pool, self.thread, self.lane)
         self._active = False
 
     def abort(self):
         """Roll back in-place modifications from the undo log."""
         if not self._active:
             raise TransactionError("no active transaction")
-        for offset, size, data in reversed(self._read_log_volatile()):
-            self.pool.ns.pwrite(self.thread, self.pool.addr(offset),
-                                data, instr="clwb")
         if self._entries:
-            self._invalidate_log()
+            _, entries = scan(self.pool.ns.read_volatile, self._lane_base)
+            apply(self.pool, self.thread, entries)
+            invalidate(self.pool, self.thread, self.lane)
         self._active = False
-
-    def _invalidate_log(self):
-        self.pool.ns.ntstore(self.thread, self._lane_base, 8,
-                             data=_LANE_HEADER.pack(0))
-        # Load-bearing fence: the zeroed count must be durable before
-        # the *next* transaction appends entries, or a crash could pair
-        # the old count with new (CRC-valid!) entries and roll back a
-        # committed transaction.
-        self.thread.sfence()
-        self._entries = 0
-
-    def _read_log_volatile(self):
-        return _scan_lane(
-            lambda a, n: self.pool.ns.read_volatile(a, n),
-            self._lane_base)
-
-
-def _scan_lane(read, lane_base, report=None):
-    """Decode undo entries from a lane via the given reader.
-
-    The lane count may claim more entries than actually decode (a torn
-    append); the scan stops at the first entry whose CRC fails, and
-    counts the shortfall as *truncated* in ``report`` when given.
-    """
-    count = _LANE_HEADER.unpack(read(lane_base, 8))[0]
-    out = []
-    tail = lane_base + CACHELINE
-    lane_end = lane_base + LANE_SIZE
-    for _ in range(count):
-        if tail + _ENTRY_HEADER.size > lane_end:
-            break
-        header = read(tail, _ENTRY_HEADER.size)
-        offset, size, crc = _ENTRY_HEADER.unpack(header)
-        # A torn header can carry a garbage size: bound it before
-        # reading the data (the CRC would reject it anyway).
-        if size > lane_end - tail - _ENTRY_HEADER.size:
-            break
-        data = read(tail + _ENTRY_HEADER.size, size)
-        if _entry_crc(offset, size, data) != crc:
-            break                     # torn entry: stop (newest first)
-        out.append((offset, size, data))
-        tail += align_up(_ENTRY_HEADER.size + size, CACHELINE)
-    if report is not None:
-        report.recovered += len(out)
-        if len(out) < count:
-            report.truncated += count - len(out)
-            report.note("lane @%#x: %d of %d undo entries torn"
-                        % (lane_base, count - len(out), count))
-    return out
 
 
 def recover(pool, thread):
-    """Post-crash recovery: roll back every lane's intact undo log.
-
-    Returns the number of ranges restored.
-    """
-    restored, _ = recover_report(pool, thread)
-    return restored
-
-
-def recover_report(pool, thread):
-    """Recovery with accounting: ``(restored, RecoveryReport)``.
-
-    A poisoned lane (its header or entries behind a bad XPLine) is
-    skipped — that transaction's rollback is *lost*, so its in-place
-    updates may survive partially; everything else still recovers.
-    """
-    report = RecoveryReport(component="pmdk-tx")
-    restored = 0
-    for lane in range(pool.lanes):
-        lane_base = pool.lane_base(lane)
-        try:
-            entries = _scan_lane(
-                lambda a, n: pool.ns.read_persistent(a, n), lane_base,
-                report=report)
-        except MediaError:
-            report.lost += 1
-            report.note("lane %d unreadable: rollback lost" % lane)
-            continue
-        for offset, size, data in reversed(entries):
-            pool.ns.pwrite(thread, pool.addr(offset), data, instr="clwb")
-            restored += 1
-        # Same fence discipline as _invalidate_log: the rollback's
-        # restores are fenced by pwrite above; the count reset must be
-        # durable before post-recovery transactions reuse the lane.
-        pool.ns.ntstore(thread, lane_base, 8, data=_LANE_HEADER.pack(0))
-        thread.sfence()
-    return restored, report
+    """Post-crash recovery: roll back every lane's live undo run;
+    returns the number of ranges restored."""
+    return recover_report(pool, thread)[0]

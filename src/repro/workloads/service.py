@@ -401,13 +401,13 @@ class PMDKService(Service):
         slot = self._slots.get(key)
         if slot is None:
             return None
-        off = self._slot_off(slot)
-        raw = self.pool.read(thread, off, self._SLOT_HEADER.size)
-        klen, vlen = self._SLOT_HEADER.unpack(raw)
+        # One read serves header, key and value: a slot is ``stride`` bytes.
+        raw = self.pool.read(thread, self._slot_off(slot), self.stride)
+        klen, vlen = self._SLOT_HEADER.unpack_from(raw)
         if not klen:
             return None
-        return bytes(self.pool.read(
-            thread, off + self._SLOT_HEADER.size + klen, vlen))
+        start = self._SLOT_HEADER.size + klen
+        return bytes(raw[start:start + vlen])
 
     def put(self, thread, key, value):
         from repro.pmdk.tx import Transaction

@@ -1,12 +1,10 @@
-"""Tests for the guidelines advisor, planner and experiment registry."""
+"""Tests for the guidelines advisor and experiment registry."""
 
 import pytest
 
 from repro.core import (
-    AccessPlan, AccessPlanner, Advisor, all_experiments,
-    audit_access_pattern, batched_log_append, get,
+    AccessPlan, Advisor, all_experiments, audit_access_pattern, get,
 )
-from repro.sim import Machine
 
 
 class TestAdvisor:
@@ -74,56 +72,6 @@ class TestAudit:
         plan = AccessPlan(access_bytes=64, pattern="rand", is_write=True)
         text = str(audit_access_pattern(plan)[0])
         assert "G1" in text
-
-
-class TestPlanner:
-    def test_plan_write_picks_instruction(self):
-        p = AccessPlanner()
-        assert p.plan_write(0, 64).instr == "clwb"
-        assert p.plan_write(0, 2048).instr == "ntstore"
-
-    def test_padding(self):
-        p = AccessPlanner(pad_to_xpline=True)
-        plan = p.plan_write(0, 100)
-        assert plan.padded_size == 256
-        assert plan.padding_overhead == 156
-
-    def test_execute_persists(self):
-        m = Machine()
-        ns = m.namespace("optane")
-        t = m.thread()
-        p = AccessPlanner()
-        plan = p.plan_write(0, 5)
-        p.execute(ns, t, plan, b"hello")
-        m.power_fail()
-        assert ns.read_persistent(0, 5) == b"hello"
-
-    def test_execute_checks_length(self):
-        m = Machine()
-        ns = m.namespace("optane")
-        t = m.thread()
-        p = AccessPlanner()
-        with pytest.raises(ValueError):
-            p.execute(ns, t, p.plan_write(0, 5), b"wrong-length")
-
-    def test_partitions_are_dimm_staggered(self):
-        m = Machine()
-        ns = m.namespace("optane")
-        p = AccessPlanner()
-        parts = p.partition_for_threads(ns, 6, span=1 << 20)
-        firsts = {ns._mapping.locate(base)[0] for base, _ in parts}
-        assert firsts == set(range(6))
-
-    def test_batched_log_append(self):
-        m = Machine()
-        ns = m.namespace("optane")
-        t = m.thread()
-        p = AccessPlanner(pad_to_xpline=True)
-        tail = batched_log_append(p, ns, t, 0, [b"abc", b"d" * 300])
-        assert tail == 256 + 512
-        m.power_fail()
-        assert ns.read_persistent(0, 3) == b"abc"
-        assert ns.read_persistent(256, 300) == b"d" * 300
 
 
 class TestRegistry:

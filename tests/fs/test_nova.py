@@ -351,12 +351,14 @@ class TestCleaner:
         # must still find pages 0 and 2 where the committed log says.
         t2 = m.thread()
         fs2.write(t2, inode, PAGE, b"R" * PAGE)
+        assert fs2.quarantined == [dead]
         model = model[:PAGE] + b"R" * PAGE + model[2 * PAGE:]
         m.power_fail()
         fs3 = NovaFS.mount(m, datalog=True)
         assert fs3.read_persistent_file(inode, 0, len(model)) == model
-        # The dead page went back to the allocator with the write that
-        # replaced it; scrub it as the repair would before it is reused.
+        # The write that replaced the dead page quarantined it, but a
+        # mount rebuilds the allocator from the logs alone: scrub it as
+        # the repair would before it can be handed out again.
         fc.clear_poison(fs.devices[dev], off + 512, 1)
         fs3.clean(m.thread(), inode)
         assert not fs3._files[inode].overlays
@@ -365,6 +367,37 @@ class TestCleaner:
         assert fs4.read_persistent_file(inode, 0, len(model)) == model
         assert fs4.recovery_report.truncated == 0
         assert fs4.recovery_report.lost == 0
+
+
+    # -- a retired page the media reports poisoned is quarantined, not
+    # recycled: stores do not scrub poison, so the next file to get it
+    # would write blind and fail every read -------------------------------
+
+    def test_cow_write_quarantines_a_poisoned_page(self):
+        m = Machine()
+        fc = FaultController(m)
+        t = m.thread()
+        fs = NovaFS(m)
+        inode = fs.create(t)
+        fs.write(t, inode, 0, b"a" * PAGE)
+        dead = fs._files[inode].pages[0]
+        dev, off = split_gaddr(dead)
+        fc.poison(fs.devices[dev], off + 1024, 1)
+        fs.write(t, inode, 0, b"b" * PAGE)    # COW: retires the dead page
+        assert dead not in {fs.policy.alloc_for(t) for _ in range(8)}
+        assert fs.quarantined == [dead]
+        assert fs.read(t, inode, 0, PAGE) == b"b" * PAGE
+
+    def test_clean_quarantines_a_poisoned_log_page(self):
+        m, t, fs, inode, model = self._slotted_file()
+        fc = FaultController(m)
+        head = fs._files[inode].log.head
+        dev, off = split_gaddr(head)
+        fc.poison(fs.devices[dev], off + PAGE // 2, 1)
+        fs.clean(t, inode)                    # retires the whole old chain
+        assert head not in {fs.policy.alloc_for(t) for _ in range(8)}
+        assert fs.quarantined == [head]
+        assert fs.read(t, inode, 0, len(model)) == model
 
 
 class TestDAX:
