@@ -206,25 +206,22 @@ def cmd_faults(args):
 
     run = run_chaos(quick=args.quick, seed=args.seed, jobs=args.jobs,
                     naive=args.naive, progress=progress,
-                    timeout_s=args.timeout, retries=args.retries,
                     trace_dir=args.trace_dir)
     run.manifest.save(args.out)
-    crashed = sum(1 for o in run.outcomes
-                  if o.value and o.value["crashed"])
-    torn = sum(o.value["torn_chunks"] for o in run.outcomes if o.value)
-    lossy = sum(1 for o in run.outcomes
-                if o.value and o.value["report"]
-                and o.value["report"]["lost"])
+    records = run.records
+    crashed = sum(1 for rec in records if rec["crashed"])
+    torn = sum(rec["torn_chunks"] for rec in records)
+    lossy = sum(1 for rec in records
+                if rec["report"] and rec["report"]["lost"])
     print("%d cases: %d crashed, %d torn chunks, %d with data loss "
           "reported; manifest -> %s"
-          % (run.cases, crashed, torn, lossy, args.out))
+          % (len(run.outcomes), crashed, torn, lossy, args.out))
     status = 0
     if run.failures:
         print("ERROR: %d case(s) failed to execute" % len(run.failures),
               file=sys.stderr)
-        for outcome in run.failures[:10]:
-            print("  %s: %s" % (outcome.payload, outcome.error),
-                  file=sys.stderr)
+        for point in run.failures[:10]:
+            print("  %(params)s: %(error)s" % point, file=sys.stderr)
         status = 1
     if run.violations:
         print("%d invariant violation(s):%s"
@@ -233,9 +230,10 @@ def cmd_faults(args):
                  if args.naive else ""),
               file=sys.stderr)
         for v in run.violations[:20]:
+            cell = v["cell"]
             print("  [%s crash=%s tear=%s poison=%s] %s"
-                  % (v["workload"], v["crash_at"], v["tear"],
-                     v["poison_site"], v["violation"]), file=sys.stderr)
+                  % (cell["workload"], cell["crash_at"], cell["tear"],
+                     cell["poison_site"], v["violation"]), file=sys.stderr)
         status = 1
     return status
 
@@ -306,90 +304,117 @@ def cmd_audit(args):
     return 1
 
 
-def _cmd_serve_chaos(args):
-    """The ``serve --chaos`` path: the fault matrix plus the oracle."""
+def _save_report(report, manifest, out):
+    """Write a JSON report, then its manifest beside it with the obs
+    blobs moved out into content-addressed artifacts."""
     import json
 
-    from repro.chaos_serve import format_violation, run_chaos_serve
+    from repro.obs import externalize_obs
+
+    with open(out, "w") as fh:
+        json.dump(report, fh, sort_keys=True, indent=1, allow_nan=False)
+        fh.write("\n")
+    manifest_path = out + ".manifest.json"
+    externalize_obs(manifest, manifest_path)
+    manifest.save(manifest_path)
+
+
+def _pmcheck_line(violation):
+    from repro.pmcheck import format_violation
+    return format_violation(violation, cell=violation.get("cell"))
+
+
+def _print_violations(heading, violations, fmt, clean):
+    """One violation block; returns the exit status it implies."""
+    if not violations:
+        print(clean)
+        return 0
+    print("\n%s (%d):" % (heading, len(violations)))
+    for v in violations:
+        print(fmt(v))
+    return 1
+
+
+def _cmd_matrix(args, run_fn, title, cell_line, blocks, **options):
+    """The body of the matrix verbs (``pmcheck``, ``serve --chaos``).
+
+    ``cell_line(record)`` renders one cell; ``blocks`` lists, per kind
+    of finding, its heading, how one violation prints and the
+    all-clear line.
+    """
     from repro.harness import ResultCache
 
-    workload = None if args.workload == "all" else args.workload
-    substrate = None if args.substrate == "all" else args.substrate
     cache = ResultCache(root=args.cache_dir, enabled=not args.no_cache)
     try:
-        run = run_chaos_serve(
-            workload=workload, substrate=substrate, quick=args.quick,
-            seed=args.seed, naive=args.naive, jobs=args.jobs,
-            cache=cache, trace_dir=args.trace_dir,
-            pmcheck=args.pmcheck)
+        run = run_fn(
+            workload=None if args.workload == "all" else args.workload,
+            substrate=None if args.substrate == "all" else args.substrate,
+            quick=args.quick, seed=args.seed, naive=args.naive,
+            jobs=args.jobs, cache=cache, trace_dir=args.trace_dir,
+            **options)
     except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
 
+    records = run.records
     # The report keeps its pre-obs byte layout: obs blobs live in the
     # manifest's content-addressed artifacts, not in the report cells.
     cells = [{k: v for k, v in rec.items() if k != "obs"}
-             for rec in run.records]
-    report = {"cells": cells, "violations": run.violations}
-    if args.pmcheck:
-        report["pmcheck_violations"] = run.pmcheck_violations
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
-    from repro.obs import externalize_obs
-    manifest_path = args.out + ".manifest.json"
-    externalize_obs(run.manifest, manifest_path)
-    run.manifest.save(manifest_path)
-
-    print("chaos serving%s%s: %d cells, seed %d"
-          % (" (quick)" if args.quick else "",
+             for rec in records]
+    _save_report(dict(run.findings, cells=cells), run.manifest, args.out)
+    print("%s%s%s: %d cells, seed %d"
+          % (title, " (quick)" if args.quick else "",
              " [NAIVE: protections off]" if args.naive else "",
              len(run.manifest.points), args.seed))
-    for rec in run.records:
-        faults = rec["faults"]
-        print("  %-7s %-8s %-10s %-6s ok=%-4d crashes=%d torn=%-3d "
-              "retries=%-2d violations=%d"
-              % (rec["workload"], rec["substrate"], rec["scenario"],
-                 rec["mode"], rec["results"].get("ok", 0),
-                 faults["crashes"], faults["torn_chunks"],
-                 rec["degrade"]["retries"], len(rec["violations"])))
-    print("report -> %s (+ %s)" % (args.out,
-                                   args.out + ".manifest.json"))
+    for rec in records:
+        print("  " + cell_line(rec))
+    print("report -> %s (+ %s.manifest.json)" % (args.out, args.out))
     if run.failures:
         for point in run.failures:
-            print("CELL FAILED: %s: %s" % (point["params"],
-                                           point["error"]),
+            print("CELL FAILED: %(params)s: %(error)s" % point,
                   file=sys.stderr)
         return 1
     status = 0
-    if run.violations:
-        print("\nDURABILITY VIOLATIONS (%d):" % len(run.violations))
-        for v in run.violations:
-            cell = v["cell"]
-            print("[%s/%s/%s/%s]" % (cell["workload"],
-                                     cell["substrate"],
-                                     cell["scenario"], cell["mode"]))
-            print(format_violation(v))
-        status = 1
-    else:
-        print("no durability violations: every acknowledged write "
-              "survived or was reported lost")
-    if args.pmcheck:
-        from repro.pmcheck import format_violation as fmt_pm
-        if run.pmcheck_violations:
-            print("\nPERSISTENCY-ORDER VIOLATIONS (%d):"
-                  % len(run.pmcheck_violations))
-            for v in run.pmcheck_violations:
-                print(fmt_pm(v, cell=v.get("cell")))
-            status = 1
-        else:
-            print("pmcheck: every cell's persist ordering is clean")
+    for kind, heading, fmt, clean in blocks:
+        status |= _print_violations(heading, run.findings[kind], fmt,
+                                    clean)
     return status
 
 
-def cmd_serve(args):
-    import json
+def _chaos_cell_line(rec):
+    faults = rec["faults"]
+    return ("%-7s %-8s %-10s %-6s ok=%-4d crashes=%d torn=%-3d "
+            "retries=%-2d violations=%d"
+            % (rec["workload"], rec["substrate"], rec["scenario"],
+               rec["mode"], rec["results"].get("ok", 0),
+               faults["crashes"], faults["torn_chunks"],
+               rec["degrade"]["retries"], len(rec["violations"])))
 
+
+def _durability_line(violation):
+    from repro.chaos_serve import format_violation
+    cell = violation["cell"]
+    return "[%s/%s/%s/%s]\n%s" % (cell["workload"], cell["substrate"],
+                                  cell["scenario"], cell["mode"],
+                                  format_violation(violation))
+
+
+def _cmd_serve_chaos(args):
+    """The ``serve --chaos`` path: the fault matrix plus the oracle."""
+    from repro.chaos_serve import run_chaos_serve
+
+    blocks = [("violations", "DURABILITY VIOLATIONS", _durability_line,
+               "no durability violations: every acknowledged write "
+               "survived or was reported lost")]
+    if args.pmcheck:
+        blocks.append(("pmcheck_violations", "PERSISTENCY-ORDER VIOLATIONS",
+                       _pmcheck_line,
+                       "pmcheck: every cell's persist ordering is clean"))
+    return _cmd_matrix(args, run_chaos_serve, "chaos serving",
+                       _chaos_cell_line, blocks, pmcheck=args.pmcheck)
+
+
+def cmd_serve(args):
     from repro.harness import ResultCache
     from repro.workloads import SUBSTRATES, WORKLOADS
     from repro.workloads.saturation import serve
@@ -414,14 +439,7 @@ def cmd_serve(args):
         args.workload, args.substrate, quick=args.quick,
         slo_p99_us=args.slo_p99_us, seed=args.seed, jobs=args.jobs,
         cache=cache, trace_dir=args.trace_dir, pmcheck=args.pmcheck)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1,
-                  allow_nan=False)
-        fh.write("\n")
-    from repro.obs import externalize_obs
-    manifest_path = args.out + ".manifest.json"
-    externalize_obs(manifest, manifest_path)
-    manifest.save(manifest_path)
+    _save_report(report, manifest, args.out)
 
     sat = report["saturation"]
     closed = report["closed"]
@@ -449,77 +467,35 @@ def cmd_serve(args):
               % (sat["max_kops"],
                  100.0 * sat["max_kops"] / max(sat["closed_kops"],
                                                1e-9)))
-    print("report -> %s (+ %s)" % (args.out,
-                                   args.out + ".manifest.json"))
+    print("report -> %s (+ %s.manifest.json)" % (args.out, args.out))
     if args.pmcheck:
-        from repro.pmcheck import format_violation as fmt_pm
-        pm = report.get("pmcheck", {})
-        if pm.get("violations"):
-            print("\nPERSISTENCY-ORDER VIOLATIONS (%d):"
-                  % len(pm["violations"]))
-            for v in pm["violations"]:
-                print(fmt_pm(v, cell=v.get("cell")))
-            return 1
-        print("pmcheck: persist ordering clean across every point")
+        return _print_violations(
+            "PERSISTENCY-ORDER VIOLATIONS",
+            report.get("pmcheck", {}).get("violations"), _pmcheck_line,
+            "pmcheck: persist ordering clean across every point")
     return 0
+
+
+def _pmcheck_cell_line(rec):
+    summary = rec["pmcheck"]
+    kinds = summary.get("kinds", {})
+    return ("%-7s %-8s ops=%-5d %s"
+            % (rec["workload"], rec["substrate"], rec["served"]["ops"],
+               "clean" if not summary["total"] else
+               "%d violation(s): %s"
+               % (summary["total"],
+                  ", ".join("%s x%d" % (k, kinds[k])
+                            for k in sorted(kinds)))))
 
 
 def cmd_pmcheck(args):
     """The ``pmcheck`` verb: the checker matrix over YCSB traffic."""
-    import json
+    from repro.pmcheck import run_pmcheck
 
-    from repro.harness import ResultCache
-    from repro.pmcheck import format_violation, run_pmcheck
-
-    workload = None if args.workload == "all" else args.workload
-    substrate = None if args.substrate == "all" else args.substrate
-    cache = ResultCache(root=args.cache_dir, enabled=not args.no_cache)
-    try:
-        run = run_pmcheck(
-            workload=workload, substrate=substrate, quick=args.quick,
-            seed=args.seed, naive=args.naive, jobs=args.jobs,
-            cache=cache, trace_dir=args.trace_dir)
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-    report = {"cells": run.records, "violations": run.violations}
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
-    run.manifest.save(args.out + ".manifest.json")
-
-    print("persistency-order check%s%s: %d cells, seed %d"
-          % (" (quick)" if args.quick else "",
-             " [NAIVE: protections off]" if args.naive else "",
-             len(run.manifest.points), args.seed))
-    for rec in run.records:
-        summary = rec["pmcheck"]
-        kinds = summary.get("kinds", {})
-        print("  %-7s %-8s ops=%-5d %s"
-              % (rec["workload"], rec["substrate"],
-                 rec["served"]["ops"],
-                 "clean" if not summary["total"] else
-                 "%d violation(s): %s"
-                 % (summary["total"],
-                    ", ".join("%s x%d" % (k, kinds[k])
-                              for k in sorted(kinds)))))
-    print("report -> %s (+ %s)" % (args.out,
-                                   args.out + ".manifest.json"))
-    if run.failures:
-        for point in run.failures:
-            print("CELL FAILED: %s: %s" % (point["params"],
-                                           point["error"]),
-                  file=sys.stderr)
-        return 1
-    if run.violations:
-        print("\nPERSISTENCY-ORDER VIOLATIONS (%d):"
-              % len(run.violations))
-        for v in run.violations:
-            print(format_violation(v, cell=v.get("cell")))
-        return 1
-    print("every store was flushed, fenced and acknowledged in order")
-    return 0
+    return _cmd_matrix(
+        args, run_pmcheck, "persistency-order check", _pmcheck_cell_line,
+        [("violations", "PERSISTENCY-ORDER VIOLATIONS", _pmcheck_line,
+          "every store was flushed, fenced and acknowledged in order")])
 
 
 def cmd_report(args):
@@ -601,6 +577,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _add_run_flags(parser, out, what, unit="point", seed=None,
+                   cache=True, quick="small shapes for smoke runs"):
+    """The flags every harness-backed verb shares.
+
+    ``out``/``what`` give the default output path and what it holds,
+    ``unit`` names one harness point, ``seed`` (when the verb has one)
+    what it seeds; ``cache=False`` for verbs that never cache.
+    """
+    parser.add_argument("--quick", action="store_true", help=quick)
+    if seed is not None:
+        parser.add_argument("--seed", type=int, default=0,
+                            help="%s seed (default: 0)" % seed)
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (default: one per CPU)")
+    parser.add_argument("--out", default=out,
+                        help="%s path (default: %s)" % (what, out))
+    if cache:
+        parser.add_argument("--no-cache", action="store_true",
+                            help="recompute every %s" % unit)
+        parser.add_argument("--cache-dir", default=None,
+                            help="cache root (default: .repro-cache)")
+    parser.add_argument("--trace-dir", default=None,
+                        help="write a Chrome trace per freshly computed "
+                             "%s into this directory" % unit)
+
+
 def build_parser():
     parser = _Parser(
         prog="python -m repro",
@@ -638,21 +640,10 @@ def build_parser():
                             "(default: 5000)")
     sweep = sub.add_parser(
         "sweep", help="systematic sweep through the harness")
-    sweep.add_argument("--quick", action="store_true",
-                       help="small grid for smoke runs")
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: one per CPU)")
-    sweep.add_argument("--out", default="sweep.csv",
-                       help="output CSV path")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="recompute every point")
-    sweep.add_argument("--cache-dir", default=None,
-                       help="cache root (default: .repro-cache)")
+    _add_run_flags(sweep, "sweep.csv", "output CSV",
+                   quick="small grid for smoke runs")
     sweep.add_argument("--manifest", default=None,
                        help="manifest path (default: <out>.manifest.json)")
-    sweep.add_argument("--trace-dir", default=None,
-                       help="write a Chrome trace per freshly computed "
-                            "point into this directory")
     serve = sub.add_parser(
         "serve", help="YCSB-style serving study of one substrate")
     serve.add_argument("workload",
@@ -673,24 +664,10 @@ def build_parser():
     serve.add_argument("--pmcheck", action="store_true",
                        help="ride the persistency-order checker along "
                             "and fail on any flush/fence misordering")
-    serve.add_argument("--quick", action="store_true",
-                       help="small shapes for smoke runs")
     serve.add_argument("--slo-p99-us", type=float, default=None,
                        help="p99 SLO in microseconds (default: 10x "
                             "the closed-loop p99)")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="traffic seed (default: 0)")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: one per CPU)")
-    serve.add_argument("--out", default="serve.json",
-                       help="report path (default: serve.json)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="recompute every point")
-    serve.add_argument("--cache-dir", default=None,
-                       help="cache root (default: .repro-cache)")
-    serve.add_argument("--trace-dir", default=None,
-                       help="write a Chrome trace per freshly computed "
-                            "point into this directory")
+    _add_run_flags(serve, "serve.json", "report", seed="traffic")
     pmcheck = sub.add_parser(
         "pmcheck", help="check persistency ordering under traffic")
     pmcheck.add_argument("workload", nargs="?", default="all",
@@ -699,24 +676,11 @@ def build_parser():
     pmcheck.add_argument("substrate", nargs="?", default="all",
                          help="service under test (lsm, pmemkv, nova, "
                               "pmdk) or 'all' (default: all)")
-    pmcheck.add_argument("--quick", action="store_true",
-                         help="small shapes for smoke runs")
     pmcheck.add_argument("--naive", action="store_true",
                          help="drop the ordering protections (the "
                               "checker should catch every class)")
-    pmcheck.add_argument("--seed", type=int, default=0,
-                         help="traffic seed (default: 0)")
-    pmcheck.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: one per CPU)")
-    pmcheck.add_argument("--out", default="pmcheck.json",
-                         help="report path (default: pmcheck.json)")
-    pmcheck.add_argument("--no-cache", action="store_true",
-                         help="recompute every cell")
-    pmcheck.add_argument("--cache-dir", default=None,
-                         help="cache root (default: .repro-cache)")
-    pmcheck.add_argument("--trace-dir", default=None,
-                         help="write a Chrome trace per freshly "
-                              "computed cell into this directory")
+    _add_run_flags(pmcheck, "pmcheck.json", "report", unit="cell",
+                   seed="traffic")
     report = sub.add_parser(
         "report", help="render a run's observability artifacts")
     report.add_argument("target",
@@ -742,24 +706,12 @@ def build_parser():
     faults = sub.add_parser(
         "faults", help="fault-injection chaos matrix")
     faults.add_argument("action", choices=("run",))
-    faults.add_argument("--quick", action="store_true",
-                        help="sampled matrix for smoke runs")
-    faults.add_argument("--seed", type=int, default=0,
-                        help="fault-injector seed (default: 0)")
-    faults.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: one per CPU)")
-    faults.add_argument("--out", default="faults.manifest.json",
-                        help="manifest path")
     faults.add_argument("--naive", action="store_true",
                         help="replay WALs without CRCs (expected to "
                              "surface violations)")
-    faults.add_argument("--timeout", type=float, default=120.0,
-                        help="per-case timeout in seconds")
-    faults.add_argument("--retries", type=int, default=1,
-                        help="retries per timed-out case")
-    faults.add_argument("--trace-dir", default=None,
-                        help="write a Chrome trace per chaos case into "
-                             "this directory")
+    _add_run_flags(faults, "faults.manifest.json", "manifest", unit="case",
+                   seed="fault-injector", cache=False,
+                   quick="sampled matrix for smoke runs")
     sub.add_parser("calibrate", help="paper-vs-measured headline numbers")
     sub.add_parser("guidelines", help="print the four best practices")
     audit = sub.add_parser("audit", help="audit an access pattern")

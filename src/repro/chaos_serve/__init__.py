@@ -26,9 +26,10 @@ The moving parts, bottom to top:
   closed- and open-loop traffic with power failures, poisoned lines,
   transient read errors and thermal windows injected mid-serve, and a
   ``Service.recover()`` + oracle audit after every crash;
-* :mod:`repro.chaos_serve.matrix` — the scenario matrix fanned out
-  through the harness (every probe a cached point, manifests
-  byte-identical per seed across job counts).
+* :mod:`repro.chaos_serve.matrix` — the scenario grid and how a cell
+  is named in a violation; :func:`repro.harness.run_matrix` caches,
+  traces and fans the cells out (manifests byte-identical per seed
+  across job counts).
 
 ``python -m repro serve <workload> <substrate> --chaos`` is the front
 door; ``--naive`` turns the protections off (no retries, no breaker,

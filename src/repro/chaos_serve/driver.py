@@ -364,23 +364,9 @@ def _recover_and_audit(env, at_op, final=False):
 def chaos_serve_cell(payload):
     """Run one chaos cell; module-level so workers can pickle it.
 
-    ``trace_path`` in the payload — added by the matrix for traced
-    runs, never part of the cache key — records the whole cell as one
-    Chrome trace (serve spans, fault instants, degrade events and
-    recovery spans together).
+    Traced through the harness, the cell's Chrome trace holds serve
+    spans, fault instants, degrade events and recovery spans together.
     """
-    trace_path = payload.get("trace_path")
-    if trace_path is not None:
-        from repro.telemetry import recording, write_chrome_trace
-        with recording() as tracer:
-            record = _cell_inner(payload)
-        write_chrome_trace(tracer, trace_path)
-        record["trace"] = trace_path
-        return record
-    return _cell_inner(payload)
-
-
-def _cell_inner(payload):
     env = _Env(payload)
     args = (env.machine, env.service, env.spec, env.records, env.ops)
     hooks = dict(seed=env.seed, load_end=env.load_end, obs=env.obs,

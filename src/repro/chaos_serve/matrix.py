@@ -16,12 +16,8 @@ deepens the shape.  Only value-size-100 workloads are eligible (see
 :mod:`repro.chaos_serve.driver` for the NOVA stride constraint).
 """
 
-from dataclasses import dataclass, field
-
 from repro.chaos_serve.driver import SCENARIOS, chaos_serve_cell
-from repro.harness.cache import ResultCache
-from repro.harness.manifest import RunManifest
-from repro.harness.runner import run_cached_points
+from repro.harness.runner import run_matrix
 from repro.workloads.generators import get_workload
 from repro.workloads.service import SUBSTRATES
 
@@ -39,10 +35,6 @@ FULL_WORKLOADS = ("ycsb-a", "ycsb-b", "ycsb-d", "ycsb-f")
 OPEN_RATE_KOPS = 400.0
 QUICK_OPEN_SUBSTRATES = ("lsm", "pmemkv")
 QUICK_OPEN_SCENARIOS = ("power-fail", "thermal")
-
-#: Per-cell worker budget: a stuck cell fails loudly, then retries once.
-CASE_TIMEOUT_S = 180.0
-CASE_RETRIES = 1
 
 
 def build_chaos_grid(workload=None, substrate=None, quick=False,
@@ -91,24 +83,9 @@ def build_chaos_grid(workload=None, substrate=None, quick=False,
     return payloads
 
 
-@dataclass
-class ChaosServeRun:
-    """One chaos matrix run: records, violations, provenance."""
-
-    manifest: RunManifest
-    records: list
-    violations: list = field(default_factory=list)
-    pmcheck_violations: list = field(default_factory=list)
-
-    @property
-    def failures(self):
-        return self.manifest.failures
-
-    @property
-    def ok(self):
-        """Clean = every cell ran *and* the oracle stayed silent."""
-        return (not self.failures and not self.violations
-                and not self.pmcheck_violations)
+def _cell_name(payload):
+    return {k: payload[k] for k in ("workload", "substrate", "scenario",
+                                    "mode")}
 
 
 def run_chaos_serve(workload=None, substrate=None, quick=False, seed=0,
@@ -116,59 +93,27 @@ def run_chaos_serve(workload=None, substrate=None, quick=False, seed=0,
                     trace_dir=None, pmcheck=False):
     """Run the chaos matrix through the harness.
 
-    Returns a :class:`ChaosServeRun`; ``violations`` aggregates every
-    durability violation any cell's oracle reported, each annotated
-    with its cell so the CLI can print the offending history window.
-    With ``pmcheck`` the persistency-order checker rides along in every
-    cell and its findings land in ``pmcheck_violations``.
+    Returns a :class:`~repro.harness.runner.SweepRun`; ``violations``
+    aggregates every durability violation any cell's oracle reported,
+    each annotated with its cell so the CLI can print the offending
+    history window.  With ``pmcheck`` the persistency-order checker
+    rides along in every cell and its findings land in
+    ``findings["pmcheck_violations"]``.
     """
-    if cache is None:
-        cache = ResultCache()
     payloads = build_chaos_grid(workload=workload, substrate=substrate,
                                 quick=quick, seed=seed, naive=naive,
                                 pmcheck=pmcheck)
-    outcomes, keys, traces = run_cached_points(
-        chaos_serve_cell, payloads, CHAOS_EXPERIMENT, cache=cache,
-        jobs=jobs, progress=progress, timeout_s=CASE_TIMEOUT_S,
-        retries=CASE_RETRIES, trace_dir=trace_dir)
-
-    # Normalized manifest: identical bytes for identical payloads+seed,
-    # whatever the job count or cache state was.
-    manifest = RunManifest(
+    findings = {"violations": lambda rec: rec["violations"]}
+    if pmcheck:
+        findings["pmcheck_violations"] = \
+            lambda rec: rec["pmcheck"]["violations"]
+    return run_matrix(
+        chaos_serve_cell, payloads,
         name="chaos-serve-%s" % ("quick" if quick else "full"),
         grid={"workload": sorted({p["workload"] for p in payloads}),
               "substrate": sorted({p["substrate"] for p in payloads}),
               "scenario": list(SCENARIOS),
               "seed": [seed],
               "naive": [bool(naive)]},
-        jobs=1, started=0.0)
-    records = []
-    violations = []
-    pmcheck_violations = []
-    for payload, outcome, key, trace in zip(payloads, outcomes, keys,
-                                            traces):
-        record = outcome.value
-        if outcome.ok and isinstance(record, dict):
-            record = dict(record)
-            record.pop("trace", None)     # path varies run to run
-        manifest.add_point(params=payload, key=key, record=record,
-                           cached=False, elapsed_s=0.0,
-                           error=outcome.error, trace=trace)
-        if not outcome.ok:
-            continue
-        records.append(outcome.value)
-        cell = {
-            "workload": payload["workload"],
-            "substrate": payload["substrate"],
-            "scenario": payload["scenario"],
-            "mode": payload["mode"],
-        }
-        for violation in outcome.value.get("violations", ()):
-            violations.append(dict(violation, cell=dict(cell)))
-        for violation in outcome.value.get(
-                "pmcheck", {}).get("violations", ()):
-            pmcheck_violations.append(dict(violation, cell=dict(cell)))
-    manifest.wall_s = 0.0
-    return ChaosServeRun(manifest=manifest, records=records,
-                         violations=violations,
-                         pmcheck_violations=pmcheck_violations)
+        cell=_cell_name, findings=findings, experiment=CHAOS_EXPERIMENT,
+        cache=cache, jobs=jobs, progress=progress, trace_dir=trace_dir)

@@ -8,9 +8,7 @@
   whole-stack workloads.
 """
 
-from repro.faults.chaos import (
-    WORKLOADS, ChaosRun, build_matrix, run_chaos,
-)
+from repro.faults.chaos import WORKLOADS, build_matrix, run_chaos
 from repro.faults.model import (
     FaultController, MediaError, overlaps_lost, pread_retry,
     tolerant_read,
@@ -18,7 +16,6 @@ from repro.faults.model import (
 from repro.faults.report import RecoveryReport
 
 __all__ = [
-    "ChaosRun",
     "FaultController",
     "MediaError",
     "RecoveryReport",

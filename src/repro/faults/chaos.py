@@ -14,23 +14,20 @@ then recovers and checks the layer's *degradation invariants*:
 4. data loss is always *reported* — a gap without ``report.lost > 0``
    is a violation.
 
-Cases fan out through :func:`repro.harness.executor.run_points` with a
-per-job timeout, and the run emits a :class:`RunManifest` whose bytes
-depend only on (matrix, seed) — timings are zeroed — so two runs with
-the same arguments produce identical files (``repro compare`` friendly).
+Cases fan out through :func:`repro.harness.run_matrix` (uncached, with
+the harness' per-case timeout), and the run emits a normalized manifest
+whose bytes depend only on (matrix, seed) — timings are zeroed — so two
+runs with the same arguments produce identical files (``repro compare``
+friendly).
 
 ``naive=True`` replays the kvstore WALs without CRC verification: the
 matrix is expected to *find* wrong-value violations then, demonstrating
 that it catches exactly the torn-tail corruption the CRCs prevent.
 """
 
-import os
-from dataclasses import dataclass, field
-
 from repro.faults.model import FaultController, MediaError
 from repro.faults.report import RecoveryReport
-from repro.harness.executor import run_points
-from repro.harness.manifest import RunManifest
+from repro.harness.runner import run_matrix
 from repro.sim.crashpoints import CrashInjector, SimulatedPowerFailure
 from repro.sim.platform import Machine
 
@@ -42,10 +39,6 @@ QUICK_TEARS = ("none", "prefix-1", "seeded")
 
 POISON_SITES = (None, 0, 1, 2)
 QUICK_POISONS = (None, 0)
-
-#: Per-case wall-clock budget and retries for the sweep.
-CASE_TIMEOUT_S = 120.0
-CASE_RETRIES = 1
 
 
 def _parse_tear(pattern):
@@ -242,26 +235,9 @@ WORKLOADS = {
 
 def _run_case(payload):
     """Run one (workload, crash, tear, poison) cell; module-level so the
-    parallel executor can pickle it.
-
-    ``trace_path`` in the payload — added by :func:`run_chaos` for
-    traced runs, never part of the matrix itself — records the whole
-    case (workload, power failure, fault instants, recovery) as one
-    Chrome trace.  The result record gains a ``"trace"`` key only when
-    traced, so untraced manifests stay byte-identical.
-    """
-    trace_path = payload.get("trace_path")
-    if trace_path is not None:
-        from repro.telemetry import recording, write_chrome_trace
-        with recording() as tracer:
-            record = _run_case_inner(payload)
-        write_chrome_trace(tracer, trace_path)
-        record["trace"] = trace_path
-        return record
-    return _run_case_inner(payload)
-
-
-def _run_case_inner(payload):
+    parallel executor can pickle it.  Traced through the harness, the
+    case's Chrome trace shows its fault instants on the ``faults``
+    track."""
     run, check = WORKLOADS[payload["workload"]]
     machine = Machine()
     tear, keep = _parse_tear(payload["tear"])
@@ -332,89 +308,48 @@ def build_matrix(quick=False, seed=0, naive=False, workloads=None):
     return payloads
 
 
-@dataclass
-class ChaosRun:
-    """Everything one chaos sweep produced."""
-
-    manifest: RunManifest
-    outcomes: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-
-    @property
-    def failures(self):
-        """Cases that errored (timeouts, crashes of the runner itself)."""
-        return [o for o in self.outcomes if not o.ok]
-
-    @property
-    def cases(self):
-        return len(self.outcomes)
+def _case_trace_name(index, payload):
+    """Deterministic per-case trace filename."""
+    return "case-%04d-%s.trace.json" % (index, payload["workload"])
 
 
-def case_trace_path(trace_dir, index, payload):
-    """Deterministic per-case trace filename inside ``trace_dir``."""
-    return os.path.join(trace_dir, "case-%04d-%s.trace.json"
-                        % (index, payload["workload"]))
+def _case_name(payload):
+    return {k: payload[k] for k in ("workload", "crash_at", "tear",
+                                    "poison_site")}
 
 
 def run_chaos(quick=False, seed=0, jobs=None, naive=False, workloads=None,
-              progress=None, timeout_s=CASE_TIMEOUT_S,
-              retries=CASE_RETRIES, trace_dir=None):
-    """Run the chaos matrix; returns a :class:`ChaosRun`.
+              progress=None, trace_dir=None):
+    """Run the chaos matrix; returns a
+    :class:`~repro.harness.runner.SweepRun`.
 
-    The manifest is deterministic: same (matrix, seed, naive) ->
-    byte-identical JSON, because every timing field is zeroed and the
-    worker count (which cannot affect the results) is not recorded.
+    Cases are uncached on purpose (each takes milliseconds), so their
+    manifest points carry ``key: null``.  The manifest is deterministic:
+    same (matrix, seed, naive) -> byte-identical JSON, because every
+    timing field is zeroed and the worker count (which cannot affect
+    the results) is not recorded.  ``violations`` holds one
+    ``{"violation": text, "cell": ...}`` per broken invariant.
 
     ``trace_dir`` records every case as a Chrome trace — fault
     injection points appear as instant events on the ``faults`` track —
-    and annotates each manifest point with its artifact path.  Tracing
-    never changes the case results, only the manifest's annotation.
+    and annotates each manifest point with its artifact path.
     """
-    payloads = build_matrix(quick=quick, seed=seed, naive=naive,
-                            workloads=workloads)
-    if trace_dir is None:
-        exec_payloads = payloads
-        traces = [None] * len(payloads)
-    else:
-        os.makedirs(trace_dir, exist_ok=True)
-        traces = [case_trace_path(trace_dir, i, p)
-                  for i, p in enumerate(payloads)]
-        exec_payloads = [dict(p, trace_path=t)
-                         for p, t in zip(payloads, traces)]
-    outcomes = run_points(_run_case, exec_payloads, jobs=jobs,
-                          progress=progress, timeout_s=timeout_s,
-                          retries=retries)
-    for outcome, payload in zip(outcomes, payloads):
-        outcome.payload = payload         # clean params, no trace_path
-    manifest = RunManifest(
+    return run_matrix(
+        _run_case,
+        build_matrix(quick=quick, seed=seed, naive=naive,
+                     workloads=workloads),
         name="faults-quick" if quick else "faults",
         grid={
             "workloads": sorted(workloads) if workloads
             else sorted(WORKLOADS),
             "tears": list(QUICK_TEARS if quick else TEAR_PATTERNS),
-            "poison_sites": [p for p in
-                             (QUICK_POISONS if quick else POISON_SITES)],
+            "poison_sites": list(QUICK_POISONS if quick
+                                 else POISON_SITES),
             "seed": seed,
             "naive": naive,
         },
-        jobs=1,
-        started=0.0)
-    violations = []
-    for outcome, trace in zip(outcomes, traces):
-        record = outcome.value
-        manifest.add_point(params=outcome.payload, record=record,
-                           cached=False, elapsed_s=0.0,
-                           error=outcome.error,
-                           trace=trace if outcome.ok else None)
-        if record:
-            for text in record["violations"]:
-                violations.append({
-                    "workload": record["workload"],
-                    "crash_at": record["crash_at"],
-                    "tear": record["tear"],
-                    "poison_site": record["poison_site"],
-                    "violation": text,
-                })
-    manifest.wall_s = 0.0
-    return ChaosRun(manifest=manifest, outcomes=outcomes,
-                    violations=violations)
+        cell=_case_name,
+        findings={"violations": lambda rec: [{"violation": text}
+                                             for text in rec["violations"]]},
+        jobs=jobs, progress=progress, trace_dir=trace_dir,
+        trace_name=_case_trace_name)

@@ -6,16 +6,22 @@ that makes regenerating such matrices cheap:
 
 * :mod:`repro.harness.executor` — fans independent points out across
   worker processes with deterministic result ordering and graceful
-  degradation to serial;
+  degradation to serial, and runs a point under a tracer when it is
+  given a trace path (point functions never see one);
 * :mod:`repro.harness.cache` — a content-addressed on-disk result
   cache keyed by experiment, grid point, simulator config and package
   version;
 * :mod:`repro.harness.manifest` — the run-manifest artifact store
-  (grid, wall time, per-point provenance);
+  (grid, wall time, per-point provenance, trace paths), including the
+  one normalized format the matrices write;
 * :mod:`repro.harness.compare` — the regression comparator that diffs
   two manifests and flags metric drift;
-* :mod:`repro.harness.runner` — ``run_sweep`` /
+* :mod:`repro.harness.runner` — ``run_sweep`` / ``run_matrix`` /
   ``run_experiment_cached`` tying the layers together.
+
+A matrix built on the harness (chaos serving, pmcheck, faults) keeps
+only its grid, its cell function and how it names a cell in a
+violation; caching, tracing, fan-out and the manifest live here.
 """
 
 from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache, cache_dir
@@ -30,7 +36,8 @@ from repro.harness.keys import (
 )
 from repro.harness.manifest import RunManifest
 from repro.harness.runner import (
-    SweepRun, expand_grid, run_experiment_cached, run_sweep,
+    SweepRun, expand_grid, run_cached_points, run_experiment_cached,
+    run_matrix, run_sweep,
 )
 
 __all__ = [
@@ -40,5 +47,6 @@ __all__ = [
     "PointOutcome", "effective_jobs", "run_points",
     "canonical_json", "config_fingerprint", "point_key", "to_jsonable",
     "RunManifest",
-    "SweepRun", "expand_grid", "run_experiment_cached", "run_sweep",
+    "SweepRun", "expand_grid", "run_cached_points",
+    "run_experiment_cached", "run_matrix", "run_sweep",
 ]

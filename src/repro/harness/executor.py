@@ -17,6 +17,10 @@ Failure handling is three-level:
 * a *pool* that cannot be used at all (unpicklable worker, fork
   failure, resource limits) degrades the whole run to in-process
   serial execution rather than aborting.
+
+Tracing lives here too: a job given a trace path runs under a fresh
+tracer and writes its Chrome trace once it returns, so point functions
+only ever see their own payload.
 """
 
 import multiprocessing
@@ -28,7 +32,12 @@ from dataclasses import dataclass, field
 
 @dataclass
 class PointOutcome:
-    """The result (or failure) of one experiment point."""
+    """The result (or failure) of one experiment point.
+
+    ``trace`` is the Chrome trace the point wrote (``None`` when it was
+    not traced, was replayed from cache, or failed); ``key`` is its
+    content address when it went through the cache.
+    """
 
     index: int
     payload: dict = field(repr=False, default=None)
@@ -36,6 +45,8 @@ class PointOutcome:
     error: str = None
     elapsed_s: float = 0.0
     cached: bool = False
+    trace: str = None
+    key: str = None
 
     @property
     def ok(self):
@@ -53,12 +64,23 @@ def effective_jobs(jobs=None, points=None):
     return jobs
 
 
-def _execute(job):
-    """Run one (index, func, payload) task; never raises."""
-    index, func, payload = job
+def _execute(task):
+    """Run one (index, func, payload, trace) task; never raises.
+
+    With a trace path the job runs under a fresh tracer and writes its
+    Chrome trace there after ``func`` returns; a raising job writes
+    none.
+    """
+    index, func, payload, trace = task
     started = time.perf_counter()
     try:
-        value = func(payload)
+        if trace is None:
+            value = func(payload)
+        else:
+            from repro.telemetry import recording, write_chrome_trace
+            with recording() as tracer:
+                value = func(payload)
+            write_chrome_trace(tracer, trace)
         return index, value, None, time.perf_counter() - started
     except Exception as exc:
         error = "".join(traceback.format_exception_only(
@@ -67,7 +89,7 @@ def _execute(job):
 
 
 def run_points(func, payloads, jobs=None, progress=None, timeout_s=None,
-               retries=1):
+               retries=1, traces=None):
     """Execute ``func(payload)`` for every payload, possibly in parallel.
 
     Returns a list of :class:`PointOutcome` in payload order.  ``func``
@@ -80,50 +102,54 @@ def run_points(func, payloads, jobs=None, progress=None, timeout_s=None,
     done by then (hung loop, killed worker) is abandoned, its pool torn
     down, and the job resubmitted on a fresh pool up to ``retries``
     extra times before it becomes a failed outcome.
+
+    ``traces``, a list beside ``payloads``, gives each job a Chrome
+    trace path (``None`` = untraced).  ``func`` never sees it; a job
+    that succeeds carries its path on ``PointOutcome.trace``.
     """
     payloads = list(payloads)
-    jobs = effective_jobs(jobs, len(payloads))
-    outcomes = [None] * len(payloads)
+    if traces is None:
+        traces = [None] * len(payloads)
+    tasks = [(i, func, payload, trace)
+             for i, (payload, trace) in enumerate(zip(payloads, traces))]
+    jobs = effective_jobs(jobs, len(tasks))
+    outcomes = [None] * len(tasks)
+
+    def finish(index, value, error, elapsed):
+        outcomes[index] = PointOutcome(
+            index=index, payload=payloads[index], value=value,
+            error=error, elapsed_s=elapsed,
+            trace=traces[index] if error is None else None)
+        if progress is not None:
+            progress(outcomes[index])
+
     if jobs > 1 or timeout_s is not None:
         try:
             if timeout_s is None:
-                _run_pool(func, payloads, jobs, outcomes, progress)
+                _run_pool(tasks, jobs, finish)
             else:
-                _run_pool_deadline(func, payloads, jobs, outcomes,
-                                   progress, timeout_s, retries)
+                _run_pool_deadline(tasks, jobs, finish, timeout_s, retries)
         except Exception:
             # Pool-level failure: fall back to serial for whatever the
             # pool did not finish.
             pass
-    for index, payload in enumerate(payloads):
-        if outcomes[index] is None:
-            idx, value, error, elapsed = _execute((index, func, payload))
-            outcomes[index] = PointOutcome(
-                index=idx, payload=payload, value=value, error=error,
-                elapsed_s=elapsed)
-            if progress is not None:
-                progress(outcomes[index])
+    for task in tasks:
+        if outcomes[task[0]] is None:
+            finish(*_execute(task))
     return outcomes
 
 
-def _run_pool(func, payloads, jobs, outcomes, progress):
-    jobs_list = [(i, func, p) for i, p in enumerate(payloads)]
+def _run_pool(tasks, jobs, finish):
     with multiprocessing.Pool(processes=jobs) as pool:
-        for index, value, error, elapsed in pool.imap_unordered(
-                _execute, jobs_list):
-            outcomes[index] = PointOutcome(
-                index=index, payload=payloads[index], value=value,
-                error=error, elapsed_s=elapsed)
-            if progress is not None:
-                progress(outcomes[index])
+        for result in pool.imap_unordered(_execute, tasks):
+            finish(*result)
 
 
 #: Deadline-polling granularity (seconds).
 _POLL_S = 0.02
 
 
-def _run_pool_deadline(func, payloads, jobs, outcomes, progress,
-                       timeout_s, retries):
+def _run_pool_deadline(tasks, jobs, finish, timeout_s, retries):
     """apply_async + polling: every job gets its own deadline.
 
     ``multiprocessing.Pool`` cannot cancel one task, so an expired job
@@ -132,23 +158,14 @@ def _run_pool_deadline(func, payloads, jobs, outcomes, progress,
     A worker killed by a signal looks identical to a hang (its
     AsyncResult never becomes ready) and takes the same path.
     """
-    pending = [(i, 0) for i in range(len(payloads))]   # (index, attempt)
+    pending = [(i, 0) for i in range(len(tasks))]   # (index, attempt)
     running = {}                  # index -> (AsyncResult, deadline, attempt)
-
-    def finish(index, value, error, elapsed):
-        outcomes[index] = PointOutcome(
-            index=index, payload=payloads[index], value=value,
-            error=error, elapsed_s=elapsed)
-        if progress is not None:
-            progress(outcomes[index])
-
     pool = multiprocessing.Pool(processes=jobs)
     try:
         while pending or running:
             while pending and len(running) < jobs:
                 index, attempt = pending.pop(0)
-                result = pool.apply_async(
-                    _execute, ((index, func, payloads[index]),))
+                result = pool.apply_async(_execute, (tasks[index],))
                 running[index] = (result, time.monotonic() + timeout_s,
                                   attempt)
             expired = None

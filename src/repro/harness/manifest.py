@@ -56,6 +56,30 @@ class RunManifest:
             point["trace"] = trace
         self.points.append(point)
 
+    def add_outcome(self, outcome, normalized=False):
+        """Record one harness :class:`PointOutcome`.
+
+        ``normalized`` drops what varies between runs of the same
+        points — the cache-hit flag and the elapsed time.
+        """
+        self.add_point(params=outcome.payload, key=outcome.key,
+                       record=outcome.value,
+                       cached=outcome.cached and not normalized,
+                       elapsed_s=0.0 if normalized else outcome.elapsed_s,
+                       error=outcome.error, trace=outcome.trace)
+
+    @classmethod
+    def normalized(cls, name, grid, outcomes):
+        """A manifest whose bytes depend only on the points' payloads
+        and results: no wall clock, job count or cache-hit flags, so two
+        runs of the same points write identical files whatever the job
+        count or cache temperature."""
+        manifest = cls(name=name, grid=grid, jobs=1, started=0.0)
+        for outcome in outcomes:
+            manifest.add_outcome(outcome, normalized=True)
+        manifest.wall_s = 0.0
+        return manifest
+
     def finish(self, cache=None):
         """Stamp total wall time and (optionally) cache statistics."""
         self.wall_s = time.time() - self.started

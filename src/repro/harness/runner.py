@@ -1,16 +1,25 @@
 """High-level harness runs: cache lookup → parallel fan-out → manifest.
 
-``run_sweep`` is the engine behind ``repro.lattester.sweep``,
-``scripts/full_sweep.py`` and ``python -m repro sweep``: it expands a
-parameter grid, satisfies every point it can from the content-addressed
-cache, fans the misses out across worker processes, and records the
-whole run — provenance included — in a :class:`RunManifest`.
-``run_experiment_cached`` is the same discipline for whole registry
-figures (used by ``scripts/regenerate_all.py``).
+``run_cached_points`` is the one cache → fan-out loop; two runs sit on
+top of it:
+
+* ``run_sweep`` — grid expansion plus a wall-clock manifest; the engine
+  behind ``repro.lattester.sweep``, ``scripts/full_sweep.py``,
+  ``python -m repro sweep`` and the serve points of
+  ``repro.workloads.saturation``;
+* ``run_matrix`` — the fault and checker matrices (``repro.chaos_serve``,
+  ``repro.pmcheck``, ``repro.faults``): a normalized manifest, the
+  violations the cells reported, each tagged with its cell, and one
+  per-cell timeout budget.
+
+A traced point's trace path is recorded once, on its manifest point's
+``trace`` key — never in the point's record, which is what gets cached.
+``run_experiment_cached`` is the same cache discipline for whole
+registry figures (used by ``scripts/regenerate_all.py``).
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from repro._units import KIB
@@ -21,6 +30,11 @@ from repro.harness.manifest import RunManifest
 
 SWEEP_EXPERIMENT = "lattester.sweep"
 
+#: Per-cell worker budget of every matrix: a stuck cell fails loudly,
+#: then retries once.
+CASE_TIMEOUT_S = 180.0
+CASE_RETRIES = 1
+
 
 def expand_grid(grid):
     """The grid's cartesian product as a list of param dicts."""
@@ -30,23 +44,11 @@ def expand_grid(grid):
 
 
 def _sweep_point(payload):
-    """Measure one sweep point (module-level: must pickle to workers).
-
-    ``trace_path`` in the payload — added by :func:`run_sweep` for
-    traced runs, never part of the cache key — makes the point record
-    a Chrome trace of itself to that path while it measures.
-    """
+    """Measure one sweep point (module-level: must pickle to workers)."""
     from repro.lattester.bandwidth import measure_bandwidth
     params = dict(payload)
     per_thread = params.pop("per_thread")
-    trace_path = params.pop("trace_path", None)
-    if trace_path is None:
-        result = measure_bandwidth(per_thread=per_thread, **params)
-    else:
-        from repro.telemetry import recording, write_chrome_trace
-        with recording() as tracer:
-            result = measure_bandwidth(per_thread=per_thread, **params)
-        write_chrome_trace(tracer, trace_path)
+    result = measure_bandwidth(per_thread=per_thread, **params)
     record = dict(params)
     record["gbps"] = result.gbps
     record["ewr"] = result.ewr
@@ -56,24 +58,39 @@ def _sweep_point(payload):
 
 @dataclass
 class SweepRun:
-    """Everything a sweep produced: ordered records plus provenance."""
+    """Everything one harness run produced: its manifest, every point's
+    :class:`PointOutcome` in grid order, and — for matrices — the
+    violations its cells reported, by kind."""
 
-    records: list
     manifest: RunManifest
-    cache: ResultCache
+    outcomes: list
+    findings: dict = field(default_factory=dict)
+
+    @property
+    def records(self):
+        """The successful points' records, in grid order."""
+        return [o.value for o in self.outcomes if o.ok]
+
+    @property
+    def violations(self):
+        return self.findings.get("violations", [])
 
     @property
     def failures(self):
+        """Manifest points of the cells that raised or timed out."""
         return self.manifest.failures
 
     @property
     def ok(self):
-        return not self.failures
+        """Clean = every point ran and no cell reported a violation."""
+        return not self.failures and not any(self.findings.values())
 
-
-def trace_artifact_path(trace_dir, key):
-    """Deterministic per-point trace filename inside ``trace_dir``."""
-    return os.path.join(trace_dir, "point-%s.trace.json" % key[:16])
+    def raise_on_failure(self, what):
+        """Raise ``RuntimeError`` naming the first failed point."""
+        if self.failures:
+            point = self.failures[0]
+            raise RuntimeError("%s point %s failed: %s"
+                               % (what, point["params"], point["error"]))
 
 
 def run_sweep(grid, per_thread=64 * KIB, jobs=None, cache=None,
@@ -86,114 +103,54 @@ def run_sweep(grid, per_thread=64 * KIB, jobs=None, cache=None,
     serial and parallel paths.  ``cache=None`` builds the default
     on-disk cache; pass ``ResultCache(enabled=False)`` to force
     recomputation.  ``progress`` receives each :class:`PointOutcome`
-    as it completes (cache hits included).
-
-    ``trace_dir`` turns on per-point tracing: every freshly computed
-    point writes a Chrome trace (named after its content-address key)
-    into that directory, and the manifest's point entry records the
-    artifact path.  Cache keys are computed from the *clean* payloads —
-    tracing never influences content addresses or measured results —
-    so a traced run still hits the same cache as an untraced one
-    (replayed points have no trace: nothing re-ran).
+    as it completes (cache hits included).  ``trace_dir`` turns on
+    per-point tracing (see :func:`run_cached_points`).
 
     ``point_fn`` generalizes the harness beyond bandwidth sweeps: a
     module-level callable (it must pickle to workers) receiving one
-    payload dict — grid params plus an optional ``trace_path`` — and
-    returning a JSON-able record.  Custom point functions name their
-    own cache ``experiment`` so their content addresses never collide
-    with the bandwidth sweep's; ``per_thread`` is not injected for
-    them.  Everything else — cache discipline, deterministic ordering,
-    manifests, tracing — behaves identically.
+    payload dict — the grid params — and returning a JSON-able record.
+    Custom point functions name their own cache ``experiment`` so their
+    content addresses never collide with the bandwidth sweep's;
+    ``per_thread`` is not injected for them.
     """
     if cache is None:
         cache = ResultCache()
-    points = expand_grid(grid)
+    payloads = expand_grid(grid)
     if point_fn is None:
         point_fn = _sweep_point
         experiment = SWEEP_EXPERIMENT if experiment is None else experiment
-        payloads = [dict(p, per_thread=per_thread) for p in points]
-    else:
-        if experiment is None:
-            raise ValueError("a custom point_fn needs an experiment "
-                             "name for its cache keys")
-        payloads = [dict(p) for p in points]
-    keys = [point_key(experiment, payload, version=version)
-            for payload in payloads]
-    traces = [None] * len(payloads)
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-
+        payloads = [dict(p, per_thread=per_thread) for p in payloads]
+    elif experiment is None:
+        raise ValueError("a custom point_fn needs an experiment "
+                         "name for its cache keys")
     manifest = RunManifest(name=name, grid=grid, jobs=jobs,
                            version=version)
-    outcomes = [None] * len(payloads)
-    pending = []
-    for index, (payload, key) in enumerate(zip(payloads, keys)):
-        hit, record = cache.get(key)
-        if hit:
-            outcomes[index] = PointOutcome(
-                index=index, payload=payload, value=record, cached=True)
-            if progress is not None:
-                progress(outcomes[index])
-        else:
-            pending.append(index)
-
-    exec_payloads = []
-    for i in pending:
-        if trace_dir is None:
-            exec_payloads.append(payloads[i])
-        else:
-            traces[i] = trace_artifact_path(trace_dir, keys[i])
-            exec_payloads.append(dict(payloads[i], trace_path=traces[i]))
-    fresh = run_points(point_fn, exec_payloads,
-                       jobs=jobs, progress=progress)
-    for slot, outcome in zip(pending, fresh):
-        outcome.index = slot
-        outcome.payload = payloads[slot]   # clean params, no trace_path
-        outcomes[slot] = outcome
-        if not outcome.ok:
-            traces[slot] = None            # the point never wrote one
-        if outcome.ok:
-            cache.put(keys[slot], to_jsonable(outcome.value),
-                      experiment=experiment,
-                      params=to_jsonable(payloads[slot]),
-                      version=version)
-
-    records = []
-    for outcome, key, trace in zip(outcomes, keys, traces):
-        manifest.add_point(params=outcome.payload, key=key,
-                           record=outcome.value, cached=outcome.cached,
-                           elapsed_s=outcome.elapsed_s,
-                           error=outcome.error, trace=trace)
-        if outcome.ok:
-            records.append(outcome.value)
+    outcomes = run_cached_points(point_fn, payloads, experiment,
+                                 version=version, cache=cache, jobs=jobs,
+                                 progress=progress, trace_dir=trace_dir)
+    for outcome in outcomes:
+        manifest.add_outcome(outcome)
     manifest.finish(cache=cache)
-    return SweepRun(records=records, manifest=manifest, cache=cache)
+    return SweepRun(manifest=manifest, outcomes=outcomes)
 
 
 def run_cached_points(point_fn, payloads, experiment, version=None,
                       cache=None, jobs=None, progress=None,
                       timeout_s=None, retries=0, trace_dir=None):
-    """The cache→fan-out middle of :func:`run_sweep`, manifest-free.
+    """The one cache → fan-out loop; returns outcomes in payload order.
 
-    For callers (``repro.chaos_serve.matrix``, and anything else that
-    needs normalized, byte-reproducible manifests) that want the cache
-    discipline and deterministic ordering without ``run_sweep``'s
-    wall-clock-bearing manifest: every payload is looked up in the
-    content-addressed cache, the misses fan out across workers, fresh
-    successes are cached, and the outcomes come back in payload order.
-
-    Returns ``(outcomes, keys, traces)`` — one entry per payload.
-    Cache keys are computed from the *clean* payloads; ``trace_dir``
-    adds a ``trace_path`` only to the executed copies, exactly like
-    :func:`run_sweep`, so traced and untraced runs share content
-    addresses (replayed points have no trace: nothing re-ran).
+    Every payload is looked up in the content-addressed cache, the
+    misses fan out across workers, fresh successes are cached; each
+    :class:`PointOutcome` carries its ``key``.  ``trace_dir`` traces
+    every freshly computed point into ``point-<key[:16]>.trace.json``.
+    Keys come from the payloads alone, so traced and untraced runs
+    share content addresses; replayed points have no trace.
     """
     if cache is None:
         cache = ResultCache()
     payloads = [dict(p) for p in payloads]
     keys = [point_key(experiment, payload, version=version)
             for payload in payloads]
-    traces = [None] * len(payloads)
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
 
@@ -203,34 +160,66 @@ def run_cached_points(point_fn, payloads, experiment, version=None,
         hit, record = cache.get(key)
         if hit:
             outcomes[index] = PointOutcome(
-                index=index, payload=payload, value=record, cached=True)
+                index=index, payload=payload, value=record, cached=True,
+                key=key)
             if progress is not None:
                 progress(outcomes[index])
         else:
             pending.append(index)
 
-    exec_payloads = []
-    for i in pending:
-        if trace_dir is None:
-            exec_payloads.append(payloads[i])
-        else:
-            traces[i] = trace_artifact_path(trace_dir, keys[i])
-            exec_payloads.append(dict(payloads[i], trace_path=traces[i]))
-    fresh = run_points(point_fn, exec_payloads, jobs=jobs,
-                       progress=progress, timeout_s=timeout_s,
-                       retries=retries)
+    traces = None if trace_dir is None else [
+        os.path.join(trace_dir, "point-%s.trace.json" % keys[i][:16])
+        for i in pending]
+    fresh = run_points(point_fn, [payloads[i] for i in pending],
+                       jobs=jobs, progress=progress, timeout_s=timeout_s,
+                       retries=retries, traces=traces)
     for slot, outcome in zip(pending, fresh):
         outcome.index = slot
-        outcome.payload = payloads[slot]   # clean params, no trace_path
+        outcome.key = keys[slot]
         outcomes[slot] = outcome
-        if not outcome.ok:
-            traces[slot] = None            # the point never wrote one
         if outcome.ok:
             cache.put(keys[slot], to_jsonable(outcome.value),
                       experiment=experiment,
                       params=to_jsonable(payloads[slot]),
                       version=version)
-    return outcomes, keys, traces
+    return outcomes
+
+
+def run_matrix(point_fn, payloads, name, grid, cell, findings,
+               experiment=None, cache=None, jobs=None, progress=None,
+               trace_dir=None, trace_name=None):
+    """Run a fault or checker matrix; returns a :class:`SweepRun`.
+
+    The matrix supplies its cells (``payloads``, the manifest's ``name``
+    and ``grid``), its cell function, ``cell(payload)`` — how a cell is
+    named in a violation — and ``findings``, kind -> a function
+    returning a record's violations as dicts; each comes back under its
+    kind as ``dict(violation, cell=...)``.  With an ``experiment`` the
+    cells are cached; without one their manifest points keep ``key:
+    null`` and ``trace_name(index, payload)`` names their traces.
+    """
+    budget = dict(jobs=jobs, progress=progress, timeout_s=CASE_TIMEOUT_S,
+                  retries=CASE_RETRIES)
+    if experiment is not None:
+        outcomes = run_cached_points(point_fn, payloads, experiment,
+                                     cache=cache, trace_dir=trace_dir,
+                                     **budget)
+    else:
+        traces = None
+        if trace_dir is not None:
+            os.makedirs(trace_dir, exist_ok=True)
+            traces = [os.path.join(trace_dir, trace_name(i, payload))
+                      for i, payload in enumerate(payloads)]
+        outcomes = run_points(point_fn, payloads, traces=traces, **budget)
+    found = {kind: [] for kind in findings}
+    for outcome in outcomes:
+        if outcome.ok:
+            tag = cell(outcome.payload)
+            for kind, extract in findings.items():
+                found[kind].extend(dict(violation, cell=dict(tag))
+                                   for violation in extract(outcome.value))
+    return SweepRun(manifest=RunManifest.normalized(name, grid, outcomes),
+                    outcomes=outcomes, findings=found)
 
 
 def run_experiment_cached(experiment, cache=None, version=None,

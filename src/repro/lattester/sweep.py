@@ -63,10 +63,7 @@ def sweep_grid(grid=None, per_thread=64 * KIB, progress=None,
     run = run_sweep(grid, per_thread=per_thread, jobs=jobs, cache=cache,
                     progress=None if progress is None
                     else (lambda outcome: progress(_outcome_record(outcome))))
-    if run.failures:
-        first = run.failures[0]
-        raise RuntimeError("sweep point %s failed: %s"
-                           % (first["params"], first["error"]))
+    run.raise_on_failure("sweep")
     return run.records
 
 
@@ -83,7 +80,6 @@ def _outcome_record(outcome):
         return outcome.value
     record = dict(outcome.payload)
     record.pop("per_thread", None)
-    record.pop("trace_path", None)
     record["error"] = outcome.error
     return record
 

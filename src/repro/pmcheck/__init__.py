@@ -15,14 +15,15 @@ the same code as an unchecked one.
 
 Entry points: :class:`PmCheck` / :func:`checking` to check any run;
 :func:`run_pmcheck` for the cached (workload, substrate) matrix behind
-``python -m repro pmcheck``; ``--pmcheck`` on ``python -m repro serve``
+``python -m repro pmcheck`` (the module keeps only its grid and
+:func:`pmcheck_cell`; :func:`repro.harness.run_matrix` caches, traces
+and fans the cells out); ``--pmcheck`` on ``python -m repro serve``
 checks the saturation search and chaos matrix.
 """
 
 from repro.pmcheck.matrix import (
     CHECK_WORKLOADS,
     PMCHECK_EXPERIMENT,
-    PmCheckRun,
     build_pmcheck_grid,
     pmcheck_cell,
     run_pmcheck,
@@ -35,7 +36,6 @@ __all__ = [
     "KINDS",
     "PMCHECK_EXPERIMENT",
     "PmCheck",
-    "PmCheckRun",
     "build_pmcheck_grid",
     "checking",
     "format_summary",

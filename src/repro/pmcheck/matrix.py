@@ -15,11 +15,7 @@ NOVA has no naive variant (its log format is CRC-framed by design), so
 the naive grid excludes it.
 """
 
-from dataclasses import dataclass, field
-
-from repro.harness.cache import ResultCache
-from repro.harness.manifest import RunManifest
-from repro.harness.runner import run_cached_points
+from repro.harness.runner import run_matrix
 from repro.pmcheck.state import PmCheck
 from repro.workloads.generators import get_workload
 from repro.workloads.service import SUBSTRATES
@@ -33,10 +29,6 @@ CHECK_WORKLOADS = ("ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e",
 
 QUICK_SHAPE = {"records": 128, "ops": 320, "clients": 2}
 FULL_SHAPE = {"records": 512, "ops": 2048, "clients": 4}
-
-#: Per-cell worker budget: a stuck cell fails loudly, then retries once.
-CASE_TIMEOUT_S = 180.0
-CASE_RETRIES = 1
 
 
 def build_pmcheck_grid(workload=None, substrate=None, quick=False,
@@ -68,7 +60,8 @@ def build_pmcheck_grid(workload=None, substrate=None, quick=False,
             for wname in workloads for sname in substrates]
 
 
-def _cell_inner(payload):
+def pmcheck_cell(payload):
+    """One checked serving cell (harness point function, picklable)."""
     from repro.sim.platform import Machine
     from repro.workloads.loadloop import closed_loop
     from repro.workloads.service import make_service
@@ -100,35 +93,8 @@ def _cell_inner(payload):
     }
 
 
-def pmcheck_cell(payload):
-    """One checked serving cell (harness point function, picklable)."""
-    trace_path = payload.get("trace_path")
-    if trace_path is None:
-        return _cell_inner(payload)
-    from repro.telemetry import recording, write_chrome_trace
-    with recording() as tracer:
-        record = _cell_inner(payload)
-    write_chrome_trace(tracer, trace_path)
-    record["trace"] = trace_path
-    return record
-
-
-@dataclass
-class PmCheckRun:
-    """One pmcheck matrix run: records, violations, provenance."""
-
-    manifest: RunManifest
-    records: list
-    violations: list = field(default_factory=list)
-
-    @property
-    def failures(self):
-        return self.manifest.failures
-
-    @property
-    def ok(self):
-        """Clean = every cell ran *and* the checker stayed silent."""
-        return not self.failures and not self.violations
+def _cell_name(payload):
+    return {k: payload[k] for k in ("workload", "substrate", "naive")}
 
 
 def run_pmcheck(workload=None, substrate=None, quick=False, seed=0,
@@ -136,48 +102,20 @@ def run_pmcheck(workload=None, substrate=None, quick=False, seed=0,
                 trace_dir=None):
     """Run the pmcheck matrix through the harness.
 
-    Returns a :class:`PmCheckRun`; ``violations`` aggregates every
-    persistency-order violation any cell's checker reported, each
-    annotated with its cell.
+    Returns a :class:`~repro.harness.runner.SweepRun`; ``violations``
+    aggregates every persistency-order violation any cell's checker
+    reported, each annotated with its cell.
     """
-    if cache is None:
-        cache = ResultCache()
     payloads = build_pmcheck_grid(workload=workload, substrate=substrate,
                                   quick=quick, seed=seed, naive=naive)
-    outcomes, keys, traces = run_cached_points(
-        pmcheck_cell, payloads, PMCHECK_EXPERIMENT, cache=cache,
-        jobs=jobs, progress=progress, timeout_s=CASE_TIMEOUT_S,
-        retries=CASE_RETRIES, trace_dir=trace_dir)
-
-    # Normalized manifest: identical bytes for identical payloads+seed,
-    # whatever the job count or cache state was.
-    manifest = RunManifest(
+    return run_matrix(
+        pmcheck_cell, payloads,
         name="pmcheck-%s" % ("quick" if quick else "full"),
         grid={"workload": sorted({p["workload"] for p in payloads}),
               "substrate": sorted({p["substrate"] for p in payloads}),
               "seed": [seed],
               "naive": [bool(naive)]},
-        jobs=1, started=0.0)
-    records = []
-    violations = []
-    for payload, outcome, key, trace in zip(payloads, outcomes, keys,
-                                            traces):
-        record = outcome.value
-        if outcome.ok and isinstance(record, dict):
-            record = dict(record)
-            record.pop("trace", None)     # path varies run to run
-        manifest.add_point(params=payload, key=key, record=record,
-                           cached=False, elapsed_s=0.0,
-                           error=outcome.error, trace=trace)
-        if not outcome.ok:
-            continue
-        records.append(outcome.value)
-        for violation in outcome.value["pmcheck"]["violations"]:
-            violations.append(dict(violation, cell={
-                "workload": payload["workload"],
-                "substrate": payload["substrate"],
-                "naive": payload["naive"],
-            }))
-    manifest.wall_s = 0.0
-    return PmCheckRun(manifest=manifest, records=records,
-                      violations=violations)
+        cell=_cell_name,
+        findings={"violations": lambda rec: rec["pmcheck"]["violations"]},
+        experiment=PMCHECK_EXPERIMENT, cache=cache, jobs=jobs,
+        progress=progress, trace_dir=trace_dir)

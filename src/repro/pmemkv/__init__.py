@@ -16,12 +16,11 @@ Public surface::
 
 from repro.pmemkv.btree import BPlusTree
 from repro.pmemkv.cmap import CMap
-from repro.pmemkv.smap import SMap
 from repro.pmemkv.study import (
     OverwriteResult, degradation, figure19, overwrite_benchmark,
 )
 
 __all__ = [
-    "BPlusTree", "CMap", "OverwriteResult", "SMap", "degradation",
-    "figure19", "overwrite_benchmark",
+    "BPlusTree", "CMap", "OverwriteResult", "degradation", "figure19",
+    "overwrite_benchmark",
 ]

@@ -11,7 +11,8 @@ Every measured point goes through :func:`repro.harness.run_sweep` with
 a custom ``point_fn``, so serve points share the harness' discipline:
 content-addressed caching (a binary-search probe that lands on a curve
 rate replays for free), deterministic serial/parallel ordering,
-manifests, and optional per-point Chrome traces.  Reports contain only
+manifests, and optional per-point Chrome traces (the harness records
+them; the point function never sees a trace path).  Reports contain only
 virtual-time quantities and rounded floats — byte-identical across
 reruns and hosts.
 """
@@ -48,29 +49,16 @@ DEFAULT_SLO_MULTIPLIER = 10.0
 DEFAULT_SLO_P99_US = 100.0
 
 
-def _serve_point(payload):
+def _serve_point(params):
     """Measure one serve point (module-level: must pickle to workers).
 
     The payload is the cache identity of the point: workload,
-    substrate, mode, shape and seed — plus ``trace_path`` for traced
-    runs, which never enters the cache key.
+    substrate, mode, shape and seed.
     """
-    from repro.sim.platform import Machine
-    params = dict(payload)
-    trace_path = params.pop("trace_path", None)
-    if trace_path is None:
-        return _measure(Machine, params)
-    from repro.telemetry import recording, write_chrome_trace
-    with recording() as tracer:
-        report = _measure(Machine, params)
-    write_chrome_trace(tracer, trace_path)
-    return report
-
-
-def _measure(machine_cls, params):
     from repro.obs import ObsRecorder
+    from repro.sim.platform import Machine
     spec = get_workload(params["workload"])
-    machine = machine_cls()
+    machine = Machine()
     checker = None
     if params.get("pmcheck"):
         # Install before preload so the checker sees the whole persist
@@ -131,9 +119,7 @@ def _one_point(params, collect=None, **harness):
     run = run_sweep(grid, point_fn=_serve_point,
                     experiment=SERVE_EXPERIMENT, version=SERVE_VERSION,
                     **harness)
-    if not run.ok:
-        index, error = run.failures[0]
-        raise RuntimeError("serve point failed: %s" % error)
+    run.raise_on_failure("serve")
     if collect is not None:
         collect.append(run.manifest.points[0])
     return run.records[0]
@@ -190,9 +176,7 @@ def serve(workload, substrate, quick=False, slo_p99_us=None, seed=0,
                           version=SERVE_VERSION,
                           name="serve:%s:%s" % (workload, substrate),
                           **harness)
-    if not curve_run.ok:
-        index, error = curve_run.failures[0]
-        raise RuntimeError("curve point failed: %s" % error)
+    curve_run.raise_on_failure("curve")
     curve = [{"offered_kops": rec["offered_kops"],
               "achieved_kops": rec["achieved_kops"],
               "p50_us": rec["latency_us"]["p50"],

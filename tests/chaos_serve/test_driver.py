@@ -6,6 +6,7 @@ import pytest
 
 from repro.chaos_serve import chaos_serve_cell
 from repro.chaos_serve.matrix import FULL_SHAPE
+from repro.harness import run_points
 
 QUICK = {"workload": "ycsb-a", "substrate": "lsm",
          "scenario": "power-fail", "mode": "closed", "naive": False,
@@ -124,7 +125,8 @@ class TestDeterminism:
 
 
 class TestTracedCell:
-    """A traced cell holds the serve spans its docstring promises."""
+    """A cell traced through the harness holds the serve spans its
+    docstring promises, and returns the untraced record."""
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -134,13 +136,15 @@ class TestTracedCell:
     ], ids=["closed-power-fail", "open-power-fail", "closed-transient"])
     def test_one_serve_span_per_ok_request(self, tmp_path, overrides):
         path = str(tmp_path / "cell.trace.json")
-        traced = cell(trace_path=path, **overrides)
+        [outcome] = run_points(chaos_serve_cell, [dict(QUICK, **overrides)],
+                               jobs=1, traces=[path])
+        assert outcome.ok and outcome.trace == path
+        traced = outcome.value
         with open(path) as fh:
             events = json.load(fh)["traceEvents"]
         serve = [e for e in events if e.get("cat") == "serve"]
         assert serve and all(e["ph"] == "X" for e in serve)
         assert len(serve) == traced["results"]["ok"]
-        assert traced.pop("trace") == path
         assert traced == cell(**overrides)
 
 

@@ -65,6 +65,20 @@ class TestRunChaosServe:
             json.dumps(warm.records, sort_keys=True)
         assert cold.ok and warm.ok
 
+    def test_traced_run_leaves_cached_records_clean(self, tmp_path):
+        def run(tag, **kw):
+            return run_chaos_serve(
+                workload="ycsb-a", substrate="lsm", quick=True, jobs=1,
+                cache=ResultCache(root=str(tmp_path / tag)), **kw)
+
+        cold = json.dumps(run("cold").records, sort_keys=True)
+        traced = run("shared", trace_dir=str(tmp_path / "traces"))
+        warm = run("shared")
+        assert json.dumps(traced.records, sort_keys=True) == cold
+        assert json.dumps(warm.records, sort_keys=True) == cold
+        assert all("trace" in p for p in traced.manifest.points)
+        assert not any("trace" in p for p in warm.manifest.points)
+
 
 @pytest.fixture
 def cache_env(tmp_path, monkeypatch):
@@ -106,6 +120,24 @@ class TestServeChaosCli:
     def test_unknown_workload_exits_2(self, cache_env, capsys):
         assert main(["serve", "nope", "lsm", "--chaos",
                      "--quick"]) == 2
+
+    def test_traced_report_equals_untraced(self, cache_env, capsys):
+        def report(tag, cache, *extra):
+            out = str(cache_env / (tag + ".json"))
+            assert main(["serve", "ycsb-a", "pmemkv", "--chaos", "--quick",
+                         "--jobs", "1", "--out", out,
+                         "--cache-dir", str(cache_env / cache)]
+                        + list(extra)) == 0
+            with open(out, "rb") as fh:
+                return fh.read()
+
+        cold = report("cold", "cache-cold")
+        traced = report("traced", "cache-shared",
+                        "--trace-dir", str(cache_env / "traces"))
+        warm = report("warm", "cache-shared")
+        capsys.readouterr()
+        assert traced == cold
+        assert warm == cold
 
     def test_trace_dir_writes_valid_chaos_traces(self, cache_env,
                                                  capsys):

@@ -5,7 +5,11 @@ import os
 import signal
 import time
 
-from repro.harness import effective_jobs, run_points
+import pytest
+
+from repro._units import KIB
+from repro.harness import ResultCache, effective_jobs, run_points, run_sweep
+from repro.telemetry import load_and_validate
 
 
 def square(payload):
@@ -46,6 +50,18 @@ def hang_first_attempt(payload):
             open(marker, "w").close()
             time.sleep(60)
     return "second-try"
+
+
+def traced_work(payload):
+    """Simulated work (so a trace has events); fails on ``fail``.
+    Returns the payload's keys: a point never sees a trace path."""
+    from repro.lattester.bandwidth import measure_bandwidth
+    if payload.get("fail"):
+        raise ValueError("asked to fail")
+    result = measure_bandwidth(kind="optane-ni", op="ntstore", threads=1,
+                               access=256, pattern="seq",
+                               per_thread=4 * KIB)
+    return {"keys": sorted(payload), "elapsed_ns": result.elapsed_ns}
 
 
 PAYLOADS = [{"x": i} for i in range(8)]
@@ -130,6 +146,47 @@ class TestTimeouts:
         assert not outcomes[3].ok
         assert "three is right out" in outcomes[3].error
         assert sum(o.ok for o in outcomes) == 7
+
+
+class TestTracing:
+    """The executor is the one place a point gets traced."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_valid_trace_per_executed_job(self, tmp_path, jobs):
+        traces = [str(tmp_path / ("job-%d.trace.json" % i))
+                  for i in range(3)]
+        outcomes = run_points(traced_work, [{"x": i} for i in range(3)],
+                              jobs=jobs, traces=traces)
+        assert sorted(os.listdir(tmp_path)) == \
+            sorted(os.path.basename(t) for t in traces)
+        for outcome, trace in zip(outcomes, traces):
+            assert outcome.ok
+            assert outcome.trace == trace
+            assert outcome.value["keys"] == ["x"]
+            assert load_and_validate(trace) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_job_writes_no_trace(self, tmp_path, jobs):
+        trace_dir = str(tmp_path / "traces")
+        run = run_sweep({"x": (0, 1), "fail": (False, True)},
+                        point_fn=traced_work, experiment="test.traced",
+                        jobs=jobs, cache=ResultCache(enabled=False),
+                        trace_dir=trace_dir)
+        points = run.manifest.to_dict()["points"]
+        failed = [p for p in points if p["error"]]
+        passed = [p for p in points if not p["error"]]
+        assert len(failed) == len(passed) == 2
+        assert all("trace" not in p for p in failed)
+        assert sorted(os.path.join(trace_dir, name)
+                      for name in os.listdir(trace_dir)) == \
+            sorted(p["trace"] for p in passed)
+        for point in passed:
+            assert load_and_validate(point["trace"]) == []
+            assert point["record"]["keys"] == ["fail", "x"]
+
+    def test_untraced_jobs_carry_no_trace(self):
+        outcomes = run_points(square, PAYLOADS[:2], jobs=1)
+        assert [o.trace for o in outcomes] == [None, None]
 
 
 class TestEffectiveJobs:

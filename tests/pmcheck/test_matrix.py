@@ -154,3 +154,43 @@ class TestRunPmCheck:
                            quick=True, jobs=1, cache=cache)
         assert json.dumps(cold.records, sort_keys=True) == \
             json.dumps(warm.records, sort_keys=True)
+
+
+class TestTracedRuns:
+    """A trace path is manifest provenance, never part of a record: the
+    record is what the cache keeps and the report prints."""
+
+    def test_traced_run_leaves_cached_records_clean(self, tmp_path):
+        def run(tag, **kw):
+            return run_pmcheck(workload="ycsb-a", substrate="lsm",
+                               quick=True, jobs=1,
+                               cache=ResultCache(root=str(tmp_path / tag)),
+                               **kw)
+
+        cold = json.dumps(run("cold").records, sort_keys=True)
+        traced = run("shared", trace_dir=str(tmp_path / "traces"))
+        warm = run("shared")
+        assert json.dumps(traced.records, sort_keys=True) == cold
+        assert json.dumps(warm.records, sort_keys=True) == cold
+        assert traced.manifest.points[0]["trace"]
+        assert "trace" not in warm.manifest.points[0]
+
+    def test_traced_cli_report_equals_untraced(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        def report(tag, cache, *extra):
+            out = str(tmp_path / (tag + ".json"))
+            assert main(["pmcheck", "ycsb-a", "lsm", "--quick",
+                         "--jobs", "1", "--out", out,
+                         "--cache-dir", str(tmp_path / cache)]
+                        + list(extra)) == 0
+            with open(out, "rb") as fh:
+                return fh.read()
+
+        cold = report("cold", "cache-cold")
+        traced = report("traced", "cache-shared",
+                        "--trace-dir", str(tmp_path / "traces"))
+        warm = report("warm", "cache-shared")
+        capsys.readouterr()
+        assert traced == cold
+        assert warm == cold

@@ -130,53 +130,3 @@ class TestFigure19Shape:
                                    ops_per_thread=80).bandwidth_gbps
         assert four > 2 * one
 
-
-class TestSMap:
-    def make(self):
-        from repro.pmemkv import SMap
-        m = Machine()
-        t = m.thread()
-        pool = PmemPool.create(m, t)
-        return m, t, pool, SMap(pool, capacity=1 << 20)
-
-    def test_put_get_delete(self):
-        _, t, _, kv = self.make()
-        kv.put(t, b"k", b"v")
-        assert kv.get(t, b"k") == b"v"
-        kv.delete(t, b"k")
-        assert kv.get(t, b"k") is None
-
-    def test_range_query(self):
-        _, t, _, kv = self.make()
-        for i in range(10):
-            kv.put(t, b"%02d" % i, b"v%02d" % i)
-        got = kv.get_range(t, start=b"03", end=b"07")
-        assert [k for k, _ in got] == [b"03", b"04", b"05", b"06"]
-
-    def test_range_limit(self):
-        _, t, _, kv = self.make()
-        for i in range(10):
-            kv.put(t, b"%02d" % i, b"x")
-        assert len(kv.get_range(t, limit=3)) == 3
-
-    def test_range_skips_deleted(self):
-        _, t, _, kv = self.make()
-        kv.put(t, b"a", b"1")
-        kv.put(t, b"b", b"2")
-        kv.delete(t, b"a")
-        assert kv.get_range(t) == [(b"b", b"2")]
-
-    def test_crash_recovery(self):
-        from repro.pmemkv import SMap
-        m, t, pool, kv = self.make()
-        for i in range(30):
-            kv.put(t, b"k%02d" % i, b"v%02d" % i)
-        kv.delete(t, b"k05")
-        arena = kv.arena_off
-        m.power_fail()
-        pool2 = PmemPool.open(m)
-        kv2 = SMap.open(pool2, arena, capacity=1 << 20)
-        t2 = m.thread()
-        assert kv2.get(t2, b"k04") == b"v04"
-        assert kv2.get(t2, b"k05") is None
-        assert len(kv2) == 29

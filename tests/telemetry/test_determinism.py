@@ -68,21 +68,19 @@ class TestHarnessTracing:
 
     def test_chaos_case_traces_fault_instants(self, tmp_path):
         from repro.faults.chaos import _run_case
+        from repro.harness import run_points
 
         path = str(tmp_path / "case.json")
         payload = {"workload": "pmdk-tx", "crash_at": 2,
                    "tear": "prefix-1", "poison_site": 0, "seed": 0,
-                   "naive": False, "trace_path": path}
-        record = _run_case(payload)
-        assert record["trace"] == path
+                   "naive": False}
+        [outcome] = run_points(_run_case, [payload], jobs=1,
+                               traces=[path])
+        assert outcome.trace == path
         with open(path) as fh:
             events = json.load(fh)["traceEvents"]
         names = {e["name"] for e in events if e.get("cat") == "fault"}
         assert "fault.power_fail" in names
         assert "fault.poison" in names
-        # the same case untraced returns the same record sans trace
-        clean = dict(payload)
-        del clean["trace_path"]
-        untraced = _run_case(clean)
-        record.pop("trace")
-        assert record == untraced
+        # tracing is pure observation: the untraced record is identical
+        assert outcome.value == _run_case(payload)

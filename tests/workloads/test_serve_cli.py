@@ -159,3 +159,31 @@ class TestSaturationController:
             serve("nope", "lsm", quick=True)
         with pytest.raises(KeyError, match="nova"):
             serve("ycsb-a", "nope", quick=True)
+
+
+class TestFailedPoint:
+    """A serve point that raises surfaces as a RuntimeError naming it."""
+
+    @pytest.mark.parametrize("mode,label", [("closed", "serve"),
+                                            ("open", "curve")])
+    def test_failed_point_names_params_and_error(self, monkeypatch, mode,
+                                                 label):
+        from repro.harness import ResultCache
+        from repro.workloads import saturation
+
+        measure = saturation._serve_point
+
+        def fail_in_mode(payload):
+            if payload["mode"] == mode:
+                raise ValueError("substrate on fire")
+            return measure(payload)
+
+        # jobs=1 runs points in-process, where the patch is visible.
+        monkeypatch.setattr(saturation, "_serve_point", fail_in_mode)
+        with pytest.raises(RuntimeError) as info:
+            serve("ycsb-a", "lsm", quick=True, jobs=1,
+                  cache=ResultCache(enabled=False))
+        message = str(info.value)
+        assert message.startswith("%s point {" % label)
+        assert "'mode': '%s'" % mode in message
+        assert "ValueError: substrate on fire" in message
