@@ -128,10 +128,9 @@ class _Env:
         self.recoveries = []
         self.violations = []
         self._breaker_seen = 0
-        # Always-on observability: request-granularity recording
-        # (REPRO_OBS=0 disables).
-        self.obs = ObsRecorder.from_env(payload["substrate"],
-                                        workload=payload["workload"])
+        # Always-on observability: request-granularity recording.
+        self.obs = ObsRecorder(payload["substrate"],
+                               workload=payload["workload"])
         self.load_end = preload(self.service, self.machine, self.spec,
                                 self.records, seed=self.seed)
         self.history.preload(self.records)
@@ -144,12 +143,10 @@ class _Env:
         if tracer is not None:
             tracer.instant(tracer.last_ts, CAT_CHAOS, name,
                            track="chaos", args=args)
-        if self.obs is not None:
-            # Virtual timestamp of the latest serving progress — the
-            # same instant a tracer would stamp, derived without one.
-            ts = max((t.now for t in self.threads),
-                     default=self.load_end)
-            self.obs.event(ts, name, args)
+        # Virtual timestamp of the latest serving progress — the same
+        # instant a tracer would stamp, derived without one.
+        ts = max((t.now for t in self.threads), default=self.load_end)
+        self.obs.event(ts, name, args)
 
     def degrade_instant(self, thread, name, client, args=None):
         tracer = self.machine.tracer
@@ -166,9 +163,8 @@ class _Env:
                 tracer.instant(ts, CAT_DEGRADE,
                                "degrade.breaker_" + state,
                                track="degrade")
-        if self.obs is not None:
-            for ts, state in new:
-                self.obs.event(ts, "breaker." + state)
+        for ts, state in new:
+            self.obs.event(ts, "breaker." + state)
 
     # -- the serving-loop hooks -----------------------------------------
 
@@ -254,7 +250,7 @@ class _Env:
         if len(self.breaker.transitions) != self._breaker_seen:
             self.drain_breaker_events()
         self.results[disp] = self.results.get(disp, 0) + 1
-        if disp != OK and self.obs is not None:
+        if disp != OK:
             self.obs.error(req.op, thread.now)
         if self.inflight is not None:
             heappush(self.inflight, thread.now)
@@ -354,9 +350,8 @@ def _recover_and_audit(env, at_op, final=False):
     if tracer is not None:
         tracer.complete(start, CAT_CHAOS, "chaos.recovery",
                         RECOVERY_GAP_NS, track="chaos", args=outcome)
-    if env.obs is not None:
-        env.obs.event(start, "chaos.recovery", dict(
-            {"at_op": at_op, "final": bool(final)}, **outcome))
+    env.obs.event(start, "chaos.recovery", dict(
+        {"at_op": at_op, "final": bool(final)}, **outcome))
 
 
 # -- the cell ----------------------------------------------------------------
@@ -383,18 +378,17 @@ def chaos_serve_cell(payload):
     results = env.results
     crashes = sum(1 for r in env.recoveries if not r["final"])
     obs = env.obs
-    if obs is not None:
-        # Fold the cell's terminal tallies into the obs counters so the
-        # blob stands alone: degrade stats, breaker churn, dispositions
-        # and audit outcomes, all next to the latency histogram.
-        for k, v in sorted(env.stats.to_dict().items()):
-            obs.count("degrade_" + k, v)
-        for state, n in sorted(env.breaker.transition_counts().items()):
-            obs.count("breaker_" + state, n)
-        obs.count("recoveries", len(env.recoveries))
-        obs.count("violations", len(env.violations))
-        for disp in sorted(results):
-            obs.count("result_" + disp, results[disp])
+    # Fold the cell's terminal tallies into the obs counters so the blob
+    # stands alone: degrade stats, breaker churn, dispositions and audit
+    # outcomes, all next to the latency histogram.
+    for k, v in sorted(env.stats.to_dict().items()):
+        obs.count("degrade_" + k, v)
+    for state, n in sorted(env.breaker.transition_counts().items()):
+        obs.count("breaker_" + state, n)
+    obs.count("recoveries", len(env.recoveries))
+    obs.count("violations", len(env.violations))
+    for disp in sorted(results):
+        obs.count("result_" + disp, results[disp])
     record = {
         "workload": payload["workload"],
         "substrate": payload["substrate"],
@@ -422,6 +416,5 @@ def chaos_serve_cell(payload):
     if env.pmcheck is not None:
         record["pmcheck"] = env.pmcheck.summary()
         env.pmcheck.uninstall()
-    if obs is not None:
-        record["obs"] = obs.to_dict()
+    record["obs"] = obs.to_dict()
     return record

@@ -23,7 +23,7 @@ and the :class:`~repro.sim.media.XPMedia` occupancy model.
 
 import zlib
 
-from repro._units import CACHELINE, XPLINE
+from repro._units import CACHELINE, XPLINE, align_up
 
 
 class MediaError(Exception):
@@ -281,6 +281,69 @@ def overlaps_lost(lost, offset, length):
     """True when ``[offset, offset+length)`` touches an unreadable range."""
     end = offset + length
     return any(offset < lo + ll and lo < end for lo, ll in lost)
+
+
+#: What a :func:`scan_log` ``decode`` answers where its log ends.
+END = object()
+
+
+def scan_log(buf, lost, decode, report, start=0, end=None, align=None,
+             hole="unreadable hole", torn="torn tail"):
+    """The one tolerant recovery scan (WAL, SSTables, NOVA's log pages).
+
+    ``buf`` and ``lost`` come from :func:`tolerant_read`;
+    ``decode(offset)`` answers ``(item, next_offset)``, ``None`` (no
+    valid record) or :data:`END` (the format's end of log).  From
+    ``start`` to ``end`` (default ``len(buf)``) each offset is:
+
+    * *recovered* — a record decodes;
+    * *quiet end* — ``END``, or zeroed space with no unreadable range
+      ahead;
+    * *lost* — an unreadable range ends past it (noted as ``"<hole> at
+      +off (n bytes)"``); the scan resyncs at the next ``align``-ed
+      offset that is not ``None``, or abandons the rest when
+      ``align=None`` (unaligned records);
+    * *truncated* — anything else: a torn record (``"<torn> truncated
+      at +off"``).
+
+    Returns ``(items, offset where the scan stopped)``.
+    """
+    end = len(buf) if end is None else end
+
+    def probe(pos):
+        got = decode(pos)
+        # count(0) checks the (MiB-scale) rest at memchr speed, no copy.
+        if got is None and not buf[pos] \
+                and buf.count(0, pos, end) == end - pos \
+                and not any(lo + ll > pos for lo, ll in lost):
+            return END                     # zeroed space: the log ended
+        return got
+
+    items = []
+    pos = start
+    while pos < end:
+        got = probe(pos)
+        if got is END:
+            break
+        if got is not None:
+            item, pos = got
+            items.append(item)
+            report.recovered += 1
+            continue
+        at = next(((lo, ll) for lo, ll in lost if lo + ll > pos), None)
+        if at is None:
+            report.truncated += 1
+            report.note("%s truncated at +%d" % (torn, pos))
+            break
+        report.lost += 1
+        report.note("%s at +%d (%d bytes)" % (hole, at[0], at[1]))
+        if align is None:
+            report.note("records unaligned: log abandoned at +%d" % pos)
+            break
+        pos = align_up(max(at[0] + at[1], pos + 1), align)
+        while pos < end and probe(pos) is None:
+            pos += align
+    return items, pos
 
 
 def pread_retry(ns, thread, addr, size, attempts=4, backoff_ns=1000.0):

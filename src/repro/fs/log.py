@@ -20,13 +20,17 @@ chain plus the tail position.  An append is acknowledged only once
 (:meth:`InodeLog.open_persistent` + :meth:`InodeLog.scan_persistent`)
 replays the chain up to that committed tail and no further.  Both
 halves of that rule live here.
+Pages are read back by :func:`~repro.faults.model.scan_log` at 64 B
+alignment, ending at the zero terminator a grow leaves behind them.
 """
 
 import struct
 import zlib
 
 from repro._units import CACHELINE, align_up
-from repro.faults.model import MediaError, overlaps_lost, tolerant_read
+from repro.faults.model import (
+    END, MediaError, overlaps_lost, scan_log, tolerant_read,
+)
 from repro.fs.layout import INODE_TABLE_PAGE, PAGE, split_gaddr
 
 LOG_PAGE_HEADER = 64
@@ -108,11 +112,6 @@ def decode_entry(buf, offset):
                  "data": data, "file_size": file_size}
         return entry, offset + ENTRY_SIZE + align_up(dlen, CACHELINE)
     return None
-
-
-def entry_span(entry_blob):
-    """Bytes the encoded entry occupies in the log."""
-    return len(entry_blob)
 
 
 class InodeLog:
@@ -269,7 +268,7 @@ class InodeLog:
         self.tail_page = new_page
         self.tail_off = LOG_PAGE_HEADER
 
-    def scan_persistent(self, report=None):
+    def scan_persistent(self, report):
         """Recovery: yield decoded entries from the persistent view, up
         to the committed tail (see :meth:`open_persistent`).
 
@@ -278,7 +277,8 @@ class InodeLog:
         life.  The scan therefore ends, quietly, at the committed tail
         (nothing past it was ever acknowledged) and leaves a non-tail
         page at the zero terminator ``_grow`` wrote behind its last
-        entry.
+        entry: the ``END`` of this format's
+        :func:`~repro.faults.model.scan_log` decode.
 
         As a side effect (recovery runs this on a fresh handle) the
         log's tail position and ``pages_seen`` are restored, so appends
@@ -292,7 +292,7 @@ class InodeLog:
         terminator leaves the scan nothing to stop at, so stale entries
         behind it can still be replayed.  ``report`` (a
         :class:`~repro.faults.report.RecoveryReport`) collects the
-        accounting when provided.
+        accounting.
         """
         tail_page, tail_off = self.committed
         page = self.head
@@ -304,54 +304,28 @@ class InodeLog:
             if dev >= len(self.fs.devices) or off % PAGE:
                 break                      # corrupt chain pointer: stop
             self.pages_seen.append(page)
-            ns = self.fs.devices[dev]
-            raw, lost = tolerant_read(ns, off, PAGE)
+            raw, lost = tolerant_read(self.fs.devices[dev], off, PAGE)
             if page == tail_page:
                 raw = raw[:tail_off]
-            end = len(raw)
 
-            def at_terminator(pos):
-                return not any(raw[pos:pos + ENTRY_SIZE]) and \
-                    not overlaps_lost(lost, pos, ENTRY_SIZE)
+            def decode(pos):
+                got = decode_entry(raw, pos)
+                if got is None and not any(raw[pos:pos + ENTRY_SIZE]) \
+                        and not overlaps_lost(lost, pos, ENTRY_SIZE):
+                    return END             # the page's entries end here
+                return got
 
-            pos = LOG_PAGE_HEADER
-            while pos <= end - ENTRY_SIZE:
-                decoded = decode_entry(raw, pos)
-                if decoded is not None:
-                    entry, pos = decoded
-                    if report is not None:
-                        report.recovered += 1
-                    yield entry
-                    continue
-                if at_terminator(pos):
-                    break                  # the page's entries end here
-                hole = next(((lo, ll) for lo, ll in lost
-                             if lo + ll > pos), None)
-                if hole is not None:
-                    if report is not None:
-                        report.lost += 1
-                        report.note("log page %#x: hole at +%d (%d bytes)"
-                                    % (page, hole[0], hole[1]))
-                    pos = align_up(max(hole[0] + hole[1], pos + 1),
-                                   CACHELINE)
-                    while pos <= end - ENTRY_SIZE and \
-                            decode_entry(raw, pos) is None and \
-                            not at_terminator(pos):
-                        pos += CACHELINE
-                    continue
-                if report is not None:
-                    report.truncated += 1
-                    report.note("log page %#x: torn entry truncated at +%d"
-                                % (page, pos))
-                break
+            entries, self.tail_off = scan_log(
+                raw, lost, decode, report, start=LOG_PAGE_HEADER,
+                align=CACHELINE, hole="log page %#x: hole" % page,
+                torn="log page %#x: torn entry" % page)
+            yield from entries
             self.tail_page = page
-            self.tail_off = pos
             if page == tail_page:
                 break
             if any(lo + ll > 0 and lo < 8 for lo, ll in lost):
-                if report is not None:
-                    report.lost += 1
-                    report.note("log page %#x: next-pointer unreadable, "
-                                "chain abandoned" % page)
+                report.lost += 1
+                report.note("log page %#x: next-pointer unreadable, "
+                            "chain abandoned" % page)
                 break
             page = struct.unpack_from("<Q", raw, 0)[0]

@@ -14,7 +14,7 @@ structures on mount.
 
 from repro.faults.report import RecoveryReport
 from repro.fs.layout import (
-    PAGE, AllocationPolicy, PageAllocator, make_gaddr, split_gaddr,
+    PAGE, AllocationPolicy, PageAllocator, split_gaddr,
 )
 from repro.fs.log import (
     EMBED_ENTRY, INODE_SLOT_SIZE, SIZE_ENTRY, WRITE_ENTRY, InodeLog,

@@ -13,7 +13,7 @@ memory: every durable byte round-trips through the namespace and
 crash-recovers via :meth:`LSMStore.recover`.
 """
 
-from repro._units import KIB, MIB, align_up
+from repro._units import CACHELINE, KIB, MIB, align_up
 from repro.faults.model import MediaError
 from repro.faults.report import RecoveryReport
 from repro.kvstore.manifest import Manifest
@@ -77,7 +77,8 @@ class LSMStore:
                 seed=self.seed + self._arena_epoch)
             wal_cls = WalPosix if self.mode == "wal-posix" else WalFlex
             self.wal = wal_cls(self.ns, WAL_BASE, WAL_CAPACITY,
-                               naive=self.naive)
+                               naive=self.naive,
+                               epoch=self.manifest.wal_epoch)
         self._arena_epoch += 1
 
     # -- client operations -------------------------------------------------------
@@ -157,23 +158,32 @@ class LSMStore:
     # -- flush / compaction --------------------------------------------------------
 
     def flush(self, thread):
-        """Write the memtable out as an L0 SSTable and reset it."""
+        """Write the memtable out as an L0 SSTable and reset it.
+
+        The manifest commit naming the table also retires the WAL
+        generation it holds (a new epoch), so the next one can reuse
+        the log without replay ever returning a leftover record.
+        """
         pairs = list(self.memtable.items())
         if pairs:
-            table = SSTable.build(self.ns, thread, self._next_table_base,
-                                  pairs)
-            self._next_table_base = align_up(
-                self._next_table_base + table.size, 4 * KIB)
+            table = self._build_table(thread, pairs)
             self.tables.insert(0, (0, table))
-            self._commit_manifest(thread)
-        if self.wal is not None:
-            self.wal.reset()
+            self.manifest.wal_epoch += 1
+            self._commit_manifest(thread, fresh=[table])
         if self.mode == "persistent-memtable":
             # Retire the old arena *after* the SSTable and manifest are
             # durable: zero its head pointer so recovery sees it empty.
             old_base = self.memtable.base
             self.ns.pwrite(thread, old_base, b"\x00" * 8, instr="ntstore")
         self._fresh_memtable()
+        pmcheck = thread.machine.pmcheck
+        if pmcheck is not None and pairs and self.wal is not None:
+            pmcheck.require_order(
+                [(self.ns, self.manifest.slot(), CACHELINE)],
+                [(self.ns, self.wal.base, CACHELINE)],
+                note="lsm flush: the manifest that retires a WAL "
+                     "generation must be durable before the next "
+                     "generation's first record")
         if sum(1 for lvl, _ in self.tables if lvl == 0) \
                 >= L0_COMPACTION_TRIGGER:
             self.compact(thread)
@@ -190,13 +200,25 @@ class LSMStore:
                 merged[key] = value
         pairs = sorted((k, v) for k, v in merged.items()
                        if v is not None)
+        table = self._build_table(thread, pairs)
+        self.tables = [(1, table)]
+        self._commit_manifest(thread, fresh=[table])
+
+    def _build_table(self, thread, pairs):
         table = SSTable.build(self.ns, thread, self._next_table_base, pairs)
         self._next_table_base = align_up(
             self._next_table_base + table.size, 4 * KIB)
-        self.tables = [(1, table)]
-        self._commit_manifest(thread)
+        return table
 
-    def _commit_manifest(self, thread):
+    def _commit_manifest(self, thread, fresh=()):
+        """Commit the table set; ``fresh`` tables must be durable first."""
+        pmcheck = thread.machine.pmcheck
+        if pmcheck is not None and fresh:
+            pmcheck.require_order(
+                [(self.ns, t.base, t.size) for t in fresh],
+                [(self.ns, self.manifest.slot(ahead=1), CACHELINE)],
+                note="lsm manifest: a table must be durable before the "
+                     "manifest names it")
         self.manifest.commit(thread, [
             (table.base, table.size, level)
             for level, table in self.tables
@@ -251,10 +273,7 @@ class LSMStore:
             report.recovered += len(store.memtable)
             store.wal = None
         else:
-            store.memtable = VolatileMemtable(seed=seed)
-            wal_cls = WalPosix if mode == "wal-posix" else WalFlex
-            store.wal = wal_cls(store.ns, WAL_BASE, WAL_CAPACITY,
-                                naive=naive)
+            store._fresh_memtable()     # the log at the manifest's epoch
             replay_thread = machine.thread()
             replayed, wal_report = store.wal.replay_report()
             report.merge(wal_report)
@@ -275,25 +294,22 @@ class LSMStore:
         """
         report = RecoveryReport(component="lsm-scrub")
         rebuilt = []
-        changed = False
+        fresh = []
         for level, table in self.tables:
             pairs, table_report = table.scrub()
             report.merge(table_report)
             if repair and not table_report.clean:
                 pairs.sort(key=lambda kv: kv[0])
-                fresh = SSTable.build(self.ns, thread,
-                                      self._next_table_base, pairs)
-                self._next_table_base = align_up(
-                    self._next_table_base + fresh.size, 4 * KIB)
-                rebuilt.append((level, fresh))
-                changed = True
+                new = self._build_table(thread, pairs)
+                fresh.append(new)
+                rebuilt.append((level, new))
                 report.note("rebuilt table @%#x -> @%#x"
-                            % (table.base, fresh.base))
+                            % (table.base, new.base))
             else:
                 rebuilt.append((level, table))
-        if changed:
+        if fresh:
             self.tables = rebuilt
-            self._commit_manifest(thread)
+            self._commit_manifest(thread, fresh)
         return report
 
     # -- introspection ------------------------------------------------------------------

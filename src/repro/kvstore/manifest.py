@@ -4,6 +4,9 @@ Two slots, written alternately, each carrying a sequence number and a
 CRC; recovery picks the newest intact slot.  This is the standard
 atomic-superblock trick (LevelDB's MANIFEST/CURRENT collapsed into a
 fixed-size record, which suffices here because tables are few).
+
+A slot also carries the WAL epoch: the commit naming a flushed table
+retires the WAL generation it holds (see :mod:`repro.kvstore.wal`).
 """
 
 import struct
@@ -11,10 +14,10 @@ import zlib
 
 from repro.faults.model import tolerant_read
 
-_SLOT_HEADER = struct.Struct("<IQI")      # crc | seq | count
+_HEAD = struct.Struct("<III")             # seq | wal_epoch | count
 _ENTRY = struct.Struct("<QQQ")            # base | size | level
 SLOT_SIZE = 4096
-MAX_TABLES = (SLOT_SIZE - _SLOT_HEADER.size) // _ENTRY.size
+MAX_TABLES = (SLOT_SIZE - 4 - _HEAD.size) // _ENTRY.size
 
 
 class Manifest:
@@ -24,33 +27,39 @@ class Manifest:
         self.ns = ns
         self.base = base
         self._seq = 0
+        #: Epoch of the live WAL generation; :meth:`commit` persists it.
+        self.wal_epoch = 0
 
     @property
     def capacity(self):
         return 2 * SLOT_SIZE
 
+    def slot(self, ahead=0):
+        """Address of the slot the newest commit wrote (``ahead=1``: the
+        slot the next commit writes)."""
+        return self.base + ((self._seq + ahead) % 2) * SLOT_SIZE
+
     def _encode(self, entries):
         if len(entries) > MAX_TABLES:
             raise ValueError("too many tables for one manifest slot")
-        body = struct.pack("<QI", self._seq, len(entries))
+        body = _HEAD.pack(self._seq, self.wal_epoch, len(entries))
         for base, size, level in entries:
             body += _ENTRY.pack(base, size, level)
-        crc = zlib.crc32(body) & 0xFFFFFFFF
-        return struct.pack("<I", crc) + body
+        return struct.pack("<I", zlib.crc32(body)) + body
 
     def commit(self, thread, entries):
         """Durably record ``entries`` = [(base, size, level)]."""
         self._seq += 1
-        blob = self._encode(entries)
-        slot = self.base + (self._seq % 2) * SLOT_SIZE
-        self.ns.pwrite(thread, slot, blob, instr="ntstore")
+        self.ns.pwrite(thread, self.slot(), self._encode(entries),
+                       instr="ntstore")
 
     def load(self):
         """Read back the newest intact slot from the persistent view.
 
-        Returns ``(seq, [(base, size, level)])``; (0, []) if none.
+        Returns ``(seq, [(base, size, level)])``; (0, []) if none.  The
+        slot's WAL epoch lands in :attr:`wal_epoch`.
         """
-        best_seq, best = 0, []
+        best_seq, best_epoch, best = 0, 0, []
         for slot in (self.base, self.base + SLOT_SIZE):
             # A poisoned slot must not take the other one down with it:
             # read tolerantly and let the CRC reject the zeroed bytes.
@@ -58,8 +67,8 @@ class Manifest:
             if lost and not any(raw):
                 continue
             crc = struct.unpack_from("<I", raw)[0]
-            seq, count = struct.unpack_from("<QI", raw, 4)
-            body_len = 12 + count * _ENTRY.size
+            seq, wal_epoch, count = _HEAD.unpack_from(raw, 4)
+            body_len = _HEAD.size + count * _ENTRY.size
             if body_len > SLOT_SIZE - 4:
                 continue
             body = bytes(raw[4:4 + body_len])
@@ -67,9 +76,9 @@ class Manifest:
                 continue
             if seq > best_seq:
                 entries = [
-                    _ENTRY.unpack_from(body, 12 + i * _ENTRY.size)
+                    _ENTRY.unpack_from(body, _HEAD.size + i * _ENTRY.size)
                     for i in range(count)
                 ]
-                best_seq, best = seq, entries
-        self._seq = best_seq
+                best_seq, best_epoch, best = seq, wal_epoch, entries
+        self._seq, self.wal_epoch = best_seq, best_epoch
         return best_seq, best

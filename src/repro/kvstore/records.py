@@ -9,6 +9,10 @@ The top bit of the klen field marks a *tombstone* (a delete); decoding
 a tombstone yields ``value = None``.  CRCs make recovery honest: a
 torn append (crash mid-record) is detected and replay stops there,
 exactly like LevelDB/RocksDB log replay.
+
+The CRC is seeded with the log's *epoch* (``zlib.crc32(body, epoch)``),
+so a record carries its generation without a byte more.  Epoch 0 is the
+plain CRC (SSTables, a WAL that never flushed); see :func:`retired`.
 """
 
 import struct
@@ -20,7 +24,7 @@ _TOMBSTONE_FLAG = 0x8000
 _KLEN_MASK = 0x7FFF
 
 
-def encode(key, value):
+def encode(key, value, epoch=0):
     """Serialize one record; ``value=None`` encodes a tombstone."""
     if len(key) > _KLEN_MASK:
         raise ValueError("key too long")
@@ -30,19 +34,19 @@ def encode(key, value):
     else:
         klen_field = len(key)
     body = struct.pack("<HI", klen_field, len(value)) + key + value
-    return struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF) + body
+    return struct.pack("<I", zlib.crc32(body, epoch)) + body
 
 
 def encoded_size(key, value):
     return HEADER_SIZE + len(key) + len(value or b"")
 
 
-def decode(buf, offset=0, verify_crc=True):
+def decode(buf, offset=0, verify_crc=True, epoch=0):
     """Decode one record at ``offset``.
 
     Returns ``(key, value, next_offset)`` — ``value is None`` for a
-    tombstone — or None if the bytes do not form a valid record (torn
-    write, zeroed space, corruption).
+    tombstone — or None if the bytes do not form a valid record of
+    ``epoch`` (torn write, zeroed space, corruption, another epoch).
 
     ``verify_crc=False`` is the deliberately *naive* mode: it trusts
     any length-plausible header, so torn or corrupt records decode into
@@ -59,13 +63,20 @@ def decode(buf, offset=0, verify_crc=True):
     body = bytes(buf[offset + 4:end])
     if crc == 0 and not any(body):
         return None                  # zeroed space, in any mode
-    if verify_crc and crc != (zlib.crc32(body) & 0xFFFFFFFF):
+    if verify_crc and crc != zlib.crc32(body, epoch):
         return None
     key = body[6:6 + klen]
     value = body[6 + klen:]
     if klen_field & _TOMBSTONE_FLAG:
         return key, None, end
     return key, value, end
+
+
+def retired(buf, offset, epoch):
+    """True when the record at ``offset`` is intact under an epoch older
+    than ``epoch``: a leftover of a log generation a flush retired."""
+    return any(decode(buf, offset, epoch=e) is not None
+               for e in range(epoch))
 
 
 def scan(buf, offset=0):

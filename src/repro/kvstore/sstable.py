@@ -9,12 +9,15 @@ search over a sparse index.  Format::
     [footer: u64 index_offset | u64 data_size | u32 magic]
 
 A Bloom filter (built in DRAM at open/build time) short-circuits
-lookups for absent keys, as in LevelDB/RocksDB.
+lookups for absent keys, as in LevelDB/RocksDB.  Reopening rebuilds
+the index and the filter from the records, read (epoch-0 CRCs) by
+:func:`~repro.faults.model.scan_log` at 1 B alignment once the footer
+checks out.
 """
 
 import struct
 
-from repro.faults.model import tolerant_read
+from repro.faults.model import scan_log, tolerant_read
 from repro.faults.report import RecoveryReport
 from repro.kvstore import records
 from repro.kvstore.bloom import BloomFilter
@@ -29,41 +32,30 @@ _OFFSET = struct.Struct("<Q")
 INDEX_EVERY = 8
 
 
-def _tolerant_entries(blob, data_size, lost):
-    """Scan the data area, skipping records destroyed by media faults.
+def _entries(blob, size, lost, report):
+    """``[(offset, key, value)]`` of a table image's surviving records,
+    or None when the footer, and with it the table, is gone.  Unaligned
+    records resync byte-wise past a hole on the next valid CRC (a 32-bit
+    CRC makes false resyncs vanishingly unlikely)."""
+    footer_off = size - _FOOTER.size
+    data_size, _, magic = _FOOTER.unpack_from(blob, footer_off)
+    if magic != _MAGIC or data_size > footer_off:
+        if any(lo + ll > footer_off for lo, ll in lost):
+            report.lost += 1
+            report.note("footer unreadable: table lost")
+        else:
+            report.truncated += 1
+            report.note("bad footer magic: table dropped")
+        return None
 
-    Returns ``([(offset, key, value)], RecoveryReport)``.  After an
-    unreadable hole the scanner resyncs byte-wise on the next offset
-    whose record decodes with a valid CRC (records are unaligned, but
-    a 32-bit CRC makes false resyncs vanishingly unlikely).
-    """
-    report = RecoveryReport(component="sstable")
-    entries = []
-    offset = 0
-    while offset < data_size:
-        rec = records.decode(blob, offset)
-        if rec is not None:
-            key, value, end = rec
-            entries.append((offset, key, value))
-            report.recovered += 1
-            offset = end
-            continue
-        hole = next(((lo, ll) for lo, ll in lost
-                     if lo + ll > offset and lo < data_size), None)
-        if hole is None:
-            if any(blob[offset:data_size]):
-                report.truncated += 1
-                report.note("undecodable data truncated at +%d" % offset)
-            break
-        report.lost += 1
-        report.note("unreadable hole at +%d (%d bytes)" % hole)
-        pos = max(hole[0] + hole[1], offset + 1)
-        while pos < data_size and records.decode(blob, pos) is None:
-            pos += 1
-        if pos >= data_size:
-            break
-        offset = pos
-    return entries, report
+    def decode(pos):
+        rec = records.decode(blob, pos)
+        return None if rec is None else ((pos,) + rec[:2], rec[2])
+
+    entries, _ = scan_log(blob, [h for h in lost if h[0] < data_size],
+                          decode, report, end=data_size, align=1,
+                          torn="undecodable data")
+    return entries
 
 
 class SSTable:
@@ -109,31 +101,13 @@ class SSTable:
 
     @classmethod
     def open(cls, ns, base, size):
-        """Re-open a table from its persistent bytes (recovery path)."""
-        blob = ns.read_persistent(base, size)
-        data_size, footer_off, magic = _FOOTER.unpack_from(
-            blob, size - _FOOTER.size)
-        if magic != _MAGIC:
-            raise ValueError("bad SSTable magic at %#x" % base)
-        count = _INDEX_HEAD.unpack_from(blob, data_size)[0]
-        pos = data_size + _INDEX_HEAD.size
-        index = []
-        for _ in range(count):
-            klen = _INDEX_ENTRY_HEAD.unpack_from(blob, pos)[0]
-            pos += _INDEX_ENTRY_HEAD.size
-            key = bytes(blob[pos:pos + klen])
-            pos += klen
-            offset = _OFFSET.unpack_from(blob, pos)[0]
-            pos += _OFFSET.size
-            index.append((key, offset))
-        bloom = BloomFilter(capacity=max(16, count * INDEX_EVERY))
-        smallest = largest = b""
-        for key, value in records.scan(blob[:data_size]):
-            bloom.add(key)
-            if not smallest:
-                smallest = key
-            largest = key
-        return cls(ns, base, size, index, bloom, smallest, largest)
+        """Re-open an undamaged table; ``ValueError`` on any damage (see
+        :meth:`open_report` for the tolerant form)."""
+        table, report = cls.open_report(ns, base, size)
+        if table is None or not report.clean:
+            raise ValueError("damaged SSTable at %#x: %s"
+                             % (base, report.summary()))
+        return table
 
     @classmethod
     def open_report(cls, ns, base, size):
@@ -145,18 +119,9 @@ class SSTable:
         """
         report = RecoveryReport(component="sstable@%#x" % base)
         blob, lost = tolerant_read(ns, base, size)
-        footer_off = size - _FOOTER.size
-        data_size, _, magic = _FOOTER.unpack_from(blob, footer_off)
-        if magic != _MAGIC or data_size > footer_off:
-            if any(lo + ll > footer_off for lo, ll in lost):
-                report.lost += 1
-                report.note("footer unreadable: table lost")
-            else:
-                report.truncated += 1
-                report.note("bad footer magic: table dropped")
+        entries = _entries(blob, size, lost, report)
+        if entries is None:
             return None, report
-        entries, scan_report = _tolerant_entries(blob, data_size, lost)
-        report.merge(scan_report, prefix="")
         index = []
         bloom = BloomFilter(capacity=max(16, len(entries)))
         for i, (offset, key, _value) in enumerate(entries):
@@ -219,9 +184,8 @@ class SSTable:
         """
         blob, lost = tolerant_read(self.ns, self.base, self.size,
                                    view="volatile")
-        data_size, _, _ = _FOOTER.unpack_from(blob, self.size - _FOOTER.size)
-        entries, _ = _tolerant_entries(blob, data_size, lost)
-        return [(key, value) for _, key, value in entries]
+        entries = _entries(blob, self.size, lost, RecoveryReport())
+        return [(key, value) for _, key, value in entries or ()]
 
     def scrub(self):
         """Verify every record against media faults and CRCs.
@@ -231,12 +195,5 @@ class SSTable:
         """
         report = RecoveryReport(component="sstable@%#x" % self.base)
         blob, lost = tolerant_read(self.ns, self.base, self.size)
-        footer_off = self.size - _FOOTER.size
-        data_size, _, magic = _FOOTER.unpack_from(blob, footer_off)
-        if magic != _MAGIC or data_size > footer_off:
-            report.lost += 1
-            report.note("footer unreadable: table lost")
-            return [], report
-        entries, scan_report = _tolerant_entries(blob, data_size, lost)
-        report.merge(scan_report, prefix="")
-        return [(key, value) for _, key, value in entries], report
+        entries = _entries(blob, self.size, lost, report)
+        return [(key, value) for _, key, value in entries or ()], report

@@ -12,11 +12,17 @@ The two strategies of the paper's RocksDB case study (Section 4.2):
   directly with cache-bypassing stores at 64 B alignment, one fence per
   sync, no block rewrite and no syscall.
 
-Both recover by CRC-scanning the log (see :mod:`repro.kvstore.records`).
+Both recover with :func:`~repro.faults.model.scan_log` over records
+whose CRC is seeded with the log's epoch (see
+:mod:`repro.kvstore.records`).  A flush does not wipe the log: it
+retires the generation in the manifest commit that names its table, and
+the next generation appends at offset 0 under the next epoch.  Replay
+stops quietly at the first record that is zeroed or valid only under a
+retired epoch, so the old generation's leftovers are never replayed.
 """
 
 from repro._units import CACHELINE, align_up
-from repro.faults.model import overlaps_lost, tolerant_read
+from repro.faults.model import END, scan_log, tolerant_read
 from repro.faults.report import RecoveryReport
 from repro.kvstore import records
 
@@ -32,18 +38,20 @@ FLEX_LIBRARY_NS = 190.0
 class WalBase:
     """Common state: a log region [base, base+capacity) on a namespace."""
 
-    #: Record alignment the replay scanner can resync at after an
-    #: unreadable (poisoned) hole; None means records are unaligned and
-    #: everything after the first hole is unrecoverable.
-    RESYNC_ALIGN = None
+    #: Record alignment: appends pad to it and replay resyncs on it past
+    #: an unreadable hole.  None: records are unaligned, so nothing
+    #: after the first hole can be found again.
+    ALIGN = None
 
-    def __init__(self, ns, base, capacity, naive=False):
+    def __init__(self, ns, base, capacity, naive=False, epoch=0):
         self.ns = ns
         self.base = base
         self.capacity = capacity
         self.tail = 0            # bytes appended so far
         #: CRC-less replay (demonstration mode): trusts torn records.
         self.naive = naive
+        #: The generation this log appends and replays (CRC seed).
+        self.epoch = epoch
 
     @property
     def tail_addr(self):
@@ -54,10 +62,6 @@ class WalBase:
             raise RuntimeError("WAL full: %d + %d > %d"
                                % (self.tail, nbytes, self.capacity))
 
-    def _advance(self, record_len):
-        """Log-space consumed by one record (subclasses may pad)."""
-        return record_len
-
     def replay(self):
         """Recover all intact records from the *persistent* view."""
         out, _ = self.replay_report()
@@ -66,73 +70,33 @@ class WalBase:
     def replay_report(self):
         """Replay with full accounting: ``(records, RecoveryReport)``.
 
-        Intact records are recovered; a torn tail (garbage that fails
-        its CRC with no media fault underneath) truncates the log
-        there; poisoned XPLines become *lost* records — the scanner
-        resyncs past the hole when the record format allows it
-        (:attr:`RESYNC_ALIGN`) instead of abandoning the rest of the
-        log.
+        A zeroed slot or a record of a retired epoch ends the log
+        quietly; see :func:`~repro.faults.model.scan_log` for torn and
+        poisoned records.  ``naive`` replay checks neither CRC nor epoch.
         """
-        buf, lost_ranges = tolerant_read(self.ns, self.base, self.capacity)
+        buf, lost = tolerant_read(self.ns, self.base, self.capacity)
         report = RecoveryReport(component="wal")
         verify = not self.naive
-        out = []
-        offset = 0
-        while offset < self.capacity:
-            rec = records.decode(buf, offset, verify_crc=verify)
+        align = self.ALIGN or 1
+
+        def decode(pos):
+            rec = records.decode(buf, pos, verify, self.epoch)
             if rec is not None:
-                key, value, end = rec
-                out.append((key, value))
-                report.recovered += 1
-                offset += self._advance(end - offset)
-                continue
-            hole = next(((lo, ll) for lo, ll in lost_ranges
-                         if lo + ll > offset), None)
-            if hole is not None:
-                hole_off, hole_len = hole
-                report.lost += 1
-                report.note("unreadable hole at +%d (%d bytes)"
-                            % (hole_off, hole_len))
-                if self.RESYNC_ALIGN is None:
-                    report.note("records unaligned: log abandoned at +%d"
-                                % offset)
-                    break
-                nxt = self._resync(buf, max(hole_off + hole_len,
-                                            offset + 1), verify)
-                if nxt is None:
-                    break
-                offset = nxt
-                continue
-            # Any non-zero byte past the last intact record is a torn
-            # tail.  count(0) does the scan at memchr speed without
-            # materializing an `any(buf[offset:])` copy of the (MiB-
-            # scale) remainder — the old form dominated chaos recovery.
-            if buf.count(0, offset) != len(buf) - offset:
-                report.truncated += 1
-                report.note("torn tail truncated at +%d" % offset)
-            break
-        self.tail = offset
+                return rec[:2], align_up(rec[2], align)
+            if verify and records.retired(buf, pos, self.epoch):
+                return END
+            return None
+
+        out, self.tail = scan_log(buf, lost, decode, report,
+                                  align=self.ALIGN)
         return out, report
-
-    def _resync(self, buf, start, verify):
-        """First aligned offset at/after ``start`` that decodes clean."""
-        pos = align_up(start, self.RESYNC_ALIGN)
-        while pos < self.capacity:
-            if records.decode(buf, pos, verify_crc=verify) is not None:
-                return pos
-            pos += self.RESYNC_ALIGN
-        return None
-
-    def reset(self):
-        """Logically truncate (a real system would rotate log files)."""
-        self.tail = 0
 
 
 class WalPosix(WalBase):
     """write()+fsync() through a DAX file system."""
 
     def append(self, thread, key, value, sync=True):
-        record = records.encode(key, value)
+        record = records.encode(key, value, self.epoch)
         self._check_space(len(record))
         thread.sleep(POSIX_WRITE_SYSCALL_NS)
         # write(): the kernel copies the record through the cache
@@ -158,13 +122,10 @@ class WalFlex(WalBase):
     """FLEX: direct, 64 B-aligned non-temporal appends from userspace."""
 
     #: 64 B-aligned records let replay resync after a poisoned hole.
-    RESYNC_ALIGN = CACHELINE
-
-    def _advance(self, record_len):
-        return align_up(record_len, CACHELINE)
+    ALIGN = CACHELINE
 
     def append(self, thread, key, value, sync=True):
-        record = records.encode(key, value)
+        record = records.encode(key, value, self.epoch)
         thread.sleep(FLEX_LIBRARY_NS)
         # Pad each record to cache-line alignment so appends never
         # rewrite a previously persisted line (FLEX's key trick).

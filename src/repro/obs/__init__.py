@@ -7,8 +7,7 @@ The pieces, bottom to top:
   merge;
 * :mod:`repro.obs.recorder` — the per-run :class:`ObsRecorder`:
   request-granularity latency/counter recording plus virtual-time
-  windowed SLO burn tracking, cheap enough to stay on by default
-  (``REPRO_OBS=0`` turns it off);
+  windowed SLO burn tracking, cheap enough to stay on always;
 * :mod:`repro.obs.artifacts` — content-addressed JSON blobs written
   next to run manifests and referenced from them;
 * :mod:`repro.obs.schema` — structural validation of those blobs;
@@ -28,7 +27,6 @@ from repro.obs.hist import (
 )
 from repro.obs.recorder import (
     DEFAULT_BUDGET, DEFAULT_SLO_US, DEFAULT_WINDOW_US, ObsRecorder,
-    obs_enabled,
 )
 from repro.obs.report import (
     ObsReportError, build_report, merged_histograms, render_html,
@@ -40,7 +38,7 @@ __all__ = [
     "SUB_BUCKETS", "LatencyHistogram", "bucket_bounds", "bucket_index",
     "bucket_midpoint",
     "DEFAULT_BUDGET", "DEFAULT_SLO_US", "DEFAULT_WINDOW_US",
-    "ObsRecorder", "obs_enabled",
+    "ObsRecorder",
     "attach_obs_metrics", "externalize_obs", "load_obs_blob",
     "obs_address", "obs_ref",
     "ObsReportError", "build_report", "merged_histograms",

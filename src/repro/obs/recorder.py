@@ -18,12 +18,8 @@ Three kinds of state:
   the SRE error-budget methodology, on the virtual clock.
 
 Everything is deterministic: virtual timestamps, seeded traffic, and
-sorted serialization.  ``REPRO_OBS=0`` disables recording entirely
-(:meth:`ObsRecorder.from_env` returns ``None``), and drivers treat a
-``None`` recorder as zero-cost.
+sorted serialization.
 """
-
-import os
 
 from repro.obs.hist import LatencyHistogram, bucket_index
 
@@ -43,11 +39,6 @@ _NS_PER_US = 1e3
 SUMMARY_FRACTIONS = (0.50, 0.90, 0.95, 0.99, 0.999)
 
 
-def obs_enabled():
-    """Observability defaults to on; ``REPRO_OBS=0`` switches it off."""
-    return os.environ.get("REPRO_OBS", "1") != "0"
-
-
 class ObsRecorder:
     """Per-run observability state (see module docstring)."""
 
@@ -63,13 +54,6 @@ class ObsRecorder:
         self.counters = {}     # name -> int
         self.windows = {}      # window index -> [ops, miss, err, sum, max]
         self.events = []       # {"ts": ns, "name": ..., "args": ...}
-
-    @classmethod
-    def from_env(cls, substrate, workload=None, **kwargs):
-        """A recorder, or ``None`` when ``REPRO_OBS=0``."""
-        if not obs_enabled():
-            return None
-        return cls(substrate, workload=workload, **kwargs)
 
     # -- ingest (called once, after the hot loop) ---------------------
 

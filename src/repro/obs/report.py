@@ -216,8 +216,7 @@ def render_tables(report):
         blocks.append(table(["substrate", "counter", "value"],
                             counter_rows, title="Counters"))
     if not blocks:
-        blocks.append("no obs artifacts in this manifest "
-                      "(%d points; was the run made with REPRO_OBS=0?)"
+        blocks.append("no obs artifacts in this manifest (%d points)"
                       % report["points"])
     return "\n\n".join(blocks)
 

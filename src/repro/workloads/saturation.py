@@ -73,9 +73,8 @@ def _serve_point(params):
     # Always-on observability: the recorder rides inside the point and
     # its blob travels in the record (through the cache and into the
     # manifest), where the CLI externalizes it as a content-addressed
-    # artifact.  REPRO_OBS=0 yields None and the loops skip recording.
-    obs = ObsRecorder.from_env(params["substrate"],
-                               workload=params["workload"])
+    # artifact.
+    obs = ObsRecorder(params["substrate"], workload=params["workload"])
     common = dict(records=params["records"], ops=params["ops"],
                   seed=params["seed"], obs=obs)
     if params["mode"] == "closed":
@@ -91,8 +90,7 @@ def _serve_point(params):
     if checker is not None:
         report["pmcheck"] = checker.summary()
         checker.uninstall()
-    if obs is not None:
-        report["obs"] = obs.to_dict()
+    report["obs"] = obs.to_dict()
     return report
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro._units import XPLINE
-from repro.faults.model import FaultController, MediaError
+from repro.faults.model import FaultController
 from repro.kvstore.lsm import WAL_BASE, LSMStore
 from repro.kvstore.sstable import SSTable
 from repro.kvstore.wal import WalFlex, WalPosix

@@ -1,7 +1,6 @@
 """The harness CLI verbs (sweep / cache / compare) and script UX."""
 
 import importlib.util
-import json
 import os
 
 import pytest

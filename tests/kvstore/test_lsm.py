@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.model import FaultController
 from repro.kvstore import LSMStore, PersistentSkipList, SSTable
 from repro.kvstore.wal import WalFlex, WalPosix
+from repro.pmcheck import checking
+from repro.pmcheck.state import V_ACK_BEFORE_FENCE, V_UNORDERED
 from repro.sim import Machine
+from repro.sim.engine import ThreadCtx
 
 MODES = ("wal-posix", "wal-flex", "persistent-memtable")
 
@@ -241,6 +245,121 @@ class TestLSMStore:
         db2 = LSMStore.recover(m, mode="wal-flex")
         for k, v in written.items():
             assert db2.get(t, k) == v
+
+
+class TestFlushRetiresWalGeneration:
+    """A flush leaves the old WAL generation on media under a retired
+    epoch; replay must end at it, never return its values."""
+
+    @pytest.mark.parametrize("mode", ["wal-flex", "wal-posix"])
+    def test_overwrite_after_flush_survives_power_fail(self, mode):
+        m = Machine()
+        db = LSMStore(m, mode=mode)
+        t = m.thread()
+        for i in range(6):
+            db.put(t, b"k%d" % i, b"A")
+        db.flush(t)
+        db.put(t, b"k3", b"B")
+        m.power_fail()
+        db2 = LSMStore.recover(m, mode=mode)
+        assert db2.get(t, b"k3") == b"B"
+        report = db2.recovery_report
+        assert report.clean
+        assert report.recovered == 6 + 1      # the table + one live record
+
+    @pytest.mark.parametrize("keep, truncated", [(0, 0), (1, 1)])
+    def test_torn_append_after_flush(self, keep, truncated):
+        """Two 128 B records per XPLine: the third append after the
+        flush opens a fresh XPLine, and the tear keeps ``keep`` of its
+        two lines.  Keeping none leaves a retired-epoch record in the
+        slot (a quiet end); keeping one leaves a torn record."""
+        m = Machine()
+        FaultController(m, seed=1, tear=True, tear_keep=keep)
+        db = LSMStore(m, mode="wal-flex")
+        t = m.thread()
+        keys = [b"key%02d" % i for i in range(6)]
+        for key in keys:
+            db.put(t, key, b"A" * 96)
+        db.flush(t)
+        db.put(t, keys[5], b"B" * 96)
+        db.put(t, keys[4], b"B" * 96)
+        db.put(t, keys[3], b"C" * 96)       # in flight at the crash
+        m.power_fail()
+        db2 = LSMStore.recover(m, mode="wal-flex")
+        report = db2.recovery_report
+        assert (report.truncated, report.lost) == (truncated, 0)
+        assert [db2.get(t, k)[:1] for k in keys] == [b"A"] * 4 + [b"B"] * 2
+
+    @pytest.mark.parametrize("mode", ["wal-flex", "wal-posix"])
+    @given(ops=st.lists(
+        st.tuples(st.integers(0, 63),
+                  st.none() | st.binary(min_size=16, max_size=35)),
+        min_size=100, max_size=400))
+    @settings(max_examples=30, deadline=None)
+    def test_model_survives_power_fail_across_flushes(self, mode, ops):
+        """About 45 live keys fill the memtable, so the ops flush a few
+        times; values of at most 35 B keep every FLEX record in one
+        64 B line, so a new generation's end meets an old record
+        head-on."""
+        m = Machine()
+        db = LSMStore(m, mode=mode, memtable_bytes=2048)
+        t = m.thread()
+        model = {}
+        for idx, value in ops:
+            key = b"%019d" % idx
+            if value is None:
+                db.delete(t, key)
+            else:
+                db.put(t, key, value)
+            model[key] = value
+        m.power_fail()
+        db2 = LSMStore.recover(m, mode=mode)
+        for idx in range(64):
+            key = b"%019d" % idx
+            assert db2.get(t, key) == model.get(key)
+
+
+class TestEveryWalFenceIsLoadBearing:
+    """Skip exactly one ``sfence`` of a FLEX put -> flush -> put."""
+
+    @pytest.mark.parametrize("skip, kind, note", [
+        (None, None, None),
+        (1, V_ACK_BEFORE_FENCE, None),          # append
+        (2, V_UNORDERED, "lsm manifest"),       # flush: table -> manifest
+        (3, V_UNORDERED, "lsm flush"),          # flush: epoch -> next record
+        (4, V_ACK_BEFORE_FENCE, None),          # append
+    ])
+    def test_skipped_fence_is_caught(self, monkeypatch, skip, kind, note):
+        m = Machine()
+        db = LSMStore(m, mode="wal-flex")
+        t = m.thread()
+        real = ThreadCtx.sfence
+        fences = []
+
+        def sfence(thread):
+            fences.append(thread)
+            if len(fences) != skip:
+                real(thread)
+
+        with checking(m) as checker:
+            monkeypatch.setattr(ThreadCtx, "sfence", sfence)
+            checker.op_begin(t, "put")
+            db.put(t, b"k", b"A" * 96)
+            checker.op_ack(t)
+            db.flush(t)
+            checker.op_begin(t, "put")
+            db.put(t, b"k", b"B" * 96)
+            checker.op_ack(t)
+            monkeypatch.undo()
+            violations = checker.summary()["violations"]
+        assert len(fences) == 4
+        if kind is None:
+            assert violations == []
+            return
+        assert kind in {v["kind"] for v in violations}, violations
+        if note is not None:
+            assert any(v["kind"] == kind and v["note"].startswith(note)
+                       for v in violations), violations
 
 
 class TestDbBenchWorkloads:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import ObsRecorder, obs_enabled, validate_obs
+from repro.obs import ObsRecorder, validate_obs
 from repro.obs.hist import LatencyHistogram
 
 NS = 1e3  # ns per us
@@ -160,15 +160,3 @@ class TestSerialization:
         rec.event(1.0, "a")
         names = [ev["name"] for ev in rec.to_dict()["events"]]
         assert names == ["a", "b", "z"]
-
-
-class TestEnvGate:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert obs_enabled()
-        assert ObsRecorder.from_env("lsm") is not None
-
-    def test_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "0")
-        assert not obs_enabled()
-        assert ObsRecorder.from_env("lsm") is None

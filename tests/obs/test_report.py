@@ -94,26 +94,6 @@ class TestReportDeterminism:
         capsys.readouterr()
         assert outputs[0] == outputs[1]
 
-    def test_serve_report_identical_with_obs_disabled(self, tmp_path,
-                                                      monkeypatch,
-                                                      capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c1"))
-        on = str(tmp_path / "on.json")
-        quick_serve(on)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c2"))
-        monkeypatch.setenv("REPRO_OBS", "0")
-        off = str(tmp_path / "off.json")
-        quick_serve(off)
-        capsys.readouterr()
-        with open(on, "rb") as fh:
-            a = fh.read()
-        with open(off, "rb") as fh:
-            b = fh.read()
-        assert a == b
-        # And with obs off there is nothing to report on.
-        manifest = RunManifest.load(off + ".manifest.json")
-        assert all("obs" not in p for p in manifest.points)
-
 
 class TestChaosReport:
     def test_chaos_manifest_reports_timeline(self, cache_env, capsys):

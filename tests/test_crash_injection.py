@@ -75,6 +75,46 @@ class TestLSMCrashEverywhere:
         exercised = exhaustive_crash_test(workload, check, stride=2)
         assert exercised >= 5
 
+    @pytest.mark.parametrize("mode", ["wal-flex", "wal-posix"])
+    def test_overwrite_after_flush_reads_acked_or_in_flight(self, mode):
+        """put, flush, overwrite in reverse order: the old generation's
+        records sit behind the new one's live end in the log."""
+        keys = [b"key-%02d" % i for i in range(6)]
+        state = {}
+
+        def workload(machine):
+            db = LSMStore(machine, mode=mode)
+            t = machine.thread()
+            state.clear()
+
+            def put(key, value):
+                state["in_flight"] = (key, value)
+                db.put(t, key, value)
+                state[key] = value          # acknowledged
+                del state["in_flight"]
+
+            for key in keys:
+                put(key, b"old")
+            db.flush(t)
+            for key in reversed(keys):
+                put(key, b"new")
+
+        def check(machine, crashed_at):
+            db = LSMStore.recover(machine, mode=mode)
+            t = machine.thread()
+            in_flight = state.get("in_flight", (None, None))
+            for key in keys:
+                allowed = {state.get(key)}
+                if in_flight[0] == key:
+                    allowed.add(in_flight[1])
+                got = db.get(t, key)
+                assert got in allowed, (
+                    "crash@%d: %r read %r, allowed %r"
+                    % (crashed_at, key, got, allowed))
+
+        exercised = exhaustive_crash_test(workload, check)
+        assert exercised >= 16
+
     def test_delete_crash_is_atomic(self):
         def workload(machine):
             db = LSMStore(machine, mode="wal-flex")

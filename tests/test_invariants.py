@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._units import CACHELINE, XPLINE
-from repro.sim import Machine, aggregate, effective_write_ratio
+from repro.sim import Machine
 
 OPS = st.lists(
     st.tuples(
