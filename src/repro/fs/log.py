@@ -125,7 +125,7 @@ class InodeLog:
         self.tail_off = LOG_PAGE_HEADER       # within the tail page
         self.committed = None                 # tail persisted in the slot
         self.length = 0                       # live entries appended
-        self.pages_seen = [head_gaddr]        # chain pages (for recovery)
+        self.pages_seen = [head_gaddr]        # the chain, head first
         self.retired = []                     # freed by the next commit
         if thread is not None:
             self._adopt_page(thread, head_gaddr)
@@ -173,15 +173,9 @@ class InodeLog:
         self.retired.append(gaddr)
 
     def chain_pages(self):
-        """Every page of the chain, head first (volatile view)."""
-        pages = []
-        page = self.head
-        while page:
-            pages.append(page)
-            dev, off = split_gaddr(page)
-            raw = self.fs.devices[dev].read_volatile(off, 8)
-            page = struct.unpack("<Q", raw)[0]
-        return pages
+        """Every page of the chain, head first, from DRAM: a poisoned
+        next-pointer must not stop the chain from being recycled."""
+        return list(self.pages_seen)
 
     @classmethod
     def open_persistent(cls, fs, inode, report):
@@ -267,6 +261,7 @@ class InodeLog:
         thread.sfence()
         self.tail_page = new_page
         self.tail_off = LOG_PAGE_HEADER
+        self.pages_seen.append(new_page)
 
     def scan_persistent(self, report):
         """Recovery: yield decoded entries from the persistent view, up

@@ -94,15 +94,38 @@ class TestFullShape:
         assert record["served"]["ops"] == FULL_SHAPE["ops"]
 
     def test_a_poisoned_data_page_does_not_stop_the_cleaner(self):
-        # Seed 9 poisons a page the cleaner folds.  While a clean failed
-        # on it, every put past the threshold re-ran one and was
-        # reported failed (69 cleans, 5 ms simulated), and the breaker
-        # refused 747 requests; only the get of the dead slot may fail.
+        # Seed 13 poisons a data page the cleaner carries instead of
+        # folding.  While a clean failed on such a page, every put past
+        # the threshold re-ran one and was reported failed, and the
+        # breaker refused hundreds of requests; only the get of the dead
+        # slot may fail.
         record = cell(FULL_SHAPE, substrate="nova", scenario="poison",
-                      seed=9)
+                      seed=13)
         assert record["violations"] == []
         assert record["breaker"]["transitions"] == 0
         assert record["results"] == {"failed": 1, "ok": 2399}
+
+    @pytest.mark.parametrize("seed", [17, 27])
+    def test_a_poisoned_log_page_does_not_stop_the_cleaner(self, seed):
+        # These seeds poison a log page's next-pointer.  While a clean
+        # walked the chain through it, every clean failed and the
+        # breaker refused 813 and 884 requests.
+        record = cell(FULL_SHAPE, substrate="nova", scenario="poison",
+                      seed=seed)
+        assert record["violations"] == []
+        assert record["breaker"]["transitions"] == 0
+        assert record["results"] == {"ok": FULL_SHAPE["ops"]}
+
+    @pytest.mark.parametrize("scenario", ["power-fail", "poison"])
+    @pytest.mark.parametrize("substrate", ["lsm", "pmemkv", "pmdk"])
+    def test_other_substrates_have_zero_violations(self, substrate,
+                                                   scenario):
+        # Under poison a get of a dead object may fail; none is refused.
+        record = cell(FULL_SHAPE, substrate=substrate, scenario=scenario)
+        assert record["violations"] == []
+        assert record["breaker"]["transitions"] == 0
+        assert record["results"].get("failed", 0) <= 1
+        assert sum(record["results"].values()) == FULL_SHAPE["ops"]
 
 
 class TestDeterminism:

@@ -15,8 +15,11 @@ from repro.fs.log import (
     decode_entry, encode_embed_entry, encode_write_entry,
 )
 from repro.fs.nova import CLEANER_THRESHOLD
+from repro.pmcheck import checking
+from repro.pmcheck.state import V_UNORDERED
 from repro.sim import Machine
 from repro.sim.crashpoints import CrashInjector, SimulatedPowerFailure
+from repro.sim.engine import ThreadCtx
 
 
 class TestLayout:
@@ -286,6 +289,97 @@ class TestCleaner:
                 lambda fs, t, inode: fs.clean(t, inode), datalog=True):
             assert got == model
 
+    def _overlapping_file(self):
+        """Two pages and a hole under embeds that cover each other in
+        whole and in part; returns (machine, thread, fs, inode, model
+        bytes)."""
+        m = Machine()
+        t = m.thread()
+        fs = NovaFS(m, datalog=True)
+        inode = fs.create(t)
+        fs.write(t, inode, 0, b"P" * (2 * PAGE))
+        model = bytearray(b"P" * (2 * PAGE) + bytes(PAGE))
+        rng = random.Random(5)
+        for i in range(16):
+            offset = rng.randrange(3) * PAGE + rng.randrange(400)
+            data = bytes([0x61 + i]) * rng.randrange(1, 200)
+            fs.write(t, inode, offset, data)
+            model[offset:offset + len(data)] = data
+        return m, t, fs, inode, bytes(model[:fs.stat_size(inode)])
+
+    @pytest.mark.parametrize("tear_keep", [None, 1])
+    def test_torn_crash_at_every_persist_of_an_in_place_fold(self,
+                                                             tear_keep):
+        # Until the commit the old log rules, and replaying its embeds
+        # over a page that holds any prefix of the folded bytes, torn
+        # XPLine or not, gives the same file.
+        m, t, fs, inode, model = self._overlapping_file()
+        extents = fs._files[inode].overlays
+        assert 2 in extents and 2 not in fs._files[inode].pages
+        assert any(a[0] < b[0] < a[0] + a[1] < b[0] + b[1]
+                   for page in extents.values()
+                   for a in page for b in page)
+        counter = CrashInjector(m)
+        fs.clean(t, inode)
+        for crash_at in range(1, counter.persists + 1):
+            m, t, fs, inode, model = self._overlapping_file()
+            FaultController(m, seed=crash_at, tear=True, tear_keep=tear_keep)
+            injector = CrashInjector(m, crash_at=crash_at)
+            with pytest.raises(SimulatedPowerFailure):
+                fs.clean(t, inode)
+            injector.uninstall()
+            m.power_fail()
+            fs2 = NovaFS.mount(m, datalog=True)
+            assert fs2.read_persistent_file(inode, 0, len(model)) == model
+
+    def test_clean_folds_in_place_without_a_load(self, monkeypatch):
+        # Every page exists, so each live extent is written into its
+        # page: the clean loads nothing and allocates only the new chain.
+        m, t, fs, inode, model = self._slotted_file()
+        f = fs._files[inode]
+        pages = dict(f.pages)
+        alloc_for = fs.policy.alloc_for
+        handed_out = []
+
+        def counted(thread):
+            handed_out.append(alloc_for(thread))
+            return handed_out[-1]
+        monkeypatch.setattr(fs.policy, "alloc_for", counted)
+        before = t.bytes_read
+        fs.clean(t, inode)
+        assert t.bytes_read == before
+        assert handed_out == f.log.chain_pages()
+        assert f.pages == pages and not f.overlays
+        assert fs.read(t, inode, 0, len(model)) == model
+
+    @pytest.mark.parametrize("skip", [(), (1, 2, 3, 4)],
+                             ids=["none", "fold-to-commit"])
+    def test_a_fence_orders_the_fold_before_the_commit(self, monkeypatch,
+                                                        skip):
+        # The sim persists in program order, so only the checker sees
+        # the folded lines land in the commit's own fence.
+        m, t, fs, inode, model = self._slotted_file()
+        real = ThreadCtx.sfence
+        fences = []
+
+        def sfence(thread):
+            fences.append(thread)
+            if len(fences) not in skip:
+                real(thread)
+
+        with checking(m) as checker:
+            monkeypatch.setattr(ThreadCtx, "sfence", sfence)
+            fs.clean(t, inode)
+            monkeypatch.undo()
+            violations = checker.summary()["violations"]
+        assert len(fences) == 5       # new head, three WriteEntries, commit
+        if not skip:
+            assert violations == []
+            return
+        assert any(v["kind"] == V_UNORDERED
+                   and v["note"].startswith("nova clean")
+                   for v in violations), violations
+
     def test_crash_at_every_persist_of_a_two_page_cow_write(self):
         new = b"N" * (2 * PAGE)
         for got, model in self._crash_everywhere(
@@ -298,23 +392,18 @@ class TestCleaner:
         f = fs._files[inode]
         pages, log, overlays, free = dict(f.pages), f.log, \
             dict(f.overlays), fs.policy.allocators[0].free_pages
-        alloc_for = fs.policy.alloc_for
-        handed_out = []
 
         def runs_dry(thread):
-            if len(handed_out) == 2:
-                raise RuntimeError("out of pages")
-            handed_out.append(alloc_for(thread))
-            return handed_out[-1]
+            raise RuntimeError("out of pages")
         monkeypatch.setattr(fs.policy, "alloc_for", runs_dry)
         with pytest.raises(RuntimeError):
-            fs.clean(t, inode)                # two pages folded, then dry
+            fs.clean(t, inode)     # every page folded, then the new head
         monkeypatch.undo()
         assert (f.pages, f.log, f.overlays) == (pages, log, overlays)
         assert fs.policy.allocators[0].free_pages == free
         assert fs.read(t, inode, 0, len(model)) == model
-        # The next clean reuses the two pages handed back; the crash
-        # after it must find every page where the committed log says.
+        # The next clean folds the same bytes again; the crash after it
+        # must find every page where the committed log says.
         fs.clean(t, inode)
         assert not f.overlays
         m.power_fail()
@@ -329,7 +418,7 @@ class TestCleaner:
         dev, off = split_gaddr(dead)
         fc.poison(fs.devices[dev], off + 512, 1)
         live = list(f.overlays[1])
-        fs.clean(t, inode)                    # its own read of page 1 fails
+        fs.clean(t, inode)                    # page 1 is known poisoned
         # Pages 0 and 2 are folded; page 1 stays put, its live embeds
         # re-appended behind the three WriteEntries.
         assert f.pages[1] == dead and f.overlays == {1: live}
@@ -398,6 +487,26 @@ class TestCleaner:
         assert head not in {fs.policy.alloc_for(t) for _ in range(8)}
         assert fs.quarantined == [head]
         assert fs.read(t, inode, 0, len(model)) == model
+
+    def test_a_poisoned_log_page_header_does_not_stop_the_cleaner(self):
+        # The chain is recycled from DRAM: a walk of its next-pointers
+        # would raise on the poisoned header, at this clean and every
+        # later one.
+        m, t, fs, inode, model = self._slotted_file()
+        fc = FaultController(m)
+        log = fs._files[inode].log
+        chain = log.chain_pages()
+        assert len(chain) > 1
+        dev, off = split_gaddr(log.head)
+        fc.poison(fs.devices[dev], off, 1)
+        fs.clean(t, inode)
+        assert not fs._files[inode].overlays
+        assert fs.quarantined == [log.head]
+        assert fs._files[inode].log.head not in chain
+        assert fs.read(t, inode, 0, len(model)) == model
+        m.power_fail()
+        fs2 = NovaFS.mount(m, datalog=True)
+        assert fs2.read_persistent_file(inode, 0, len(model)) == model
 
 
 class TestDAX:

@@ -9,6 +9,7 @@ from repro.pmcheck import (
     CHECK_WORKLOADS, PmCheck, build_pmcheck_grid, pmcheck_cell,
     run_pmcheck,
 )
+from repro.pmcheck.matrix import FULL_SHAPE
 from repro.pmcheck.state import (
     V_ACK_BEFORE_FENCE, V_UNORDERED,
 )
@@ -62,6 +63,27 @@ class TestProtectedMatrix:
     def test_cell_reports_served_traffic(self):
         record = cell("ycsb-a", "lsm")
         assert record["served"]["ops"] == TINY["ops"]
+
+
+class TestFullShapeCleans:
+    """The quick shape never fills a NOVA log; the full shape cleans, so
+    the checker sees a clean's persist order."""
+
+    @pytest.mark.parametrize("workload", ["ycsb-a", "ycsb-f"])
+    def test_nova_cleans_and_stays_clean(self, monkeypatch, workload):
+        from repro.fs.nova import NovaFS
+        cleans = []
+        real = NovaFS.clean
+
+        def clean(fs, thread, inode):
+            cleans.append(inode)
+            real(fs, thread, inode)
+        monkeypatch.setattr(NovaFS, "clean", clean)
+        record = pmcheck_cell(dict(FULL_SHAPE, seed=0, workload=workload,
+                                   substrate="nova", naive=False))
+        assert record["pmcheck"]["total"] == 0, \
+            record["pmcheck"]["violations"]
+        assert cleans
 
 
 class TestNaiveMatrix:
