@@ -177,11 +177,6 @@ def cmd_compare(args):
     except (OSError, json.JSONDecodeError) as exc:
         print("cannot read manifest: %s" % exc, file=sys.stderr)
         return 2
-    # Fold each point's obs blob down to p50/p95/p99 so the diff gains
-    # latency-distribution drift lines without raw bucket noise.
-    from repro.obs import attach_obs_metrics
-    attach_obs_metrics(a, args.a)
-    attach_obs_metrics(b, args.b)
     comparison = compare_manifests(a, b, tolerance=args.tolerance)
     print("comparing %s (%s) vs %s (%s), tolerance %.1f%%"
           % (args.a, a.version, args.b, b.version,

@@ -34,7 +34,7 @@ from repro.lattester.latency import (
 from repro.lattester.load import (
     LoadPoint, latency_bandwidth_curve, loaded_latency,
 )
-from repro.lattester.stats import percentile, percentiles
+from repro.lattester.stats import percentile
 from repro.lattester.sweep import (
     best_thread_count, filter_records, sweep_grid,
 )
@@ -52,6 +52,6 @@ __all__ = [
     "figure16", "filter_records", "hotspot_tail",
     "inferred_buffer_lines", "latency_bandwidth_curve", "loaded_latency",
     "make_kernel", "measure_bandwidth", "ntstore_kernel", "percentile",
-    "percentiles", "probe_region", "read_kernel", "read_latency",
+    "probe_region", "read_kernel", "read_latency",
     "staggered_base", "store_clwb_kernel", "sweep_grid", "write_latency",
 ]

@@ -1,10 +1,13 @@
-"""Shared order statistics for the latency studies.
+"""The exact order statistic for LATTester's per-access tails.
 
-One percentile implementation for all of ``lattester`` (Figure 3's
-tails, report tables, ad-hoc analyses), using the **nearest-rank**
-definition: the p-th percentile of n sorted samples is the element at
+:func:`percentile` is the exact **nearest-rank** percentile of a
+sorted sample — the statistic behind Figure 3's per-access tail
+latencies: the p-th percentile of n sorted samples is the element at
 rank ``ceil(n * p)`` (1-based), i.e. the smallest sample such that at
-least ``p`` of the distribution is at or below it.
+least ``p`` of the distribution is at or below it.  Serving reports do
+not sort samples: they read per-request percentiles from the
+recorder's histogram (``obs.hist``), which uses the same rank
+convention.
 
 The previous ad-hoc version indexed ``int(n * p)``, which is a
 0-based *upper* neighbour: for even n it returned the element *above*
@@ -37,14 +40,4 @@ def percentile(sorted_samples, p):
     return sorted_samples[rank - 1]
 
 
-def percentiles(samples, fractions):
-    """Sort once, then read several percentiles.
-
-    Returns a list aligned with ``fractions``.  ``samples`` need not be
-    pre-sorted (unlike :func:`percentile`, which trusts its input).
-    """
-    ordered = sorted(samples)
-    return [percentile(ordered, p) for p in fractions]
-
-
-__all__ = ["percentile", "percentiles"]
+__all__ = ["percentile"]

@@ -18,8 +18,7 @@ The pieces, bottom to top:
 """
 
 from repro.obs.artifacts import (
-    attach_obs_metrics, externalize_obs, load_obs_blob, obs_address,
-    obs_ref,
+    externalize_obs, load_obs_blob, obs_address, obs_ref,
 )
 from repro.obs.hist import (
     SUB_BUCKETS, LatencyHistogram, bucket_bounds, bucket_index,
@@ -39,8 +38,7 @@ __all__ = [
     "bucket_midpoint",
     "DEFAULT_BUDGET", "DEFAULT_SLO_US", "DEFAULT_WINDOW_US",
     "ObsRecorder",
-    "attach_obs_metrics", "externalize_obs", "load_obs_blob",
-    "obs_address", "obs_ref",
+    "externalize_obs", "load_obs_blob", "obs_address", "obs_ref",
     "ObsReportError", "build_report", "merged_histograms",
     "render_html", "render_tables", "report_json",
     "validate_obs",

@@ -10,13 +10,9 @@ manifest point gains an ``"obs"`` reference to the relative path.
 
 Two runs of the same matrix therefore produce byte-identical manifests
 — the references are content addresses, never run-specific paths — and
-the blobs dedupe on disk for free.
-
-:func:`attach_obs_metrics` is the comparator hook: it folds each
-point's obs blob down to a tiny ``obs_latency_us`` summary inside the
-record (and drops the raw blob), so ``repro compare`` gains
-p50/p95/p99 delta lines without flooding the metric diff with hundreds
-of raw bucket counts.
+the blobs dedupe on disk for free.  ``repro compare`` never opens
+them: a serving record's own ``latency_us`` is already the recorder's
+histogram summary, so the comparator diffs those numbers directly.
 """
 
 import hashlib
@@ -24,7 +20,6 @@ import json
 import os
 
 from repro.harness.keys import canonical_json
-from repro.obs.recorder import ObsRecorder
 
 #: Subdirectory (next to the manifest) that holds externalized blobs.
 OBS_DIR = "obs"
@@ -96,33 +91,3 @@ def load_obs_blob(point, base_dir):
     with open(path) as fh:
         return json.load(fh)
 
-
-#: Percentiles the comparator sees per obs-carrying point.
-COMPARE_FRACTIONS = (0.50, 0.95, 0.99)
-
-
-def attach_obs_metrics(manifest, manifest_path):
-    """Summarize obs blobs into each record for ``repro compare``.
-
-    Each point that carries obs (inline or by reference) gains
-    ``record["obs_latency_us"] = {"p50": ..., "p95": ..., "p99": ...}``
-    and loses the raw blob, so the comparator's numeric-leaf walk
-    yields three latency metrics per point instead of every bucket.
-    Returns the number of points summarized.
-    """
-    base_dir = os.path.dirname(os.path.abspath(manifest_path))
-    attached = 0
-    for point in manifest.points:
-        record = point.get("record")
-        try:
-            blob = load_obs_blob(point, base_dir)
-        except (OSError, ValueError):
-            blob = None
-        if isinstance(record, dict):
-            record.pop("obs", None)
-        if blob is None or not isinstance(record, dict):
-            continue
-        rec = ObsRecorder.from_dict(blob)
-        record["obs_latency_us"] = rec.latency_us(COMPARE_FRACTIONS)
-        attached += 1
-    return attached

@@ -15,7 +15,8 @@ behavior — the distinction the paper's latency-vs-load curves hinge on:
   diverges — the behavior closed-loop measurement structurally cannot
   show (Schroeder et al.'s classic open-vs-closed distinction).
 
-Both record per-request latency and produce the same report shape, so
+Both fold each request's latency and completion time into an
+:class:`~repro.obs.recorder.ObsRecorder` and report its summary, so
 reports are directly comparable.  Chaos cells run these same loops,
 with faults, recovery and the degradation layer behind a ``chaos``
 hook object (:mod:`repro.chaos_serve.driver`).  Everything runs on
@@ -25,7 +26,7 @@ byte-identical report on any host, serial or parallel.
 
 from random import Random
 
-from repro.lattester.stats import percentile
+from repro.obs.recorder import ObsRecorder
 from repro.sim.engine import run_interleaved
 from repro.telemetry.events import CAT_SERVE
 from repro.workloads.generators import (
@@ -109,18 +110,33 @@ def preload(service, machine, spec, records, seed=0):
     return thread.now
 
 
-def _summarize(latencies_ns, ops_by_type, start_ns, end_ns, ops):
-    """The common report body from recorded latencies."""
+def _recorder(obs, service, spec):
+    """The run's recorder: the caller's, which must be empty, or a new
+    one for ``(service.name, spec.name)``."""
+    if obs is None:
+        return ObsRecorder(service.name, workload=spec.name)
+    if obs.hist.total():
+        raise ValueError("obs recorder already holds %d requests"
+                         % obs.hist.total())
+    return obs
+
+
+def _summarize(obs, latencies_ns, end_ts_ns, ops_by_type, start_ns,
+               end_ns):
+    """Fold the run's requests into ``obs``; the common report body.
+
+    Percentiles are the histogram's; ``mean`` and ``max`` are exact
+    over the per-request latencies.
+    """
+    obs.ingest(latencies_ns, end_ts_ns)
+    obs.ingest_ops(ops_by_type)
+    ops = obs.hist.total()
     elapsed_s = max(end_ns - start_ns, 1.0) / _NS_PER_S
-    lat = sorted(latencies_ns)
-    latency_us = {}
-    for frac in LATENCY_FRACTIONS:
-        name = "p" + ("%g" % (frac * 100)).replace(".", "")
-        latency_us[name] = round(
-            percentile(lat, frac) / _NS_PER_US, 3)
+    latency_us = obs.latency_us(LATENCY_FRACTIONS)
     latency_us["mean"] = round(
-        (sum(lat) / len(lat)) / _NS_PER_US, 3) if lat else 0.0
-    latency_us["max"] = round(lat[-1] / _NS_PER_US, 3) if lat else 0.0
+        sum(latencies_ns) / ops / _NS_PER_US, 3) if ops else 0.0
+    latency_us["max"] = round(
+        max(latencies_ns) / _NS_PER_US, 3) if ops else 0.0
     return {
         "ops": ops,
         "ops_by_type": dict(sorted(ops_by_type.items())),
@@ -137,7 +153,7 @@ _CHUNK = 256
 
 
 def _client_step(service, spec, thread, client, stream, budget,
-                 ops_by_type, lists=None, chaos=None):
+                 ops_by_type, lists, chaos=None):
     """One-request step closure for the closed loop.
 
     Each call takes the client's next request (prefetched in chunks via
@@ -145,11 +161,9 @@ def _client_step(service, spec, thread, client, stream, budget,
     or the chaos hook's ``serve``, records the latency, traces, and
     counts.
 
-    ``lists`` is a ``(latencies, ts)`` pair receiving each *request's*
-    latency and completion time — the obs recorder's input and the
-    chaos report's (``thread.latencies`` also carries per-cache-line
-    entries from the namespace paths).  Histogram and window folds
-    happen in bulk after the loop.
+    ``lists`` is a ``(latencies, ts)`` pair receiving each request's
+    latency and completion time, the recorder's input; histogram and
+    window folds happen in bulk after the loop.
 
     A chaos request a power failure interrupted returns ``False``
     unconsumed: :func:`run_interleaved` steps the client again when its
@@ -157,9 +171,8 @@ def _client_step(service, spec, thread, client, stream, budget,
     new dispatch.
     """
     tracer = thread.machine.tracer
-    latencies = thread.latencies
-    lat_append, ts_append = (None, None) if lists is None \
-        else (lists[0].append, lists[1].append)
+    lat_append = lists[0].append
+    ts_append = lists[1].append
     next_requests = stream.next_requests
     batch = []
     pos = 0
@@ -178,8 +191,6 @@ def _client_step(service, spec, thread, client, stream, budget,
         begin = thread.now
         if chaos is None:
             op = execute_request(service, thread, spec, req)
-            end = thread.now
-            latencies.append(end - begin)
         else:
             if not reissue:
                 chaos.dispatch()
@@ -191,10 +202,9 @@ def _client_step(service, spec, thread, client, stream, budget,
             if op != OK:
                 return
             op = req.op
-            end = thread.now
-        if ts_append is not None:
-            lat_append(end - begin)
-            ts_append(end)
+        end = thread.now
+        lat_append(end - begin)
+        ts_append(end)
         if tracer is not None:
             tracer.complete(begin, CAT_SERVE, op, end - begin,
                             track="client%d" % thread.tid)
@@ -213,21 +223,21 @@ def closed_loop(machine, service, spec, records, ops, clients=2,
     already ran :func:`preload` (pass its return value) — the
     wall-clock benchmarks use this to time serving separately.
 
-    ``obs`` is an optional :class:`repro.obs.ObsRecorder`: during the
-    loop only per-request latencies and completion timestamps are
-    collected (two list appends per request); latency histogram, SLO
-    windows and per-op counts are folded in bulk once the loop
-    finishes.
+    ``obs`` is an optional, empty :class:`repro.obs.ObsRecorder` (a
+    fresh one is made when it is ``None``): during the loop only
+    per-request latencies and completion timestamps are collected (two
+    list appends per request); latency histogram, SLO windows and
+    per-op counts are folded in bulk once the loop finishes, and the
+    report is the recorder's summary of them.
 
     ``chaos`` is an optional chaos cell's hooks: ``dispatch()`` before
     each fresh request, ``serve()`` in place of the plain dispatch, and
-    ``threads`` set to the serving threads.  The plain report
-    summarises ``thread.latencies`` (per-cache-line entries included);
-    a chaos report summarises per-request latencies, ``ops`` counting
-    only requests served ``OK``.
+    ``threads`` set to the serving threads.  ``ops`` in a chaos report
+    counts only requests served ``OK``.
     """
     if clients < 1:
         raise ValueError("need at least one client")
+    obs = _recorder(obs, service, spec)
     start_ns = preload(service, machine, spec, records, seed=seed) \
         if load_end is None else load_end
     threads = machine.threads(clients)
@@ -236,42 +246,26 @@ def closed_loop(machine, service, spec, records, ops, clients=2,
     ops_by_type = {}
     per_client = [ops // clients + (1 if c < ops % clients else 0)
                   for c in range(clients)]
-    lists = None if obs is None and chaos is None \
-        else [([], []) for _ in threads]
+    lists = [([], []) for _ in threads]
 
     # Requests are prefetched in chunks and clients stepped in
     # min-clock order (ties to the lowest client id).
     entries = []
     for client, thread in enumerate(threads):
         thread.now = start_ns
-        if chaos is None:
-            thread.collect_latencies()
         stream = RequestStream(spec, records, seed=seed, client=client)
         entries.append((thread, per_client[client],
                         _client_step(service, spec, thread, client,
                                      stream, per_client[client],
-                                     ops_by_type,
-                                     None if lists is None
-                                     else lists[client], chaos)))
+                                     ops_by_type, lists[client], chaos)))
     end_ns = run_interleaved(entries)
-    if chaos is None:
-        # The big per-line list goes first: built after the per-request
-        # lists it raises serve-substrates-rmw's peak RSS by a MiB.
-        latencies = []
-        for thread in threads:
-            latencies.extend(thread.latencies)
-    if lists is not None:
-        req_lat = []
-        req_ts = []
-        for pair in lists:
-            req_lat.extend(pair[0])
-            req_ts.extend(pair[1])
-        if obs is not None:
-            obs.ingest(req_lat, req_ts)
-            obs.ingest_ops(ops_by_type)
-    if chaos is not None:
-        latencies, ops = req_lat, len(req_lat)
-    report = _summarize(latencies, ops_by_type, start_ns, end_ns, ops)
+    req_lat = []
+    req_ts = []
+    for lat, ts in lists:
+        req_lat.extend(lat)
+        req_ts.extend(ts)
+    report = _summarize(obs, req_lat, req_ts, ops_by_type, start_ns,
+                        end_ns)
     report["mode"] = "closed"
     report["clients"] = clients
     return report
@@ -290,13 +284,13 @@ def open_loop(machine, service, spec, records, ops, rate_kops,
     grows without bound.  ``load_end``, ``obs`` and ``chaos`` work like
     :func:`closed_loop`'s; the chaos hooks add ``admit()`` after the
     worker scan (it may shed or deadline-drop the arrival) and their
-    own ``arrival_rng``, and a chaos report has no
-    ``busy_workers_peak``.
+    own ``arrival_rng``.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
     if rate_kops <= 0:
         raise ValueError("offered rate must be positive")
+    obs = _recorder(obs, service, spec)
     start_ns = preload(service, machine, spec, records, seed=seed) \
         if load_end is None else load_end
     threads = machine.threads(workers)
@@ -312,7 +306,7 @@ def open_loop(machine, service, spec, records, ops, rate_kops,
     mean_gap_ns = _NS_PER_S / (rate_kops * 1e3)
     ops_by_type = {}
     latencies = []
-    end_ts = None if obs is None else []
+    end_ts = []
     clock = start_ns
     queue_peak = 0
     expovariate = arrival_rng.expovariate
@@ -320,7 +314,7 @@ def open_loop(machine, service, spec, records, ops, rate_kops,
     tracer = machine.tracer
     ops_get = ops_by_type.get
     append_latency = latencies.append
-    ts_append = None if end_ts is None else end_ts.append
+    ts_append = end_ts.append
     for index in range(1, ops + 1):
         clock += expovariate(inv_gap)
         # Earliest-free worker (ties to the lowest id: threads are in
@@ -362,17 +356,12 @@ def open_loop(machine, service, spec, records, ops, rate_kops,
                             track="client%d" % thread.tid)
         ops_by_type[op] = ops_get(op, 0) + 1
         append_latency(end - clock)
-        if ts_append is not None:
-            ts_append(end)
+        ts_append(end)
     end_ns = max(t.now for t in threads)
-    if obs is not None:
-        obs.ingest(latencies, end_ts)
-        obs.ingest_ops(ops_by_type)
-    report = _summarize(latencies, ops_by_type, start_ns, end_ns,
-                        len(latencies))
+    report = _summarize(obs, latencies, end_ts, ops_by_type, start_ns,
+                        end_ns)
     report["mode"] = "open"
     report["workers"] = workers
     report["offered_kops"] = round(rate_kops, 3)
-    if chaos is None:
-        report["busy_workers_peak"] = queue_peak
+    report["busy_workers_peak"] = queue_peak
     return report

@@ -8,7 +8,7 @@ end but for its clamp).  Nearest-rank is ``ceil(n * p)`` 1-based.
 
 import pytest
 
-from repro.lattester import percentile, percentiles
+from repro.lattester import percentile
 
 
 class TestPercentile:
@@ -50,10 +50,6 @@ class TestPercentile:
             percentile([1.0], -0.1)
         with pytest.raises(ValueError):
             percentile([1.0], 1.1)
-
-    def test_percentiles_sorts_once(self):
-        got = percentiles([3.0, 1.0, 2.0], (0.5, 1.0))
-        assert got == [2.0, 3.0]
 
 
 class TestTailUsesSharedHelper:

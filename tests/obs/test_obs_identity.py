@@ -1,7 +1,8 @@
 """Recording rides along without changing anything it observes.
 
-Two invariants: (1) an attached recorder leaves the serving reports
-byte-identical to recording-off runs, and (2) the recorded blob itself
+Two invariants: (1) a caller's recorder leaves the serving reports
+byte-identical to runs where the loop makes its own, and (2) the
+recorded blob itself
 equals what the per-beat reference loops recorded before they were
 deleted (``tests/golden/single_path.json``) — observability must not
 fork determinism.
@@ -41,8 +42,7 @@ class TestRecordingIsPathIndependent:
 
 class TestRequestGranularity:
     def test_closed_loop_records_one_sample_per_request(self):
-        # thread.latencies also carries per-cache-line entries; the
-        # recorder must see exactly one latency per *request*.
+        # One latency per *request*, never one per cache line.
         obs = ObsRecorder("lsm")
         run_closed("lsm", obs=obs)
         assert obs.hist.total() == QUICK["ops"]

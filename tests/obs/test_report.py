@@ -6,8 +6,9 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.harness import RunManifest
+from repro.harness import ResultCache, RunManifest
 from repro.obs import build_report, load_obs_blob, report_json, validate_obs
+from repro.workloads import serve
 
 
 @pytest.fixture
@@ -95,6 +96,20 @@ class TestReportDeterminism:
         assert outputs[0] == outputs[1]
 
 
+class TestServeAndReportAgree:
+    def test_curve_percentiles_match_the_report(self, tmp_path):
+        report, manifest = serve("ycsb-b", "lsm", quick=True, seed=0,
+                                 jobs=1,
+                                 cache=ResultCache(str(tmp_path / "c")))
+        rows = {row["offered_kops"]: row
+                for row in build_report(manifest)["curves"]["lsm"]}
+        assert report["curve"]
+        for point in report["curve"]:
+            row = rows[point["offered_kops"]]
+            assert (row["p50_us"], row["p99_us"]) == \
+                (point["p50_us"], point["p99_us"])
+
+
 class TestChaosReport:
     def test_chaos_manifest_reports_timeline(self, cache_env, capsys):
         out = str(cache_env / "chaos.json")
@@ -117,8 +132,8 @@ class TestChaosReport:
 
 
 class TestCompareWithObs:
-    def test_compare_folds_obs_percentiles_in(self, tmp_path,
-                                              monkeypatch, capsys):
+    def test_compare_of_identical_serves_matches(self, tmp_path,
+                                                 monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         a = quick_serve(str(tmp_path / "a.json"))
         b = quick_serve(str(tmp_path / "b.json"))

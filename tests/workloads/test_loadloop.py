@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from repro.chaos_serve import chaos_serve_cell
+from repro.obs import ObsRecorder
 from repro.sim.platform import Machine
 from repro.workloads import closed_loop, get_workload, make_service, open_loop
+from repro.workloads.loadloop import LATENCY_FRACTIONS
 
 QUICK = dict(records=96, ops=240)
 
@@ -112,3 +115,80 @@ class TestTelemetry:
         names = {ev.name for ev in serve_events}
         assert names <= {"read", "update", "insert", "scan", "rmw",
                          "delete"}
+
+
+class TestReportIsTheRecordersSummary:
+    """A serving report reads the per-request recorder it fills."""
+
+    @pytest.fixture
+    def ingested(self, monkeypatch):
+        """Every per-request latency a recorder ingests, in order."""
+        seen = []
+        ingest = ObsRecorder.ingest
+
+        def spy(self, latencies_ns, end_ts_ns):
+            seen.extend(latencies_ns)
+            ingest(self, latencies_ns, end_ts_ns)
+
+        monkeypatch.setattr(ObsRecorder, "ingest", spy)
+        return seen
+
+    @staticmethod
+    def serve(mode):
+        """``(report, recorder)`` of one plain or chaos serving call."""
+        if mode == "chaos-closed":
+            record = chaos_serve_cell({
+                "workload": "ycsb-a", "substrate": "lsm",
+                "scenario": "power-fail", "mode": "closed",
+                "naive": False, "seed": 0, "records": 128, "ops": 320,
+                "clients": 2})
+            return record["served"], ObsRecorder.from_dict(record["obs"])
+        spec = get_workload("ycsb-a")
+        machine = Machine()
+        service = make_service("lsm", machine, spec, seed=0, **QUICK)
+        obs = ObsRecorder("lsm", workload=spec.name)
+        if mode == "closed":
+            report = closed_loop(machine, service, spec, clients=2,
+                                 seed=0, obs=obs, **QUICK)
+        else:
+            report = open_loop(machine, service, spec, rate_kops=2000.0,
+                               workers=2, seed=0, obs=obs, **QUICK)
+        return report, obs
+
+    @pytest.mark.parametrize("mode", ("closed", "open", "chaos-closed"))
+    def test_report_summarises_the_recorder(self, mode, ingested):
+        report, obs = self.serve(mode)
+        lat = report["latency_us"]
+        percentiles = obs.latency_us(LATENCY_FRACTIONS)
+        assert {k: lat[k] for k in percentiles} == percentiles
+        assert report["ops"] == obs.hist.total() == len(ingested) > 0
+        # Mean and max stay exact over the per-request latencies.
+        assert lat["mean"] == round(sum(ingested) / len(ingested) / 1e3, 3)
+        assert lat["max"] == round(max(ingested) / 1e3, 3)
+
+    def test_closed_loop_threads_collect_no_per_line_latencies(self):
+        spec = get_workload("ycsb-a")
+        machine = Machine()
+        service = make_service("lsm", machine, spec, seed=0, **QUICK)
+        made = []
+        threads = machine.threads
+
+        def spy(count, socket=0):
+            made.extend(threads(count, socket))
+            return made[-count:]
+
+        machine.threads = spy
+        closed_loop(machine, service, spec, clients=2, seed=0, **QUICK)
+        assert len(made) == 2
+        assert all(t.latencies is None for t in made)
+
+    @pytest.mark.parametrize("loop", (closed_loop, open_loop))
+    def test_a_recorder_holding_requests_is_refused(self, loop):
+        spec = get_workload("ycsb-a")
+        machine = Machine()
+        service = make_service("lsm", machine, spec, seed=0, **QUICK)
+        obs = ObsRecorder("lsm", workload=spec.name)
+        obs.ingest([100.0], [100.0])
+        extra = {} if loop is closed_loop else {"rate_kops": 500.0}
+        with pytest.raises(ValueError, match="already holds"):
+            loop(machine, service, spec, seed=0, obs=obs, **QUICK, **extra)
