@@ -1,33 +1,8 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
-
-* ``list``                — the experiment registry (figure, title, bench)
-* ``run fig10 [...]``     — run experiments and print their raw results
-* ``trace bandwidth|figN``— run one experiment with tracing on; write a
-  Chrome ``trace_event`` JSON (chrome://tracing / Perfetto) and
-  optionally a flat metrics CSV
-* ``sweep [--quick] ...`` — the systematic sweep through the harness
-  (``--trace-dir`` records a per-point trace artifact)
-* ``cache stats|clear``   — inspect or empty the result cache
-* ``compare a b``         — diff two run manifests for metric drift
-* ``faults run [...]``    — chaos matrix: crash x tear x poison sweep
-  (``--trace-dir`` records fault instants per case)
-* ``serve ycsb-a lsm``    — YCSB-style serving study of one substrate:
-  closed-loop throughput, the open-loop latency-vs-load curve, and a
-  binary search for the max offered load meeting a p99 SLO
-  (``--pmcheck`` rides the persistency-order checker along)
-* ``pmcheck ycsb-a lsm``  — persistency-order check: run the traffic
-  with the durability checker installed and report missing, misordered
-  or redundant flushes with call-site attribution
-* ``report serve.json.manifest.json`` — render the always-on
-  observability artifacts of a serve or chaos run: latency/SLO-burn
-  tables per substrate, latency-vs-load curves, chaos timelines
-  (``--json`` for the canonical JSON, ``--html`` for a self-contained
-  single-file page)
-* ``calibrate``           — the headline paper-vs-measured numbers
-* ``guidelines``          — print the four best practices
-* ``audit --access N ...``— audit an access pattern against them
+:func:`build_parser` is the one verb table: each verb's subparser
+carries its handler, and ``python -m repro --help`` lists the verbs
+with what each does.
 """
 
 import argparse
@@ -108,30 +83,39 @@ def cmd_trace(args):
     return 0
 
 
-def cmd_sweep(args):
+def _progress(every, unit, total=None):
+    """A harness progress callback: a rate line every ``every``
+    outcomes (and at ``total``, when the run's size is known)."""
     import time
+
+    started = time.time()
+    done = 0
+
+    def progress(_outcome):
+        nonlocal done
+        done += 1
+        if done % every == 0 or done == total:
+            count = ("%5d/%d" % (done, total) if total
+                     else "%5d %s" % (done, unit))
+            print("  %s  (%.1f %s/s)"
+                  % (count, done / max(time.time() - started, 1e-9), unit))
+
+    return progress
+
+
+def cmd_sweep(args):
+    from math import prod
 
     from repro._units import KIB
     from repro.harness import ResultCache, run_sweep
     from repro.lattester.sweep import FULL_GRID, QUICK_GRID, write_csv
 
     grid = QUICK_GRID if args.quick else FULL_GRID
-    total = 1
-    for values in grid.values():
-        total *= len(values)
-    started = time.time()
-    done = [0]
-
-    def progress(outcome):
-        done[0] += 1
-        if done[0] % 50 == 0 or done[0] == total:
-            rate = done[0] / max(time.time() - started, 1e-9)
-            print("  %5d/%d  (%.1f points/s)" % (done[0], total, rate))
-
+    total = prod(len(values) for values in grid.values())
     cache = ResultCache(root=args.cache_dir, enabled=not args.no_cache)
     run = run_sweep(grid, per_thread=48 * KIB, jobs=args.jobs,
-                    cache=cache, progress=progress, name="sweep",
-                    trace_dir=args.trace_dir)
+                    cache=cache, progress=_progress(50, "points", total),
+                    name="sweep", trace_dir=args.trace_dir)
     write_csv(run.records, args.out)
     manifest_path = args.manifest or args.out + ".manifest.json"
     run.manifest.save(manifest_path)
@@ -167,14 +151,12 @@ def cmd_cache(args):
 
 
 def cmd_compare(args):
-    import json
-
     from repro.harness import RunManifest, compare_manifests
 
     try:
         a = RunManifest.load(args.a)
         b = RunManifest.load(args.b)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print("cannot read manifest: %s" % exc, file=sys.stderr)
         return 2
     comparison = compare_manifests(a, b, tolerance=args.tolerance)
@@ -186,21 +168,10 @@ def cmd_compare(args):
 
 
 def cmd_faults(args):
-    import time
-
     from repro.faults.chaos import run_chaos
 
-    started = time.time()
-    done = [0]
-
-    def progress(_outcome):
-        done[0] += 1
-        if done[0] % 25 == 0:
-            rate = done[0] / max(time.time() - started, 1e-9)
-            print("  %5d cases  (%.1f cases/s)" % (done[0], rate))
-
     run = run_chaos(quick=args.quick, seed=args.seed, jobs=args.jobs,
-                    naive=args.naive, progress=progress,
+                    naive=args.naive, progress=_progress(25, "cases"),
                     trace_dir=args.trace_dir)
     run.manifest.save(args.out)
     records = run.records
@@ -249,7 +220,11 @@ def _pretty(result, indent="  "):
 
 
 def cmd_calibrate(_args):
-    from scripts import calibrate  # pragma: no cover - path dependent
+    try:
+        from scripts import calibrate  # pragma: no cover - path dependent
+    except ImportError:
+        _calibrate_inline()
+        return 0
     calibrate.main([])
     return 0
 
@@ -312,11 +287,6 @@ def _save_report(report, manifest, out):
     manifest_path = out + ".manifest.json"
     externalize_obs(manifest, manifest_path)
     manifest.save(manifest_path)
-
-
-def _pmcheck_line(violation):
-    from repro.pmcheck import format_violation
-    return format_violation(violation, cell=violation.get("cell"))
 
 
 def _print_violations(heading, violations, fmt, clean):
@@ -386,24 +356,17 @@ def _chaos_cell_line(rec):
                rec["degrade"]["retries"], len(rec["violations"])))
 
 
-def _durability_line(violation):
-    from repro.chaos_serve import format_violation
-    cell = violation["cell"]
-    return "[%s/%s/%s/%s]\n%s" % (cell["workload"], cell["substrate"],
-                                  cell["scenario"], cell["mode"],
-                                  format_violation(violation))
-
-
 def _cmd_serve_chaos(args):
     """The ``serve --chaos`` path: the fault matrix plus the oracle."""
-    from repro.chaos_serve import run_chaos_serve
+    from repro.chaos_serve import format_violation, run_chaos_serve
 
-    blocks = [("violations", "DURABILITY VIOLATIONS", _durability_line,
+    blocks = [("violations", "DURABILITY VIOLATIONS", format_violation,
                "no durability violations: every acknowledged write "
                "survived or was reported lost")]
     if args.pmcheck:
+        from repro.pmcheck import format_violation as pmcheck_violation
         blocks.append(("pmcheck_violations", "PERSISTENCY-ORDER VIOLATIONS",
-                       _pmcheck_line,
+                       pmcheck_violation,
                        "pmcheck: every cell's persist ordering is clean"))
     return _cmd_matrix(args, run_chaos_serve, "chaos serving",
                        _chaos_cell_line, blocks, pmcheck=args.pmcheck)
@@ -464,46 +427,43 @@ def cmd_serve(args):
                                                1e-9)))
     print("report -> %s (+ %s.manifest.json)" % (args.out, args.out))
     if args.pmcheck:
+        from repro.pmcheck import format_violation
         return _print_violations(
             "PERSISTENCY-ORDER VIOLATIONS",
-            report.get("pmcheck", {}).get("violations"), _pmcheck_line,
+            report.get("pmcheck", {}).get("violations"), format_violation,
             "pmcheck: persist ordering clean across every point")
     return 0
 
 
 def _pmcheck_cell_line(rec):
-    summary = rec["pmcheck"]
-    kinds = summary.get("kinds", {})
-    return ("%-7s %-8s ops=%-5d %s"
-            % (rec["workload"], rec["substrate"], rec["served"]["ops"],
-               "clean" if not summary["total"] else
-               "%d violation(s): %s"
-               % (summary["total"],
-                  ", ".join("%s x%d" % (k, kinds[k])
-                            for k in sorted(kinds)))))
+    from repro.pmcheck import format_summary
+    return "%-7s %-8s ops=%-5d %s" % (rec["workload"], rec["substrate"],
+                                      rec["served"]["ops"],
+                                      format_summary(rec["pmcheck"]))
 
 
 def cmd_pmcheck(args):
     """The ``pmcheck`` verb: the checker matrix over YCSB traffic."""
-    from repro.pmcheck import run_pmcheck
+    from repro.pmcheck import format_violation, run_pmcheck
 
     return _cmd_matrix(
         args, run_pmcheck, "persistency-order check", _pmcheck_cell_line,
-        [("violations", "PERSISTENCY-ORDER VIOLATIONS", _pmcheck_line,
+        [("violations", "PERSISTENCY-ORDER VIOLATIONS", format_violation,
           "every store was flushed, fenced and acknowledged in order")])
 
 
 def cmd_report(args):
-    """The ``report`` verb: render a run's obs artifacts."""
+    """The ``report`` verb: render a run's obs artifacts.
+
+    A manifest that cannot be read (status 2) or carries an invalid
+    obs blob (status 1) is named on stderr and skipped; the rest of a
+    directory still renders.
+    """
     import glob
-    import json
     import os
 
     from repro.harness import RunManifest
-    from repro.obs import (
-        ObsReportError, build_report, merged_histograms, render_html,
-        render_tables, report_json,
-    )
+    from repro.obs import build_report, render_html, render_tables, report_json
 
     if os.path.isdir(args.target):
         if args.json or args.html:
@@ -522,15 +482,17 @@ def cmd_report(args):
     for path in paths:
         try:
             manifest = RunManifest.load(path)
-        except (OSError, json.JSONDecodeError) as exc:
-            print("cannot read manifest: %s" % exc, file=sys.stderr)
-            return 2
-        base_dir = os.path.dirname(os.path.abspath(path))
+        except (OSError, ValueError) as exc:
+            print("%s: cannot read manifest: %s" % (path, exc),
+                  file=sys.stderr)
+            status = 2
+            continue
         try:
-            report = build_report(manifest, base_dir=base_dir)
-        except ObsReportError as exc:
+            report, hists = build_report(
+                manifest, base_dir=os.path.dirname(os.path.abspath(path)))
+        except (OSError, ValueError) as exc:
             print("%s: %s" % (path, exc), file=sys.stderr)
-            status = 1
+            status = max(status, 1)
             continue
         if len(paths) > 1:
             print("== %s" % path)
@@ -540,19 +502,10 @@ def cmd_report(args):
                 fh.write(report_json(report))
             print("report JSON -> %s" % args.json)
         if args.html:
-            hists = merged_histograms(manifest, base_dir=base_dir)
             with open(args.html, "w") as fh:
-                fh.write(render_html(report, merged_hists=hists))
+                fh.write(render_html(report, hists))
             print("HTML report -> %s" % args.html)
     return status
-
-
-#: Every CLI verb, in help order (unknown-verb errors print this).
-COMMANDS = (
-    "list", "run", "trace", "sweep", "serve", "pmcheck", "report",
-    "cache", "compare", "faults", "calibrate", "guidelines",
-    "audit",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -561,13 +514,17 @@ class _Parser(argparse.ArgumentParser):
     Unknown verbs and unknown arguments alike exit 2 and print the
     full verb list to stderr, instead of argparse's bare usage line —
     so every bad invocation tells the user what the CLI *does* accept.
-    Subparsers inherit this class automatically.
+    Subparsers inherit this class automatically; :func:`build_parser`
+    hands each one the root's verb table as ``verbs``.
     """
+
+    #: The root's ``{verb: subparser}`` table, in help order.
+    verbs = ()
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print("%s: error: %s" % (self.prog, message), file=sys.stderr)
-        print("valid commands: %s" % ", ".join(COMMANDS),
+        print("valid commands: %s" % ", ".join(self.verbs),
               file=sys.stderr)
         raise SystemExit(2)
 
@@ -603,11 +560,18 @@ def build_parser():
         prog="python -m repro",
         description="FAST'20 scalable-persistent-memory reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list reproduced experiments")
-    run = sub.add_parser("run", help="run experiments by figure id")
+    parser.verbs = sub.choices
+
+    def verb(name, handler, help):
+        verb_parser = sub.add_parser(name, help=help)
+        verb_parser.set_defaults(handler=handler)
+        verb_parser.verbs = sub.choices
+        return verb_parser
+
+    verb("list", cmd_list, "list reproduced experiments")
+    run = verb("run", cmd_run, "run experiments by figure id")
     run.add_argument("figures", nargs="+", metavar="figN")
-    trace = sub.add_parser(
-        "trace", help="run one experiment with tracing on")
+    trace = verb("trace", cmd_trace, "run one experiment with tracing on")
     trace.add_argument("target",
                        help="'bandwidth' or a registry figure id")
     trace.add_argument("--kind", default="optane",
@@ -633,14 +597,13 @@ def build_parser():
     trace.add_argument("--counter-interval", type=float, default=5000.0,
                        help="counter-sample interval in virtual ns "
                             "(default: 5000)")
-    sweep = sub.add_parser(
-        "sweep", help="systematic sweep through the harness")
+    sweep = verb("sweep", cmd_sweep, "systematic sweep through the harness")
     _add_run_flags(sweep, "sweep.csv", "output CSV",
                    quick="small grid for smoke runs")
     sweep.add_argument("--manifest", default=None,
                        help="manifest path (default: <out>.manifest.json)")
-    serve = sub.add_parser(
-        "serve", help="YCSB-style serving study of one substrate")
+    serve = verb("serve", cmd_serve,
+                 "YCSB-style serving study of one substrate")
     serve.add_argument("workload",
                        help="traffic mix (ycsb-a..f, pointer-chase, "
                             "log-append)")
@@ -663,8 +626,8 @@ def build_parser():
                        help="p99 SLO in microseconds (default: 10x "
                             "the closed-loop p99)")
     _add_run_flags(serve, "serve.json", "report", seed="traffic")
-    pmcheck = sub.add_parser(
-        "pmcheck", help="check persistency ordering under traffic")
+    pmcheck = verb("pmcheck", cmd_pmcheck,
+                   "check persistency ordering under traffic")
     pmcheck.add_argument("workload", nargs="?", default="all",
                          help="traffic mix (ycsb-a..f) or 'all' "
                               "(default: all)")
@@ -676,8 +639,8 @@ def build_parser():
                               "checker should catch every class)")
     _add_run_flags(pmcheck, "pmcheck.json", "report", unit="cell",
                    seed="traffic")
-    report = sub.add_parser(
-        "report", help="render a run's observability artifacts")
+    report = verb("report", cmd_report,
+                  "render a run's observability artifacts")
     report.add_argument("target",
                         help="a run manifest (*.manifest.json) or a "
                              "directory of them")
@@ -687,19 +650,18 @@ def build_parser():
     report.add_argument("--html", default=None, metavar="PATH",
                         help="also write a self-contained single-file "
                              "HTML report here")
-    cache = sub.add_parser("cache", help="result-cache maintenance")
+    cache = verb("cache", cmd_cache, "result-cache maintenance")
     cache.add_argument("action", choices=("stats", "clear"))
     cache.add_argument("--cache-dir", default=None,
                        help="cache root (default: .repro-cache)")
-    compare = sub.add_parser(
-        "compare", help="diff two run manifests for metric drift")
+    compare = verb("compare", cmd_compare,
+                   "diff two run manifests for metric drift")
     compare.add_argument("a", help="baseline manifest (JSON)")
     compare.add_argument("b", help="candidate manifest (JSON)")
     compare.add_argument("--tolerance", type=float, default=0.05,
                          help="max relative drift per metric "
                               "(default: 0.05)")
-    faults = sub.add_parser(
-        "faults", help="fault-injection chaos matrix")
+    faults = verb("faults", cmd_faults, "fault-injection chaos matrix")
     faults.add_argument("action", choices=("run",))
     faults.add_argument("--naive", action="store_true",
                         help="replay WALs without CRCs (expected to "
@@ -707,9 +669,9 @@ def build_parser():
     _add_run_flags(faults, "faults.manifest.json", "manifest", unit="case",
                    seed="fault-injector", cache=False,
                    quick="sampled matrix for smoke runs")
-    sub.add_parser("calibrate", help="paper-vs-measured headline numbers")
-    sub.add_parser("guidelines", help="print the four best practices")
-    audit = sub.add_parser("audit", help="audit an access pattern")
+    verb("calibrate", cmd_calibrate, "paper-vs-measured headline numbers")
+    verb("guidelines", cmd_guidelines, "print the four best practices")
+    audit = verb("audit", cmd_audit, "audit an access pattern")
     audit.add_argument("--access", type=int, default=64,
                        help="access size in bytes")
     audit.add_argument("--pattern", choices=("seq", "rand"),
@@ -734,27 +696,7 @@ def main(argv=None):
         # _Parser.error and --help raise instead of exiting so that
         # programmatic callers (tests, scripts) get a return code.
         return exc.code
-    handlers = {
-        "list": cmd_list,
-        "run": cmd_run,
-        "trace": cmd_trace,
-        "sweep": cmd_sweep,
-        "serve": cmd_serve,
-        "pmcheck": cmd_pmcheck,
-        "report": cmd_report,
-        "cache": cmd_cache,
-        "compare": cmd_compare,
-        "faults": cmd_faults,
-        "guidelines": cmd_guidelines,
-        "audit": cmd_audit,
-    }
-    if args.command == "calibrate":
-        try:
-            return cmd_calibrate(args)
-        except ImportError:
-            _calibrate_inline()
-            return 0
-    return handlers[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -18,13 +18,6 @@ US = 1000.0             # one microsecond, in ns
 MS = 1000.0 * US
 
 
-def gib_per_s(nbytes, ns):
-    """Convert a (bytes, nanoseconds) pair into GiB/s."""
-    if ns <= 0:
-        return 0.0
-    return (nbytes / GIB) / (ns / NS_PER_S)
-
-
 def gb_per_s(nbytes, ns):
     """Convert a (bytes, nanoseconds) pair into GB/s (decimal, as the paper plots)."""
     if ns <= 0:

@@ -266,9 +266,14 @@ def _legal_summary(legal_values, none_legal):
 
 
 def format_violation(v):
-    """One violation as the lines the CLI prints."""
-    lines = ["%s key=%s observed=%s" % (v["kind"], v["key"],
-                                        v["observed"])]
+    """One violation as the lines the CLI prints, opening with the
+    ``workload/substrate/scenario/mode`` cell a matrix run tagged it
+    with."""
+    cell = v.get("cell")
+    where = "" if cell is None else "%s/%s/%s/%s: " % (
+        cell["workload"], cell["substrate"], cell["scenario"], cell["mode"])
+    lines = ["%s%s key=%s observed=%s" % (where, v["kind"], v["key"],
+                                          v["observed"])]
     lines.append("  legal: %s" % ", ".join(v["legal"]))
     for mut in v["window"]:
         lines.append("  history: client=%d %s v%d [%s..%s] %s"

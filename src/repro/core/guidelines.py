@@ -98,10 +98,6 @@ class Advisor:
     def max_concurrent_readers(self, dimms=6):
         return max(1, dimms * MAX_READERS_PER_DIMM)
 
-    def working_set_budget_per_dimm(self):
-        """Stay under the XPBuffer if small stores are unavoidable (G1)."""
-        return XPBUFFER_BYTES
-
     def should_use_local_socket(self, mixed=False, threads=1):
         """Remote access is tolerable only single-threaded and unmixed (G4)."""
         return not (mixed or threads > 1)

@@ -37,10 +37,6 @@ def encode(key, value, epoch=0):
     return struct.pack("<I", zlib.crc32(body, epoch)) + body
 
 
-def encoded_size(key, value):
-    return HEADER_SIZE + len(key) + len(value or b"")
-
-
 def decode(buf, offset=0, verify_crc=True, epoch=0):
     """Decode one record at ``offset``.
 

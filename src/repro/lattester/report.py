@@ -1,4 +1,4 @@
-"""Result formatting: ASCII tables and series for experiment output.
+"""Result formatting: ASCII tables for experiment output.
 
 LATTester's results are plain dataclasses; this module renders them
 the way the paper's tables/figures organise them, for the CLI
@@ -33,46 +33,3 @@ def table(headers, rows, title=None):
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def series_table(series, x_label="x", unit="", title=None):
-    """Render ``{curve_name: [(x, y), ...]}`` as one aligned table."""
-    xs = sorted({x for pts in series.values() for x, _ in pts})
-    headers = [x_label] + list(series)
-    rows = []
-    for x in xs:
-        row = [x]
-        for name in series:
-            lookup = dict(series[name])
-            row.append(lookup.get(x, ""))
-        rows.append(row)
-    text = table(headers, rows, title=title)
-    if unit:
-        text += "\n(values in %s)" % unit
-    return text
-
-
-def latency_table(results, title="Latency"):
-    """Render {label: LatencyResult} as mean +- stdev rows."""
-    rows = [
-        [label, r.mean_ns, r.stdev_ns, r.samples]
-        for label, r in results.items()
-    ]
-    return table(["experiment", "mean ns", "stdev", "n"], rows,
-                 title=title)
-
-
-def bandwidth_table(results, title="Bandwidth"):
-    """Render a list of BandwidthResult as a table."""
-    from repro.sim.counters import is_ewr_defined
-    rows = [
-        ["%s/%dB x%d" % (r.pattern, r.access, r.threads), r.op,
-         r.gbps, r.ewr if is_ewr_defined(r.ewr) else "-"]
-        for r in results
-    ]
-    return table(["workload", "op", "GB/s", "EWR"], rows, title=title)
-
-
-def comparison(label, measured, paper, unit=""):
-    """One paper-vs-measured line, benchmark-report style."""
-    return "%-40s measured %10s   paper %10s %s" % (
-        label, format_value(measured), format_value(paper), unit)

@@ -28,8 +28,7 @@ from repro.obs.recorder import (
     DEFAULT_BUDGET, DEFAULT_SLO_US, DEFAULT_WINDOW_US, ObsRecorder,
 )
 from repro.obs.report import (
-    ObsReportError, build_report, merged_histograms, render_html,
-    render_tables, report_json,
+    ObsReportError, build_report, render_html, render_tables, report_json,
 )
 from repro.obs.schema import validate_obs
 
@@ -39,7 +38,7 @@ __all__ = [
     "DEFAULT_BUDGET", "DEFAULT_SLO_US", "DEFAULT_WINDOW_US",
     "ObsRecorder",
     "externalize_obs", "load_obs_blob", "obs_address", "obs_ref",
-    "ObsReportError", "build_report", "merged_histograms",
-    "render_html", "render_tables", "report_json",
+    "ObsReportError", "build_report", "render_html", "render_tables",
+    "report_json",
     "validate_obs",
 ]

@@ -18,17 +18,20 @@ content derived from manifest records — no wall clock, no filesystem
 paths — so a ``--jobs 4`` run reports byte-identically to ``--jobs 1``
 (the CI ``report-smoke`` job compares exactly that).
 
-The HTML report is a single self-contained file (inline CSS + SVG, no
-external assets, no JavaScript dependencies) so it can be attached to
-CI artifacts and opened anywhere.
+The terminal tables and the HTML page render one section list, so
+they show the same tables.  The HTML report adds the charts and is a
+single self-contained file (inline CSS + SVG, no external assets, no
+JavaScript dependencies) so it can be attached to CI artifacts and
+opened anywhere.
 """
 
 import html as _html
 import json
 
 from repro.harness.keys import canonical_json
-from repro.lattester.report import table
+from repro.lattester.report import format_value, table
 from repro.obs.artifacts import load_obs_blob
+from repro.obs.hist import bucket_midpoint
 from repro.obs.recorder import ObsRecorder
 from repro.obs.schema import validate_obs
 
@@ -41,12 +44,13 @@ class ObsReportError(ValueError):
     """An obs blob failed validation while building a report."""
 
 
-def _point_blobs(points, base_dir):
-    """Yield ``(point, blob)`` for every obs-carrying point, validated.
+def _point_recorders(points, base_dir):
+    """Yield ``(point, recorder)`` for every obs-carrying point.
 
-    A serve manifest may list the same measurement twice (a saturation
-    probe that landed on a curve rate); duplicates are skipped by point
-    key so nothing merges or plots double.
+    Each blob is loaded, validated and parsed exactly once.  A serve
+    manifest may list the same measurement twice (a saturation probe
+    that landed on a curve rate); duplicates are skipped by point key
+    so nothing merges or plots double.
     """
     seen = set()
     for index, point in enumerate(points):
@@ -63,7 +67,7 @@ def _point_blobs(points, base_dir):
             raise ObsReportError(
                 "point %d has an invalid obs artifact: %s"
                 % (index, "; ".join(problems)))
-        yield point, blob
+        yield point, ObsRecorder.from_dict(blob)
 
 
 def _window_series(rec):
@@ -101,7 +105,13 @@ def _annotate_events(rec):
 
 
 def build_report(manifest, base_dir="."):
-    """Build the report dict from a manifest (object or plain dict).
+    """Build the report from a manifest (object or plain dict).
+
+    One pass over the points: each obs blob is loaded, validated and
+    parsed once, read for its cell or curve row, then merged into its
+    substrate.  Returns ``(report, hists)`` — the report dict
+    :func:`report_json` serializes, and each substrate's merged
+    :class:`~repro.obs.hist.LatencyHistogram` for the HTML charts.
 
     Raises :class:`ObsReportError` when a blob fails validation.  A
     manifest with no obs artifacts at all still yields a report (with
@@ -113,34 +123,35 @@ def build_report(manifest, base_dir="."):
     curves = {}        # substrate -> [curve point, ...]
     cells = []
     with_obs = 0
-    for point, blob in _point_blobs(points, base_dir):
+    for point, rec in _point_recorders(points, base_dir):
         with_obs += 1
-        rec = ObsRecorder.from_dict(blob)
         substrate = rec.substrate or "?"
-        if substrate in merged:
-            merged[substrate].merge(rec)
-        else:
-            merged[substrate] = ObsRecorder.from_dict(blob)
         params = point.get("params") or {}
-        record = point.get("record") or {}
         if "scenario" in params:
-            cell_rec = ObsRecorder.from_dict(blob)
             cells.append({
                 "workload": params.get("workload"),
                 "substrate": params.get("substrate"),
                 "scenario": params.get("scenario"),
                 "mode": params.get("mode", "closed"),
-                "summary": cell_rec.summary(),
-                "windows": _window_series(cell_rec),
-                "events": _annotate_events(cell_rec),
+                "summary": rec.summary(),
+                "windows": _window_series(rec),
+                "events": _annotate_events(rec),
             })
         elif params.get("mode") == "open" and "rate_kops" in params:
+            lat = rec.latency_us((0.50, 0.99))
             curves.setdefault(substrate, []).append({
                 "offered_kops": params["rate_kops"],
-                "achieved_kops": record.get("achieved_kops"),
-                "p50_us": rec.latency_us((0.50,))["p50"],
-                "p99_us": rec.latency_us((0.99,))["p99"],
+                "achieved_kops": (point.get("record") or {}).get(
+                    "achieved_kops"),
+                "p50_us": lat["p50"],
+                "p99_us": lat["p99"],
             })
+        # Merging last: the first recorder of a substrate becomes its
+        # accumulator only after its own rows were read.
+        if substrate in merged:
+            merged[substrate].merge(rec)
+        else:
+            merged[substrate] = rec
     for series in curves.values():
         series.sort(key=lambda p: p["offered_kops"])
     substrates = {}
@@ -152,80 +163,104 @@ def build_report(manifest, base_dir="."):
             "counters": {name: rec.counters[name]
                          for name in sorted(rec.counters)},
         }
-    kind = "chaos" if cells else "serve"
-    return {
+    report = {
         "obs_report_version": REPORT_VERSION,
-        "kind": kind,
+        "kind": "chaos" if cells else "serve",
         "points": len(points),
         "with_obs": with_obs,
         "substrates": substrates,
         "curves": {s: curves[s] for s in sorted(curves)},
         "cells": cells,
     }
+    return report, {s: merged[s].hist for s in sorted(merged)}
 
 
-# -- terminal rendering ------------------------------------------------------
+# -- the section list both renderers draw ------------------------------------
+
+
+def _sections(report, hists=None):
+    """Yield every report section as ``(title, headers, rows, chart)``.
+
+    The terminal and the HTML page render this one list, so they show
+    the same tables; ``chart`` is an inline-SVG fragment (or ``""``)
+    that only the HTML page draws.
+    """
+    substrates = report["substrates"]
+    if substrates:
+        rows, charts = [], []
+        for substrate, data in substrates.items():
+            lat = data["summary"]["latency_us"]
+            burn = data["summary"]["burn"]
+            rows.append([substrate, data["summary"]["ops"], lat["p50"],
+                         lat["p90"], lat["p95"], lat["p99"], lat["p999"],
+                         burn["total_burn"], burn["worst_window_burn"]])
+            if hists and substrate in hists:
+                charts.append("<p class='legend'>%s latency distribution "
+                              "(bucket midpoints, us)</p>%s"
+                              % (_esc(substrate),
+                                 _svg_bars(_hist_pairs(hists[substrate]))))
+        burn = next(iter(substrates.values()))["summary"]["burn"]
+        yield ("Latency and SLO burn per substrate (SLO %s us, budget %s)"
+               % (burn["slo_us"], burn["budget"]),
+               ["substrate", "ops", "p50 us", "p90 us", "p95 us", "p99 us",
+                "p999 us", "burn", "worst win"], rows, "".join(charts))
+    for substrate, series in report["curves"].items():
+        yield ("Latency vs load: %s" % substrate,
+               ["offered kops", "achieved kops", "p50 us", "p99 us"],
+               [[p["offered_kops"], p["achieved_kops"], p["p50_us"],
+                 p["p99_us"]] for p in series],
+               _svg_curve(series))
+    cells = report["cells"]
+    if cells:
+        rows = []
+        for cell in cells:
+            summary = cell["summary"]
+            names = [ev["name"] for ev in cell["events"]]
+            rows.append(["%s/%s" % (cell["workload"], cell["substrate"]),
+                         cell["scenario"], cell["mode"], summary["ops"],
+                         summary["latency_us"]["p99"],
+                         summary["burn"]["worst_window_burn"],
+                         sum(n.startswith("chaos.") for n in names),
+                         sum(n.startswith("breaker.") for n in names)])
+        yield ("Chaos cells",
+               ["cell", "scenario", "mode", "ops", "p99 us", "worst burn",
+                "faults", "breaker"], rows, "")
+    for cell in cells:
+        if not cell["events"]:
+            continue
+        chart = ""
+        if cell["windows"]:
+            chart = ("<p class='legend'>Per-window max latency (us) over "
+                     "virtual time; the table lists injected faults, "
+                     "breaker transitions and recovery audits.</p>"
+                     + _svg_bars([(w[0], w[5]) for w in cell["windows"]],
+                                 color="#7c3aed"))
+        yield ("Chaos: %s/%s %s (%s)" % (cell["workload"], cell["substrate"],
+                                        cell["scenario"], cell["mode"]),
+               ["ts us", "event", "window", "window burn", "window max us",
+                "args"],
+               [[ev["ts_us"], ev["name"], ev["window"],
+                 ev.get("window_burn", ""), ev.get("window_max_us", ""),
+                 " ".join("%s=%s" % arg
+                          for arg in sorted(ev.get("args", {}).items()))]
+                for ev in cell["events"]],
+               chart)
+    rows = [[substrate, name, value]
+            for substrate, data in substrates.items()
+            for name, value in data["counters"].items()]
+    if rows:
+        yield "Counters", ["substrate", "counter", "value"], rows, ""
+
+
+def _empty(report):
+    return "no obs artifacts in this manifest (%d points)" % report["points"]
 
 
 def render_tables(report):
     """ASCII tables for the terminal; returns one string."""
-    blocks = []
-    rows = []
-    for substrate, data in report["substrates"].items():
-        lat = data["summary"]["latency_us"]
-        burn = data["summary"]["burn"]
-        rows.append([substrate, data["summary"]["ops"],
-                     lat["p50"], lat["p95"], lat["p99"], lat["p999"],
-                     burn["total_burn"], burn["worst_window_burn"]])
-    if rows:
-        blocks.append(table(
-            ["substrate", "ops", "p50 us", "p95 us", "p99 us",
-             "p999 us", "burn", "worst win"],
-            rows, title="Latency and SLO burn per substrate "
-                        "(SLO %s us, budget %s)"
-                        % (_geometry(report))))
-    for substrate, series in report["curves"].items():
-        rows = [[p["offered_kops"], p["achieved_kops"], p["p50_us"],
-                 p["p99_us"]] for p in series]
-        blocks.append(table(
-            ["offered kops", "achieved kops", "p50 us", "p99 us"],
-            rows, title="Latency vs load: %s" % substrate))
-    if report["cells"]:
-        rows = []
-        for cell in report["cells"]:
-            summary = cell["summary"]
-            faults = sum(1 for ev in cell["events"]
-                         if ev["name"].startswith("chaos."))
-            breaker = sum(1 for ev in cell["events"]
-                          if ev["name"].startswith("breaker."))
-            rows.append(["%s/%s" % (cell["workload"], cell["substrate"]),
-                         cell["scenario"], cell["mode"],
-                         summary["ops"],
-                         summary["latency_us"]["p99"],
-                         summary["burn"]["worst_window_burn"],
-                         faults, breaker])
-        blocks.append(table(
-            ["cell", "scenario", "mode", "ops", "p99 us", "worst burn",
-             "faults", "breaker"],
-            rows, title="Chaos cells"))
-    counter_rows = []
-    for substrate, data in report["substrates"].items():
-        for name, value in data["counters"].items():
-            counter_rows.append([substrate, name, value])
-    if counter_rows:
-        blocks.append(table(["substrate", "counter", "value"],
-                            counter_rows, title="Counters"))
-    if not blocks:
-        blocks.append("no obs artifacts in this manifest (%d points)"
-                      % report["points"])
-    return "\n\n".join(blocks)
-
-
-def _geometry(report):
-    for data in report["substrates"].values():
-        burn = data["summary"]["burn"]
-        return (burn["slo_us"], burn["budget"])
-    return ("?", "?")
+    blocks = [table(headers, rows, title=title)
+              for title, headers, rows, _chart in _sections(report)]
+    return "\n\n".join(blocks or [_empty(report)])
 
 
 # -- HTML rendering ----------------------------------------------------------
@@ -246,7 +281,6 @@ th {{ background: #eef2f7; }}
 td:first-child, th:first-child {{ text-align: left; }}
 svg {{ background: #fafbfd; border: 1px solid #cbd5e1; }}
 .legend {{ font-size: 0.85em; color: #475569; }}
-.event {{ font-size: 0.8em; }}
 </style>
 </head>
 <body>
@@ -266,9 +300,11 @@ def _esc(value):
 
 
 def _html_table(headers, rows):
+    """One table, its cells formatted as the terminal formats them."""
     head = "".join("<th>%s</th>" % _esc(h) for h in headers)
     body = "".join(
-        "<tr>%s</tr>" % "".join("<td>%s</td>" % _esc(c) for c in row)
+        "<tr>%s</tr>" % "".join("<td>%s</td>" % _esc(format_value(c))
+                                for c in row)
         for row in rows)
     return ("<table><thead><tr>%s</tr></thead>"
             "<tbody>%s</tbody></table>" % (head, body))
@@ -332,99 +368,38 @@ def _svg_curve(series, width=880, height=220):
             % (width, height, pts, dots, labels))
 
 
-def _hist_pairs(blob_hist, limit=64):
-    """Downsample a histogram dict to ``(midpoint_us, count)`` bars."""
-    from repro.obs.hist import bucket_midpoint
-    counts = {int(k): v for k, v in blob_hist.get("counts", {}).items()}
-    pairs = [(round(bucket_midpoint(idx) / _NS_PER_US, 2), counts[idx])
-             for idx in sorted(counts)]
-    if len(pairs) > limit:
-        step = len(pairs) / float(limit)
-        pairs = [pairs[int(i * step)] for i in range(limit)]
+def _hist_pairs(hist, limit=64):
+    """A histogram as at most ``limit`` ``(midpoint_us, count)`` bars.
+
+    Adjacent occupied buckets are summed into one bar labelled by its
+    highest bucket, so the bars count every request and the last bar
+    holds the slowest one.
+    """
+    buckets = sorted(hist.counts.items())
+    per_bar = -(-len(buckets) // limit) or 1
+    pairs = []
+    for start in range(0, len(buckets), per_bar):
+        group = buckets[start:start + per_bar]
+        pairs.append((round(bucket_midpoint(group[-1][0]) / _NS_PER_US, 2),
+                      sum(count for _idx, count in group)))
     return pairs
 
 
-def render_html(report, merged_hists=None):
+def render_html(report, hists=None):
     """The self-contained HTML page; returns one string.
 
-    ``merged_hists`` optionally maps substrate to a histogram dict
-    (``LatencyHistogram.to_dict()`` form) for the distribution charts;
-    the builder's callers pass the per-substrate merges.
+    It draws the terminal's tables, each under its title with its
+    chart; ``hists`` (the second half of :func:`build_report`'s
+    result) adds the per-substrate latency distributions.
     """
-    parts = []
-    for substrate, data in report["substrates"].items():
-        parts.append("<h2>%s</h2>" % _esc(substrate))
-        lat = data["summary"]["latency_us"]
-        burn = data["summary"]["burn"]
-        parts.append(_html_table(
-            ["ops", "p50 us", "p90 us", "p95 us", "p99 us", "p999 us",
-             "SLO burn", "worst window"],
-            [[data["summary"]["ops"], lat["p50"], lat["p90"],
-              lat["p95"], lat["p99"], lat["p999"],
-              burn["total_burn"], burn["worst_window_burn"]]]))
-        if merged_hists and substrate in merged_hists:
-            pairs = _hist_pairs(merged_hists[substrate])
-            if pairs:
-                parts.append("<p class='legend'>Latency distribution "
-                             "(bucket midpoints, us)</p>")
-                parts.append(_svg_bars(pairs))
-        if data["counters"]:
-            parts.append(_html_table(
-                ["counter", "value"],
-                [[name, value]
-                 for name, value in data["counters"].items()]))
-    for substrate, series in report["curves"].items():
-        parts.append("<h2>Latency vs load: %s</h2>" % _esc(substrate))
-        parts.append(_svg_curve(series))
-        parts.append(_html_table(
-            ["offered kops", "achieved kops", "p50 us", "p99 us"],
-            [[p["offered_kops"], p["achieved_kops"], p["p50_us"],
-              p["p99_us"]] for p in series]))
-    for cell in report["cells"]:
-        parts.append("<h2>Chaos: %s/%s %s (%s)</h2>"
-                     % (_esc(cell["workload"]), _esc(cell["substrate"]),
-                        _esc(cell["scenario"]), _esc(cell["mode"])))
-        windows = cell["windows"]
-        if windows:
-            parts.append("<p class='legend'>Per-window max latency "
-                         "(us) over virtual time; markers below list "
-                         "injected faults, breaker transitions and "
-                         "recovery audits.</p>")
-            parts.append(_svg_bars(
-                [(w[0], w[5]) for w in windows], color="#7c3aed"))
-        if cell["events"]:
-            rows = []
-            for ev in cell["events"]:
-                rows.append([
-                    ev["ts_us"], ev["name"], ev["window"],
-                    ev.get("window_burn", ""),
-                    ev.get("window_max_us", ""),
-                    json.dumps(ev.get("args", {}), sort_keys=True),
-                ])
-            parts.append(_html_table(
-                ["ts us", "event", "window", "window burn",
-                 "window max us", "args"], rows))
-    if not parts:
-        parts.append("<p>No obs artifacts in this manifest.</p>")
+    parts = ["<h2>%s</h2>%s%s" % (_esc(title), chart,
+                                  _html_table(headers, rows))
+             for title, headers, rows, chart in _sections(report, hists)]
     return _PAGE.format(kind=_esc(report["kind"]),
                         points=report["points"],
                         with_obs=report["with_obs"],
-                        body="\n".join(parts))
-
-
-def merged_histograms(manifest, base_dir="."):
-    """Per-substrate merged histogram dicts (for the HTML charts)."""
-    points = manifest.points if hasattr(manifest, "points") \
-        else manifest.get("points", ())
-    merged = {}
-    for _point, blob in _point_blobs(points, base_dir):
-        rec = ObsRecorder.from_dict(blob)
-        substrate = rec.substrate or "?"
-        if substrate in merged:
-            merged[substrate].merge(rec.hist)
-        else:
-            merged[substrate] = rec.hist
-    return {s: merged[s].to_dict() for s in sorted(merged)}
+                        body="\n".join(parts or
+                                       ["<p>%s</p>" % _esc(_empty(report))]))
 
 
 def report_json(report):

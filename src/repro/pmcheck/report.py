@@ -1,17 +1,17 @@
 """Rendering pmcheck results for humans (the CLI and test output)."""
 
 
-def format_violation(violation, cell=None):
+def format_violation(violation):
     """One violation as a compact multi-line block.
 
-    ``violation`` is an entry from :meth:`PmCheck.summary`; ``cell``
-    optionally names the matrix cell (workload/substrate/naive) the
-    violation came from.
+    ``violation`` is an entry from :meth:`PmCheck.summary`; a matrix
+    run tags it with the ``cell`` (workload/substrate/naive) it came
+    from, and the block then opens with that cell.
     """
-    where = ""
-    if cell is not None:
-        where = "%s/%s%s: " % (cell.get("workload"), cell.get("substrate"),
-                               "(naive)" if cell.get("naive") else "")
+    cell = violation.get("cell")
+    where = "" if cell is None else "%s/%s%s: " % (
+        cell.get("workload"), cell.get("substrate"),
+        "(naive)" if cell.get("naive") else "")
     head = "%s%s at %s" % (where, violation["kind"], violation["site"])
     lines = [head]
     if violation.get("ns") is not None:

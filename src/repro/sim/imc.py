@@ -40,10 +40,6 @@ class MemoryChannel:
         _, end = self._write_link.acquire(now, self._cfg.writeback_occ_ns)
         return end
 
-    def transfer_ntstore(self, now):
-        _, end = self._write_link.acquire(now, self._cfg.ntstore_occ_ns)
-        return end
-
     def reset(self):
         self._read_link.reset()
         self._write_link.reset()

@@ -257,10 +257,6 @@ class WorkloadSpec:
     scan_max: int = 20
     description: str = ""
 
-    def ops_in_mix(self):
-        return [op for op, _ in self.mix]
-
-
 #: The six classic YCSB core workloads plus the two paper-faithful
 #: mixes.  Proportions are the YCSB workload property files' defaults.
 WORKLOADS = {

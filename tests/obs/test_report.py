@@ -1,5 +1,6 @@
 """The ``repro report`` verb and the report builder's determinism."""
 
+import html.parser
 import json
 import os
 
@@ -7,7 +8,10 @@ import pytest
 
 from repro.__main__ import main
 from repro.harness import ResultCache, RunManifest
+from repro.lattester.report import table
 from repro.obs import build_report, load_obs_blob, report_json, validate_obs
+from repro.obs.hist import bucket_midpoint
+from repro.obs.report import _hist_pairs
 from repro.workloads import serve
 
 
@@ -89,8 +93,8 @@ class TestReportDeterminism:
             os.makedirs(str(tmp_path / sub), exist_ok=True)
             out = str(tmp_path / sub / "serve.json")
             manifest = RunManifest.load(quick_serve(out, jobs=jobs))
-            report = build_report(manifest,
-                                  base_dir=str(tmp_path / sub))
+            report, _hists = build_report(manifest,
+                                          base_dir=str(tmp_path / sub))
             outputs.append(report_json(report))
         capsys.readouterr()
         assert outputs[0] == outputs[1]
@@ -102,7 +106,7 @@ class TestServeAndReportAgree:
                                  jobs=1,
                                  cache=ResultCache(str(tmp_path / "c")))
         rows = {row["offered_kops"]: row
-                for row in build_report(manifest)["curves"]["lsm"]}
+                for row in build_report(manifest)[0]["curves"]["lsm"]}
         assert report["curve"]
         for point in report["curve"]:
             row = rows[point["offered_kops"]]
@@ -140,3 +144,126 @@ class TestCompareWithObs:
         assert main(["compare", a, b]) == 0
         out = capsys.readouterr().out
         assert "MATCH" in out or "match" in out
+
+
+@pytest.fixture(scope="module")
+def quick_manifests(tmp_path_factory):
+    """A quick ``serve`` and a quick ``serve --chaos`` manifest."""
+    root = tmp_path_factory.mktemp("quick")
+    paths = {}
+    for kind, extra in (("serve", []), ("chaos", ["--chaos"])):
+        out = str(root / (kind + ".json"))
+        assert main(["serve", "ycsb-a", "lsm", "--quick", "--no-cache",
+                     "--jobs", "1", "--out", out] + extra) in (0, 1)
+        paths[kind] = out + ".manifest.json"
+    return paths
+
+
+class _HtmlTables(html.parser.HTMLParser):
+    """``(title, headers, rows)`` of every ``<table>`` on a report page,
+    titled by the ``<h2>`` before it."""
+
+    def __init__(self):
+        super().__init__()
+        self.tables = []
+        self._title = None
+        self._row = []
+        self._text = None
+
+    def handle_starttag(self, tag, attrs):
+        if tag == "h2" or tag in ("th", "td"):
+            self._text = []
+        elif tag == "table":
+            self.tables.append((self._title, [], []))
+        elif tag == "tr" and self.tables:
+            self._row = []
+
+    def handle_endtag(self, tag):
+        if tag == "h2":
+            self._title = "".join(self._text)
+        elif tag == "th":
+            self.tables[-1][1].append("".join(self._text))
+        elif tag == "td":
+            self._row.append("".join(self._text))
+        elif tag == "tr" and self._row:
+            self.tables[-1][2].append(self._row)
+            self._row = []
+        if tag in ("h2", "th", "td"):
+            self._text = None
+
+    def handle_data(self, data):
+        if self._text is not None:
+            self._text.append(data)
+
+
+class TestOneRenderer:
+    @pytest.mark.parametrize("kind", ["serve", "chaos"])
+    def test_terminal_prints_exactly_the_html_tables(self, kind,
+                                                     quick_manifests,
+                                                     tmp_path, capsys):
+        html_out = str(tmp_path / "report.html")
+        capsys.readouterr()
+        assert main(["report", quick_manifests[kind],
+                     "--html", html_out]) == 0
+        stdout = capsys.readouterr().out
+        parser = _HtmlTables()
+        with open(html_out) as fh:
+            parser.feed(fh.read())
+        assert len(parser.tables) >= 2
+        terminal = "\n\n".join(table(headers, rows, title=title)
+                               for title, headers, rows in parser.tables)
+        assert stdout == "%s\nHTML report -> %s\n" % (terminal, html_out)
+        titles = [title for title, _h, _r in parser.tables]
+        assert titles[0].startswith("Latency and SLO burn per substrate")
+        assert "p90 us" in parser.tables[0][1]
+        if kind == "chaos":
+            assert "Chaos cells" in titles
+            assert any(t.startswith("Chaos: ycsb-a/lsm") for t in titles)
+        else:
+            assert "Latency vs load: lsm" in titles
+
+    def test_html_loads_each_obs_blob_once(self, quick_manifests,
+                                           tmp_path, monkeypatch, capsys):
+        import repro.obs.report as obs_report
+        calls = []
+        real = obs_report.load_obs_blob
+
+        def counting(point, base_dir):
+            calls.append(point.get("obs"))
+            return real(point, base_dir)
+
+        monkeypatch.setattr(obs_report, "load_obs_blob", counting)
+        json_out = str(tmp_path / "report.json")
+        assert main(["report", quick_manifests["serve"], "--json",
+                     json_out, "--html", str(tmp_path / "r.html")]) == 0
+        capsys.readouterr()
+        with open(json_out) as fh:
+            with_obs = json.load(fh)["with_obs"]
+        assert with_obs == 9
+        assert len(calls) == with_obs
+
+    def test_histogram_bars_count_every_request(self, quick_manifests):
+        manifest = RunManifest.load(quick_manifests["serve"])
+        _report, hists = build_report(
+            manifest, base_dir=os.path.dirname(quick_manifests["serve"]))
+        hist = hists["lsm"]
+        assert len(hist.counts) > 64
+        pairs = _hist_pairs(hist)
+        assert len(pairs) <= 64
+        assert sum(count for _label, count in pairs) == hist.total()
+        top = max(hist.counts)
+        assert pairs[-1][0] == round(bucket_midpoint(top) / 1e3, 2)
+
+
+class TestReportKeepsGoing:
+    def test_corrupt_manifest_does_not_hide_the_next(self, cache_env,
+                                                     capsys):
+        quick_serve(str(cache_env / "serve.json"))
+        bad = cache_env / "a.manifest.json"
+        bad.write_text("{not json")
+        capsys.readouterr()
+        assert main(["report", str(cache_env)]) != 0
+        out, err = capsys.readouterr()
+        assert str(bad) in err
+        assert "== %s" % (cache_env / "serve.json.manifest.json") in out
+        assert "Latency and SLO burn per substrate" in out

@@ -1,12 +1,11 @@
 """Tests for the CLI (python -m repro) and the report formatting."""
 
+import argparse
+
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.lattester.report import (
-    bandwidth_table, comparison, format_value, latency_table,
-    series_table, table,
-)
+from repro.lattester.report import format_value, table
 
 
 class TestReportFormatting:
@@ -28,31 +27,6 @@ class TestReportFormatting:
     def test_table_title(self):
         text = table(["x"], [[1]], title="T")
         assert text.splitlines()[0] == "T"
-
-    def test_series_table_merges_x_values(self):
-        text = series_table({"a": [(1, 10), (2, 20)], "b": [(2, 5)]},
-                            x_label="n")
-        assert "n" in text and "a" in text and "b" in text
-        assert "20" in text and "5" in text
-
-    def test_latency_table(self):
-        from repro.lattester.latency import LatencyResult
-        text = latency_table(
-            {"read": LatencyResult(mean_ns=100.0, stdev_ns=1.0,
-                                   samples=10)})
-        assert "read" in text and "100.00" in text
-
-    def test_bandwidth_table(self):
-        from repro.lattester.bandwidth import BandwidthResult
-        r = BandwidthResult(gbps=2.5, elapsed_ns=10.0, total_bytes=100,
-                            ewr=float("inf"), threads=2, op="read",
-                            access=64, pattern="seq")
-        text = bandwidth_table([r])
-        assert "read" in text and "2.50" in text and "-" in text
-
-    def test_comparison_line(self):
-        line = comparison("x", 1.0, 2.0, "ns")
-        assert "measured" in line and "paper" in line
 
 
 class TestCLI:
@@ -88,6 +62,57 @@ class TestCLI:
         assert "unknown figure" in err
         assert "fig2" in err and "fig19" in err
 
+    def test_unknown_verb_lists_exactly_the_parsers_verbs(self, capsys):
+        parser = build_parser()
+        verbs = next(action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        verbs.add_parser("extra")
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["nope"])
+        assert exc.value.code == 2
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("valid commands: ")]
+        assert lines == ["valid commands: " + ", ".join(verbs.choices)]
+        assert list(verbs.choices)[-1] == "extra"
+
+    def test_unknown_argument_exits_2_with_verb_list(self, capsys):
+        assert main(["list", "--bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "valid commands: list, run, trace, sweep, serve" in err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestViolationFormatters:
+    def test_chaos_violation_opens_with_its_cell(self):
+        from repro.chaos_serve import format_violation
+        violation = {"kind": "garbage-value", "key": "k1", "observed": "x",
+                     "legal": ["y"], "window": []}
+        assert format_violation(violation).splitlines()[0] == \
+            "garbage-value key=k1 observed=x"
+        cell = {"workload": "ycsb-a", "substrate": "lsm",
+                "scenario": "power-fail", "mode": "closed"}
+        lines = format_violation(dict(violation, cell=cell)).splitlines()
+        assert lines == ["ycsb-a/lsm/power-fail/closed: garbage-value "
+                         "key=k1 observed=x", "  legal: y"]
+
+    def test_pmcheck_violation_reads_its_cell(self):
+        from repro.pmcheck import format_violation
+        violation = {"kind": "ack-before-fence", "site": "wal.py:append:1",
+                     "ns": None, "ts": 5.0, "note": "n",
+                     "cell": {"workload": "ycsb-a", "substrate": "lsm",
+                              "naive": True}}
+        assert format_violation(violation).splitlines()[0] == \
+            "ycsb-a/lsm(naive): ack-before-fence at wal.py:append:1"
+
+    def test_pmcheck_cell_line_uses_the_summary_tally(self):
+        from repro.__main__ import _pmcheck_cell_line
+        rec = {"workload": "ycsb-a", "substrate": "lsm",
+               "served": {"ops": 320},
+               "pmcheck": {"total": 3, "kinds": {"ack-before-fence": 3}}}
+        assert _pmcheck_cell_line(rec) == \
+            "ycsb-a  lsm      ops=320   3 violations (ack-before-fence x3)"
+        rec["pmcheck"] = {"total": 0, "kinds": {}}
+        assert _pmcheck_cell_line(rec).endswith("ops=320   clean")
