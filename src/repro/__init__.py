@@ -15,6 +15,6 @@ key-value store (:mod:`repro.kvstore`), a NOVA-like file system
 
 from repro.sim import Machine, MachineConfig, default_config
 
-__version__ = "1.10.4"
+__version__ = "1.10.5"
 
 __all__ = ["Machine", "MachineConfig", "default_config", "__version__"]

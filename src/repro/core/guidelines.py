@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 from repro._units import KIB, XPLINE
 
-#: Store size at which ntstore overtakes store+clwb (Figures 13/15
-#: place the crossover between 512 B and 1 KB).
+#: Store size at which ntstore overtakes store+clwb (the paper puts
+#: it near 512 B-1 KB; Figure 15 measures 256-512 B on the simulator,
+#: see EXPERIMENTS.md).  cmap's persist switches instruction here.
 NTSTORE_CROSSOVER_BYTES = 512
 
 #: Per-DIMM working-set limit under which small stores still combine

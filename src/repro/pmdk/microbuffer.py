@@ -6,7 +6,9 @@ a DRAM staging buffer at ``open``, lets the program modify the staged
 copy for free, and writes the whole object back at ``commit`` — with
 non-temporal stores (``PGL-NT``, the original design) or with cached
 stores plus clwb (``PGL-CLWB``, the paper's suggested tuning for small
-objects).  Figure 15 measures the crossover (~1 KB).
+objects).  The paper puts the crossover near 1 KB; Figure 15 measures
+it between 256 B and 512 B here
+(:data:`~repro.core.guidelines.NTSTORE_CROSSOVER_BYTES`).
 
 Fault tolerance follows Pangolin: every object row belongs to a parity
 group; commit updates the row's parity line with an XOR delta (one

@@ -3,9 +3,10 @@
 Latency of a no-op transaction (stage the object, commit it unchanged)
 for object sizes 64 B - 8 KB, with non-temporal (PGL-NT) versus cached
 store+clwb (PGL-CLWB) write-back.  The paper's crossover sits at
-~1 KB: below it, the flush path's cheaper WPQ insertion wins; above
-it, the non-temporal path's lower per-line cost and avoided cache
-traffic win.
+~1 KB, the simulator's between 256 B and 512 B
+(:data:`~repro.core.guidelines.NTSTORE_CROSSOVER_BYTES`): below it, the
+flush path's cheaper WPQ insertion wins; above it, the non-temporal
+path's lower per-line cost and avoided cache traffic win.
 """
 
 import statistics

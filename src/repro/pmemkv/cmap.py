@@ -11,10 +11,20 @@ publishes it with an 8-byte bucket-pointer store (atomic).  Updates of
 equal-size values are done in place under the undo protocol of
 :mod:`repro.pmdk.tx`-style snapshotting (simplified: value persisted,
 then a version pointer swings).
+
+Every persist picks its instruction by size (guideline 2): data of at
+least :data:`~repro.core.guidelines.NTSTORE_CROSSOVER_BYTES` goes out
+with non-temporal stores, which skip the write-allocate read a cached
+store pays per line; smaller data keeps store + clflushopt.  Both end
+in the same fence.
+
+Recovery is :meth:`CMap.open_report`, the one reopen path.
 """
 
 import struct
 import zlib
+
+from repro.core.guidelines import NTSTORE_CROSSOVER_BYTES
 
 _BUCKET = struct.Struct("<Q")
 _OBJ_HEADER = struct.Struct("<HHI")        # klen | pad | vlen
@@ -67,10 +77,20 @@ class CMap:
         return _OBJ_HEADER.pack(len(key), 0, len(value)) + key + value
 
     def _persist(self, thread, offset, data, fence=True):
-        """Store + clflushopt + fence (pmemkv's persist evicts lines)."""
+        """Make ``data`` durable at ``offset``: the one persist helper.
+
+        At or above the guideline-2 crossover the data goes out with
+        ntstore (no write-allocate read per line); below it, store +
+        clflushopt (pmemkv's persist evicts lines).  Either way the
+        same sfence follows unless ``fence`` is False.
+        """
         addr = self.pool.addr(offset)
-        self.pool.ns.store(thread, addr, len(data), data=data)
-        self.pool.ns.clflushopt(thread, addr, len(data))
+        ns = self.pool.ns
+        if len(data) >= NTSTORE_CROSSOVER_BYTES:
+            ns.ntstore(thread, addr, len(data), data=data)
+        else:
+            ns.store(thread, addr, len(data), data=data)
+            ns.clflushopt(thread, addr, len(data))
         if fence:
             thread.sfence()
 
@@ -237,38 +257,20 @@ class CMap:
     # -- recovery -----------------------------------------------------------------
 
     @classmethod
-    def open(cls, pool, table_off, buckets=4096, stripes=64):
-        """Rebuild the volatile index from the persistent table."""
-        inst = cls(pool, buckets=buckets, stripes=stripes,
-                   table_off=table_off)
-        for idx in range(buckets):
-            raw = pool.read_persistent(inst._bucket_addr(idx),
-                                       _BUCKET.size)
-            obj_off = _BUCKET.unpack(raw)[0]
-            if obj_off == TOMBSTONE:
-                inst._vtable[idx] = TOMBSTONE
-                continue
-            if not obj_off:
-                continue
-            hdr = pool.read_persistent(obj_off, _OBJ_HEADER.size)
-            klen, _, vlen = _OBJ_HEADER.unpack(hdr)
-            key = pool.read_persistent(obj_off + _OBJ_HEADER.size, klen)
-            inst._vtable[idx] = obj_off
-            inst._vindex[bytes(key)] = (idx, obj_off)
-        return inst
-
-    @classmethod
     def open_report(cls, pool, table_off, buckets=4096, stripes=64,
                     atomic_updates=False, naive=False):
-        """Tolerant reopen: ``(cmap, RecoveryReport)``, never raises.
+        """Reopen after a crash: ``(cmap, RecoveryReport)``, never raises.
 
-        Unlike :meth:`open`, media errors during the table scan are
-        absorbed into the report instead of aborting recovery:
+        Rebuilds the volatile index from the persistent table.  Damage
+        found during the scan is absorbed into the report instead of
+        aborting recovery:
 
         * an unreadable bucket line loses however many entries pointed
           through it (counted, unattributable — the pointers are gone);
         * an unreadable object header or key likewise counts an
           unattributable loss;
+        * a bucket pointer, or an object it names, that does not lie
+          inside the pool heap is garbage: an unattributable loss;
         * a readable key whose *value* region is poisoned is a loss the
           report can name: the key lands in ``lost_keys`` and the entry
           is dropped from the index (a read returns "missing", which
@@ -286,6 +288,8 @@ class CMap:
         inst = cls(pool, buckets=buckets, stripes=stripes,
                    table_off=table_off, atomic_updates=atomic_updates,
                    naive=naive)
+        heap_lo = pool.heap.base - pool.base
+        heap_hi = heap_lo + pool.heap.span
         high_water = table_off + buckets * _BUCKET.size
         for idx in range(buckets):
             try:
@@ -302,9 +306,20 @@ class CMap:
                 continue
             if not obj_off:
                 continue
+            if not heap_lo <= obj_off <= heap_hi - _OBJ_HEADER.size:
+                report.lost += 1
+                report.note("bucket %d points at +%#x, outside the "
+                            "pool heap" % (idx, obj_off))
+                continue
             try:
                 hdr = pool.read_persistent(obj_off, _OBJ_HEADER.size)
                 klen, _, vlen = _OBJ_HEADER.unpack(hdr)
+                obj_end = obj_off + _OBJ_HEADER.size + klen + vlen
+                if obj_end > heap_hi:
+                    report.lost += 1
+                    report.note("object at +%#x runs past the pool "
+                                "heap" % obj_off)
+                    continue
                 key = bytes(pool.read_persistent(
                     obj_off + _OBJ_HEADER.size, klen))
             except MediaError:
@@ -312,8 +327,7 @@ class CMap:
                 report.note("object at +%#x unreadable (header/key "
                             "poisoned)" % obj_off)
                 continue
-            high_water = max(high_water,
-                             obj_off + _OBJ_HEADER.size + klen + vlen)
+            high_water = max(high_water, obj_end)
             try:
                 pool.read_persistent(obj_off + _OBJ_HEADER.size + klen,
                                      vlen)

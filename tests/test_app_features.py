@@ -197,7 +197,7 @@ class TestCMapDelete:
         kv.delete(t, b"dead")
         table = kv.table_offset
         m.power_fail()
-        kv2 = CMap.open(PmemPool.open(m), table, buckets=64)
+        kv2, _ = CMap.open_report(PmemPool.open(m), table, buckets=64)
         t2 = m.thread()
         assert kv2.get(t2, b"dead") is None
         assert kv2.get(t2, b"live") == b"2"

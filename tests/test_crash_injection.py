@@ -225,7 +225,7 @@ class TestCMapCrashEverywhere:
             table = getattr(machine, "_cmap_table", None)
             if table is None:
                 return
-            kv = CMap.open(pool, table, buckets=64)
+            kv, _ = CMap.open_report(pool, table, buckets=64)
             t = machine.thread()
             assert kv.get(t, b"alpha") in (None, b"1111")
             assert kv.get(t, b"beta") in (None, b"2222")
