@@ -193,16 +193,9 @@ class CMap:
         finally:
             self._unlock(thread, stripe)
 
-    def items(self):
-        """All live (key, value) pairs, from the volatile view."""
-        out = []
-        for key, (idx, obj_off) in self._vindex.items():
-            hdr = self.pool.read_volatile(obj_off, _OBJ_HEADER.size)
-            klen, _, vlen = _OBJ_HEADER.unpack(hdr)
-            body = self.pool.read_volatile(
-                obj_off + _OBJ_HEADER.size, klen + vlen)
-            out.append((key, body[klen:]))
-        return sorted(out)
+    def keys(self):
+        """All live keys, from the volatile index (no pool reads)."""
+        return self._vindex.keys()
 
     def get(self, thread, key):
         """Durable-state-independent read of the latest value."""

@@ -1,62 +1,64 @@
 """Address math and sparse backing storage for simulated memories.
 
-A :class:`DataStore` keeps the *contents* of a namespace as two sparse
-page maps: the volatile view (what the CPU reads) and the persistent
-view (what survives a simulated power failure).  Lines move from the
-volatile to the persistent view exactly when the simulator decides the
-corresponding store reached the ADR domain.
+A :class:`DataStore` keeps the *contents* of a namespace as one sparse
+page map (the volatile view: what the CPU reads) plus an undo map: the
+durable 64 B pre-image of every line whose volatile bytes may differ
+from what survives a simulated power failure.  A line absent from the
+undo map is durable exactly as the CPU sees it.  A line leaves the map
+exactly when the simulator decides the corresponding store reached the
+ADR domain; a power failure writes the remaining images back.
 """
 
 from repro._units import CACHELINE, align_down
 
 _PAGE = 4096
+_ZERO_LINE = bytes(CACHELINE)
 
 
 class DataStore:
-    """Sparse byte storage with separate volatile and persistent views."""
+    """Sparse byte storage: volatile pages plus the durable pre-images."""
 
     def __init__(self):
         self._volatile = {}
-        self._persistent = {}
-
-    # -- page helpers -------------------------------------------------------
-
-    @staticmethod
-    def _split(addr, size):
-        """Yield (page_index, offset_in_page, chunk_len) covering the range."""
-        end = addr + size
-        while addr < end:
-            page = addr // _PAGE
-            off = addr % _PAGE
-            chunk = min(_PAGE - off, end - addr)
-            yield page, off, chunk
-            addr += chunk
-
-    def _page(self, view, page):
-        buf = view.get(page)
-        if buf is None:
-            buf = bytearray(_PAGE)
-            view[page] = buf
-        return buf
+        # line address -> the 64 durable bytes of a not-yet-durable
+        # line.  Invariant: every line here has its volatile page.
+        self._undo = {}
 
     # -- volatile view ------------------------------------------------------
 
     def write(self, addr, data):
-        """Write ``data`` into the volatile view at ``addr``."""
+        """Write ``data`` into the volatile view at ``addr``.
+
+        First saves the durable bytes of every touched line that is not
+        already awaiting persistence (a new page's are all zero).
+        """
         page, off = divmod(addr, _PAGE)
         end = off + len(data)
         if end <= _PAGE:
             # Single-page write (every record/value/header in the KV
-            # substrates): no generator, one slice assignment.
+            # substrates): no helper call, one slice assignment.
+            undo = self._undo
+            lines = range(addr - off % CACHELINE, addr + len(data),
+                          CACHELINE)
             buf = self._volatile.get(page)
             if buf is None:
+                # A new page has no line in the undo map (the invariant).
                 buf = self._volatile[page] = bytearray(_PAGE)
+                for line in lines:
+                    undo[line] = _ZERO_LINE
+            else:
+                base = addr - off
+                for line in lines:
+                    if line not in undo:
+                        o = line - base
+                        undo[line] = buf[o:o + CACHELINE]
             buf[off:end] = data
             return
         pos = 0
-        for page, off, chunk in self._split(addr, len(data)):
-            self._page(self._volatile, page)[off:off + chunk] = \
-                data[pos:pos + chunk]
+        size = len(data)
+        while pos < size:
+            chunk = min(_PAGE - (addr + pos) % _PAGE, size - pos)
+            self.write(addr + pos, data[pos:pos + chunk])
             pos += chunk
 
     def read(self, addr, size):
@@ -70,7 +72,9 @@ class DataStore:
             return bytes(buf[off:end])
         out = bytearray(size)
         pos = 0
-        for page, off, chunk in self._split(addr, size):
+        while pos < size:
+            page, off = divmod(addr + pos, _PAGE)
+            chunk = min(_PAGE - off, size - pos)
             buf = self._volatile.get(page)
             if buf is not None:
                 out[pos:pos + chunk] = buf[off:off + chunk]
@@ -80,65 +84,63 @@ class DataStore:
     # -- persistence --------------------------------------------------------
 
     def persist_line(self, line_addr):
-        """Copy one cache line from the volatile to the persistent view."""
-        page, off = divmod(line_addr - (line_addr % CACHELINE), _PAGE)
-        src = self._volatile.get(page)
-        if src is None:
-            return
-        dst = self._persistent.get(page)
-        if dst is None:
-            dst = self._persistent[page] = bytearray(_PAGE)
-        dst[off:off + CACHELINE] = src[off:off + CACHELINE]
-
-    def persist_range(self, addr, size):
-        """Persist every line overlapping ``[addr, addr+size)``."""
-        start = align_down(addr, CACHELINE)
-        end = addr + size
-        while start < end:
-            self.persist_line(start)
-            start += CACHELINE
+        """Make one cache line durable as the CPU sees it."""
+        self._undo.pop(line_addr - line_addr % CACHELINE, None)
 
     def write_persistent(self, addr, data):
         """Overwrite bytes of the persistent view directly.
 
         Used by fault injection (torn-write rollback) — normal code
-        moves data with :meth:`persist_line` only.
+        moves data with :meth:`persist_line` only.  Only the touched
+        lines' pre-images change; the volatile view is left as it is.
         """
+        volatile = self._volatile
+        undo = self._undo
         pos = 0
-        for page, off, chunk in self._split(addr, len(data)):
-            self._page(self._persistent, page)[off:off + chunk] = \
-                data[pos:pos + chunk]
+        for line, start, chunk in split_lines(addr, len(data)):
+            image = undo.get(line)
+            if image is None:
+                page, off = divmod(line, _PAGE)
+                buf = volatile.get(page)
+                if buf is None:
+                    buf = volatile[page] = bytearray(_PAGE)
+                image = buf[off:off + CACHELINE]
+            image = bytearray(image)          # never edit a shared image
+            image[start - line:start - line + chunk] = data[pos:pos + chunk]
+            undo[line] = image
             pos += chunk
 
     def read_persistent(self, addr, size):
         """Read ``size`` bytes from the persistent (post-crash) view."""
-        page, off = divmod(addr, _PAGE)
-        end = off + size
-        if end <= _PAGE:
-            buf = self._persistent.get(page)
-            if buf is None:
-                return bytes(size)
-            return bytes(buf[off:end])
-        out = bytearray(size)
-        pos = 0
-        for page, off, chunk in self._split(addr, size):
-            buf = self._persistent.get(page)
-            if buf is not None:
-                out[pos:pos + chunk] = buf[off:off + chunk]
-            pos += chunk
+        undo = self._undo
+        if size == CACHELINE and not addr % CACHELINE:
+            # One line: what the fault controller snapshots per persist.
+            image = undo.get(addr)
+            return self.read(addr, size) if image is None else bytes(image)
+        if not undo:
+            return self.read(addr, size)
+        out = bytearray(self.read(addr, size))
+        for line, start, chunk in split_lines(addr, size):
+            image = undo.get(line)
+            if image is not None:
+                pos, off = start - addr, start - line
+                out[pos:pos + chunk] = image[off:off + chunk]
         return bytes(out)
 
     def power_fail(self):
-        """Drop the volatile view: only persisted data survives."""
-        self._volatile = {
-            page: bytearray(buf) for page, buf in self._persistent.items()
-        }
+        """Drop the volatile view: only persisted data survives.
+
+        Costs one line copy per line still awaiting persistence.
+        """
+        volatile = self._volatile
+        for line, image in self._undo.items():
+            page, off = divmod(line, _PAGE)
+            volatile[page][off:off + CACHELINE] = image
+        self._undo.clear()
 
     def persist_everything(self):
         """Force the persistent view to match the volatile view (test aid)."""
-        self._persistent = {
-            page: bytearray(buf) for page, buf in self._volatile.items()
-        }
+        self._undo.clear()
 
 
 def split_lines(addr, size):

@@ -147,8 +147,8 @@ class MemoryModeNamespace(Namespace):
         accept = self._dimm_access_at(insert, line)
         thread.track_store(accept)
         thread.bytes_written += CACHELINE
-        # Memory Mode is volatile: nothing is copied to the persistent
-        # view, ever.
+        # Memory Mode is volatile: no line ever becomes durable, so a
+        # written line keeps its pre-image until power_fail restores it.
 
     def _dimm_access_at(self, now, line):
         index, dev_addr = self._mapping.locate(line)

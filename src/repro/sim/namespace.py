@@ -391,11 +391,12 @@ class Namespace:
         thread.bytes_written += CACHELINE
         if machine.faults is not None:           # _persist_line, inlined
             machine.faults.before_persist(self, line)
-        data = self.data
-        if data._volatile:
-            # An empty volatile store means persist_line would no-op;
-            # skip the call (bandwidth kernels never write payloads).
-            data.persist_line(line)
+        # data.persist_line, inlined: the line is durable as the CPU
+        # sees it, so its pre-image goes.  Bandwidth kernels carry no
+        # payload and leave the undo map empty.
+        undo = self.data._undo
+        if undo:
+            undo.pop(line, None)
         if machine._persist_hook is not None:
             machine._persist_hook()
 
@@ -528,11 +529,12 @@ class Namespace:
         thread.bytes_written += CACHELINE
         if machine.faults is not None:           # _persist_line, inlined
             machine.faults.before_persist(self, line)
-        data = self.data
-        if data._volatile:
-            # An empty volatile store means persist_line would no-op;
-            # skip the call (bandwidth kernels never write payloads).
-            data.persist_line(line)
+        # data.persist_line, inlined: the line is durable as the CPU
+        # sees it, so its pre-image goes.  Bandwidth kernels carry no
+        # payload and leave the undo map empty.
+        undo = self.data._undo
+        if undo:
+            undo.pop(line, None)
         if machine._persist_hook is not None:
             machine._persist_hook()
 
@@ -646,11 +648,12 @@ class Namespace:
         thread.bytes_written += CACHELINE
         if machine.faults is not None:           # _persist_line, inlined
             machine.faults.before_persist(self, line)
-        data = self.data
-        if data._volatile:
-            # An empty volatile store means persist_line would no-op;
-            # skip the call (bandwidth kernels never write payloads).
-            data.persist_line(line)
+        # data.persist_line, inlined: the line is durable as the CPU
+        # sees it, so its pre-image goes.  Bandwidth kernels carry no
+        # payload and leave the undo map empty.
+        undo = self.data._undo
+        if undo:
+            undo.pop(line, None)
         if machine._persist_hook is not None:
             machine._persist_hook()
 

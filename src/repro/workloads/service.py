@@ -151,8 +151,7 @@ class PMemKVService(Service):
                          atomic_updates=not naive, naive=naive)
         self.pool = _pool
         self.cmap = _cmap
-        self._sorted_keys = sorted(
-            key for key, _ in self.cmap.items())
+        self._sorted_keys = sorted(self.cmap.keys())
 
     def get(self, thread, key):
         return self.cmap.get(thread, key)

@@ -46,6 +46,36 @@ class TestInjectorMechanics:
         assert count_persists(workload) == count_persists(workload)
 
 
+class TestCrashInsideOneRange:
+    """A crash partway through one ntstore keeps the old durable bytes."""
+
+    @pytest.mark.parametrize("crash_at", [1, 7, 16])
+    def test_unpersisted_lines_keep_old_durable_bytes(self, crash_at):
+        machine = Machine()
+        ns = machine.namespace("optane")
+        t = machine.thread()
+        ns.pwrite(t, 0, b"O" * 1024, instr="ntstore")      # 16 lines
+        injector = CrashInjector(machine, crash_at=crash_at)
+        with pytest.raises(SimulatedPowerFailure):
+            ns.ntstore(t, 0, 1024, data=b"N" * 1024)
+        injector.uninstall()
+        machine.power_fail()
+        want = b"N" * (64 * crash_at) + b"O" * (1024 - 64 * crash_at)
+        assert ns.read_persistent(0, 1024) == want
+        assert ns.read_volatile(0, 1024) == want
+
+    def test_power_fail_with_nothing_pending_keeps_every_page(self):
+        machine = Machine()
+        ns = machine.namespace("optane")
+        t = machine.thread()
+        ns.pwrite(t, 0, b"D" * 3 * PAGE, instr="ntstore")
+        pages = dict(ns.data._volatile)
+        machine.power_fail()
+        assert ns.data._volatile.keys() == pages.keys()
+        assert all(ns.data._volatile[p] is buf for p, buf in pages.items())
+        assert ns.read_volatile(0, 3 * PAGE) == b"D" * 3 * PAGE
+
+
 class TestLSMCrashEverywhere:
     @pytest.mark.parametrize("mode", ["wal-flex", "persistent-memtable"])
     def test_prefix_of_synced_puts_recovers(self, mode):
