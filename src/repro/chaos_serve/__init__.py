@@ -17,15 +17,14 @@ The moving parts, bottom to top:
   superseded by later acknowledged writes), in-flight writes must read
   as old or new, never garbage, and data loss must be *reported* by the
   substrate's :class:`~repro.faults.report.RecoveryReport`;
-* :mod:`repro.chaos_serve.degrade` — the degradation layer wrapped
-  around the serving path: per-request deadlines, seeded
-  exponential-backoff retries, a per-substrate circuit breaker on the
-  virtual clock, and admission control that sheds load instead of
-  queueing without bound;
 * :mod:`repro.chaos_serve.driver` — the chaos serving loop itself:
   closed- and open-loop traffic with power failures, poisoned lines,
-  transient read errors and thermal windows injected mid-serve, and a
-  ``Service.recover()`` + oracle audit after every crash;
+  transient read errors and thermal windows injected mid-serve, a
+  ``Service.recover()`` + oracle audit after every crash, and the
+  degradation layer around every request: per-request deadlines,
+  seeded exponential-backoff retries, a per-substrate circuit breaker
+  on the virtual clock, and admission control that sheds load instead
+  of queueing without bound;
 * :mod:`repro.chaos_serve.matrix` — the scenario grid and how a cell
   is named in a violation; :func:`repro.harness.run_matrix` caches,
   traces and fans the cells out (manifests byte-identical per seed
@@ -37,11 +36,10 @@ no shedding, CRC-less WAL replay, non-atomic in-place updates) and the
 matrix is expected to *catch* the resulting durability violations.
 """
 
-from repro.chaos_serve.degrade import (
-    BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN, CircuitBreaker,
-    DegradeConfig, RetryPolicy,
+from repro.chaos_serve.driver import (
+    BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN, SCENARIOS,
+    CircuitBreaker, chaos_serve_cell,
 )
-from repro.chaos_serve.driver import SCENARIOS, chaos_serve_cell
 from repro.chaos_serve.history import History, Mutation
 from repro.chaos_serve.matrix import (
     CHAOS_EXPERIMENT, build_chaos_grid, run_chaos_serve,
@@ -50,7 +48,7 @@ from repro.chaos_serve.oracle import check_durability, format_violation
 
 __all__ = [
     "BREAKER_CLOSED", "BREAKER_HALF_OPEN", "BREAKER_OPEN",
-    "CircuitBreaker", "DegradeConfig", "RetryPolicy",
+    "CircuitBreaker",
     "SCENARIOS", "chaos_serve_cell",
     "History", "Mutation",
     "CHAOS_EXPERIMENT", "build_chaos_grid", "run_chaos_serve",

@@ -33,6 +33,15 @@ and the client re-issues the request.  Everything — arrivals, retry
 jitter, fault sites, crash points — draws from seeded RNGs; a cell is
 a pure function of its payload.
 
+The degradation layer lives in ``serve()`` and ``admit()``, all on the
+virtual clock: a per-request deadline, seeded exponential-backoff
+retries of transient media errors (one RNG per client), a
+per-substrate :class:`CircuitBreaker` that fails fast after
+consecutive hard failures, and open-loop admission control that sheds
+arrivals past a bounded in-flight depth.  Its tuning is the module
+constants below; the payload's ``naive`` flag is the one switch, and
+turns all four off.
+
 Chaos cells only serve value-size-100 workloads: NOVA's slot stride is
 ``align_up(2 + value_size, 64)`` and must divide the 4 KiB page, or a
 slot write straddles pages and becomes multiple log entries that can
@@ -40,13 +49,10 @@ tear *independently* — a substrate-layout artifact, not a durability
 property this matrix is probing.
 """
 
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from random import Random
 
-from repro.chaos_serve.degrade import (
-    BROKEN, DEADLINE, FAILED, SHED, CircuitBreaker, DegradeConfig,
-    DegradeStats, RetryPolicy,
-)
 from repro.chaos_serve.history import History
 from repro.chaos_serve.oracle import check_durability, service_read_fn
 from repro.faults.model import FaultController, MediaError, _mix
@@ -74,6 +80,93 @@ THERMAL_SPAN_NS = 250_000.0
 #: Transient scenario: failures per injected site.
 TRANSIENT_ERRORS = 2
 
+#: The degradation layer (virtual ns).  ``naive`` cells switch it off:
+#: one attempt, no breaker, no admission bound, no deadline.
+DEADLINE_NS = 2_000_000.0       # per request
+RETRY_ATTEMPTS = 4              # total tries per substrate call
+BACKOFF_BASE_NS = 1_000.0       # first-retry sleep
+BACKOFF_MULT = 4.0
+BACKOFF_JITTER = 0.5            # +/- fraction of the backoff
+BREAKER_THRESHOLD = 5           # consecutive hard failures
+BREAKER_COOLDOWN_NS = 500_000.0
+MAX_INFLIGHT = 64               # open-loop admission bound
+
+#: Circuit-breaker states.
+BREAKER_CLOSED = "closed"
+BREAKER_OPEN = "open"
+BREAKER_HALF_OPEN = "half-open"
+
+#: Request dispositions beyond plain success (``loadloop.OK``).
+SHED = "shed"
+DEADLINE = "deadline"
+BROKEN = "breaker"
+FAILED = "failed"
+
+
+@dataclass
+class CircuitBreaker:
+    """Per-substrate breaker on the virtual clock.
+
+    Counts *consecutive* hard failures; at ``threshold`` it opens and
+    every request fails fast until ``cooldown_ns`` of virtual time has
+    passed, then it half-opens: the next request is the probe, and its
+    outcome closes or re-opens the breaker.
+    """
+
+    threshold: int
+    cooldown_ns: float
+    state: str = BREAKER_CLOSED
+    failures: int = 0
+    opened_ns: float = 0.0
+    transitions: list = field(default_factory=list)
+
+    def _move(self, state, now_ns):
+        self.state = state
+        self.transitions.append((round(now_ns, 1), state))
+
+    def allow(self, now_ns):
+        """Whether a request may proceed at virtual time ``now_ns``."""
+        if self.threshold <= 0:
+            return True
+        if self.state == BREAKER_OPEN:
+            if now_ns - self.opened_ns >= self.cooldown_ns:
+                self._move(BREAKER_HALF_OPEN, now_ns)
+                return True
+            return False
+        return True
+
+    def transition_counts(self):
+        """Transition tally by target state (for obs counters)."""
+        counts = {}
+        for _ts, state in self.transitions:
+            counts[state] = counts.get(state, 0) + 1
+        return counts
+
+    def record(self, ok, now_ns):
+        """Feed one request outcome back into the breaker."""
+        if self.threshold <= 0:
+            return
+        if ok:
+            if self.state != BREAKER_CLOSED:
+                self._move(BREAKER_CLOSED, now_ns)
+            self.failures = 0
+            return
+        self.failures += 1
+        if self.state == BREAKER_HALF_OPEN or \
+                self.failures >= self.threshold:
+            if self.state != BREAKER_OPEN:
+                self._move(BREAKER_OPEN, now_ns)
+            self.opened_ns = now_ns
+            self.failures = 0
+
+
+def backoff_ns(rng, attempt):
+    """Virtual sleep before retry ``attempt`` (1-based): exponential,
+    jittered by one draw from the client's own ``rng``."""
+    base = BACKOFF_BASE_NS * (BACKOFF_MULT ** (attempt - 1))
+    jitter = (rng.random() * 2.0 - 1.0) * BACKOFF_JITTER
+    return base * (1.0 + jitter)
+
 
 class _Env:
     """One chaos cell's state, and the ``chaos`` hooks the serving
@@ -100,18 +193,21 @@ class _Env:
         self.controller = FaultController(
             self.machine, seed=self.seed,
             tear=(self.scenario == "power-fail"))
-        self.config = DegradeConfig.naive() if self.naive \
-            else DegradeConfig()
         self.service = make_service(
             payload["substrate"], self.machine, self.spec, self.records,
             ops=self.ops, seed=self.seed, naive=self.naive)
         self.history = History()
         self.breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            cooldown_ns=self.config.breaker_cooldown_ns)
-        self.policy = RetryPolicy(self.config, self.seed)
-        self.attempts = self.policy.attempts()
-        self.stats = DegradeStats()
+            threshold=0 if self.naive else BREAKER_THRESHOLD,
+            cooldown_ns=BREAKER_COOLDOWN_NS)
+        self.attempts = 1 if self.naive else RETRY_ATTEMPTS
+        # Retry jitter: one stream per client, so a client's backoffs
+        # depend only on its own retries, never on the scheduler.
+        self.retry_rngs = [Random(_mix(self.seed, "retry", client))
+                           for client in range(self.clients)]
+        self.stats = {"retries": 0, "retry_successes": 0, "shed": 0,
+                      "deadline_misses": 0, "breaker_rejects": 0,
+                      "failures": 0}
         # Fault scheduling draws from its own stream, independent of
         # the per-client retry RNGs.
         self.chaos_rng = Random(_mix(
@@ -189,17 +285,16 @@ class _Env:
         inflight = self.inflight
         while inflight and inflight[0] <= clock:
             heappop(inflight)
-        cfg = self.config
-        if not cfg.enabled:
+        if self.naive:
             return True
-        if cfg.max_inflight and len(inflight) >= cfg.max_inflight:
-            self.stats.shed += 1
+        if len(inflight) >= MAX_INFLIGHT:
+            self.stats["shed"] += 1
             self.results[SHED] = self.results.get(SHED, 0) + 1
             self.chaos_instant("degrade.shed", {"at_op": index})
             return False
-        if best_now - clock > cfg.deadline_ns:
+        if best_now - clock > DEADLINE_NS:
             # The client gave up in the queue before dispatch.
-            self.stats.deadline_misses += 1
+            self.stats["deadline_misses"] += 1
             self.results[DEADLINE] = self.results.get(DEADLINE, 0) + 1
             return False
         return True
@@ -214,7 +309,7 @@ class _Env:
         deadline counts from.
         """
         if not self.breaker.allow(thread.now):
-            self.stats.breaker_rejects += 1
+            self.stats["breaker_rejects"] += 1
             thread.sleep(REJECT_NS)
             self.degrade_instant(thread, "degrade.reject", client)
             disp = BROKEN
@@ -231,22 +326,22 @@ class _Env:
                 except MediaError as exc:
                     if not exc.transient or attempt == attempts:
                         break
-                    self.stats.retries += 1
+                    self.stats["retries"] += 1
                     self.degrade_instant(thread, "degrade.retry", client,
                                          {"attempt": attempt,
                                           "op": req.op})
-                    thread.sleep(self.policy.backoff_ns(client, attempt))
+                    thread.sleep(backoff_ns(self.retry_rngs[client],
+                                            attempt))
                 else:
                     disp = OK
                     if attempt > 1:
-                        self.stats.retry_successes += 1
+                        self.stats["retry_successes"] += 1
                     break
             self.breaker.record(disp == OK, thread.now)
-            cfg = self.config
             if disp == FAILED:
-                self.stats.failures += 1
-            elif cfg.enabled and thread.now - start > cfg.deadline_ns:
-                self.stats.deadline_misses += 1
+                self.stats["failures"] += 1
+            elif not self.naive and thread.now - start > DEADLINE_NS:
+                self.stats["deadline_misses"] += 1
         if len(self.breaker.transitions) != self._breaker_seen:
             self.drain_breaker_events()
         self.results[disp] = self.results.get(disp, 0) + 1
@@ -381,7 +476,7 @@ def chaos_serve_cell(payload):
     # Fold the cell's terminal tallies into the obs counters so the blob
     # stands alone: degrade stats, breaker churn, dispositions and audit
     # outcomes, all next to the latency histogram.
-    for k, v in sorted(env.stats.to_dict().items()):
+    for k, v in sorted(env.stats.items()):
         obs.count("degrade_" + k, v)
     for state, n in sorted(env.breaker.transition_counts().items()):
         obs.count("breaker_" + state, n)
@@ -400,7 +495,7 @@ def chaos_serve_cell(payload):
         "ops": env.ops,
         "served": served,
         "results": {k: results[k] for k in sorted(results)},
-        "degrade": env.stats.to_dict(),
+        "degrade": env.stats,
         "breaker": {"state": env.breaker.state,
                     "transitions": len(env.breaker.transitions)},
         "faults": {

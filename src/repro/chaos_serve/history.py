@@ -96,10 +96,6 @@ class History:
             groups.setdefault(mut.key_index, []).append(mut)
         return groups
 
-    def keys(self):
-        """Every key index any mutation ever touched, sorted."""
-        return sorted({mut.key_index for mut in self.events})
-
     def window(self, key_index, last=6):
         """The most recent mutations of one key — the "offending
         history window" a violation report prints."""

@@ -55,6 +55,9 @@ def build_chaos_grid(workload=None, substrate=None, quick=False,
                 "supports value_size=%d workloads (NOVA's slot stride "
                 "must divide the page)" % (name, spec.value_size,
                                            CHAOS_VALUE_SIZE))
+    if substrate and substrate not in SUBSTRATES:
+        raise ValueError("unknown substrate %r (choose from %s)"
+                         % (substrate, ", ".join(sorted(SUBSTRATES))))
     substrates = [substrate] if substrate else sorted(SUBSTRATES)
     base = dict(shape)
     base["seed"] = seed

@@ -10,8 +10,7 @@
 
 from repro.faults.chaos import WORKLOADS, build_matrix, run_chaos
 from repro.faults.model import (
-    FaultController, MediaError, overlaps_lost, pread_retry,
-    tolerant_read,
+    FaultController, MediaError, overlaps_lost, tolerant_read,
 )
 from repro.faults.report import RecoveryReport
 
@@ -22,7 +21,6 @@ __all__ = [
     "WORKLOADS",
     "build_matrix",
     "overlaps_lost",
-    "pread_retry",
     "run_chaos",
     "tolerant_read",
 ]

@@ -28,7 +28,9 @@ that it catches exactly the torn-tail corruption the CRCs prevent.
 from repro.faults.model import FaultController, MediaError
 from repro.faults.report import RecoveryReport
 from repro.harness.runner import run_matrix
-from repro.sim.crashpoints import CrashInjector, SimulatedPowerFailure
+from repro.sim.crashpoints import (
+    CrashInjector, SimulatedPowerFailure, count_persists,
+)
 from repro.sim.platform import Machine
 
 #: Tear patterns: ``none`` disables tearing, ``prefix-N`` keeps exactly
@@ -273,15 +275,6 @@ def _run_case(payload):
 
 # -- the matrix --------------------------------------------------------------
 
-def count_workload_persists(name):
-    """Dry-run one workload and count its persist boundaries."""
-    run, _ = WORKLOADS[name]
-    machine = Machine()
-    injector = CrashInjector(machine)
-    run(machine, {"crash_at": None, "tear": "none"})
-    return injector.persists
-
-
 def build_matrix(quick=False, seed=0, naive=False, workloads=None):
     """Enumerate the payloads of one chaos sweep, deterministically."""
     names = sorted(workloads) if workloads else sorted(WORKLOADS)
@@ -289,7 +282,10 @@ def build_matrix(quick=False, seed=0, naive=False, workloads=None):
     poisons = QUICK_POISONS if quick else POISON_SITES
     payloads = []
     for name in names:
-        total = count_workload_persists(name)
+        run, _ = WORKLOADS[name]
+        total = count_persists(
+            lambda machine: run(machine, {"crash_at": None,
+                                          "tear": "none"}))
         if quick:
             points = [None] + sorted({1, max(1, total // 2), total})
         else:

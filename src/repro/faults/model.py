@@ -345,18 +345,3 @@ def scan_log(buf, lost, decode, report, start=0, end=None, align=None,
             pos += align
     return items, pos
 
-
-def pread_retry(ns, thread, addr, size, attempts=4, backoff_ns=1000.0):
-    """Timed read with bounded retry over *transient* media errors.
-
-    Each retry pays simulated backoff time; poison (a permanent error)
-    is re-raised immediately.
-    """
-    for attempt in range(attempts):
-        try:
-            return ns.pread(thread, addr, size)
-        except MediaError as exc:
-            if not exc.transient or attempt == attempts - 1:
-                raise
-            thread.sleep(backoff_ns * (attempt + 1))
-    raise AssertionError("unreachable")

@@ -127,6 +127,7 @@ class InodeLog:
         self.length = 0                       # live entries appended
         self.pages_seen = [head_gaddr]        # the chain, head first
         self.retired = []                     # freed by the next commit
+        self.unpublished = []                 # pmcheck: uncommitted entries
         if thread is not None:
             self._adopt_page(thread, head_gaddr)
 
@@ -152,8 +153,16 @@ class InodeLog:
         """
         body = struct.pack("<QQI", self.head, self.tail_page, self.tail_off)
         blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-        self.fs.devices[0].ntstore(thread, slot_addr(self.inode), len(blob),
-                                   data=blob)
+        ns, addr = self.fs.devices[0], slot_addr(self.inode)
+        pmcheck = thread.machine.pmcheck
+        if pmcheck is not None:
+            pmcheck.require_order(
+                self.unpublished, [(ns, addr, len(blob))],
+                note="nova commit: every entry appended since the last "
+                     "commit must be durable before the slot publishes "
+                     "them")
+            self.unpublished = []
+        ns.ntstore(thread, addr, len(blob), data=blob)
         if fence:
             thread.sfence()
         self.committed = (self.tail_page, self.tail_off)
@@ -209,7 +218,7 @@ class InodeLog:
         self.fs.devices[dev].ntstore(thread, off, 8, data=b"\x00" * 8)
         thread.sfence()
 
-    def append(self, thread, entry_blob):
+    def append(self, thread, entry_blob, page=None):
         """Durably append one encoded entry; returns its gaddr.
 
         The entry is written with non-temporal stores and fenced, then
@@ -217,6 +226,10 @@ class InodeLog:
         it before use (next-pointer persisted first, NOVA-style).  The
         entry only counts once :meth:`commit` has moved the tail past
         it, so one commit makes a multi-entry operation atomic.
+
+        ``page`` is the ``(ns, addr, size)`` of the copy-on-write page
+        a WriteEntry names: the entry's CRC does not cover the page's
+        bytes, so the page must be durable before the entry is.
         """
         span = len(entry_blob)
         if span > PAGE - LOG_PAGE_HEADER:
@@ -226,7 +239,15 @@ class InodeLog:
         dev, off = split_gaddr(self.tail_page)
         ns = self.fs.devices[dev]
         addr = off + self.tail_off
-        ns.ntstore(thread, addr, len(entry_blob), data=entry_blob)
+        pmcheck = thread.machine.pmcheck
+        if pmcheck is not None:
+            if page is not None:
+                pmcheck.require_order(
+                    [page], [(ns, addr, span)],
+                    note="nova cow: a page must be durable before the "
+                         "WriteEntry that names it")
+            self.unpublished.append((ns, addr, span))
+        ns.ntstore(thread, addr, span, data=entry_blob)
         thread.sfence()
         gaddr = self.tail_page + self.tail_off
         self.tail_off += span

@@ -146,7 +146,7 @@ class NovaFS:
         entry = encode_write_entry(pgoff, new_page,
                                    max(f.size, pgoff * PAGE + in_off
                                        + len(piece)))
-        f.log.append(thread, entry)
+        f.log.append(thread, entry, page=(ns, off, PAGE))
         old = f.pages.get(pgoff)
         f.pages[pgoff] = new_page
         f.overlays.pop(pgoff, None)

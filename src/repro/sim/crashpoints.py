@@ -61,16 +61,15 @@ class CrashInjector:
             self.machine._persist_hook = self._prev_hook
 
 
-def count_persists(workload, machine_factory=Machine):
+def count_persists(workload):
     """Dry-run the workload; returns how many persist points it has."""
-    machine = machine_factory()
+    machine = Machine()
     injector = CrashInjector(machine)
     workload(machine)
     return injector.persists
 
 
-def exhaustive_crash_test(workload, check, machine_factory=Machine,
-                          stride=1, limit=None):
+def exhaustive_crash_test(workload, check, stride=1):
     """Crash at every ``stride``-th persist boundary and verify recovery.
 
     ``workload(machine)`` runs the operation sequence; ``check(machine,
@@ -78,13 +77,9 @@ def exhaustive_crash_test(workload, check, machine_factory=Machine,
     assert the recovery invariants.  Returns the number of crash points
     exercised.
     """
-    total = count_persists(workload, machine_factory)
-    points = range(1, total + 1, stride)
-    if limit is not None:
-        points = list(points)[:limit]
     exercised = 0
-    for crash_at in points:
-        machine = machine_factory()
+    for crash_at in range(1, count_persists(workload) + 1, stride):
+        machine = Machine()
         injector = CrashInjector(machine, crash_at=crash_at)
         try:
             workload(machine)

@@ -19,15 +19,13 @@ from repro.workloads.generators import (
     make_key, make_value,
 )
 from repro.workloads.loadloop import closed_loop, execute_request, open_loop
-from repro.workloads.saturation import (
-    DEFAULT_SLO_P99_US, SERVE_EXPERIMENT, serve,
-)
+from repro.workloads.saturation import SERVE_EXPERIMENT, serve
 from repro.workloads.service import SUBSTRATES, Service, make_service
 
 __all__ = [
     "OPS", "Request", "RequestStream", "WORKLOADS", "WorkloadSpec",
     "get_workload", "make_key", "make_value",
     "closed_loop", "execute_request", "open_loop",
-    "DEFAULT_SLO_P99_US", "SERVE_EXPERIMENT", "serve",
+    "SERVE_EXPERIMENT", "serve",
     "SUBSTRATES", "Service", "make_service",
 ]

@@ -31,6 +31,9 @@ from typing import NamedTuple
 #: Operation names a :class:`Request` may carry.
 OPS = ("read", "update", "insert", "scan", "rmw", "delete")
 
+#: Insert indices reserved per client (see :class:`RequestStream`).
+INSERT_SPAN = 1 << 14
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -160,18 +163,6 @@ class ScrambledZipfianGenerator:
             index = self._scramble[rank] = fnv64(rank) % self.items
         return index
 
-    def next_n(self, count):
-        """Batch :meth:`next`: the scramble memo is probed in-loop."""
-        scramble = self._scramble
-        items = self.items
-        out = self._zipf.next_n(count)
-        for pos, rank in enumerate(out):
-            index = scramble.get(rank)
-            if index is None:
-                index = scramble[rank] = fnv64(rank) % items
-            out[pos] = index
-        return out
-
 
 class UniformGenerator:
     """Every index in ``[0, items)`` equally likely."""
@@ -182,12 +173,6 @@ class UniformGenerator:
 
     def next(self):
         return self.rng.randrange(self.items)
-
-    def next_n(self, count):
-        """Batch :meth:`next`: identical ``randrange`` consumption."""
-        randrange = self.rng.randrange
-        items = self.items
-        return [randrange(items) for _ in range(count)]
 
 
 class LatestGenerator:
@@ -215,16 +200,6 @@ class LatestGenerator:
 
     def next(self):
         return self.last - self._zipf.next()
-
-    def next_n(self, count):
-        """Batch :meth:`next`.
-
-        Only valid between inserts — callers that may interleave
-        :meth:`note_insert` (the request streams) batch at the stream
-        layer instead, where inserts break the batch naturally.
-        """
-        last = self.last
-        return [last - rank for rank in self._zipf.next_n(count)]
 
 
 # -- workload specs ----------------------------------------------------------
@@ -329,7 +304,7 @@ class RequestStream:
     """The deterministic request sequence of one client.
 
     ``client`` partitions the insert keyspace: client ``c`` inserts
-    indices ``records + c * capacity + i`` so concurrent clients never
+    indices ``records + c * INSERT_SPAN + i`` so concurrent clients never
     race to create the same key and a stream's contents do not depend
     on scheduler interleaving.
     """
@@ -338,7 +313,6 @@ class RequestStream:
     records: int
     seed: int = 0
     client: int = 0
-    capacity: int = 1 << 14
     _rng: Random = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -381,41 +355,15 @@ class RequestStream:
         return self.spec.mix[-1][0]
 
     def _next_insert_index(self):
-        index = self.records + self.client * self.capacity \
-            + self._inserted
+        index = self.records + self.client * INSERT_SPAN + self._inserted
         self._inserted += 1
         return index
 
-    def requests(self, count):
-        """Yield ``count`` deterministic :class:`Request` objects."""
-        spec = self.spec
-        for _ in range(count):
-            op = self._next_op()
-            self._version += 1
-            if spec.distribution == "append" or op == "insert":
-                index = self._next_insert_index()
-                if spec.distribution == "latest":
-                    self._keys.note_insert(index)
-                yield Request("insert", index, 0, self._version)
-                continue
-            if spec.distribution == "chain":
-                self._chain = fnv64(self._chain)
-                index = self._chain % self.records
-            elif spec.distribution == "latest":
-                index = max(0, self._keys.next())
-            else:
-                index = self._keys.next()
-            scan_len = 0
-            if op == "scan":
-                scan_len = 1 + self._rng.randrange(spec.scan_max)
-            yield Request(op, index, scan_len, self._version)
-
     def next_request(self):
-        """One :class:`Request`, without generator machinery.
-
-        Draw-for-draw identical to one step of :meth:`requests` — the
-        open loops use it where batching is impossible (the next
-        stream to consume depends on simulated completion times).
+        """One :class:`Request`: the reference :meth:`next_requests`
+        batches.  The open loops call it where batching is impossible
+        (the next stream to consume depends on simulated completion
+        times).
         """
         spec = self.spec
         op = self._next_op()
@@ -469,7 +417,7 @@ class RequestStream:
         is_chain = dist == "chain"
         is_latest = dist == "latest"
         chain = self._chain if is_chain else 0
-        base = records + self.client * self.capacity
+        base = records + self.client * INSERT_SPAN
         inserted = self._inserted
         version = self._version
         out = []

@@ -45,9 +45,6 @@ QUICK_SEARCH_ITERS = 4
 #: span two orders of magnitude).
 DEFAULT_SLO_MULTIPLIER = 10.0
 
-#: Fallback absolute SLO for callers that want one number.
-DEFAULT_SLO_P99_US = 100.0
-
 
 def _serve_point(params):
     """Measure one serve point (module-level: must pickle to workers).

@@ -77,15 +77,17 @@ class LSMService(Service):
 
     name = "lsm"
 
-    def __init__(self, machine, spec=None, mode="wal-flex", seed=0,
-                 naive=False, _store=None):
+    #: The LSM persistence mode every serving path runs.
+    mode = "wal-flex"
+
+    def __init__(self, machine, spec=None, seed=0, naive=False,
+                 _store=None):
         from repro.kvstore.lsm import LSMStore
         self.machine = machine
-        self.mode = mode
         self.seed = seed
         self.naive = naive
         self.store = _store if _store is not None else \
-            LSMStore(machine, mode=mode, seed=seed, naive=naive)
+            LSMStore(machine, mode=self.mode, seed=seed, naive=naive)
 
     def get(self, thread, key):
         return self.store.get(thread, key)
@@ -105,9 +107,8 @@ class LSMService(Service):
         from repro.kvstore.lsm import LSMStore
         store = LSMStore.recover(self.machine, mode=self.mode,
                                  seed=self.seed, naive=self.naive)
-        service = LSMService(self.machine, mode=self.mode,
-                             seed=self.seed, naive=self.naive,
-                             _store=store)
+        service = LSMService(self.machine, seed=self.seed,
+                             naive=self.naive, _store=store)
         return service, store.recovery_report
 
     def stats(self):

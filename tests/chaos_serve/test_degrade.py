@@ -1,11 +1,12 @@
-"""The degradation layer: breaker, retries, naive config."""
+"""The degradation layer's parts: the breaker and the retry backoff."""
 
 import random
 
-from repro.chaos_serve.degrade import (
-    BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN, CircuitBreaker,
-    DegradeConfig, RetryPolicy,
+from repro.chaos_serve.driver import (
+    BACKOFF_BASE_NS, BACKOFF_JITTER, BACKOFF_MULT, BREAKER_CLOSED,
+    BREAKER_HALF_OPEN, BREAKER_OPEN, CircuitBreaker, backoff_ns,
 )
+from repro.faults.model import _mix
 
 
 def make_breaker(threshold=3, cooldown_ns=1000.0):
@@ -65,56 +66,43 @@ class TestCircuitBreaker:
         assert breaker.transitions == []
 
 
+def retry_rng(seed, client):
+    """The stream a chaos cell's client draws its retry jitter from."""
+    return random.Random(_mix(seed, "retry", client))
+
+
 class TestRetryPolicy:
     def test_same_seed_same_backoffs(self):
-        a = RetryPolicy(DegradeConfig(), seed=42)
-        b = RetryPolicy(DegradeConfig(), seed=42)
-        seq_a = [a.backoff_ns(0, n) for n in range(1, 6)]
-        seq_b = [b.backoff_ns(0, n) for n in range(1, 6)]
-        assert seq_a == seq_b
+        a, b = retry_rng(42, 0), retry_rng(42, 0)
+        assert [backoff_ns(a, n) for n in range(1, 6)] == \
+            [backoff_ns(b, n) for n in range(1, 6)]
 
     def test_clients_draw_independent_streams(self):
-        policy = RetryPolicy(DegradeConfig(), seed=42)
-        seq_0 = [policy.backoff_ns(0, n) for n in range(1, 6)]
-        seq_1 = [policy.backoff_ns(1, n) for n in range(1, 6)]
-        assert seq_0 != seq_1
+        zero = retry_rng(42, 0)
+        seq_0 = [backoff_ns(zero, n) for n in range(1, 6)]
+        one = retry_rng(42, 1)
+        assert [backoff_ns(one, n) for n in range(1, 6)] != seq_0
         # ... and one client's draws don't shift another's.
-        fresh = RetryPolicy(DegradeConfig(), seed=42)
+        rngs = [retry_rng(42, 0), retry_rng(42, 1)]
         interleaved = []
         for n in range(1, 6):
-            fresh.backoff_ns(1, n)
-            interleaved.append(fresh.backoff_ns(0, n))
+            backoff_ns(rngs[1], n)
+            interleaved.append(backoff_ns(rngs[0], n))
         assert interleaved == seq_0
 
     def test_never_touches_global_random(self):
         random.seed(1234)
         expected = random.random()
         random.seed(1234)
-        policy = RetryPolicy(DegradeConfig(), seed=7)
+        rng = retry_rng(7, 0)
         for n in range(1, 5):
-            policy.backoff_ns(0, n)
+            backoff_ns(rng, n)
         assert random.random() == expected
 
     def test_backoff_grows_within_jitter_bounds(self):
-        cfg = DegradeConfig()
-        policy = RetryPolicy(cfg, seed=0)
+        rng = retry_rng(0, 0)
         for attempt in range(1, 5):
-            base = cfg.backoff_base_ns * cfg.backoff_mult ** (attempt - 1)
-            got = policy.backoff_ns(0, attempt)
-            assert base * (1 - cfg.backoff_jitter) <= got <= \
-                base * (1 + cfg.backoff_jitter)
-
-    def test_attempts_floor_is_one(self):
-        assert RetryPolicy(DegradeConfig.naive(), seed=0).attempts() == 1
-        assert RetryPolicy(DegradeConfig(), seed=0).attempts() == \
-            DegradeConfig().retry_attempts
-
-
-class TestNaiveConfig:
-    def test_everything_is_off(self):
-        cfg = DegradeConfig.naive()
-        assert not cfg.enabled
-        assert cfg.deadline_ns == float("inf")
-        assert cfg.retry_attempts == 1
-        assert cfg.breaker_threshold == 0
-        assert cfg.max_inflight == 0
+            base = BACKOFF_BASE_NS * BACKOFF_MULT ** (attempt - 1)
+            got = backoff_ns(rng, attempt)
+            assert base * (1 - BACKOFF_JITTER) <= got <= \
+                base * (1 + BACKOFF_JITTER)

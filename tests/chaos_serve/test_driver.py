@@ -177,3 +177,33 @@ class TestOpenLoop:
         assert record["mode"] == "open"
         assert sum(record["results"].values()) == QUICK["ops"]
         assert record["violations"] == []
+
+
+class TestOverload:
+    """The quick matrix never sheds, misses a deadline or moves the
+    breaker, so this cell pins the protected path by behaviour: an
+    open loop offered far more than the LSM serves under a thermal
+    window."""
+
+    def overloaded(self, rate_kops, naive):
+        return cell(scenario="thermal", mode="open", rate_kops=rate_kops,
+                    naive=naive)
+
+    def test_protected_run_sheds(self):
+        # Exact counts: a different MAX_INFLIGHT moves them.
+        record = self.overloaded(40_000.0, naive=False)
+        assert record["results"] == {"ok": 123, "shed": 277}
+        assert record["degrade"]["shed"] == 277
+        assert record["degrade"]["deadline_misses"] == 0
+        assert record["violations"] == []
+
+    def test_naive_run_sheds_nothing(self):
+        record = self.overloaded(40_000.0, naive=True)
+        assert record["degrade"]["shed"] == 0
+        assert record["results"] == {"ok": QUICK["ops"]}
+
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_a_tenth_of_the_load_sheds_nothing(self, naive):
+        record = self.overloaded(4_000.0, naive=naive)
+        assert record["degrade"]["shed"] == 0
+        assert record["results"] == {"ok": QUICK["ops"]}

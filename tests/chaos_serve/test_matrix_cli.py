@@ -34,6 +34,10 @@ class TestGrid:
         with pytest.raises(KeyError):
             build_chaos_grid(workload="nope", quick=True)
 
+    def test_unknown_substrate_raises(self):
+        with pytest.raises(ValueError, match="choose from"):
+            build_chaos_grid(substrate="nope", quick=True)
+
 
 class TestRunChaosServe:
     def _run(self, tmp_path, tag, jobs):
@@ -120,6 +124,18 @@ class TestServeChaosCli:
     def test_unknown_workload_exits_2(self, cache_env, capsys):
         assert main(["serve", "nope", "lsm", "--chaos",
                      "--quick"]) == 2
+
+    def test_unknown_substrate_exits_2_and_writes_nothing(self, cache_env,
+                                                          capsys):
+        out = cache_env / "bogus.json"
+        assert main(["serve", "ycsb-a", "bogus", "--chaos", "--quick",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err
+        assert all(name in err for name in ("lsm", "nova", "pmdk",
+                                            "pmemkv"))
+        assert not os.path.exists(out)
+        assert not os.path.exists(str(out) + ".manifest.json")
 
     def test_traced_report_equals_untraced(self, cache_env, capsys):
         def report(tag, cache, *extra):

@@ -9,10 +9,8 @@ persist boundary x every tear pattern x every poison site — is marked
 
 import pytest
 
-from repro.faults.chaos import (
-    WORKLOADS, _run_case, build_matrix, count_workload_persists,
-    run_chaos,
-)
+from repro.faults.chaos import WORKLOADS, _run_case, build_matrix, run_chaos
+from repro.sim.crashpoints import count_persists
 
 
 def _case(workload, crash_at=None, tear="none", poison=None, seed=0,
@@ -34,7 +32,9 @@ class TestMatrixShape:
 
     def test_full_matrix_has_every_crash_point(self):
         payloads = build_matrix(workloads=["pmdk-tx"])
-        total = count_workload_persists("pmdk-tx")
+        run, _ = WORKLOADS["pmdk-tx"]
+        total = count_persists(
+            lambda machine: run(machine, {"crash_at": None, "tear": "none"}))
         crash_ats = {p["crash_at"] for p in payloads}
         assert crash_ats == {None} | set(range(1, total + 1))
 

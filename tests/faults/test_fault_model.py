@@ -4,8 +4,7 @@ import pytest
 
 from repro._units import CACHELINE, XPLINE
 from repro.faults.model import (
-    FaultController, MediaError, overlaps_lost, pread_retry,
-    tolerant_read,
+    FaultController, MediaError, overlaps_lost, tolerant_read,
 )
 from repro.sim.crashpoints import (
     CrashInjector, SimulatedPowerFailure, count_persists,
@@ -156,25 +155,6 @@ class TestTransient:
         ns, data = _write_xpline(machine)
         fc.add_transient(ns, 0, 1, errors=5)
         assert ns.read_persistent(0, 64) == data[:64]
-
-    def test_pread_retry_rides_out_transients(self):
-        machine = Machine()
-        fc = FaultController(machine)
-        ns, data = _write_xpline(machine)
-        thread = machine.thread()
-        fc.add_transient(ns, 0, 1, errors=2)
-        before = thread.now
-        assert pread_retry(ns, thread, 0, 64) == data[:64]
-        assert thread.now > before          # retries paid backoff time
-        assert fc.transient_reads == 2
-
-    def test_pread_retry_gives_up_on_poison(self):
-        machine = Machine()
-        fc = FaultController(machine)
-        ns, _ = _write_xpline(machine)
-        fc.poison(ns, 0, 1)
-        with pytest.raises(MediaError):
-            pread_retry(ns, machine.thread(), 0, 64)
 
 
 class TestThermalThrottle:

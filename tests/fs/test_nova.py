@@ -1,6 +1,7 @@
 """Unit, integration and crash tests for the NOVA file system."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from repro.fs.log import (
 )
 from repro.fs.nova import CLEANER_THRESHOLD
 from repro.pmcheck import checking
-from repro.pmcheck.state import V_UNORDERED
+from repro.pmcheck.state import V_ACK_BEFORE_FENCE, V_UNORDERED
 from repro.sim import Machine
 from repro.sim.crashpoints import CrashInjector, SimulatedPowerFailure
 from repro.sim.engine import ThreadCtx
@@ -198,6 +199,60 @@ class TestNovaCrash:
         for i, inode in enumerate(inodes):
             assert fs2.read_persistent_file(inode, 0, 128) == \
                 bytes([0x41 + i]) * 128
+
+
+class TestEveryLogFenceIsLoadBearing:
+    """Skip exactly one ``sfence`` of a NOVA-datalog file's life: an
+    embedded write, a copy-on-write page, then an embed that grows the
+    log onto a second page."""
+
+    #: The function issuing each fence, in order (create's two fences
+    #: run outside any acked operation).
+    SITES = ["_adopt_page", "commit",                      # create
+             "append", "commit",                           # embed
+             "_write_cow", "append", "commit",             # cow page
+             "_adopt_page", "_grow", "append", "commit"]   # embed + grow
+
+    @pytest.mark.parametrize("skip, kind, note", [
+        (None, None, None),
+        (3, V_UNORDERED, "nova commit"),        # append: entry -> slot
+        (4, V_ACK_BEFORE_FENCE, None),          # commit
+        (5, V_UNORDERED, "nova cow"),           # cow page -> its entry
+        (8, V_UNORDERED, "nova log grow"),      # adopt: header -> link
+        # _grow's link fence is redundant: append's own fence follows
+        # before any commit can name the new page, so the skip is safe
+        # and nothing may be flagged.
+        (9, None, None),
+    ], ids=["none", "append", "commit", "cow-page", "adopt", "grow-link"])
+    def test_skipped_fence_is_caught(self, monkeypatch, skip, kind, note):
+        m = Machine()
+        fs = NovaFS(m, datalog=True)
+        t = m.thread()
+        real = ThreadCtx.sfence
+        sites = []
+
+        def sfence(thread):
+            sites.append(sys._getframe(1).f_code.co_name)
+            if len(sites) != skip:
+                real(thread)
+
+        with checking(m) as checker:
+            monkeypatch.setattr(ThreadCtx, "sfence", sfence)
+            inode = fs.create(t)
+            for offset, data in ((0, b"A" * 3000), (PAGE, b"B" * PAGE),
+                                 (100, b"C" * 1000)):
+                checker.op_begin(t, "write")
+                fs.write(t, inode, offset, data)
+                checker.op_ack(t)
+            monkeypatch.undo()
+            violations = checker.summary()["violations"]
+        if kind is None:
+            assert violations == []
+        else:
+            assert any(v["kind"] == kind
+                       and (note is None or v["note"].startswith(note))
+                       for v in violations), violations
+        assert sites == self.SITES
 
 
 class TestCleaner:

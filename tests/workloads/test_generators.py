@@ -126,7 +126,7 @@ class TestRequestStream:
         spec = get_workload(name)
         a = RequestStream(spec, 128, seed=seed, client=1)
         b = RequestStream(spec, 128, seed=seed, client=1)
-        assert list(a.requests(100)) == list(b.requests(100))
+        assert a.next_requests(100) == b.next_requests(100)
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)
@@ -135,7 +135,7 @@ class TestRequestStream:
         streams = [RequestStream(spec, 64, seed=seed, client=c)
                    for c in range(4)]
         inserted = [
-            {r.key_index for r in s.requests(50)} for s in streams
+            {r.key_index for r in s.next_requests(50)} for s in streams
         ]
         for i in range(4):
             for j in range(i + 1, 4):
@@ -144,7 +144,7 @@ class TestRequestStream:
     def test_mix_proportions_within_tolerance(self):
         spec = get_workload("ycsb-a")          # 50/50 read/update
         stream = RequestStream(spec, 256, seed=0)
-        ops = [r.op for r in stream.requests(4000)]
+        ops = [r.op for r in stream.next_requests(4000)]
         reads = ops.count("read") / len(ops)
         assert 0.45 < reads < 0.55
         assert set(ops) == {"read", "update"}
@@ -152,16 +152,16 @@ class TestRequestStream:
     def test_pointer_chase_is_a_deterministic_chain(self):
         spec = get_workload("pointer-chase")
         stream = RequestStream(spec, 128, seed=0)
-        first = [r.key_index for r in stream.requests(50)]
+        first = [r.key_index for r in stream.next_requests(50)]
         again = RequestStream(spec, 128, seed=0)
-        assert [r.key_index for r in again.requests(50)] == first
+        assert [r.key_index for r in again.next_requests(50)] == first
         # The walk must roam the keyspace, not orbit a short cycle.
         assert len(set(first)) > 25
 
     def test_log_append_is_monotonic_inserts(self):
         spec = get_workload("log-append")
         stream = RequestStream(spec, 32, seed=0)
-        reqs = list(stream.requests(40))
+        reqs = stream.next_requests(40)
         assert all(r.op == "insert" for r in reqs)
         indices = [r.key_index for r in reqs]
         assert indices == sorted(indices)
@@ -170,7 +170,7 @@ class TestRequestStream:
     def test_scan_lengths_bounded_by_spec(self):
         spec = get_workload("ycsb-e")
         stream = RequestStream(spec, 128, seed=2)
-        scans = [r for r in stream.requests(500) if r.op == "scan"]
+        scans = [r for r in stream.next_requests(500) if r.op == "scan"]
         assert scans
         assert all(1 <= r.scan_len <= spec.scan_max for r in scans)
 

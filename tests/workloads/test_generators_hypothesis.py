@@ -1,11 +1,11 @@
 """Property tests: batched generator emission equals sequential draws.
 
-The serving fast path consumes keys and requests in batches
-(``next_n`` / ``next_requests``); these properties pin the batch APIs
-to their sequential references draw for draw, over every workload,
-seed and client split hypothesis cares to try.  Skipped wholesale when
-hypothesis is not installed — ``test_generators.py`` still pins the
-example-based behavior.
+The serving fast path consumes requests in batches (``next_requests``,
+and ``ZipfianGenerator.next_n`` under it); these properties pin the
+batch APIs to their sequential references draw for draw, over every
+workload, seed and client split hypothesis cares to try.  Skipped
+wholesale when hypothesis is not installed — ``test_generators.py``
+still pins the example-based behavior.
 """
 
 import pytest
@@ -15,16 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.workloads.generators import (
-    LatestGenerator, RequestStream, ScrambledZipfianGenerator,
-    UniformGenerator, WORKLOADS, ZipfianGenerator, get_workload,
+    RequestStream, WORKLOADS, ZipfianGenerator, get_workload,
 )
-
-KEY_GENERATORS = {
-    "zipfian": ZipfianGenerator,
-    "scrambled": ScrambledZipfianGenerator,
-    "uniform": UniformGenerator,
-    "latest": LatestGenerator,
-}
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 item_counts = st.integers(min_value=1, max_value=512)
@@ -33,31 +25,13 @@ batch_sizes = st.lists(st.integers(min_value=0, max_value=64),
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(sorted(KEY_GENERATORS)), items=item_counts,
-       seed=seeds, batches=batch_sizes)
-def test_next_n_equals_sequential_next(kind, items, seed, batches):
-    make = KEY_GENERATORS[kind]
-    batched = make(items, seed=seed)
-    sequential = make(items, seed=seed)
+@given(items=item_counts, seed=seeds, batches=batch_sizes)
+def test_next_n_equals_sequential_next(items, seed, batches):
+    batched = ZipfianGenerator(items, seed=seed)
+    sequential = ZipfianGenerator(items, seed=seed)
     for count in batches:
         assert batched.next_n(count) == \
             [sequential.next() for _ in range(count)]
-
-
-@settings(max_examples=25, deadline=None)
-@given(items=item_counts, seed=seeds,
-       inserts=st.integers(min_value=1, max_value=8),
-       count=st.integers(min_value=1, max_value=64))
-def test_latest_next_n_tracks_inserts(items, seed, inserts, count):
-    # ``latest`` retargets to the newest key as clients insert; a batch
-    # drawn after inserts must match sequential draws after the same.
-    batched = LatestGenerator(items, seed=seed)
-    sequential = LatestGenerator(items, seed=seed)
-    for i in range(inserts):
-        batched.note_insert(items + i)
-        sequential.note_insert(items + i)
-    assert batched.next_n(count) == \
-        [sequential.next() for _ in range(count)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,20 +47,6 @@ def test_next_requests_equals_sequential_next_request(
     for count in batches:
         assert batched.next_requests(count) == \
             [sequential.next_request() for _ in range(count)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(workload=st.sampled_from(sorted(WORKLOADS)),
-       records=st.integers(min_value=1, max_value=256), seed=seeds,
-       client=st.integers(min_value=0, max_value=7),
-       count=st.integers(min_value=0, max_value=128))
-def test_next_requests_equals_requests_generator(
-        workload, records, seed, client, count):
-    spec = get_workload(workload)
-    batched = RequestStream(spec, records, seed=seed, client=client)
-    generator = RequestStream(spec, records, seed=seed, client=client)
-    assert batched.next_requests(count) == \
-        list(generator.requests(count))
 
 
 @settings(max_examples=40, deadline=None)
