@@ -25,6 +25,7 @@ alignment, ending at the zero terminator a grow leaves behind them.
 """
 
 import struct
+import weakref
 import zlib
 
 from repro._units import CACHELINE, align_up
@@ -118,7 +119,9 @@ class InodeLog:
     """The volatile handle onto one inode's persistent log chain."""
 
     def __init__(self, fs, inode, head_gaddr, thread=None):
-        self.fs = fs
+        # The file system owns its logs (through its open files); a log
+        # reaches back weakly, so the pair forms no reference cycle.
+        self._fs = weakref.ref(fs)
         self.inode = inode
         self.head = head_gaddr
         self.tail_page = head_gaddr
@@ -153,7 +156,8 @@ class InodeLog:
         """
         body = struct.pack("<QQI", self.head, self.tail_page, self.tail_off)
         blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-        ns, addr = self.fs.devices[0], slot_addr(self.inode)
+        fs = self._fs()
+        ns, addr = fs.devices[0], slot_addr(self.inode)
         pmcheck = thread.machine.pmcheck
         if pmcheck is not None:
             pmcheck.require_order(
@@ -167,7 +171,7 @@ class InodeLog:
             thread.sfence()
         self.committed = (self.tail_page, self.tail_off)
         for gaddr in self.retired:
-            self.fs.recycle(gaddr)
+            fs.recycle(gaddr)
         self.retired = []
 
     def retire(self, gaddr):
@@ -215,7 +219,7 @@ class InodeLog:
         """Initialise a (possibly recycled) page as a log page: its
         next-pointer must be durably zero before anything links to it."""
         dev, off = split_gaddr(gaddr)
-        self.fs.devices[dev].ntstore(thread, off, 8, data=b"\x00" * 8)
+        self._fs().devices[dev].ntstore(thread, off, 8, data=b"\x00" * 8)
         thread.sfence()
 
     def append(self, thread, entry_blob, page=None):
@@ -237,7 +241,7 @@ class InodeLog:
         if self.tail_off + span > PAGE:
             self._grow(thread)
         dev, off = split_gaddr(self.tail_page)
-        ns = self.fs.devices[dev]
+        ns = self._fs().devices[dev]
         addr = off + self.tail_off
         pmcheck = thread.machine.pmcheck
         if pmcheck is not None:
@@ -256,15 +260,17 @@ class InodeLog:
 
     def _grow(self, thread):
         """Chain a fresh log page onto the tail."""
-        new_page = self.fs.policy.alloc_for(thread)
+        fs = self._fs()
+        devices = fs.devices
+        new_page = fs.policy.alloc_for(thread)
         self._adopt_page(thread, new_page)
         dev, off = split_gaddr(self.tail_page)
-        ns = self.fs.devices[dev]
+        ns = devices[dev]
         pmcheck = thread.machine.pmcheck
         if pmcheck is not None:
             new_dev, new_off = split_gaddr(new_page)
             pmcheck.require_order(
-                [(self.fs.devices[new_dev], new_off, 8)],
+                [(devices[new_dev], new_off, 8)],
                 [(ns, off, 8)],
                 note="nova log grow: the fresh page's zeroed "
                      "next-pointer must be durable before the old "
@@ -310,6 +316,7 @@ class InodeLog:
         :class:`~repro.faults.report.RecoveryReport`) collects the
         accounting.
         """
+        devices = self._fs().devices
         tail_page, tail_off = self.committed
         page = self.head
         seen = set()
@@ -317,10 +324,10 @@ class InodeLog:
         while page and page not in seen:
             seen.add(page)
             dev, off = split_gaddr(page)
-            if dev >= len(self.fs.devices) or off % PAGE:
+            if dev >= len(devices) or off % PAGE:
                 break                      # corrupt chain pointer: stop
             self.pages_seen.append(page)
-            raw, lost = tolerant_read(self.fs.devices[dev], off, PAGE)
+            raw, lost = tolerant_read(devices[dev], off, PAGE)
             if page == tail_page:
                 raw = raw[:tail_off]
 

@@ -46,10 +46,9 @@ def _patched(piece, in_off, overlays):
 class NovaFile:
     """Volatile state of one open file."""
 
-    __slots__ = ("inode", "log", "size", "pages", "overlays", "fs")
+    __slots__ = ("inode", "log", "size", "pages", "overlays")
 
-    def __init__(self, fs, inode, log):
-        self.fs = fs
+    def __init__(self, inode, log):
         self.inode = inode
         self.log = log
         self.size = 0
@@ -103,7 +102,7 @@ class NovaFS:
         thread.sleep(SYSCALL_NS)
         head = self.policy.alloc_for(thread)
         log = InodeLog(self, inode, head, thread=thread)
-        self._files[inode] = NovaFile(self, inode, log)
+        self._files[inode] = NovaFile(inode, log)
         log.commit(thread)
         return inode
 
@@ -297,7 +296,7 @@ class NovaFS:
             log = InodeLog.open_persistent(self, inode, report)
             if log is None:
                 continue
-            f = NovaFile(self, inode, log)
+            f = NovaFile(inode, log)
             applied = 0
             for entry in log.scan_persistent(report=report):
                 applied += 1

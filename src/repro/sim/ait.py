@@ -24,14 +24,17 @@ lock-step.
 
 
 class AddressIndirectionTable:
-    """Wear tracking, wear-levelling rotation and thermal throttling."""
+    """Wear-levelling rotation and thermal throttling.
 
-    __slots__ = ("_cfg", "_wear", "_hot", "_writes", "_next_migration",
+    Keeps only what the stalls read: the media-write count that paces
+    migrations and, per XPLine, the writes since its last thermal stall.
+    """
+
+    __slots__ = ("_cfg", "_hot", "_writes", "_next_migration",
                  "migrations", "thermal_stalls")
 
     def __init__(self, config, phase=0):
         self._cfg = config
-        self._wear = {}
         self._hot = {}
         self._writes = 0
         jitter = phase % max(config.migrate_jitter, 1)
@@ -43,7 +46,6 @@ class AddressIndirectionTable:
         """Account one media write; returns the stall in ns (usually 0)."""
         if not self._cfg.enabled:
             return 0.0
-        self._wear[xpline] = self._wear.get(xpline, 0) + 1
         self._writes += 1
         stall = 0.0
         if self._writes >= self._next_migration:
@@ -59,16 +61,15 @@ class AddressIndirectionTable:
             self._hot[xpline] = hot
         return stall
 
-    def wear_of(self, xpline):
-        """Media writes recorded against ``xpline``."""
-        return self._wear.get(xpline, 0)
+    def hot_of(self, xpline):
+        """Media writes to ``xpline`` since its last thermal stall."""
+        return self._hot.get(xpline, 0)
 
     @property
     def total_media_writes(self):
         return self._writes
 
     def reset(self):
-        self._wear.clear()
         self._hot.clear()
         self._writes = 0
         self._next_migration = self._cfg.migrate_every

@@ -73,9 +73,15 @@ class BackfillResource:
     A plain :class:`Resource` books strictly at the tail, so a thread
     whose sparse transfers are spread across its operation leaves holes
     that nobody else can use — which would falsely serialize a shared
-    link.  This variant keeps a bounded list of idle gaps and places
-    new work into the earliest gap it fits, like a real pipelined link
+    link.  This variant keeps a list of idle gaps and places new work
+    into the earliest gap it fits, like a real pipelined link
     interleaving flits from many agents.
+
+    ``max_gaps`` is enforced only when a tail booking opens a gap (the
+    oldest gap is dropped).  A booking that lands inside a gap can
+    split it in two, and nothing trims the list then, so it grows past
+    ``max_gaps``: after a long open-loop read run a channel's read link
+    holds hundreds of gaps.
     """
 
     __slots__ = ("name", "_gap_start", "_gap_end", "_tail", "busy_ns",
@@ -235,12 +241,16 @@ class ThreadCtx:
 
     ``pending_persists`` records the completion times of all flushes,
     write-backs and non-temporal stores that an ``sfence`` must drain.
+
+    A thread holds its ``machine`` strongly: holding only a thread
+    keeps the whole machine usable, while the machine tracks its
+    threads weakly (``__weakref__``) so the two form no cycle.
     """
 
     __slots__ = (
         "machine", "tid", "socket", "now", "load_window", "store_window",
         "_loads", "_stores", "pending_persists", "bytes_read",
-        "bytes_written", "latencies", "fence_ns",
+        "bytes_written", "latencies", "fence_ns", "__weakref__",
     )
 
     def __init__(self, machine, tid, socket, load_window, store_window,

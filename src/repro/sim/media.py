@@ -172,7 +172,7 @@ class XPMedia:
         stall = self.ait.record_write(xpline)
         self._tracer.instant(
             now, "ait", "ait.lookup", track=self.name,
-            args={"xpline": xpline, "wear": self.ait.wear_of(xpline)})
+            args={"xpline": xpline, "hot": self.ait.hot_of(xpline)})
         if stall:
             self.counters.migrations += 1
             if self.ait.migrations > migrations:

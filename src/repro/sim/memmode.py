@@ -82,7 +82,7 @@ class MemoryModeNamespace(Namespace):
         channel, _ = self._devices[index]
         start = thread.now
         if self._remote(thread):
-            start = self.machine.upi.read_transfer(
+            start = self._machine().upi.read_transfer(
                 start, source=thread.tid, heavy=True)
         ch_end = channel.transfer_read(start)
         return self._near[index].access(ch_end, dev_addr, is_write)
@@ -124,7 +124,7 @@ class MemoryModeNamespace(Namespace):
         thread.track_load(data_ready)
 
     def _ntstore_line(self, thread, line):
-        pmcheck = self.machine.pmcheck
+        pmcheck = self._machine().pmcheck
         if pmcheck is not None:
             pmcheck.on_ntstore(thread, self.ns_id, line)
         thread.now += self._cfg.cache.issue_ns

@@ -17,6 +17,8 @@ iMC's WPQ (the ADR domain).  ``ThreadCtx.sfence`` waits for exactly the
 pending insertions this thread ordered.
 """
 
+import weakref
+
 from repro._units import CACHELINE
 from repro.sim.address import DataStore, line_addresses
 from repro.sim.imc import wpq_insert_latency
@@ -33,7 +35,11 @@ class Namespace:
     """One /dev/pmem-style device, byte-addressable by simulated threads."""
 
     def __init__(self, machine, name, devices, mapping, socket, is_optane):
-        self.machine = machine
+        # The machine owns its namespaces; a namespace reaches back
+        # weakly, so a dropped machine is freed by refcount (DESIGN.md,
+        # "Who owns whom").  The per-line bodies deref it once per call
+        # (``machine = self._machine()``), never through the property.
+        self._machine = weakref.ref(machine)
         self.name = name
         self.ns_id = machine._register_namespace(self)
         self.socket = socket
@@ -73,6 +79,16 @@ class Namespace:
 
     # -- helpers --------------------------------------------------------------
 
+    @property
+    def machine(self):
+        """The owning machine; ReferenceError once it has been freed."""
+        machine = self._machine()
+        if machine is None:
+            raise ReferenceError(
+                "namespace %r outlived its machine: keep the Machine (or "
+                "one of its threads) alive while using it" % (self.name,))
+        return machine
+
     def _route(self, line_addr):
         index, dev_addr = self._mapping.locate(line_addr)
         return self._devices[index]
@@ -81,7 +97,7 @@ class Namespace:
         return thread.socket != self.socket
 
     def _cache(self, thread):
-        return self.machine.caches[thread.socket]
+        return self._caches[thread.socket]
 
     @property
     def dimms(self):
@@ -130,7 +146,7 @@ class Namespace:
             if done > thread.now:
                 thread.now = done
         start = thread.now
-        machine = self.machine
+        machine = self._machine()
         remote = thread.socket != self.socket
         if remote:
             start = machine.upi.read_transfer(
@@ -148,9 +164,9 @@ class Namespace:
         if rlink._gap_start:
             _, ch_end = rlink.acquire(start, occ_r)
         else:
-            # Gap list empty: tail booking only (acquire, inlined; the
-            # gap this booking may open behind itself cannot overflow
-            # the bound since the list was empty).
+            # Gap list empty: tail booking only (acquire, inlined; with
+            # at most one gap opened behind it, acquire's trim has
+            # nothing to do).
             rlink.busy_ns += occ_r
             tail = rlink._tail
             rstart = tail if tail > start else start
@@ -197,7 +213,8 @@ class Namespace:
             self._store_line(thread, line)
 
     def _store_line(self, thread, line):
-        pmcheck = self.machine.pmcheck
+        machine = self._machine()
+        pmcheck = machine.pmcheck
         if pmcheck is not None:
             pmcheck.on_store(thread, self.ns_id, line)
         thread.now += self._cache_cfg.issue_ns
@@ -224,7 +241,6 @@ class Namespace:
             if done > thread.now:
                 thread.now = done
         start = thread.now
-        machine = self.machine
         remote = thread.socket != self.socket
         if remote:
             start = machine.upi.read_transfer(
@@ -242,9 +258,9 @@ class Namespace:
         if rlink._gap_start:
             _, ch_end = rlink.acquire(start, occ_r)
         else:
-            # Gap list empty: tail booking only (acquire, inlined; the
-            # gap this booking may open behind itself cannot overflow
-            # the bound since the list was empty).
+            # Gap list empty: tail booking only (acquire, inlined; with
+            # at most one gap opened behind it, acquire's trim has
+            # nothing to do).
             rlink.busy_ns += occ_r
             tail = rlink._tail
             rstart = tail if tail > start else start
@@ -282,7 +298,7 @@ class Namespace:
         cache = self._caches[thread.socket]
         flush_issue_ns = self._cache_cfg.flush_issue_ns
         ns_id = self.ns_id
-        pmcheck = self.machine.pmcheck
+        pmcheck = self._machine().pmcheck
         for line in line_addresses(addr, size):
             thread.now += flush_issue_ns
             key = (ns_id, line)
@@ -302,7 +318,7 @@ class Namespace:
         thread.now += self._cache_cfg.flush_issue_ns
         dirty, ready = self._caches[thread.socket].clean_ready(
             (self.ns_id, line))
-        pmcheck = self.machine.pmcheck
+        pmcheck = self._machine().pmcheck
         if pmcheck is not None:
             pmcheck.on_flush(thread, self.ns_id, line)
         if dirty:
@@ -329,7 +345,7 @@ class Namespace:
         one frame (composing the two cost ``device-sweep`` +4 %, see
         DESIGN.md).  Checker and tracer hooks ride inline.
         """
-        machine = self.machine
+        machine = self._machine()
         ns_id = self.ns_id
         if machine.pmcheck is not None:
             machine.pmcheck.on_ntstore(thread, ns_id, line)
@@ -411,7 +427,7 @@ class Namespace:
         calls (composing them cost ``device-sweep`` +12 %, see
         DESIGN.md).  Checker and tracer hooks ride inline.
         """
-        machine = self.machine
+        machine = self._machine()
         ns_id = self.ns_id
         pmcheck = machine.pmcheck
         if pmcheck is not None:
@@ -458,8 +474,8 @@ class Namespace:
                 _, ch_end = rlink.acquire(start, occ_r)
             else:
                 # Gap list empty: tail booking only (acquire, inlined;
-                # the gap this booking may open behind itself cannot
-                # overflow the bound since the list was empty).
+                # with at most one gap opened behind it, acquire's trim
+                # has nothing to do).
                 rlink.busy_ns += occ_r
                 tail = rlink._tail
                 rstart = tail if tail > start else start
@@ -595,7 +611,7 @@ class Namespace:
         completed (a write-back cannot outrun its own RFO).
         """
         insert_lat = self._insert_clwb_ns
-        machine = self.machine
+        machine = self._machine()
         remote = thread.socket != self.socket
         lead = insert_lat
         if remote:
@@ -665,15 +681,16 @@ class Namespace:
         runs after, so a crash at persist #N leaves line N durable —
         modulo any tearing applied at power failure.
         """
-        if self.machine.faults is not None:
-            self.machine.faults.before_persist(self, line)
+        machine = self._machine()
+        if machine.faults is not None:
+            machine.faults.before_persist(self, line)
         self.data.persist_line(line)
-        if self.machine._persist_hook is not None:
-            self.machine._persist_hook()
+        if machine._persist_hook is not None:
+            machine._persist_hook()
 
     def _evict_writeback(self, line, now):
         """A natural cache eviction wrote this dirty line back."""
-        pmcheck = self.machine.pmcheck
+        pmcheck = self._machine().pmcheck
         if pmcheck is not None:
             pmcheck.on_evict(self.ns_id, line)
         channel, dimm = self._route(line)
@@ -708,21 +725,24 @@ class Namespace:
         Raises :class:`~repro.faults.model.MediaError` when the range
         hits a poisoned XPLine or a pending transient read fault.
         """
-        if self.machine.faults is not None:
-            self.machine.faults.check_read(self, addr, size, timed=True)
+        faults = self._machine().faults
+        if faults is not None:
+            faults.check_read(self, addr, size, timed=True)
         self.load(thread, addr, size)
         return self.data.read(addr, size)
 
     def read_volatile(self, addr, size):
         """Peek at the CPU-visible contents without simulated cost."""
-        if self.machine.faults is not None:
-            self.machine.faults.check_read(self, addr, size)
+        faults = self.machine.faults
+        if faults is not None:
+            faults.check_read(self, addr, size)
         return self.data.read(addr, size)
 
     def read_persistent(self, addr, size):
         """Read the post-crash (durable) contents without simulated cost."""
-        if self.machine.faults is not None:
-            self.machine.faults.check_read(self, addr, size)
+        faults = self.machine.faults
+        if faults is not None:
+            faults.check_read(self, addr, size)
         return self.data.read_persistent(addr, size)
 
     # -- counters -------------------------------------------------------------------

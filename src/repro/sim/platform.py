@@ -16,6 +16,9 @@ Namespaces are created the way ``ndctl`` would:
 what reached the ADR domain; all caches are dropped.
 """
 
+import itertools
+import weakref
+
 from repro.sim.cache import CacheModel
 from repro.sim.config import default_config
 from repro.sim.dram import DRAMDimm
@@ -62,9 +65,13 @@ class Machine:
             self.dram.append(dram_row)
         if self.tracer is not None:
             self.tracer.attach_sampler(self._sample_counters)
+        # Ownership (DESIGN.md, "Who owns whom"): the machine owns its
+        # namespaces; each namespace reaches back through a weakref.
+        # Threads own their machine, so it tracks them weakly.
         self._namespaces = {}
         self._ns_by_id = []
-        self._threads = []
+        self._threads = weakref.WeakSet()
+        self._tids = itertools.count()
         # Optional crash-injection hook (see repro.sim.crashpoints):
         # called once per line that reaches the ADR domain.
         self._persist_hook = None
@@ -115,11 +122,11 @@ class Machine:
     def thread(self, socket=0):
         """A new hardware thread pinned to ``socket``."""
         t = ThreadCtx(
-            self, tid=len(self._threads), socket=socket,
+            self, tid=next(self._tids), socket=socket,
             load_window=self.config.cache.load_window,
             store_window=self.config.wpq.per_thread_lines,
             fence_ns=self.config.cache.fence_ns)
-        self._threads.append(t)
+        self._threads.add(t)
         return t
 
     def threads(self, count, socket=0):

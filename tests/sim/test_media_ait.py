@@ -93,12 +93,15 @@ class TestAIT:
             ait.record_write(i)       # spread over 200 lines
         assert ait.thermal_stalls == 0
 
-    def test_wear_tracking(self):
-        ait = AddressIndirectionTable(AITConfig())
-        for _ in range(5):
+    def test_hot_count_restarts_at_each_thermal_stall(self):
+        cfg = AITConfig(migrate_every=10**9, thermal_every=4)
+        ait = AddressIndirectionTable(cfg)
+        counts = []
+        for _ in range(6):
             ait.record_write(3)
-        assert ait.wear_of(3) == 5
-        assert ait.wear_of(4) == 0
+            counts.append(ait.hot_of(3))
+        assert counts == [1, 2, 3, 0, 1, 2]
+        assert ait.hot_of(4) == 0
 
     def test_phase_staggers_migrations(self):
         cfg = AITConfig(migrate_every=100, migrate_jitter=64,

@@ -1,8 +1,14 @@
-"""Tests for machine assembly, namespace kinds and crash simulation."""
+"""Tests for machine assembly, namespace kinds, crash simulation and
+object lifetimes."""
+
+import gc
+import weakref
 
 import pytest
 
+from repro.lattester.bandwidth import measure_bandwidth
 from repro.sim import Machine, MachineConfig
+from repro.workloads import closed_loop, get_workload, make_service
 
 
 class TestNamespaceKinds:
@@ -108,3 +114,82 @@ class TestIntrospection:
         cfg = MachineConfig().with_overrides(sockets=1)
         assert cfg.sockets == 1
         assert MachineConfig().sockets == 2
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Run with the cyclic collector off, as perfbench's windows do:
+    whatever is freed here is freed by refcount alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("no_cyclic_gc")
+class TestLifetime:
+    def test_machine_freed_after_bandwidth_point(self):
+        m = Machine()
+        ref = weakref.ref(m)
+        measure_bandwidth("optane", "clwb", threads=4, per_thread=4096,
+                          machine=m)
+        del m
+        assert ref() is None
+
+    @pytest.mark.parametrize("substrate", ["lsm", "pmemkv", "nova", "pmdk"])
+    def test_machine_freed_after_closed_loop(self, substrate):
+        spec = get_workload("ycsb-a")
+        m = Machine()
+        ref = weakref.ref(m)
+        service = make_service(substrate, m, spec, records=32, ops=64)
+        report = closed_loop(m, service, spec, records=32, ops=64)
+        assert report["ops"] == 64
+        del m, service
+        assert ref() is None
+
+    def test_a_thread_keeps_its_machine_usable(self):
+        m = Machine()
+        ref = weakref.ref(m)
+        ns = m.namespace("optane")
+        t = m.thread()
+        del m
+        ns.pwrite(t, 0, b"kept", instr="clwb")
+        assert ns.read_persistent(0, 4) == b"kept"
+        assert ref() is t.machine
+        del t
+        assert ref() is None
+
+    def test_the_machine_keeps_its_namespaces_and_bytes(self):
+        m = Machine()
+        ns = m.namespace("optane")
+        ns_ref = weakref.ref(ns)
+        ns.pwrite(m.thread(), 128, b"bytes", instr="ntstore")
+        del ns
+        m.power_fail()
+        again = m.namespace("optane")
+        assert again is ns_ref()
+        assert again.read_persistent(128, 5) == b"bytes"
+
+    def test_tids_count_up(self):
+        m = Machine()
+        first = m.thread()
+        assert [t.tid for t in [first] + m.threads(3)] == [0, 1, 2, 3]
+        assert m.thread().tid == 4
+
+    def test_power_fail_clears_every_live_thread(self):
+        m = Machine()
+        ns = m.namespace("optane")
+        threads = m.threads(3)
+        m.thread()                   # dropped at once: not tracked
+        for i, t in enumerate(threads):
+            ns.ntstore(t, i * 64)
+        m.power_fail()
+        assert all(not t.pending_persists for t in threads)
+
+    def test_namespace_without_its_machine_says_so(self):
+        ns = Machine().namespace("optane")
+        for read in (ns.read_volatile, ns.read_persistent):
+            with pytest.raises(ReferenceError, match="outlived its machine"):
+                read(0, 8)
