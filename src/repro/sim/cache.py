@@ -18,9 +18,29 @@ order: every access that refreshes a line (a load hit, a store hit, a
 refill) moves its entry to the end of the set dict, a fill appends, and
 the victim is the first key.  Flush-side operations (``clean``,
 ``clean_ready``, ``ready_time``, ``is_dirty``) do not touch recency.
+
+A resident line costs one int and one float.  Inside the model a line
+is named by its *tag*, ``line | ns_id`` (lines are 64 B aligned, so the
+low six bits are free; :meth:`Machine._register_namespace` caps
+``ns_id`` below 64), and its set table maps the tag to the fill's ready
+time.  Dirtiness is one set of tags per cache, and every dirty tag is
+resident: whatever drops a line from its set drops it from the dirty
+set too.  The public methods take and return ``(ns_id, line)`` keys;
+:func:`pack` and :func:`unpack` convert at that boundary.
 """
 
 _HASH_MULT = 2654435761
+
+
+def pack(key):
+    """The tag of an ``(ns_id, line)`` key."""
+    ns_id, line = key
+    return line | ns_id
+
+
+def unpack(tag):
+    """The ``(ns_id, line)`` key of a tag."""
+    return tag & 63, tag & -64
 
 
 class CacheModel:
@@ -31,11 +51,12 @@ class CacheModel:
         self._ways = config.ways
         nsets = max(1, config.capacity_bytes // 64 // config.ways)
         self._nsets = nsets
-        # Sets are allocated lazily (index -> {key: [dirty, ready_ns]},
-        # least recently used first): a fresh machine per sweep point
-        # would otherwise pay for tens of thousands of empty dicts it
-        # never touches.
+        # Sets are allocated lazily (index -> {tag: ready_ns}, least
+        # recently used first): a fresh machine per sweep point would
+        # otherwise pay for tens of thousands of empty dicts it never
+        # touches.
         self._sets = {}
+        self._dirty = set()          # tags of dirty lines, all resident
         self.hits = 0
         self.misses = 0
 
@@ -54,9 +75,7 @@ class CacheModel:
         return self.probe(key)[0]
 
     def is_dirty(self, key):
-        table = self._sets.get(self._index(key))
-        entry = table.get(key) if table is not None else None
-        return bool(entry and entry[0])
+        return pack(key) in self._dirty
 
     # -- fused hot-path helpers ------------------------------------------------
     #
@@ -72,7 +91,8 @@ class CacheModel:
         Returns ``(hit, table)``; on a hit the entry's recency is
         refreshed, on a miss the table is what :meth:`fill_in` needs.
         """
-        h = ((key[1] >> 6) * _HASH_MULT + key[0] * 40503) & 0xFFFFFFFF
+        ns_id, line = key
+        h = ((line >> 6) * _HASH_MULT + ns_id * 40503) & 0xFFFFFFFF
         h ^= h >> 16                             # _index, inlined
         h = (h * 0x45D9F3B) & 0xFFFFFFFF
         sets = self._sets
@@ -80,11 +100,12 @@ class CacheModel:
         table = sets.get(index)
         if table is None:
             table = sets[index] = {}
-        entry = table.pop(key, None)
-        if entry is None:
+        tag = line | ns_id
+        ready = table.pop(tag, None)
+        if ready is None:
             self.misses += 1
             return False, table
-        table[key] = entry                       # now most recent
+        table[tag] = ready                       # now most recent
         self.hits += 1
         return True, table
 
@@ -94,28 +115,28 @@ class CacheModel:
         Returns ``(marked, table)``.  Does not touch the hit/miss
         counters, matching ``mark_dirty`` + ``fill``.
         """
-        h = ((key[1] >> 6) * _HASH_MULT + key[0] * 40503) & 0xFFFFFFFF
-        h ^= h >> 16                             # _index, inlined
-        h = (h * 0x45D9F3B) & 0xFFFFFFFF
-        sets = self._sets
-        index = (h ^ (h >> 13)) % self._nsets
-        table = sets.get(index)
-        if table is None:
-            table = sets[index] = {}
-        entry = table.pop(key, None)
-        if entry is None:
+        table = self._sets.setdefault(self._index(key), {})
+        tag = pack(key)
+        ready = table.pop(tag, None)
+        if ready is None:
             return False, table
-        entry[0] = True
-        table[key] = entry                       # now most recent
+        table[tag] = ready                       # now most recent
+        self._dirty.add(tag)
         return True, table
 
     def fill_in(self, table, key, dirty=False, ready_ns=0.0):
         """:meth:`fill` for a key already known absent from ``table``."""
         victim = None
         if len(table) >= self._ways:
-            vkey = next(iter(table))             # least recently used
-            victim = (vkey, table.pop(vkey)[0])
-        table[key] = [dirty, ready_ns]
+            vtag = next(iter(table))             # least recently used
+            del table[vtag]
+            was_dirty = vtag in self._dirty
+            self._dirty.discard(vtag)
+            victim = (unpack(vtag), was_dirty)
+        tag = pack(key)
+        table[tag] = ready_ns
+        if dirty:
+            self._dirty.add(tag)
         return victim
 
     def clean_ready(self, key):
@@ -125,15 +146,16 @@ class CacheModel:
         line is absent or already clean (callers only use it for dirty
         lines).
         """
-        h = ((key[1] >> 6) * _HASH_MULT + key[0] * 40503) & 0xFFFFFFFF
+        ns_id, line = key
+        tag = line | ns_id
+        dirty = self._dirty
+        if tag not in dirty:
+            return False, 0.0
+        dirty.remove(tag)
+        h = ((line >> 6) * _HASH_MULT + ns_id * 40503) & 0xFFFFFFFF
         h ^= h >> 16                             # _index, inlined
         h = (h * 0x45D9F3B) & 0xFFFFFFFF
-        table = self._sets.get((h ^ (h >> 13)) % self._nsets)
-        entry = table.get(key) if table is not None else None
-        if entry is None or not entry[0]:
-            return False, 0.0
-        entry[0] = False
-        return True, entry[1]
+        return True, self._sets[(h ^ (h >> 13)) % self._nsets][tag]
 
     # -- mutations ------------------------------------------------------------
 
@@ -146,21 +168,21 @@ class CacheModel:
         lines).
         """
         table = self._sets.setdefault(self._index(key), {})
-        existing = table.pop(key, None)
-        if existing is not None:
+        tag = pack(key)
+        ready = table.pop(tag, None)
+        if ready is not None:
             if dirty:
-                existing[0] = True
-            table[key] = existing                # now most recent
+                self._dirty.add(tag)
+            table[tag] = ready                   # now most recent
             return None
         return self.fill_in(table, key, dirty, ready_ns)
 
     def ready_time(self, key):
         """When the line's fill completes (0.0 if unknown/absent)."""
         table = self._sets.get(self._index(key))
-        entry = table.get(key) if table is not None else None
-        if entry is None:
+        if table is None:
             return 0.0
-        return entry[1]
+        return table.get(pack(key), 0.0)
 
     def mark_dirty(self, key):
         """Mark a (present) line dirty; returns False if not cached."""
@@ -171,25 +193,27 @@ class CacheModel:
 
         Returns True if the line was dirty (i.e. a write-back happens).
         """
-        table = self._sets.get(self._index(key))
-        entry = table.get(key) if table is not None else None
-        if entry is None or not entry[0]:
+        tag = pack(key)
+        if tag not in self._dirty:
             return False
-        entry[0] = False
+        self._dirty.remove(tag)
         return True
 
     def invalidate(self, key):
         """clflush/ntstore semantics: drop the line; True if it was dirty."""
-        h = ((key[1] >> 6) * _HASH_MULT + key[0] * 40503) & 0xFFFFFFFF
-        h ^= h >> 16                             # _index, inlined
-        h = (h * 0x45D9F3B) & 0xFFFFFFFF
-        table = self._sets.get((h ^ (h >> 13)) % self._nsets)
-        entry = table.pop(key, None) if table is not None else None
-        return bool(entry and entry[0])
+        table = self._sets.get(self._index(key))
+        tag = pack(key)
+        if table is None or table.pop(tag, None) is None:
+            return False
+        if tag not in self._dirty:
+            return False
+        self._dirty.remove(tag)
+        return True
 
     def drop_all(self):
         """Power failure: every line (dirty or not) is lost."""
         self._sets.clear()
+        self._dirty.clear()
 
     def dirty_keys(self):
         """All currently dirty lines, in no particular order.
@@ -197,12 +221,7 @@ class CacheModel:
         Used by tests and the eADR drain, which persists each line
         independently.
         """
-        out = []
-        for table in self._sets.values():
-            for key, entry in table.items():
-                if entry[0]:
-                    out.append(key)
-        return out
+        return [unpack(tag) for tag in self._dirty]
 
     def occupancy(self):
         return sum(len(table) for table in self._sets.values())

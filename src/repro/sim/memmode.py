@@ -13,6 +13,7 @@ working sets behave like DRAM, larger ones degrade toward raw Optane.
 """
 
 from repro._units import CACHELINE
+from repro.sim.cache import pack
 from repro.sim.interleave import InterleavedMapping
 from repro.sim.namespace import Namespace
 
@@ -103,7 +104,7 @@ class MemoryModeNamespace(Namespace):
         data_ready = self._dimm_access(thread, line, is_write=False)
         victim = cache.fill(key, ready_ns=data_ready)
         if victim is not None and victim[1]:
-            self._evict_writeback(victim[0], thread.now)
+            self._machine()._evict_writeback(pack(victim[0]), thread.now)
         thread.track_load(data_ready)
         thread.bytes_read += CACHELINE
         thread.record_latency(data_ready - issued)
@@ -120,7 +121,7 @@ class MemoryModeNamespace(Namespace):
         data_ready = self._dimm_access(thread, line, is_write=False)
         victim = cache.fill(key, dirty=True, ready_ns=data_ready)
         if victim is not None and victim[1]:
-            self._evict_writeback(victim[0], thread.now)
+            self._machine()._evict_writeback(pack(victim[0]), thread.now)
         thread.track_load(data_ready)
 
     def _ntstore_line(self, thread, line):
@@ -156,11 +157,7 @@ class MemoryModeNamespace(Namespace):
         ch_end = channel.transfer_writeback(now)
         return self._near[index].access(ch_end, dev_addr, is_write=True)
 
-    def _evict_writeback(self, key_or_line, now):
-        if isinstance(key_or_line, tuple):
-            _, line = key_or_line
-        else:
-            line = key_or_line
+    def _evict_writeback(self, line, now):
         self._dimm_access_at(now, line)
 
     def hit_rate(self):

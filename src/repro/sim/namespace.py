@@ -30,6 +30,8 @@ from repro.sim.imc import wpq_insert_latency
 _HASH_MULT = 2654435761
 _HASH_MIX = 0x45D9F3B
 
+_UNALIGNED_RUN = "run address %#x is not cache-line aligned"
+
 
 class Namespace:
     """One /dev/pmem-style device, byte-addressable by simulated threads."""
@@ -89,10 +91,6 @@ class Namespace:
                 "one of its threads) alive while using it" % (self.name,))
         return machine
 
-    def _route(self, line_addr):
-        index, dev_addr = self._mapping.locate(line_addr)
-        return self._devices[index]
-
     def _remote(self, thread):
         return thread.socket != self.socket
 
@@ -120,7 +118,7 @@ class Namespace:
         issued = thread.now
         cache = self._caches[thread.socket]
         ns_id = self.ns_id
-        key = (ns_id, line)
+        tag = line | ns_id                       # cache.pack, inlined
         h = ((line >> 6) * _HASH_MULT + ns_id * 40503) & 0xFFFFFFFF
         h ^= h >> 16                             # cache.probe, inlined
         h = (h * _HASH_MIX) & 0xFFFFFFFF
@@ -129,9 +127,9 @@ class Namespace:
         table = sets.get(index)
         if table is None:
             table = sets[index] = {}
-        entry = table.pop(key, None)
-        if entry is not None:
-            table[key] = entry                   # now most recent
+        ready = table.pop(tag, None)
+        if ready is not None:
+            table[tag] = ready                   # now most recent
             cache.hits += 1
             completion = thread.now + cfg.hit_ns
             thread.now = completion
@@ -179,12 +177,15 @@ class Namespace:
         if remote:
             data_ready += machine.upi.read_extra_ns
         if len(table) >= cache._ways:
-            victim = cache.fill_in(table, key, ready_ns=data_ready)
-            if victim is not None and victim[1]:
-                machine._evict_writeback(victim[0], thread.now)
+            vtag = next(iter(table))             # fill_in, inlined: evict
+            del table[vtag]                      # the least recently used
+            table[tag] = data_ready
+            dirty = cache._dirty
+            if vtag in dirty:
+                dirty.remove(vtag)
+                machine._evict_writeback(vtag, thread.now)
         else:
-            # fill_in sans victim, inlined
-            table[key] = [False, data_ready]
+            table[tag] = data_ready
         loads.append(data_ready)                 # track_load, inlined
         thread.bytes_read += CACHELINE
         if thread.latencies is not None:
@@ -195,10 +196,6 @@ class Namespace:
                 track="t%d" % thread.tid,
                 args={"line": line, "ns": self.name, "remote": remote})
         return data_ready
-
-    def _dev_addr(self, line):
-        _, dev_addr = self._mapping.locate(line)
-        return dev_addr
 
     # -- temporal stores --------------------------------------------------------
 
@@ -220,7 +217,7 @@ class Namespace:
         thread.now += self._cache_cfg.issue_ns
         cache = self._caches[thread.socket]
         ns_id = self.ns_id
-        key = (ns_id, line)
+        tag = line | ns_id                       # cache.pack, inlined
         h = ((line >> 6) * _HASH_MULT + ns_id * 40503) & 0xFFFFFFFF
         h ^= h >> 16                        # cache.store_probe, inlined
         h = (h * _HASH_MIX) & 0xFFFFFFFF
@@ -229,10 +226,10 @@ class Namespace:
         table = sets.get(index)
         if table is None:
             table = sets[index] = {}
-        entry = table.pop(key, None)
-        if entry is not None:
-            entry[0] = True
-            table[key] = entry                   # now most recent
+        ready = table.pop(tag, None)
+        if ready is not None:
+            table[tag] = ready                   # now most recent
+            cache._dirty.add(tag)
             return
         # Write-allocate: fetch the line before modifying it (RFO).
         loads = thread._loads
@@ -272,14 +269,18 @@ class Namespace:
         data_ready = dimm.read(ch_end, dev_addr)
         if remote:
             data_ready += machine.upi.read_extra_ns
+        dirty = cache._dirty
         if len(table) >= cache._ways:
-            victim = cache.fill_in(table, key, dirty=True,
-                                   ready_ns=data_ready)
-            if victim is not None and victim[1]:
-                machine._evict_writeback(victim[0], thread.now)
+            vtag = next(iter(table))             # fill_in, inlined: evict
+            del table[vtag]                      # the least recently used
+            table[tag] = data_ready
+            dirty.add(tag)
+            if vtag in dirty:
+                dirty.remove(vtag)
+                machine._evict_writeback(vtag, thread.now)
         else:
-            # fill_in sans victim, inlined
-            table[key] = [True, data_ready]
+            table[tag] = data_ready
+            dirty.add(tag)
         loads.append(data_ready)                 # track_load, inlined
 
     # -- flushes ----------------------------------------------------------------
@@ -296,17 +297,26 @@ class Namespace:
     def clflushopt(self, thread, addr, size=CACHELINE):
         """Write back and evict every line of the range (non-blocking)."""
         cache = self._caches[thread.socket]
+        sets = cache._sets
+        dirty = cache._dirty
         flush_issue_ns = self._cache_cfg.flush_issue_ns
         ns_id = self.ns_id
         pmcheck = self._machine().pmcheck
         for line in line_addresses(addr, size):
             thread.now += flush_issue_ns
-            key = (ns_id, line)
-            ready = cache.ready_time(key)
-            dirty = cache.invalidate(key)
+            tag = line | ns_id
+            h = ((line >> 6) * _HASH_MULT + ns_id * 40503) & 0xFFFFFFFF
+            h ^= h >> 16                         # cache.invalidate,
+            h = (h * _HASH_MIX) & 0xFFFFFFFF     # inlined, keeping the
+            table = sets.get(                    # popped ready time
+                (h ^ (h >> 13)) % cache._nsets)
+            ready = table.pop(tag, None) if table is not None else None
+            was_dirty = tag in dirty             # dirty tags are resident
+            if was_dirty:
+                dirty.remove(tag)
             if pmcheck is not None:
                 pmcheck.on_flush(thread, ns_id, line)
-            if dirty:
+            if was_dirty:
                 self._send_store(thread, line, ready)
 
     # clflush has the same simulated cost; its serialization is modelled
@@ -351,13 +361,14 @@ class Namespace:
             machine.pmcheck.on_ntstore(thread, ns_id, line)
         thread.now += self._cache_cfg.issue_ns
         cache = self._caches[thread.socket]
+        tag = line | ns_id                       # cache.pack, inlined
         h = ((line >> 6) * _HASH_MULT + ns_id * 40503) & 0xFFFFFFFF
         h ^= h >> 16                             # cache.invalidate,
-        h = (h * _HASH_MIX) & 0xFFFFFFFF         # inlined (the dirty
-        table = cache._sets.get(                 # flag is unused here)
+        h = (h * _HASH_MIX) & 0xFFFFFFFF         # inlined (its result
+        table = cache._sets.get(                 # is unused here)
             (h ^ (h >> 13)) % cache._nsets)
-        if table is not None:
-            table.pop((ns_id, line), None)
+        if table is not None and table.pop(tag, None) is not None:
+            cache._dirty.discard(tag)
         insert_lat = self._insert_nt_ns
         remote = thread.socket != self.socket
         lead = insert_lat
@@ -435,7 +446,7 @@ class Namespace:
         cfg = self._cache_cfg
         thread.now += cfg.issue_ns
         cache = self._caches[thread.socket]
-        key = (ns_id, line)
+        tag = line | ns_id                       # cache.pack, inlined
         h = ((line >> 6) * _HASH_MULT + ns_id * 40503) & 0xFFFFFFFF
         h ^= h >> 16                             # CacheModel._index
         h = (h * _HASH_MIX) & 0xFFFFFFFF
@@ -454,10 +465,10 @@ class Namespace:
         else:
             rlink, wlink, ccfg, dimm = only
             dev_addr = line
-        entry = table.pop(key, None)             # store_probe, inlined
-        if entry is not None:
-            entry[0] = True
-            table[key] = entry                   # now most recent
+        ready = table.pop(tag, None)             # store_probe, inlined
+        if ready is not None:
+            table[tag] = ready                   # now most recent
+            cache._dirty.discard(tag)            # stored, then cleaned
         else:
             # Write-allocate: fetch the line before modifying it (RFO).
             loads = thread._loads
@@ -484,23 +495,28 @@ class Namespace:
                     rlink._gap_end.append(rstart)
                 ch_end = rstart + occ_r
                 rlink._tail = ch_end
-            data_ready = dimm.read(ch_end, dev_addr)
+            ready = dimm.read(ch_end, dev_addr)
             if remote:
-                data_ready += machine.upi.read_extra_ns
+                ready += machine.upi.read_extra_ns
             if len(table) >= cache._ways:
-                victim = cache.fill_in(table, key, dirty=True,
-                                       ready_ns=data_ready)
-                if victim is not None and victim[1]:
-                    machine._evict_writeback(victim[0], thread.now)
-                entry = table[key]
+                vtag = next(iter(table))         # fill_in, inlined: evict
+                del table[vtag]                  # the least recently used
+                table[tag] = ready
+                dirty = cache._dirty
+                if vtag in dirty:
+                    # The line is dirty while its victim is written
+                    # back (a crash there sees it so); the clwb below
+                    # cleans it.  Without a write-back it never enters
+                    # the dirty set.
+                    dirty.remove(vtag)
+                    dirty.add(tag)
+                    machine._evict_writeback(vtag, thread.now)
+                    dirty.discard(tag)
             else:
-                # fill_in sans victim, inlined
-                entry = table[key] = [True, data_ready]
-            loads.append(data_ready)
-        # -- clwb of the line just stored (always present and dirty) --
+                table[tag] = ready
+            loads.append(ready)
+        # -- clwb of the line just stored (always present, now clean) --
         thread.now += cfg.flush_issue_ns
-        entry[0] = False                         # clean_ready, inlined
-        ready = entry[1]
         if pmcheck is not None:
             pmcheck.on_flush(thread, ns_id, line)
         insert_lat = self._insert_clwb_ns        # _send_store, inlined
@@ -565,10 +581,13 @@ class Namespace:
     # (argument parsing, `line_addresses` ranges, method dispatch) is
     # amortized.  ``addr`` must be cache-line aligned — unaligned run
     # batching would straddle an extra line and is not
-    # semantics-preserving (see README).
+    # semantics-preserving (see README), and the cache packs ns_id into
+    # a line's low six bits — so an unaligned run raises.
 
     def load_run(self, thread, addr, n_lines):
         """Load ``n_lines`` consecutive lines; returns last completion."""
+        if addr % CACHELINE:
+            raise ValueError(_UNALIGNED_RUN % addr)
         load_line = self._load_line
         completion = thread.now
         for _ in range(n_lines):
@@ -583,6 +602,8 @@ class Namespace:
         store, matching the ``store; clwb`` instruction pairing of the
         flush microbenchmarks.
         """
+        if addr % CACHELINE:
+            raise ValueError(_UNALIGNED_RUN % addr)
         if not clwb:
             store_line = self._store_line
             for _ in range(n_lines):
@@ -596,6 +617,8 @@ class Namespace:
 
     def ntstore_run(self, thread, addr, n_lines):
         """Issue ``n_lines`` consecutive non-temporal stores."""
+        if addr % CACHELINE:
+            raise ValueError(_UNALIGNED_RUN % addr)
         nt_line = self._ntstore_line
         for _ in range(n_lines):
             nt_line(thread, addr)
@@ -693,9 +716,17 @@ class Namespace:
         pmcheck = self._machine().pmcheck
         if pmcheck is not None:
             pmcheck.on_evict(self.ns_id, line)
-        channel, dimm = self._route(line)
-        ch_end = channel.transfer_writeback(now)
-        dimm.ingest_write(ch_end, self._dev_addr(line))
+        only = self._only_dev
+        if only is None:
+            block, offset = divmod(line, self._block_bytes)
+            sub, index = divmod(block, self._ndimms)
+            _, wlink, ccfg, dimm = self._dev[index]
+            dev_addr = sub * self._block_bytes + offset
+        else:
+            _, wlink, ccfg, dimm = only
+            dev_addr = line
+        _, ch_end = wlink.acquire(now, ccfg.writeback_occ_ns)
+        dimm.ingest_write(ch_end, dev_addr)
         self._persist_line(line)
 
     # -- data-carrying convenience API (used by the app substrates) -----------------

@@ -19,7 +19,8 @@ what reached the ADR domain; all caches are dropped.
 import itertools
 import weakref
 
-from repro.sim.cache import CacheModel
+from repro._units import CACHELINE
+from repro.sim.cache import CacheModel, unpack
 from repro.sim.config import default_config
 from repro.sim.dram import DRAMDimm
 from repro.sim.engine import ThreadCtx
@@ -86,6 +87,10 @@ class Machine:
     # -- namespace management ------------------------------------------------
 
     def _register_namespace(self, namespace):
+        # The cache packs ns_id into a line's six free low bits.
+        if len(self._ns_by_id) >= CACHELINE:
+            raise ValueError("a machine holds at most %d namespaces"
+                             % CACHELINE)
         self._ns_by_id.append(namespace)
         return len(self._ns_by_id) - 1
 
@@ -166,9 +171,9 @@ class Machine:
         for t in self._threads:
             t.pending_persists.clear()
 
-    def _evict_writeback(self, key, now):
+    def _evict_writeback(self, tag, now):
         """Route a dirty natural cache eviction to its owning namespace."""
-        ns_id, line = key
+        ns_id, line = unpack(tag)
         self._ns_by_id[ns_id]._evict_writeback(line, now)
 
     # -- introspection --------------------------------------------------------------

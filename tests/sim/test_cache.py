@@ -1,11 +1,16 @@
 """Unit tests for the CPU cache model."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cache import CacheModel
-from repro.sim.config import CacheConfig
+from repro._units import CACHELINE, MIB
+from repro.sim import Machine
+from repro.sim.cache import CacheModel, pack, unpack
+from repro.sim.config import CacheConfig, default_config
 
 
 def make_cache(capacity_lines=64, ways=4):
@@ -277,3 +282,80 @@ def test_set_order_lru_is_the_stamp_lru(trace):
         assert (new.hits, new.misses) == (ref.hits, ref.misses)
         assert new.occupancy() == ref.occupancy()
         assert sorted(new.dirty_keys()) == sorted(ref.dirty_keys())
+        assert_representation(new)
+
+
+def assert_representation(cache):
+    """Each tag sits in the set its key hashes to, and is dirty only
+    while resident."""
+    resident = set()
+    for index, table in cache._sets.items():
+        assert len(table) <= cache._ways
+        for tag, ready in table.items():
+            assert cache._index(unpack(tag)) == index
+            assert type(ready) is float
+        resident.update(table)
+    assert cache._dirty <= resident
+
+
+@pytest.mark.parametrize("key", ((0, 0), (1, 64), (63, 1 << 40)))
+def test_pack_round_trips(key):
+    assert unpack(pack(key)) == key
+
+
+def test_namespace_bodies_keep_the_representation():
+    # The per-line bodies in namespace.py edit the set tables and the
+    # dirty set directly; a seeded mix over 4x a 16 KiB cache, two
+    # namespaces sharing it.
+    machine = Machine(default_config().with_overrides(
+        cache=CacheConfig(capacity_bytes=16 * 1024)))
+    spaces = [machine.namespace("optane"), machine.namespace("optane-ni")]
+    thread = machine.thread()
+    cache = machine.caches[0]
+    rng = random.Random(7)
+    for _ in range(3000):
+        ns = rng.choice(spaces)
+        line = rng.randrange(1024) * CACHELINE
+        op = rng.randrange(6)
+        if op == 0:
+            ns.load(thread, line)
+        elif op == 1:
+            ns.store(thread, line)
+        elif op == 2:
+            ns.store_run(thread, line, 2, clwb=True)
+            assert not cache.is_dirty((ns.ns_id, line))
+        elif op == 3:
+            ns.ntstore(thread, line)
+            assert not cache.is_dirty((ns.ns_id, line))
+        elif op == 4:
+            ns.clwb(thread, line, 128)
+            assert not cache.is_dirty((ns.ns_id, line))
+        else:
+            ns.clflushopt(thread, line, 128)
+            assert not cache.lookup((ns.ns_id, line))
+        assert_representation(cache)
+    assert cache.dirty_keys()
+
+
+def test_resident_line_footprint():
+    # A resident line is one int tag and one float ready time in its
+    # set dict: ~138 B of host memory here, where a (ns_id, line) key
+    # and a [dirty, ready] list cost ~265 B.  Loading twice the LLC
+    # fills every way, so the delta is the full cache plus what the
+    # device models keep per load.
+    capacity = 1 * MIB
+    machine = Machine(default_config().with_overrides(
+        cache=CacheConfig(capacity_bytes=capacity)))
+    ns = machine.namespace("optane")
+    thread = machine.thread()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for addr in range(0, 2 * capacity, CACHELINE):
+            ns.load(thread, addr)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    resident = machine.caches[0].occupancy()
+    assert resident == capacity // CACHELINE
+    assert grown / resident < 200

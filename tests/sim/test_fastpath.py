@@ -31,6 +31,7 @@ from repro.lattester.bandwidth import (
 )
 from repro.pmcheck import PmCheck
 from repro.sim import Machine, run_workloads
+from repro.sim.cache import unpack
 from repro.sim.config import CacheConfig, default_config
 from repro.sim.engine import Scheduler, ThreadCtx
 from repro.sim.namespace import Namespace
@@ -325,9 +326,9 @@ def run_over_capacity():
     victims = []
     evict = machine._evict_writeback
 
-    def spy(key, now):
-        victims.append(key[1])
-        evict(key, now)
+    def spy(tag, now):
+        victims.append(unpack(tag)[1])
+        evict(tag, now)
 
     machine._evict_writeback = spy
     rng = random.Random(1313)

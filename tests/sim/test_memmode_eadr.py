@@ -2,6 +2,7 @@
 
 from repro._units import CACHELINE, KIB, MIB
 from repro.sim import Machine, MachineConfig, make_memory_mode_namespace
+from repro.sim.config import CacheConfig, default_config
 
 
 def tiny_near_cache(per_dimm=64 * KIB):
@@ -79,6 +80,20 @@ class TestMemoryMode:
         ns.load(t, collide)
         assert sum(c.writebacks for c in ns._near) >= 1
         assert xp.counters.imc_write_bytes > before
+
+    def test_victims_of_other_namespaces_go_home(self):
+        # The LLC is shared: a Memory Mode fill that evicts an App
+        # Direct line must persist it in its own namespace.
+        m = Machine(default_config().with_overrides(
+            cache=CacheConfig(capacity_bytes=16 * KIB)))
+        optane = m.namespace("optane")
+        ns = make_memory_mode_namespace(m)
+        t = m.thread()
+        optane.store(t, 0, 16 * KIB, data=b"d" * (16 * KIB))
+        ns.load(t, 0, 64 * KIB)
+        assert not any(k[0] == optane.ns_id
+                       for k in m.caches[0].dirty_keys())
+        assert not optane.data._undo         # every evicted line durable
 
     def test_warm_stores_land_in_dram(self):
         def rewrite_cost(ns, machine):

@@ -1,5 +1,7 @@
 """Integration tests: namespace memory operations and persistence."""
 
+import pytest
+
 from repro._units import CACHELINE, KIB
 from repro.sim import Machine
 
@@ -29,6 +31,15 @@ class TestLoads:
         t.collect_latencies()
         ns.load(t, 0, 256)
         assert len(t.latencies) == 4
+
+    def test_unaligned_runs_raise(self):
+        # The cache names a line by line | ns_id, so a run must start
+        # on a line boundary.
+        m, ns, t = fresh()
+        for run in (ns.load_run, ns.store_run, ns.ntstore_run):
+            with pytest.raises(ValueError):
+                run(t, 8, 2)
+        assert m.caches[0].occupancy() == 0
 
     def test_pread_returns_written_data(self):
         m, ns, t = fresh()

@@ -52,6 +52,13 @@ class TestNamespaceKinds:
         with pytest.raises(ValueError):
             self.m.namespace("optane-weird")
 
+    def test_ns_ids_fit_the_cache_tag(self):
+        # The cache packs ns_id into the six free low bits of a line.
+        while len(self.m.namespaces()) < 64:
+            self.m._register_namespace(None)
+        with pytest.raises(ValueError):
+            self.m._register_namespace(None)
+
 
 class TestThreads:
     def test_thread_socket_pinning(self):
