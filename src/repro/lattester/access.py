@@ -5,14 +5,13 @@ stream of memory accesses, yielding to the scheduler after every 64 B
 beat so that cross-thread interleaving at the iMC and DIMM is modelled
 at the same granularity as the hardware's.
 
-``yield_every`` batches that: a kernel may process N cache lines per
-scheduler interaction through the namespace run entry points
-(``load_run`` / ``store_run`` / ``ntstore_run``), which book exactly
-the same per-line events in the same order — only the generator/heap
-overhead is amortized.  Batching is therefore byte-identical for a
-single thread; multi-thread runs must keep ``yield_every=1`` so the
-scheduler can interleave beats (``auto_yield_every`` encodes that
-rule).
+``yield_every`` batches that: every kernel runs one loop that calls
+the namespace's per-line bodies (``_load_line``, ``_ntstore_line``,
+``_store_line``, ``_store_clwb_line``, ``_clwb_line``) and yields after
+every N lines, so only the generator/heap overhead is amortized.
+Batching is therefore byte-identical for a single thread; multi-thread
+runs must keep ``yield_every=1`` so the scheduler can interleave beats
+(``auto_yield_every`` encodes that rule).
 
 Thread placement matters on this platform: ``staggered_base`` hands
 each thread a stripe-aligned private region whose first block lands on
@@ -104,64 +103,48 @@ def stream_signature(base, span, access, pattern, seed=0, stride=None):
     return (pattern, base, span, access, seed, stride)
 
 
-def _run_stream(addrs, access, yield_every):
-    """Chunk an address stream into contiguous ``(start, n_lines)`` runs.
+def _issue(thread, addrs, access, line_op, yield_every, fence_every=None,
+           delay_ns=0.0, clwb_line=None, fence_at_end=False):
+    """The one kernel loop: ``line_op`` on every line of every access.
 
-    Large accesses are split into runs of at most ``yield_every``
-    lines; *contiguous* consecutive accesses (a sequential stream of
-    small accesses) are merged up to the same cap.  Line order is
-    exactly the order the per-line loops would issue, so the run
-    boundaries are free to move.
+    After each line an sfence is issued once ``fence_every`` bytes have
+    gone out since the last one; after each access ``clwb_line`` (if
+    given) writes its lines back and the thread idles ``delay_ns``.
+    Control returns to the scheduler after every ``yield_every`` lines,
+    clwbs included.
     """
-    per_access = len(range(0, access, CACHELINE))
-    run_start = 0
-    run_lines = 0
+    offsets = range(0, access, CACHELINE)
+    since_fence = 0
+    pending = 0
     for addr in addrs:
-        if run_lines and addr == run_start + run_lines * CACHELINE:
-            run_lines += per_access
-        else:
-            if run_lines:
-                yield run_start, run_lines
-            run_start = addr
-            run_lines = per_access
-        while run_lines >= yield_every:
-            yield run_start, yield_every
-            run_start += yield_every * CACHELINE
-            run_lines -= yield_every
-    if run_lines:
-        yield run_start, run_lines
+        for off in offsets:
+            line_op(thread, addr + off)
+            if fence_every:
+                since_fence += CACHELINE
+                if since_fence >= fence_every:
+                    thread.sfence()
+                    since_fence = 0
+            pending += 1
+            if pending == yield_every:
+                pending = 0
+                yield
+        if clwb_line is not None:
+            for off in offsets:
+                clwb_line(thread, addr + off)
+                pending += 1
+                if pending == yield_every:
+                    pending = 0
+                    yield
+        if delay_ns:
+            thread.sleep(delay_ns)
+    if fence_at_end:
+        thread.sfence()
 
 
 def read_kernel(ns, thread, addrs, access, delay_ns=0.0, yield_every=1):
     """Issue loads; yields after every ``yield_every`` cache lines."""
-    if yield_every > 1:
-        load_run = ns.load_run
-        if not delay_ns:
-            for start, lines in _run_stream(addrs, access, yield_every):
-                load_run(thread, start, lines)
-                yield
-            return
-        for addr in addrs:
-            for start, lines in _run_stream((addr,), access, yield_every):
-                load_run(thread, start, lines)
-                yield
-            thread.sleep(delay_ns)
-        return
-    load_line = ns._load_line                # aligned single-line loads
-    if not delay_ns:
-        # No per-access bookkeeping: issue the precomputed line list in
-        # one flat loop (same lines, same order, one yield per line).
-        for line in [a + off for a in addrs
-                     for off in range(0, access, CACHELINE)]:
-            load_line(thread, line)
-            yield
-        return
-    for addr in addrs:
-        for off in range(0, access, CACHELINE):
-            load_line(thread, addr + off)
-            yield
-        if delay_ns:
-            thread.sleep(delay_ns)
+    return _issue(thread, addrs, access, ns._load_line, yield_every,
+                  delay_ns=delay_ns)
 
 
 def ntstore_kernel(ns, thread, addrs, access, fence_every=None,
@@ -169,56 +152,10 @@ def ntstore_kernel(ns, thread, addrs, access, fence_every=None,
     """Issue non-temporal stores; yields after every ``yield_every`` lines.
 
     ``fence_every`` inserts an sfence after that many bytes (None means
-    one fence at the very end, as a bandwidth benchmark would).  Runs
-    are split at fence boundaries so the fence lands between the same
-    two lines as in the per-line loop.
+    one fence at the very end, as a bandwidth benchmark would).
     """
-    if yield_every > 1:
-        ntstore_run = ns.ntstore_run
-        since_fence = 0
-        groups = [addrs] if not delay_ns else ((a,) for a in addrs)
-        for group in groups:
-            for start, lines in _run_stream(group, access, yield_every):
-                while lines:
-                    run = lines
-                    if fence_every:
-                        until = -(-(fence_every - since_fence) // CACHELINE)
-                        if run > until:
-                            run = until
-                    ntstore_run(thread, start, run)
-                    start += run * CACHELINE
-                    lines -= run
-                    since_fence += run * CACHELINE
-                    if fence_every and since_fence >= fence_every:
-                        thread.sfence()
-                        since_fence = 0
-                yield
-            if delay_ns:
-                thread.sleep(delay_ns)
-        thread.sfence()
-        return
-    nt_line = ns._ntstore_line               # aligned single-line stores
-    if not fence_every and not delay_ns:
-        # Flat variant of the loop below for the common bandwidth shape
-        # (one fence at the very end): identical line order and yields.
-        for line in [a + off for a in addrs
-                     for off in range(0, access, CACHELINE)]:
-            nt_line(thread, line)
-            yield
-        thread.sfence()
-        return
-    since_fence = 0
-    for addr in addrs:
-        for off in range(0, access, CACHELINE):
-            nt_line(thread, addr + off)
-            since_fence += CACHELINE
-            if fence_every and since_fence >= fence_every:
-                thread.sfence()
-                since_fence = 0
-            yield
-        if delay_ns:
-            thread.sleep(delay_ns)
-    thread.sfence()
+    return _issue(thread, addrs, access, ns._ntstore_line, yield_every,
+                  fence_every, delay_ns, fence_at_end=True)
 
 
 def store_clwb_kernel(ns, thread, addrs, access, flush=True,
@@ -231,73 +168,14 @@ def store_clwb_kernel(ns, thread, addrs, access, flush=True,
     the whole access instead of after each line (Figure 14's
     ``clwb(write size)`` variant).
     """
-    if yield_every > 1:
-        store_run = ns.store_run
-        per_line_clwb = flush and not flush_at_end
-        since_fence = 0
-        per_access = flush_at_end or bool(delay_ns)
-        groups = [addrs] if not per_access else ((a,) for a in addrs)
-        for group in groups:
-            for start, lines in _run_stream(group, access, yield_every):
-                while lines:
-                    run = lines
-                    if fence_every:
-                        until = -(-(fence_every - since_fence) // CACHELINE)
-                        if run > until:
-                            run = until
-                    store_run(thread, start, run, clwb=per_line_clwb)
-                    start += run * CACHELINE
-                    lines -= run
-                    since_fence += run * CACHELINE
-                    if fence_every and since_fence >= fence_every:
-                        thread.sfence()
-                        since_fence = 0
-                yield
-            if flush and flush_at_end:
-                for start, lines in _run_stream(group, access, yield_every):
-                    ns.clwb(thread, start, lines * CACHELINE)
-                    yield
-            if delay_ns:
-                thread.sleep(delay_ns)
-        if flush:
-            thread.sfence()
-        return
-    store_line = ns._store_line              # aligned single-line stores
-    clwb_line = ns._clwb_line
-    store_clwb = ns._store_clwb_line
-    per_line_clwb = flush and not flush_at_end
-    if not fence_every and not delay_ns and not (flush and flush_at_end):
-        # Flat variant for the common bandwidth shapes (store+clwb per
-        # line, or store-only): identical line order and yields.
-        line_op = store_clwb if per_line_clwb else store_line
-        for line in [a + off for a in addrs
-                     for off in range(0, access, CACHELINE)]:
-            line_op(thread, line)
-            yield
-        if flush:
-            thread.sfence()
-        return
-    since_fence = 0
-    for addr in addrs:
-        for off in range(0, access, CACHELINE):
-            line = addr + off
-            if per_line_clwb:
-                store_clwb(thread, line)
-            else:
-                store_line(thread, line)
-            since_fence += CACHELINE
-            if fence_every and since_fence >= fence_every:
-                thread.sfence()
-                since_fence = 0
-            yield
-        if flush and flush_at_end:
-            for off in range(0, access, CACHELINE):
-                clwb_line(thread, addr + off)
-                yield
-        if delay_ns:
-            thread.sleep(delay_ns)
-    if flush:
-        thread.sfence()
+    if not flush:
+        line_op, clwb_line = ns._store_line, None
+    elif flush_at_end:
+        line_op, clwb_line = ns._store_line, ns._clwb_line
+    else:
+        line_op, clwb_line = ns._store_clwb_line, None
+    return _issue(thread, addrs, access, line_op, yield_every,
+                  fence_every, delay_ns, clwb_line, fence_at_end=flush)
 
 
 def make_kernel(op, ns, thread, addrs, access, **kwargs):

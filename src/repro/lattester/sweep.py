@@ -17,7 +17,6 @@ exactly as before the harness existed.
 import csv
 
 from repro._units import KIB
-from repro.lattester.bandwidth import measure_bandwidth
 
 CSV_FIELDS = ("kind", "op", "pattern", "access", "threads",
               "gbps", "ewr", "elapsed_ns")
@@ -85,22 +84,14 @@ def _outcome_record(outcome):
 
 
 def _sweep_serial(grid, per_thread, progress):
+    from repro.harness.runner import _sweep_point, expand_grid
     records = []
-    for params in _expand(grid):
-        result = measure_bandwidth(per_thread=per_thread, **params)
-        record = dict(params)
-        record["gbps"] = result.gbps
-        record["ewr"] = result.ewr
-        record["elapsed_ns"] = result.elapsed_ns
+    for params in expand_grid(grid):
+        record = _sweep_point(dict(params, per_thread=per_thread))
         records.append(record)
         if progress is not None:
             progress(record)
     return records
-
-
-def _expand(grid):
-    from repro.harness.runner import expand_grid
-    return expand_grid(grid)
 
 
 def filter_records(records, **criteria):

@@ -26,8 +26,7 @@ from repro.sim.crashpoints import (
     exhaustive_crash_test,
 )
 from repro.sim.engine import (
-    BackfillResource, DirectionalLink, Resource, Scheduler, ThreadCtx,
-    run_workloads,
+    BackfillResource, DirectionalLink, Resource, ThreadCtx, run_workloads,
 )
 from repro.sim.memmode import (
     MemoryModeNamespace, NearMemoryCache, make_memory_mode_namespace,
@@ -41,7 +40,7 @@ __all__ = [
     "SimulatedPowerFailure", "count_persists", "exhaustive_crash_test",
     "DRAMConfig", "DirectionalLink", "InterleaveConfig", "Machine",
     "MachineConfig", "MediaConfig", "MemoryModeNamespace", "NUMAConfig",
-    "Namespace", "NearMemoryCache", "Resource", "Scheduler", "ThreadCtx",
+    "Namespace", "NearMemoryCache", "Resource", "ThreadCtx",
     "WPQConfig", "XPBufferConfig", "aggregate", "default_config",
     "effective_write_ratio", "is_ewr_defined",
     "make_memory_mode_namespace", "run_workloads", "write_amplification",

@@ -3,9 +3,9 @@
 The simulator does not use wall-clock time at all.  Every simulated
 thread owns a clock (in nanoseconds); shared hardware structures are
 modelled as :class:`Resource` server pools whose acquisition advances
-those clocks.  Multi-threaded workloads are generators driven by a
-:class:`Scheduler` that always steps the thread with the smallest
-clock, which makes contention results deterministic and independent of
+those clocks.  Multi-threaded workloads are generators driven by
+:func:`run_workloads`, which always steps the thread with the smallest
+clock; that makes contention results deterministic and independent of
 host machine speed.
 """
 
@@ -77,11 +77,10 @@ class BackfillResource:
     into the earliest gap it fits, like a real pipelined link
     interleaving flits from many agents.
 
-    ``max_gaps`` is enforced only when a tail booking opens a gap (the
-    oldest gap is dropped).  A booking that lands inside a gap can
-    split it in two, and nothing trims the list then, so it grows past
-    ``max_gaps``: after a long open-loop read run a channel's read link
-    holds hundreds of gaps.
+    The list holds at most ``max_gaps`` gaps: whenever a booking grows
+    it past that, by opening a gap behind a tail booking or by
+    splitting a gap in two, the oldest gap is dropped and can no longer
+    be backfilled.
     """
 
     __slots__ = ("name", "_gap_start", "_gap_end", "_tail", "busy_ns",
@@ -104,43 +103,43 @@ class BackfillResource:
         self.busy_ns += occupancy
         starts = self._gap_start
         ends = self._gap_end
-        if starts:
-            # A gap [gs, ge) fits iff max(gs, now) + occupancy <= ge,
-            # i.e. min(ge - gs, ge - now) >= occupancy — impossible when
-            # ge < now + occupancy.  Gaps are disjoint and sorted, so
-            # their ends are increasing and every gap before this bisect
-            # point is infeasible: skipping them preserves first-fit
-            # placement exactly.
-            i = bisect_left(ends, now + occupancy)
-            n = len(starts)
-            while i < n:
-                gs = starts[i]
-                ge = ends[i]
-                start = gs if gs > now else now
-                end = start + occupancy
-                if end <= ge:
-                    keep_s = []
-                    keep_e = []
-                    if start - gs > 1e-9:
-                        keep_s.append(gs)
-                        keep_e.append(start)
-                    if ge - end > 1e-9:
-                        keep_s.append(end)
-                        keep_e.append(ge)
-                    starts[i:i + 1] = keep_s
-                    ends[i:i + 1] = keep_e
-                    return start, end
-                i += 1
-        tail = self._tail
-        start = tail if tail > now else now
-        if start - tail > 1e-9:
-            starts.append(tail)
-            ends.append(start)
-            if len(starts) > self.max_gaps:
-                del starts[0]
-                del ends[0]
-        end = start + occupancy
-        self._tail = end
+        # A gap [gs, ge) fits iff max(gs, now) + occupancy <= ge, i.e.
+        # min(ge - gs, ge - now) >= occupancy — impossible when
+        # ge < now + occupancy.  Gaps are disjoint and sorted, so their
+        # ends are increasing and every gap before this bisect point is
+        # infeasible: skipping them preserves first-fit placement
+        # exactly.
+        i = bisect_left(ends, now + occupancy)
+        n = len(starts)
+        while i < n:
+            gs = starts[i]
+            ge = ends[i]
+            start = gs if gs > now else now
+            end = start + occupancy
+            if end <= ge:
+                keep_s = []
+                keep_e = []
+                if start - gs > 1e-9:
+                    keep_s.append(gs)
+                    keep_e.append(start)
+                if ge - end > 1e-9:
+                    keep_s.append(end)
+                    keep_e.append(ge)
+                starts[i:i + 1] = keep_s
+                ends[i:i + 1] = keep_e
+                break
+            i += 1
+        else:
+            tail = self._tail
+            start = tail if tail > now else now
+            if start - tail > 1e-9:
+                starts.append(tail)
+                ends.append(start)
+            end = start + occupancy
+            self._tail = end
+        if len(starts) > self.max_gaps:
+            del starts[0]
+            del ends[0]
         return start, end
 
     def next_free_at(self):
@@ -364,119 +363,65 @@ class ThreadCtx:
         return self.now
 
 
-class Scheduler:
-    """Interleaves generator-based workloads in virtual-time order.
+def run_workloads(pairs):
+    """Interleave generator workloads in virtual-time order.
 
-    Each workload is a generator that performs simulated memory
-    operations on its thread context and ``yield``s at interleaving
-    points (typically once per operation or small batch).  The
-    scheduler repeatedly resumes the generator whose thread clock is
-    smallest, which is how cross-thread contention on shared resources
-    is captured.
+    ``pairs`` is ``[(thread, generator), ...]``.  Each generator
+    performs simulated memory operations on its thread context and
+    ``yield``s at interleaving points (typically once per operation or
+    small batch).  The generator whose thread clock is smallest is
+    always resumed next, ties going to the earlier pair, which is how
+    cross-thread contention on shared resources is captured.  Returns
+    the largest finishing thread clock.
     """
-
-    def __init__(self):
-        self._entries = []
-
-    def spawn(self, thread, generator):
-        self._entries.append([thread, generator, False])
-
-    def reset(self):
-        """Forget all workloads, finished or not.
-
-        ``run`` marks entries finished but used to leave them in
-        ``self._entries`` forever, so a scheduler reused across
-        ``spawn``/``run`` cycles grew without bound (and ``threads``
-        kept reporting long-dead workloads).  Call this between cycles;
-        :func:`run_workloads` does so automatically.
-        """
-        del self._entries[:]
-
-    def run(self):
-        """Drive all workloads to completion; returns the final max clock."""
-        entries = self._entries
-        live = [e for e in entries if not e[2]]
-        if len(live) == 1:
-            # One live workload: no interleaving decisions to make, so
-            # drain its generator in a tight loop with no heap traffic.
-            # Virtual time is advanced by the simulated operations
-            # themselves, so the result is identical to the heap path.
-            entry = live[0]
-            for _ in entry[1]:
-                pass
-            entry[2] = True
-            return max((e[0].now for e in entries), default=0.0)
-        # Heap items carry the thread and the generator's bound __next__
-        # to avoid re-indexing entries every step; idx is unique per
-        # entry so ordering — (now, idx) — matches the reference
-        # scheduler exactly and the trailing fields never compare.
-        heap = [(e[0].now, i, e[0], e[1].__next__)
-                for i, e in enumerate(entries) if not e[2]]
-        heapq.heapify(heap)
-        heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-        while heap:
-            item = heap[0]
-            idx = item[1]
-            thread = item[2]
-            step = item[3]
-            # Keys are (now, idx) and idx is unique, so pop order is a
-            # total order on current keys.  The root entry's stored key
-            # may go stale while we run ahead, but we only do so while
-            # its *current* key stays strictly below the smaller root
-            # child (the minimum of everything else in the heap), so
-            # the workload we step is always the one the pop-push loop
-            # would have picked.  While we run ahead the rest of the
-            # heap is untouched, so that minimum is computed once per
-            # root tenure, not per step.
-            n = len(heap)
-            if n > 2:
-                a = heap[1]
-                b = heap[2]
-                other = a if a < b else b
-            elif n == 2:
-                other = heap[1]
-            else:
-                # Last live workload: drain it, no ordering left to do.
-                try:
-                    while True:
-                        step()
-                except StopIteration:
-                    entries[idx][2] = True
-                    heappop(heap)
-                continue
-            onow = other[0]
-            oidx = other[1]
+    # Heap items carry the thread and the generator's bound __next__
+    # to avoid re-indexing pairs every step; idx is unique per pair so
+    # ordering is (now, idx) and the trailing fields never compare.
+    heap = [(thread.now, i, thread, gen.__next__)
+            for i, (thread, gen) in enumerate(pairs)]
+    threads = [item[2] for item in heap]
+    heapq.heapify(heap)
+    heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
+    while heap:
+        _, idx, thread, step = heap[0]
+        # Keys are (now, idx) and idx is unique, so pop order is a
+        # total order on current keys.  The root entry's stored key
+        # may go stale while we run ahead, but we only do so while
+        # its *current* key stays strictly below the smaller root
+        # child (the minimum of everything else in the heap), so
+        # the workload we step is always the one the pop-push loop
+        # would have picked.  While we run ahead the rest of the
+        # heap is untouched, so that minimum is computed once per
+        # root tenure, not per step.
+        n = len(heap)
+        if n > 2:
+            a = heap[1]
+            b = heap[2]
+            other = a if a < b else b
+        elif n == 2:
+            other = heap[1]
+        else:
+            # One live workload (the only one, or the last): drain
+            # it with no ordering work at all.
             try:
                 while True:
                     step()
-                    now = thread.now
-                    if now > onow or (now == onow and idx > oidx):
-                        heapreplace(heap, (now, idx, thread, step))
-                        break
             except StopIteration:
-                entries[idx][2] = True
                 heappop(heap)
-        return max((e[0].now for e in entries), default=0.0)
-
-    @property
-    def threads(self):
-        return [e[0] for e in self._entries]
-
-
-def run_workloads(pairs):
-    """Convenience wrapper: run ``[(thread, generator), ...]`` to completion.
-
-    Returns the largest finishing thread clock.  The scheduler is reset
-    afterwards so no references to finished generators linger.
-    """
-    sched = Scheduler()
-    for thread, gen in pairs:
-        sched.spawn(thread, gen)
-    try:
-        return sched.run()
-    finally:
-        sched.reset()
+            continue
+        onow = other[0]
+        oidx = other[1]
+        try:
+            while True:
+                step()
+                now = thread.now
+                if now > onow or (now == onow and idx > oidx):
+                    heapreplace(heap, (now, idx, thread, step))
+                    break
+        except StopIteration:
+            heappop(heap)
+    return max((t.now for t in threads), default=0.0)
 
 
 def run_interleaved(entries):
@@ -486,7 +431,7 @@ def run_interleaved(entries):
     each ``step()`` call performs exactly one unit of work (one served
     request) on its thread.  Steps are executed in strictly increasing
     ``(thread.now, spawn index)`` order — the same total order the
-    generator-based :class:`Scheduler` produces, because its heap (and
+    generator-based :func:`run_workloads` produces, because its heap (and
     run-ahead) always resumes the minimum-key workload and a serve
     client yields once per request.  This trades the heap and generator
     machinery for a direct scan over the (few) live clients, and

@@ -158,21 +158,7 @@ class Namespace:
         else:
             rlink, _, ccfg, dimm = only
             dev_addr = line
-        occ_r = ccfg.read_occ_ns
-        if rlink._gap_start:
-            _, ch_end = rlink.acquire(start, occ_r)
-        else:
-            # Gap list empty: tail booking only (acquire, inlined; with
-            # at most one gap opened behind it, acquire's trim has
-            # nothing to do).
-            rlink.busy_ns += occ_r
-            tail = rlink._tail
-            rstart = tail if tail > start else start
-            if rstart - tail > 1e-9:
-                rlink._gap_start.append(tail)
-                rlink._gap_end.append(rstart)
-            ch_end = rstart + occ_r
-            rlink._tail = ch_end
+        _, ch_end = rlink.acquire(start, ccfg.read_occ_ns)
         data_ready = dimm.read(ch_end, dev_addr)
         if remote:
             data_ready += machine.upi.read_extra_ns
@@ -251,21 +237,7 @@ class Namespace:
         else:
             rlink, _, ccfg, dimm = only
             dev_addr = line
-        occ_r = ccfg.read_occ_ns
-        if rlink._gap_start:
-            _, ch_end = rlink.acquire(start, occ_r)
-        else:
-            # Gap list empty: tail booking only (acquire, inlined; with
-            # at most one gap opened behind it, acquire's trim has
-            # nothing to do).
-            rlink.busy_ns += occ_r
-            tail = rlink._tail
-            rstart = tail if tail > start else start
-            if rstart - tail > 1e-9:
-                rlink._gap_start.append(tail)
-                rlink._gap_end.append(rstart)
-            ch_end = rstart + occ_r
-            rlink._tail = ch_end
+        _, ch_end = rlink.acquire(start, ccfg.read_occ_ns)
         data_ready = dimm.read(ch_end, dev_addr)
         if remote:
             data_ready += machine.upi.read_extra_ns
@@ -480,21 +452,7 @@ class Namespace:
             if remote:
                 start = machine.upi.read_transfer(
                     start, source=thread.tid, heavy=self.is_optane)
-            occ_r = ccfg.read_occ_ns
-            if rlink._gap_start:
-                _, ch_end = rlink.acquire(start, occ_r)
-            else:
-                # Gap list empty: tail booking only (acquire, inlined;
-                # with at most one gap opened behind it, acquire's trim
-                # has nothing to do).
-                rlink.busy_ns += occ_r
-                tail = rlink._tail
-                rstart = tail if tail > start else start
-                if rstart - tail > 1e-9:
-                    rlink._gap_start.append(tail)
-                    rlink._gap_end.append(rstart)
-                ch_end = rstart + occ_r
-                rlink._tail = ch_end
+            _, ch_end = rlink.acquire(start, ccfg.read_occ_ns)
             ready = dimm.read(ch_end, dev_addr)
             if remote:
                 ready += machine.upi.read_extra_ns
@@ -572,17 +530,14 @@ class Namespace:
 
     # -- batched run entry points ----------------------------------------------
     #
-    # One call per contiguous run of cache lines instead of one call
-    # per line: the per-line work goes through the exact same
-    # primitives (`_load_line`, `_store_line`, `_store_clwb_line`,
-    # `_ntstore_line`) in the same order, so timing, counters,
-    # shared-resource bookings and trace events are identical to
-    # issuing the lines one by one.  Only the Python wrapper overhead
-    # (argument parsing, `line_addresses` ranges, method dispatch) is
-    # amortized.  ``addr`` must be cache-line aligned — unaligned run
-    # batching would straddle an extra line and is not
-    # semantics-preserving (see README), and the cache packs ns_id into
-    # a line's low six bits — so an unaligned run raises.
+    # One call per contiguous run of cache lines: each loops the exact
+    # per-line body (`_load_line`, `_store_line`, `_store_clwb_line`,
+    # `_ntstore_line`), so timing, counters, bookings and trace events
+    # are those of issuing the lines one by one.  The LATTester kernels
+    # do not use them (they call the per-line bodies themselves);
+    # perfbench's namespace rows and the instrumented goldens still do.
+    # ``addr`` must be cache-line aligned (the cache packs ns_id into a
+    # line's low six bits), so an unaligned run raises.
 
     def load_run(self, thread, addr, n_lines):
         """Load ``n_lines`` consecutive lines; returns last completion."""

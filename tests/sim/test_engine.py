@@ -3,8 +3,7 @@
 import pytest
 
 from repro.sim.engine import (
-    DirectionalLink, Resource, Scheduler, ThreadCtx, run_interleaved,
-    run_workloads,
+    DirectionalLink, Resource, ThreadCtx, run_interleaved, run_workloads,
 )
 
 
@@ -194,7 +193,7 @@ class TestScheduler:
         assert order[:4] == ["slow", "fast", "fast", "fast"]
 
     def test_empty_scheduler(self):
-        assert Scheduler().run() == 0.0
+        assert run_workloads([]) == 0.0
 
     def test_deterministic(self):
         def build():
@@ -317,6 +316,21 @@ class TestBackfillResource:
         for i in range(5):
             r.acquire(t, 1.0)
             t += 10.0                     # creates a gap each round
+        assert len(r._gaps) <= 2
+
+    def test_split_booking_keeps_gap_cap(self):
+        from repro.sim.engine import BackfillResource
+        r = BackfillResource("link", max_gaps=2)
+        r.acquire(0.0, 1.0)
+        r.acquire(100.0, 1.0)            # gap [1,100)
+        r.acquire(200.0, 1.0)            # gap [101,200)
+        assert r._gaps == [(1.0, 100.0), (101.0, 200.0)]
+        # Lands inside the second gap and splits it in two: the list
+        # would hold three gaps, so the oldest goes.
+        assert r.acquire(150.0, 10.0) == (150.0, 160.0)
+        assert r._gaps == [(101.0, 150.0), (160.0, 200.0)]
+        # The dropped gap is no longer backfillable.
+        assert r.acquire(10.0, 5.0) == (101.0, 106.0)
         assert len(r._gaps) <= 2
 
     def test_turnaround_clears_gaps(self):

@@ -24,7 +24,8 @@ import pytest
 from repro._units import CACHELINE, KIB
 from repro.chaos_serve import chaos_serve_cell
 from repro.lattester.access import (
-    BATCH_LINES, address_stream, auto_yield_every, stream_signature,
+    BATCH_LINES, address_stream, auto_yield_every, make_kernel,
+    stream_signature,
 )
 from repro.lattester.bandwidth import (
     _POINT_MEMO, clear_point_memo, measure_bandwidth,
@@ -33,7 +34,7 @@ from repro.pmcheck import PmCheck
 from repro.sim import Machine, run_workloads
 from repro.sim.cache import unpack
 from repro.sim.config import CacheConfig, default_config
-from repro.sim.engine import Scheduler, ThreadCtx
+from repro.sim.engine import ThreadCtx
 from repro.sim.namespace import Namespace
 from repro.telemetry import recording
 from repro.workloads import loadloop
@@ -76,11 +77,55 @@ class TestKernelEquivalence:
                 check(name)
 
     def test_explicit_batch_matches_per_line(self):
-        # Only the batch size differs: the run entry points must book
-        # exactly the per-line loop's events.
+        # Only the batch size differs: it moves the kernel's yields,
+        # never a booking.
         batched = run_point("ntstore", "seq", 1, yield_every=BATCH_LINES)
         per_line = run_point("ntstore", "seq", 1, yield_every=1)
         assert batched == per_line
+
+
+def run_shape(op, pattern, yield_every, **kwargs):
+    """One single-thread kernel with non-default arguments; observables."""
+    machine = Machine()
+    ns = machine.namespace("optane")
+    t = machine.thread().collect_latencies()
+    snaps = ns.counter_snapshots()
+    addrs = address_stream(0, 16 * KIB, 1 * KIB, pattern, seed=5)
+    elapsed = run_workloads([(t, make_kernel(
+        op, ns, t, addrs, 1 * KIB, yield_every=yield_every, **kwargs))])
+    return {"elapsed": elapsed, "latencies": t.latencies,
+            "bytes_written": t.bytes_written,
+            "counters": ns.counter_deltas(snaps)}
+
+
+class TestKernelShapes:
+    """Fences, end-of-access flushes and delays land between the same
+    lines whatever the batch size (the goldens pin only the default
+    kernel arguments)."""
+
+    SHAPES = [
+        ("read", {"delay_ns": 50.0}),
+        ("ntstore", {"fence_every": 256}),
+        ("ntstore", {"delay_ns": 50.0}),
+        ("ntstore", {"fence_every": 256, "delay_ns": 50.0}),
+        ("clwb", {"fence_every": 256}),
+        ("clwb", {"flush_at_end": True}),
+        ("clwb", {"delay_ns": 50.0}),
+        ("clwb", {"flush_at_end": True, "fence_every": 256,
+                  "delay_ns": 50.0}),
+        ("store", {"fence_every": 256}),
+        ("store", {"delay_ns": 50.0}),
+    ]
+
+    @pytest.mark.parametrize("pattern", ("seq", "rand"))
+    @pytest.mark.parametrize(
+        "op,kwargs", SHAPES,
+        ids=["%s-%s" % (op, "-".join(sorted(kw))) for op, kw in SHAPES])
+    def test_batch_size_is_invisible(self, op, kwargs, pattern):
+        per_line = run_shape(op, pattern, 1, **kwargs)
+        assert per_line["elapsed"] > 0
+        for yield_every in (7, BATCH_LINES):
+            assert run_shape(op, pattern, yield_every, **kwargs) == per_line
 
 
 class TestInstrumentedGoldens:
@@ -271,7 +316,7 @@ class TestStreamSignature:
 
 
 class TestSchedulerReuse:
-    """``reset`` lets one scheduler be reused without stale entries."""
+    """``run_workloads`` keeps no state between calls."""
 
     @staticmethod
     def _thread():
@@ -285,18 +330,6 @@ class TestSchedulerReuse:
                 thread.sleep(10.0)
                 yield
         return gen()
-
-    def test_reset_forgets_finished_workloads(self):
-        sched = Scheduler()
-        t1 = self._thread()
-        sched.spawn(t1, self._workload(t1, 3))
-        assert sched.run() == 30.0
-        sched.reset()
-        assert sched.threads == []
-        t2 = self._thread()
-        sched.spawn(t2, self._workload(t2, 2))
-        assert sched.run() == 20.0
-        assert sched.threads == [t2]
 
     def test_run_workloads_leaves_no_references(self):
         t = self._thread()
