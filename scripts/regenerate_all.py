@@ -1,11 +1,12 @@
 """Regenerate every reproduced experiment and write a combined report.
 
-Runs each entry of the experiment registry (fig2..fig19) through the
-harness's content-addressed cache — a second invocation replays every
-unchanged figure instead of re-simulating it — and dumps the raw
-results to ``experiments_raw.txt`` plus a run manifest recording
-per-figure wall time and provenance.  For the asserted paper-vs-
-measured comparisons, run the benchmark suite instead
+Runs each entry of the experiment registry (fig2..fig19) as one harness
+point (``repro.core.experiments.run_figure``) through the
+content-addressed cache — a second invocation replays every unchanged
+figure instead of re-simulating it — and dumps the raw results to
+``experiments_raw.txt`` plus a run manifest recording per-figure wall
+time and provenance.  For the asserted paper-vs-measured comparisons,
+run the benchmark suite instead
 (``pytest benchmarks/ --benchmark-only -s``).
 
 Usage: python scripts/regenerate_all.py [out.txt] [figN ...]
@@ -16,8 +17,8 @@ import argparse
 import sys
 import time
 
-from repro.core.experiments import all_experiments, get
-from repro.harness import ResultCache, RunManifest, point_key
+from repro.core.experiments import all_experiments, get, run_figure
+from repro.harness import ResultCache, run_sweep
 
 # Figures cheap enough for a smoke pass (--quick): each finishes in a
 # few seconds on the simulator.
@@ -75,52 +76,42 @@ def main(argv):
         return 2
 
     cache = ResultCache(root=args.cache_dir, enabled=not args.no_cache)
-    manifest = RunManifest(name="regenerate_all",
-                           grid={"figures": [e.figure
-                                             for e in experiments]})
     started = time.time()
-    failures = []
+    done = [0]
+
+    def progress(outcome):
+        done[0] += 1
+        exp = get(outcome.payload["figure"])
+        status = ("%.1f s%s" % (outcome.elapsed_s,
+                                " (cached)" if outcome.cached else "")
+                  if outcome.ok else "FAILED (%s)" % outcome.error)
+        print("[%d/%d] %s — %s ... %s" % (done[0], len(experiments),
+                                          exp.figure, exp.title, status))
+
+    run = run_sweep({"figure": [e.figure for e in experiments]},
+                    point_fn=run_figure, experiment="experiment", jobs=1,
+                    cache=cache, progress=progress, name="regenerate_all")
     with open(out, "w") as fh:
-        for index, exp in enumerate(experiments, 1):
-            print("[%d/%d] %s — %s ..." % (index, len(experiments),
-                                           exp.figure, exp.title),
-                  end=" ", flush=True)
-            fig_started = time.time()
-            try:
-                result, cached = exp.run_cached(cache=cache)
-                error = None
-            except Exception as exc:
-                result, cached = None, False
-                error = "%s: %s" % (type(exc).__name__, exc)
-            elapsed = time.time() - fig_started
-            manifest.add_point(params={"figure": exp.figure},
-                               key=point_key("experiment:" + exp.figure,
-                                             {}),
-                               record=result, cached=cached,
-                               elapsed_s=elapsed, error=error)
-            if error is not None:
-                failures.append((exp.figure, error))
-                print("FAILED (%s)" % error)
+        for exp, outcome in zip(experiments, run.outcomes):
+            if not outcome.ok:
                 continue
-            print("%.1f s%s" % (elapsed, " (cached)" if cached else ""))
             fh.write("== %s — %s (Section %s)\n"
                      % (exp.figure, exp.title, exp.section))
             fh.write("   workload: %s\n" % exp.workload)
-            _dump(fh, result)
+            _dump(fh, outcome.value)
             fh.write("\n")
-    manifest.finish(cache=cache)
     manifest_path = args.manifest or out + ".manifest.json"
-    manifest.save(manifest_path)
+    run.manifest.save(manifest_path)
 
     elapsed = time.time() - started
     print("wrote %s and %s in %.1f s (%.2f figures/s, %d cached)"
           % (out, manifest_path, elapsed,
              len(experiments) / max(elapsed, 1e-9),
-             len(manifest.cached_points)))
-    if failures:
-        print("ERROR: %d figure(s) failed:" % len(failures))
-        for figure, error in failures:
-            print("  %s: %s" % (figure, error))
+             len(run.manifest.cached_points)))
+    if run.failures:
+        print("ERROR: %d figure(s) failed:" % len(run.failures))
+        for point in run.failures:
+            print("  %s: %s" % (point["params"]["figure"], point["error"]))
         return 1
     return 0
 

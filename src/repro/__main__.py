@@ -220,30 +220,9 @@ def _pretty(result, indent="  "):
 
 
 def cmd_calibrate(_args):
-    try:
-        from scripts import calibrate  # pragma: no cover - path dependent
-    except ImportError:
-        _calibrate_inline()
-        return 0
-    calibrate.main([])
+    from repro.lattester.calibrate import main as calibrate
+    calibrate()
     return 0
-
-
-def _calibrate_inline():
-    """Fallback when scripts/ is not importable (installed package)."""
-    from repro.lattester.latency import read_latency, write_latency
-    rows = [
-        ["DRAM read seq", read_latency("dram", "seq").mean_ns, 81],
-        ["DRAM read rand", read_latency("dram", "rand").mean_ns, 101],
-        ["Optane read seq", read_latency("optane", "seq").mean_ns, 169],
-        ["Optane read rand", read_latency("optane", "rand").mean_ns, 305],
-        ["store+clwb+fence (Optane)",
-         write_latency("optane", "clwb").mean_ns, 62],
-        ["ntstore+fence (Optane)",
-         write_latency("optane", "ntstore").mean_ns, 90],
-    ]
-    print(table(["experiment", "measured ns", "paper ns"], rows,
-                title="Calibration (Figure 2)"))
 
 
 def cmd_guidelines(_args):

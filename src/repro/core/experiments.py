@@ -28,19 +28,6 @@ class Experiment:
         module = importlib.import_module(module_name)
         return getattr(module, func_name)(**kwargs)
 
-    def run_cached(self, cache=None, **kwargs):
-        """Run through the harness's content-addressed cache.
-
-        Returns ``(result, cached)``; the result is in JSON-able form
-        (dataclasses lowered to dicts) so a cache replay is
-        indistinguishable from a live run.  Keys cover the figure id,
-        the kwargs, the simulator configuration and the package
-        version, so any of those changing forces a re-run.
-        """
-        from repro.harness import run_experiment_cached
-        return run_experiment_cached(self, cache=cache, **kwargs)
-
-
 REGISTRY = {
     "fig2": Experiment(
         figure="fig2", title="Best-case (idle) latency",
@@ -160,6 +147,12 @@ def get(figure):
         raise KeyError(
             "unknown experiment %r (known: %s)"
             % (figure, ", ".join(sorted(REGISTRY)))) from None
+
+
+def run_figure(payload):
+    """One registry figure as a harness point: ``{"figure": "figN"}``
+    -> the figure's output (module-level: it must pickle to workers)."""
+    return get(payload["figure"]).run()
 
 
 def all_experiments():

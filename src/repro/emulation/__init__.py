@@ -2,22 +2,18 @@
 
 Researchers emulated persistent memory before real DIMMs existed; the
 paper shows every methodology misses key Optane behaviour.  Each
-emulator here exposes the same namespace interface as the real
-simulated device, so any experiment (or application substrate) can run
-unchanged on top of it:
+emulator is a plain namespace, so any experiment (or application
+substrate) runs unchanged on top of it
+(:func:`~repro.emulation.pmep.make_emulated_namespace`):
 
-* :class:`~repro.emulation.pmep.PMEPNamespace` — Intel's Persistent
-  Memory Emulator Platform: DRAM plus a fixed load-latency adder and a
-  write-bandwidth throttle (the "300 ns / BW/8" standard config);
+* plain local DRAM;
 * DRAM-Remote — plain DRAM on the far socket (NUMA emulation);
-* plain DRAM "pretending to be persistent".
+* PMEP — Intel's Persistent Memory Emulator Platform: DRAM plus a
+  fixed load-latency adder and a write-bandwidth throttle (the
+  "300 ns / BW/8" standard config).
 """
 
-from repro.emulation.base import EmulatedNamespace, make_emulated_namespace
-from repro.emulation.pmep import PMEPNamespace
+from repro.emulation.pmep import make_emulated_namespace
 from repro.emulation.study import figure7
 
-__all__ = [
-    "EmulatedNamespace", "PMEPNamespace", "figure7",
-    "make_emulated_namespace",
-]
+__all__ = ["figure7", "make_emulated_namespace"]

@@ -1,17 +1,17 @@
-"""Intel PMEP emulation: DRAM with latency and bandwidth knobs.
+"""The emulation methodologies: plain DRAM, DRAM-Remote and PMEP.
 
-The standard configuration used by NOVA, Mojim and others: +300 ns on
-load instructions, write bandwidth throttled to 1/8 of DRAM's.  The
-paper shows this captures neither the XPLine granularity nor the
-pattern sensitivity of real 3D XPoint.
+Intel PMEP is DRAM with latency and bandwidth knobs, in the standard
+configuration used by NOVA, Mojim and others: +300 ns on load
+instructions, write bandwidth throttled to 1/8 of DRAM's.  The paper
+shows this captures neither the XPLine granularity nor the pattern
+sensitivity of real 3D XPoint.
 """
 
 from repro.sim.dram import DRAMDimm
 from repro.sim.engine import Resource
 from repro.sim.imc import MemoryChannel
 from repro.sim.interleave import InterleavedMapping
-
-from repro.emulation.base import EmulatedNamespace
+from repro.sim.namespace import Namespace
 
 #: The standard PMEP configuration from the papers that used it.
 PMEP_READ_EXTRA_NS = 300.0
@@ -55,12 +55,9 @@ class PMEPDimm:
         self._throttle.reset()
 
 
-class PMEPNamespace(EmulatedNamespace):
-    """Namespace living on PMEP-emulated persistent memory."""
-
-
 def make_pmep_namespace(machine):
-    """Build a PMEP namespace (interleaved, local socket) on a machine."""
+    """A plain (non-Optane) namespace on PMEP-emulated persistent
+    memory, interleaved on the local socket."""
     cfg = machine.config
     throttle = Resource("pmep.throttle", 1)
     devices = []
@@ -69,10 +66,24 @@ def make_pmep_namespace(machine):
         devices.append((channel, PMEPDimm(cfg.dram, throttle,
                                           "pmep.%d" % d)))
     mapping = InterleavedMapping(cfg.interleave.block_bytes, len(devices))
-    return PMEPNamespace(machine, "pmep", devices, mapping, socket=0)
+    return Namespace(machine, "pmep", devices, mapping, socket=0,
+                     is_optane=False)
+
+
+def make_emulated_namespace(machine, methodology="dram"):
+    """Build an emulated-NVM namespace on a machine.
+
+    ``methodology``: "dram" (plain local DRAM), "dram-remote" (DRAM on
+    the far socket) or "pmep" (latency/bandwidth-throttled DRAM).
+    """
+    if methodology in ("dram", "dram-remote"):
+        return machine.namespace(methodology)
+    if methodology == "pmep":
+        return make_pmep_namespace(machine)
+    raise ValueError("unknown emulation methodology: %r" % (methodology,))
 
 
 __all__ = [
-    "PMEPDimm", "PMEPNamespace", "PMEP_READ_EXTRA_NS",
-    "PMEP_WRITE_THROTTLE_FACTOR", "make_pmep_namespace",
+    "PMEPDimm", "PMEP_READ_EXTRA_NS", "PMEP_WRITE_THROTTLE_FACTOR",
+    "make_emulated_namespace", "make_pmep_namespace",
 ]

@@ -14,7 +14,7 @@ from repro._units import CACHELINE, KIB, gb_per_s
 from repro.lattester.access import staggered_base
 from repro.sim import Machine, run_workloads
 
-from repro.emulation.base import make_emulated_namespace
+from repro.emulation.pmep import make_emulated_namespace
 
 METHODOLOGIES = ("optane", "dram", "dram-remote", "pmep")
 

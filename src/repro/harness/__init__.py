@@ -16,8 +16,9 @@ that makes regenerating such matrices cheap:
   one normalized format the matrices write;
 * :mod:`repro.harness.compare` — the regression comparator that diffs
   two manifests and flags metric drift;
-* :mod:`repro.harness.runner` — ``run_sweep`` / ``run_matrix`` /
-  ``run_experiment_cached`` tying the layers together.
+* :mod:`repro.harness.runner` — ``run_cached_points``, the one route
+  from a payload to a cached record, and ``run_sweep`` / ``run_matrix``
+  on top of it.
 
 A matrix built on the harness (chaos serving, pmcheck, faults) keeps
 only its grid, its cell function and how it names a cell in a
@@ -36,8 +37,7 @@ from repro.harness.keys import (
 )
 from repro.harness.manifest import RunManifest
 from repro.harness.runner import (
-    SweepRun, expand_grid, run_cached_points, run_experiment_cached,
-    run_matrix, run_sweep,
+    SweepRun, expand_grid, run_cached_points, run_matrix, run_sweep,
 )
 
 __all__ = [
@@ -47,6 +47,6 @@ __all__ = [
     "PointOutcome", "effective_jobs", "run_points",
     "canonical_json", "config_fingerprint", "point_key", "to_jsonable",
     "RunManifest",
-    "SweepRun", "expand_grid", "run_cached_points",
-    "run_experiment_cached", "run_matrix", "run_sweep",
+    "SweepRun", "expand_grid", "run_cached_points", "run_matrix",
+    "run_sweep",
 ]

@@ -115,7 +115,9 @@ class ResultCache:
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(envelope, fh, sort_keys=True)
+                # The result keeps its key order, so a replay equals
+                # the fresh value; the digest sorts on its own.
+                json.dump(envelope, fh)
             os.replace(tmp, path)
         except OSError:
             try:

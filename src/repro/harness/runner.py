@@ -1,12 +1,13 @@
 """High-level harness runs: cache lookup → parallel fan-out → manifest.
 
-``run_cached_points`` is the one cache → fan-out loop; two runs sit on
-top of it:
+``run_cached_points`` is the one route from a payload to a cached
+record; two runs sit on top of it:
 
 * ``run_sweep`` — grid expansion plus a wall-clock manifest; the engine
-  behind ``repro.lattester.sweep``, ``scripts/full_sweep.py``,
-  ``python -m repro sweep`` and the serve points of
-  ``repro.workloads.saturation``;
+  behind ``repro.lattester.sweep``, ``python -m repro sweep``, the
+  serve points of ``repro.workloads.saturation`` and the registry
+  figures of ``scripts/regenerate_all.py``
+  (``repro.core.experiments.run_figure``);
 * ``run_matrix`` — the fault and checker matrices (``repro.chaos_serve``,
   ``repro.pmcheck``, ``repro.faults``): a normalized manifest, the
   violations the cells reported, each tagged with its cell, and one
@@ -14,8 +15,6 @@ top of it:
 
 A traced point's trace path is recorded once, on its manifest point's
 ``trace`` key — never in the point's record, which is what gets cached.
-``run_experiment_cached`` is the same cache discipline for whole
-registry figures (used by ``scripts/regenerate_all.py``).
 """
 
 import os
@@ -141,8 +140,10 @@ def run_cached_points(point_fn, payloads, experiment, version=None,
 
     Every payload is looked up in the content-addressed cache, the
     misses fan out across workers, fresh successes are cached; each
-    :class:`PointOutcome` carries its ``key``.  ``trace_dir`` traces
-    every freshly computed point into ``point-<key[:16]>.trace.json``.
+    :class:`PointOutcome` carries its ``key``.  A fresh success carries
+    the JSON-able value it cached, so it equals its own replay, key
+    order included.  ``trace_dir`` traces every freshly computed point
+    into ``point-<key[:16]>.trace.json``.
     Keys come from the payloads alone, so traced and untraced runs
     share content addresses; replayed points have no trace.
     """
@@ -178,7 +179,8 @@ def run_cached_points(point_fn, payloads, experiment, version=None,
         outcome.key = keys[slot]
         outcomes[slot] = outcome
         if outcome.ok:
-            cache.put(keys[slot], to_jsonable(outcome.value),
+            outcome.value = to_jsonable(outcome.value)
+            cache.put(keys[slot], outcome.value,
                       experiment=experiment,
                       params=to_jsonable(payloads[slot]),
                       version=version)
@@ -220,24 +222,3 @@ def run_matrix(point_fn, payloads, name, grid, cell, findings,
                                    for violation in extract(outcome.value))
     return SweepRun(manifest=RunManifest.normalized(name, grid, outcomes),
                     outcomes=outcomes, findings=found)
-
-
-def run_experiment_cached(experiment, cache=None, version=None,
-                          **kwargs):
-    """Run one registry figure through the cache.
-
-    Returns ``(result, cached)`` where ``result`` is the figure's
-    output in JSON-able form — identical whether it was computed live
-    or replayed from cache.
-    """
-    if cache is None:
-        cache = ResultCache()
-    key = point_key("experiment:" + experiment.figure, kwargs,
-                    version=version)
-    hit, result = cache.get(key)
-    if hit:
-        return result, True
-    result = to_jsonable(experiment.run(**kwargs))
-    cache.put(key, result, experiment="experiment:" + experiment.figure,
-              params=to_jsonable(kwargs), version=version)
-    return result, False

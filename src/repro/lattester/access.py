@@ -7,10 +7,10 @@ at the same granularity as the hardware's.
 
 ``yield_every`` batches that: every kernel runs one loop that calls
 the namespace's per-line bodies (``_load_line``, ``_ntstore_line``,
-``_store_line``, ``_store_clwb_line``, ``_clwb_line``) and yields after
-every N lines, so only the generator/heap overhead is amortized.
-Batching is therefore byte-identical for a single thread; multi-thread
-runs must keep ``yield_every=1`` so the scheduler can interleave beats
+``_store_line``, ``_store_clwb_line``) and yields after every N lines,
+so only the generator/heap overhead is amortized.  Batching is
+therefore byte-identical for a single thread; multi-thread runs must
+keep ``yield_every=1`` so the scheduler can interleave beats
 (``auto_yield_every`` encodes that rule).
 
 Thread placement matters on this platform: ``staggered_base`` hands
@@ -48,14 +48,11 @@ def staggered_base(tid, span, block_bytes=4 * KIB, dimms=6):
     return tid * region + (tid % dimms) * block_bytes
 
 
-def address_stream(base, span, access, pattern, seed=0, stride=None,
-                   limit=None):
+def address_stream(base, span, access, pattern, seed=0, limit=None):
     """Access addresses of the given size/pattern inside a region.
 
-    Patterns: ``"seq"`` (contiguous), ``"rand"`` (uniform over the
-    region) or ``"stride"`` (fixed-stride walk — the third axis of the
-    paper's systematic sweep; pass ``stride`` in bytes, default 4x the
-    access size).
+    Patterns: ``"seq"`` (contiguous) or ``"rand"`` (uniform over the
+    region).
 
     Returns a precomputed list so the RNG call stays out of the
     simulation inner loop; ``limit`` truncates to the first ``limit``
@@ -72,14 +69,10 @@ def address_stream(base, span, access, pattern, seed=0, stride=None,
         randrange = rng.randrange
         slots = span // access
         return [base + randrange(slots) * access for _ in range(count)]
-    if pattern == "stride":
-        step = stride if stride is not None else 4 * access
-        slots = max(1, span // step)
-        return [base + (i % slots) * step for i in range(count)]
     raise ValueError("unknown pattern: %r" % (pattern,))
 
 
-def stream_signature(base, span, access, pattern, seed=0, stride=None):
+def stream_signature(base, span, access, pattern, seed=0):
     """An exact determinant of a stream's expanded cache-line sequence.
 
     Two parameter sets with equal signatures produce *identical*
@@ -91,8 +84,8 @@ def stream_signature(base, span, access, pattern, seed=0, stride=None):
       access size cancels out, so it is *not* part of the signature
       (this is why a sweep's sequential rows repeat across the access
       axis: they are the same simulation).
-    * every other case (random, strided, or unaligned access) keeps
-      the full parameter tuple, since any of them changes the stream.
+    * every other case (random, or unaligned access) keeps the full
+      parameter tuple, since any of them changes the stream.
 
     Used to memoize whole experiment points that are provably the same
     simulation; see ``measure_bandwidth``.
@@ -100,18 +93,17 @@ def stream_signature(base, span, access, pattern, seed=0, stride=None):
     if pattern == "seq" and access >= CACHELINE and \
             access % CACHELINE == 0:
         return ("seq", base, span // access * access)
-    return (pattern, base, span, access, seed, stride)
+    return (pattern, base, span, access, seed)
 
 
 def _issue(thread, addrs, access, line_op, yield_every, fence_every=None,
-           delay_ns=0.0, clwb_line=None, fence_at_end=False):
+           delay_ns=0.0, fence_at_end=False):
     """The one kernel loop: ``line_op`` on every line of every access.
 
     After each line an sfence is issued once ``fence_every`` bytes have
-    gone out since the last one; after each access ``clwb_line`` (if
-    given) writes its lines back and the thread idles ``delay_ns``.
-    Control returns to the scheduler after every ``yield_every`` lines,
-    clwbs included.
+    gone out since the last one; after each access the thread idles
+    ``delay_ns``.  Control returns to the scheduler after every
+    ``yield_every`` lines.
     """
     offsets = range(0, access, CACHELINE)
     since_fence = 0
@@ -128,13 +120,6 @@ def _issue(thread, addrs, access, line_op, yield_every, fence_every=None,
             if pending == yield_every:
                 pending = 0
                 yield
-        if clwb_line is not None:
-            for off in offsets:
-                clwb_line(thread, addr + off)
-                pending += 1
-                if pending == yield_every:
-                    pending = 0
-                    yield
         if delay_ns:
             thread.sleep(delay_ns)
     if fence_at_end:
@@ -159,23 +144,15 @@ def ntstore_kernel(ns, thread, addrs, access, fence_every=None,
 
 
 def store_clwb_kernel(ns, thread, addrs, access, flush=True,
-                      flush_at_end=False, fence_every=None, delay_ns=0.0,
-                      yield_every=1):
-    """Cached stores, optionally followed by per-line clwb.
+                      fence_every=None, delay_ns=0.0, yield_every=1):
+    """Cached stores, each line followed by its clwb.
 
     ``flush=False`` gives the "store only" curve (durability left to
-    natural cache evictions); ``flush_at_end`` issues the clwbs after
-    the whole access instead of after each line (Figure 14's
-    ``clwb(write size)`` variant).
+    natural cache evictions).
     """
-    if not flush:
-        line_op, clwb_line = ns._store_line, None
-    elif flush_at_end:
-        line_op, clwb_line = ns._store_line, ns._clwb_line
-    else:
-        line_op, clwb_line = ns._store_clwb_line, None
+    line_op = ns._store_clwb_line if flush else ns._store_line
     return _issue(thread, addrs, access, line_op, yield_every,
-                  fence_every, delay_ns, clwb_line, fence_at_end=flush)
+                  fence_every, delay_ns, fence_at_end=flush)
 
 
 def make_kernel(op, ns, thread, addrs, access, **kwargs):

@@ -52,8 +52,7 @@ class BandwidthResult:
 
 def measure_bandwidth(kind="optane", op="read", threads=4, access=256,
                       pattern="seq", per_thread=256 * KIB, machine=None,
-                      socket=0, ns_socket=None, drain=True, stride=None,
-                      **kernel_kwargs):
+                      socket=0, **kernel_kwargs):
     """Run one bandwidth experiment on a fresh (or given) machine.
 
     ``kind`` selects the namespace ("optane", "optane-ni", "dram", ...);
@@ -70,11 +69,11 @@ def measure_bandwidth(kind="optane", op="read", threads=4, access=256,
         # device/op selection, so an earlier identical point can be
         # replayed (see ``stream_signature`` for the stream proof).
         memo_key = (
-            kind, op, threads, socket, ns_socket, drain, per_thread,
+            kind, op, threads, socket, per_thread,
             kernel_kwargs["yield_every"],
             tuple(stream_signature(
                 staggered_base(tid, per_thread), per_thread, access,
-                pattern, seed=77 + tid, stride=stride)
+                pattern, seed=77 + tid)
                 for tid in range(threads)))
         hit = _POINT_MEMO.get(memo_key)
         if hit is not None:
@@ -84,22 +83,19 @@ def measure_bandwidth(kind="optane", op="read", threads=4, access=256,
                 ewr=ewr, threads=threads, op=op, access=access,
                 pattern=pattern)
     m = machine if machine is not None else Machine()
-    ns = m.namespace(kind) if ns_socket is None else \
-        m.namespace(kind, socket=ns_socket)
+    ns = m.namespace(kind)
     ts = m.threads(threads, socket=socket)
     snaps = ns.counter_snapshots()
     pairs = []
     for t in ts:
         base = staggered_base(t.tid, per_thread)
-        addrs = address_stream(
-            base, per_thread, access, pattern, seed=77 + t.tid,
-            stride=stride)
+        addrs = address_stream(base, per_thread, access, pattern,
+                               seed=77 + t.tid)
         pairs.append((t, make_kernel(op, ns, t, addrs, access,
                                      **kernel_kwargs)))
     elapsed = run_workloads(pairs)
-    if drain:
-        for dimm in ns.dimms:
-            dimm.drain(elapsed)
+    for dimm in ns.dimms:
+        dimm.drain(elapsed)
     deltas = ns.counter_deltas(snaps)
     total = per_thread * threads
     gbps = gb_per_s(total, elapsed)

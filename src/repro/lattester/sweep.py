@@ -7,11 +7,10 @@ operation, access size, thread count, NUMA placement and interleaving.
 from.  Over the default grid this produces several hundred data points;
 the paper collected "over ten thousand" across both phases.
 
-Sweeps run through :mod:`repro.harness`: pass ``jobs`` to fan points
-out across worker processes and ``cache`` (or rely on the default
-on-disk cache when ``jobs`` is given) to never re-measure a point the
-harness has already seen.  The default call stays serial and uncached,
-exactly as before the harness existed.
+Every sweep runs through :func:`repro.harness.run_sweep`: ``jobs``
+fans points out across worker processes and a ``cache`` replays points
+the harness has already measured.  The default call is one in-process
+worker and no cache, so it writes nothing to disk.
 """
 
 import csv
@@ -29,8 +28,8 @@ DEFAULT_GRID = {
     "threads": (1, 4, 16),
 }
 
-# The quick grid is the historical default; the full grid matches the
-# paper-scale sweep of scripts/full_sweep.py.
+# The quick grid is the historical default; the full grid is the
+# paper-scale sweep of ``python -m repro sweep``.
 QUICK_GRID = DEFAULT_GRID
 
 FULL_GRID = {
@@ -43,23 +42,20 @@ FULL_GRID = {
 }
 
 
-def sweep_grid(grid=None, per_thread=64 * KIB, progress=None,
-               jobs=None, cache=None):
+def sweep_grid(grid=None, per_thread=64 * KIB, progress=None, jobs=1,
+               cache=None):
     """Run the full cartesian sweep; returns a list of result records.
 
-    With ``jobs`` or ``cache`` unset the sweep runs serially in-process
-    with no memoization (the historical behavior).  Otherwise it runs
-    through the experiment harness: points fan out across ``jobs``
-    worker processes and previously measured points are replayed from
-    the content-addressed ``cache``.  Records are in grid order either
-    way, and a point that fails under the harness raises, matching the
-    serial path.
+    Points fan out across ``jobs`` worker processes and are replayed
+    from ``cache`` when it holds them (``None``: a disabled cache, so
+    every point is measured and nothing is written).  Records are in
+    grid order, and a point that fails raises once the run is over.
     """
-    grid = dict(DEFAULT_GRID if grid is None else grid)
-    if jobs is None and cache is None:
-        return _sweep_serial(grid, per_thread, progress)
-    from repro.harness import run_sweep
-    run = run_sweep(grid, per_thread=per_thread, jobs=jobs, cache=cache,
+    from repro.harness import ResultCache, run_sweep
+    run = run_sweep(dict(DEFAULT_GRID if grid is None else grid),
+                    per_thread=per_thread, jobs=jobs,
+                    cache=ResultCache(enabled=False) if cache is None
+                    else cache,
                     progress=None if progress is None
                     else (lambda outcome: progress(_outcome_record(outcome))))
     run.raise_on_failure("sweep")
@@ -69,11 +65,10 @@ def sweep_grid(grid=None, per_thread=64 * KIB, progress=None,
 def _outcome_record(outcome):
     """Shape a harness :class:`PointOutcome` for the progress callback.
 
-    Successful points pass the measured record through unchanged (the
-    same dict the serial path reports).  Failed points used to be
-    silently dropped from the callback; now they surface as a record
-    with ``"error"`` set so callers can count or log them before
-    :func:`sweep_grid` raises at the end of the run.
+    Successful points pass the measured record through unchanged;
+    failed points surface as a record with ``"error"`` set so callers
+    can count or log them before :func:`sweep_grid` raises at the end
+    of the run.
     """
     if outcome.ok:
         return outcome.value
@@ -81,17 +76,6 @@ def _outcome_record(outcome):
     record.pop("per_thread", None)
     record["error"] = outcome.error
     return record
-
-
-def _sweep_serial(grid, per_thread, progress):
-    from repro.harness.runner import _sweep_point, expand_grid
-    records = []
-    for params in expand_grid(grid):
-        record = _sweep_point(dict(params, per_thread=per_thread))
-        records.append(record)
-        if progress is not None:
-            progress(record)
-    return records
 
 
 def filter_records(records, **criteria):

@@ -1,7 +1,8 @@
 """The pmcheck matrix: every (workload, substrate) cell a harness point.
 
-Each cell serves a quick closed-loop YCSB run with the checker
-installed and returns the violation summary.  Cells are
+Each cell is the closed-loop serve point
+(``repro.workloads.saturation._serve_point``) with the checker
+installed, and returns the violation summary.  Cells are
 content-addressed under the ``pmcheck.serve`` experiment so re-runs
 replay from the cache, and the manifest is *normalized* (no wall-clock,
 no job count, no cache-hit flags) so a ``--jobs 4`` run produces
@@ -16,7 +17,6 @@ the naive grid excludes it.
 """
 
 from repro.harness.runner import run_matrix
-from repro.pmcheck.state import PmCheck
 from repro.workloads.generators import get_workload
 from repro.workloads.service import SUBSTRATES
 
@@ -61,23 +61,11 @@ def build_pmcheck_grid(workload=None, substrate=None, quick=False,
 
 
 def pmcheck_cell(payload):
-    """One checked serving cell (harness point function, picklable)."""
-    from repro.sim.platform import Machine
-    from repro.workloads.loadloop import closed_loop
-    from repro.workloads.service import make_service
+    """One checked serving cell (harness point function, picklable):
+    the closed-loop serve point with the checker riding along."""
+    from repro.workloads.saturation import _serve_point
 
-    spec = get_workload(payload["workload"])
-    machine = Machine()
-    checker = PmCheck(machine).install()
-    service = make_service(payload["substrate"], machine, spec,
-                           records=payload["records"], ops=payload["ops"],
-                           seed=payload["seed"],
-                           naive=bool(payload.get("naive", False)))
-    report = closed_loop(machine, service, spec,
-                         records=payload["records"], ops=payload["ops"],
-                         clients=payload["clients"], seed=payload["seed"])
-    summary = checker.summary()
-    checker.uninstall()
+    served = _serve_point(dict(payload, mode="closed", pmcheck=True))
     return {
         "workload": payload["workload"],
         "substrate": payload["substrate"],
@@ -86,10 +74,10 @@ def pmcheck_cell(payload):
         "records": payload["records"],
         "ops": payload["ops"],
         "clients": payload["clients"],
-        "served": {"ops": report["ops"],
-                   "achieved_kops": report["achieved_kops"],
-                   "p99_us": report["latency_us"]["p99"]},
-        "pmcheck": summary,
+        "served": {"ops": served["ops"],
+                   "achieved_kops": served["achieved_kops"],
+                   "p99_us": served["latency_us"]["p99"]},
+        "pmcheck": served["pmcheck"],
     }
 
 

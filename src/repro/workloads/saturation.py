@@ -50,7 +50,9 @@ def _serve_point(params):
     """Measure one serve point (module-level: must pickle to workers).
 
     The payload is the cache identity of the point: workload,
-    substrate, mode, shape and seed.
+    substrate, mode, shape and seed.  ``pmcheck`` appears only when set
+    and ``naive`` only in the pmcheck matrix's cells, so plain serve
+    points keep their cache addresses.
     """
     from repro.obs import ObsRecorder
     from repro.sim.platform import Machine
@@ -59,14 +61,14 @@ def _serve_point(params):
     checker = None
     if params.get("pmcheck"):
         # Install before preload so the checker sees the whole persist
-        # history.  "pmcheck" only appears in the payload when enabled,
-        # so plain points keep their existing cache addresses.
+        # history.
         from repro.pmcheck import PmCheck
         checker = PmCheck(machine)
         checker.install()
     service = make_service(params["substrate"], machine, spec,
                            records=params["records"],
-                           ops=params["ops"], seed=params["seed"])
+                           ops=params["ops"], seed=params["seed"],
+                           naive=params.get("naive", False))
     # Always-on observability: the recorder rides inside the point and
     # its blob travels in the record (through the cache and into the
     # manifest), where the CLI externalizes it as a content-addressed

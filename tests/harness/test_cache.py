@@ -11,6 +11,7 @@ import os
 
 from repro.harness import (
     ResultCache, cache_dir, config_fingerprint, point_key,
+    run_cached_points,
 )
 from repro.sim import default_config
 
@@ -178,3 +179,25 @@ class TestResultCache:
         assert cache_dir() == str(tmp_path / "env")
         assert ResultCache().root == str(tmp_path / "env")
         assert cache_dir("explicit") == "explicit"
+
+
+def _unsorted_point(payload):
+    """A record whose keys are not in sorted order, holding a tuple."""
+    return {"z": payload["i"], "a": (1, 2), "m": {"y": 1, "b": 2}}
+
+
+class TestRunCachedPoints:
+    def test_fresh_record_equals_its_replay(self, tmp_path):
+        cache = ResultCache(root=str(tmp_path / "cache"))
+        payloads = [{"i": 0}, {"i": 1}]
+        fresh = run_cached_points(_unsorted_point, payloads, "test.order",
+                                  cache=cache, jobs=1)
+        replay = run_cached_points(_unsorted_point, payloads,
+                                   "test.order", cache=cache, jobs=1)
+        assert [o.cached for o in fresh] == [False, False]
+        assert [o.cached for o in replay] == [True, True]
+        for live, replayed in zip(fresh, replay):
+            assert live.value == replayed.value
+            assert list(live.value) == list(replayed.value) == \
+                ["z", "a", "m"]
+            assert list(live.value["m"]) == list(replayed.value["m"])

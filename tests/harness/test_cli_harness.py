@@ -1,7 +1,10 @@
-"""The harness CLI verbs (sweep / cache / compare) and script UX."""
+"""The harness CLI verbs (sweep / cache / compare / calibrate) and
+script UX."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,9 +20,12 @@ TINY_GRID = {
 }
 
 
+REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                    os.pardir))
+
+
 def _load_script(name):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
-                        "scripts", name)
+    path = os.path.join(REPO, "scripts", name)
     spec = importlib.util.spec_from_file_location(name[:-3], path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -62,6 +68,30 @@ class TestSweepVerb:
         assert first_csv == second_csv
         manifest = RunManifest.load(out + ".manifest.json")
         assert manifest.cache_stats["hit_rate"] == 1.0
+
+    def test_quick_run_and_cached_rerun(self, tmp_path, tiny_quick_grid,
+                                        monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--quick", "--out", out,
+                     "--jobs", "1"]) == 0
+        assert "points/s" in capsys.readouterr().out
+        assert main(["sweep", "--quick", "--out", out,
+                     "--jobs", "1"]) == 0
+        assert "cache 4/4 hits" in capsys.readouterr().out
+
+    def test_failed_points_exit_1_and_keep_the_good_half(
+            self, tmp_path, monkeypatch, capsys):
+        import repro.lattester.sweep as sweep_module
+        monkeypatch.setattr(sweep_module, "QUICK_GRID",
+                            dict(TINY_GRID, op=("read", "no-such-op")))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--quick", "--out", out,
+                     "--jobs", "1"]) == 1
+        assert "ERROR: 2 point(s) failed" in capsys.readouterr().err
+        with open(out) as fh:
+            assert len(fh.readlines()) == 3       # header + 2 points
 
 
 class TestCacheVerb:
@@ -115,34 +145,6 @@ class TestCompareVerb:
         assert "cannot read manifest" in capsys.readouterr().err
 
 
-class TestFullSweepScript:
-    def test_quick_run_and_cached_rerun(self, tmp_path, monkeypatch,
-                                        capsys):
-        script = _load_script("full_sweep.py")
-        monkeypatch.setattr(script, "QUICK_GRID", TINY_GRID)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        out = str(tmp_path / "sweep.csv")
-        assert script.main([out, "--quick", "--jobs", "1"]) == 0
-        first = capsys.readouterr().out
-        assert "points/s" in first
-        assert script.main([out, "--quick", "--jobs", "1"]) == 0
-        second = capsys.readouterr().out
-        assert "100% hit rate" in second
-
-    def test_failed_points_exit_nonzero(self, tmp_path, monkeypatch,
-                                        capsys):
-        script = _load_script("full_sweep.py")
-        bad_grid = dict(TINY_GRID, op=("read", "no-such-op"))
-        monkeypatch.setattr(script, "QUICK_GRID", bad_grid)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        out = str(tmp_path / "sweep.csv")
-        assert script.main([out, "--quick", "--jobs", "1"]) == 1
-        assert "ERROR" in capsys.readouterr().out
-        # The good half of the grid still made it into the CSV.
-        with open(out) as fh:
-            assert len(fh.readlines()) == 3       # header + 2 points
-
-
 class TestRegenerateAllScript:
     def test_quick_regenerate_and_cached_rerun(self, tmp_path,
                                                monkeypatch, capsys):
@@ -161,11 +163,39 @@ class TestRegenerateAllScript:
         manifest = RunManifest.load(out + ".manifest.json")
         assert manifest.points[0]["cached"]
 
+    def test_cold_and_warm_runs_write_identical_files(self, tmp_path,
+                                                      monkeypatch):
+        script = _load_script("regenerate_all.py")
+        monkeypatch.setattr(script, "QUICK_FIGURES", ("fig2", "fig10"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        texts = []
+        for name in ("cold.txt", "warm.txt"):
+            out = str(tmp_path / name)
+            assert script.main([out, "--quick"]) == 0
+            with open(out) as fh:
+                texts.append(fh.read())
+        assert "('dram', 'read-seq')" in texts[0]
+        assert texts[0] == texts[1]
+
     def test_unknown_figure_exits_2(self, tmp_path, capsys):
         script = _load_script("regenerate_all.py")
         out = str(tmp_path / "raw.txt")
         assert script.main([out, "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().out
+
+
+class TestCalibrateVerb:
+    def test_prints_the_same_table_from_any_directory(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+
+        def calibrate(cwd):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "calibrate"], cwd=cwd,
+                env=env, check=True, stdout=subprocess.PIPE).stdout
+
+        from_root = calibrate(REPO)
+        assert len(from_root.splitlines()) == 27
+        assert calibrate(str(tmp_path)) == from_root
 
 
 class TestRunVerbUnknownFigure:

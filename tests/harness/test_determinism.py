@@ -40,11 +40,17 @@ class TestDeterminism:
                              cache=_uncached()).records
         assert canonical_json(serial) == canonical_json(parallel)
 
-    def test_sweep_grid_harness_path_matches_legacy_serial(self):
-        legacy = sweep_grid(grid=GRID, per_thread=16 * KIB)
-        harness = sweep_grid(grid=GRID, per_thread=16 * KIB, jobs=2,
-                             cache=_uncached())
-        assert canonical_json(legacy) == canonical_json(harness)
+    def test_sweep_grid_jobs_1_matches_jobs_2(self):
+        serial = sweep_grid(grid=GRID, per_thread=16 * KIB)
+        parallel = sweep_grid(grid=GRID, per_thread=16 * KIB, jobs=2)
+        assert canonical_json(serial) == canonical_json(parallel)
+
+    def test_sweep_grid_writes_nothing_to_the_cache_dir(self, tmp_path,
+                                                        monkeypatch):
+        root = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        sweep_grid(grid=GRID, per_thread=16 * KIB)
+        assert not root.exists()
 
     def test_cache_replay_is_bit_identical_to_live_run(self, tmp_path):
         cache = ResultCache(root=str(tmp_path / "cache"))
@@ -57,9 +63,12 @@ class TestDeterminism:
         assert replay.manifest.hit_rate() == 1.0
 
     def test_figure_run_cached_twice_is_bit_identical(self, tmp_path):
-        from repro.core.experiments import get
+        from repro.core.experiments import run_figure
         cache = ResultCache(root=str(tmp_path / "cache"))
-        first, cached_first = get("fig10").run_cached(cache=cache)
-        second, cached_second = get("fig10").run_cached(cache=cache)
-        assert not cached_first and cached_second
+        runs = [run_sweep({"figure": ["fig10"]}, point_fn=run_figure,
+                          experiment="experiment", jobs=1, cache=cache)
+                for _ in range(2)]
+        assert [run.outcomes[0].cached for run in runs] == [False, True]
+        first, second = (run.records for run in runs)
         assert canonical_json(first) == canonical_json(second)
+        assert first == second

@@ -99,9 +99,8 @@ def run_shape(op, pattern, yield_every, **kwargs):
 
 
 class TestKernelShapes:
-    """Fences, end-of-access flushes and delays land between the same
-    lines whatever the batch size (the goldens pin only the default
-    kernel arguments)."""
+    """Fences and delays land between the same lines whatever the
+    batch size (the goldens pin only the default kernel arguments)."""
 
     SHAPES = [
         ("read", {"delay_ns": 50.0}),
@@ -109,10 +108,8 @@ class TestKernelShapes:
         ("ntstore", {"delay_ns": 50.0}),
         ("ntstore", {"fence_every": 256, "delay_ns": 50.0}),
         ("clwb", {"fence_every": 256}),
-        ("clwb", {"flush_at_end": True}),
         ("clwb", {"delay_ns": 50.0}),
-        ("clwb", {"flush_at_end": True, "fence_every": 256,
-                  "delay_ns": 50.0}),
+        ("clwb", {"fence_every": 256, "delay_ns": 50.0}),
         ("store", {"fence_every": 256}),
         ("store", {"delay_ns": 50.0}),
     ]
