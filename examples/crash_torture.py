@@ -12,10 +12,10 @@ implicitly demand and rarely get.
 Run:  python examples/crash_torture.py
 """
 
+from repro.faults import count_persists, exhaustive_crash_test
 from repro.fs import NovaFS, PAGE
 from repro.kvstore import LSMStore
 from repro.pmdk import PmemPool, Transaction, recover
-from repro.sim import count_persists, exhaustive_crash_test
 
 
 def torture_kvstore():

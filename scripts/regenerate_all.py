@@ -19,25 +19,11 @@ import time
 
 from repro.core.experiments import all_experiments, get, run_figure
 from repro.harness import ResultCache, run_sweep
+from repro.lattester.report import outline
 
 # Figures cheap enough for a smoke pass (--quick): each finishes in a
 # few seconds on the simulator.
 QUICK_FIGURES = ("fig2", "fig10", "fig13", "fig14")
-
-
-def _dump(fh, value, indent="  "):
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            if isinstance(sub, (dict, list)):
-                fh.write("%s%s:\n" % (indent, key))
-                _dump(fh, sub, indent + "  ")
-            else:
-                fh.write("%s%s: %s\n" % (indent, key, sub))
-    elif isinstance(value, list):
-        for item in value:
-            fh.write("%s%s\n" % (indent, item))
-    else:
-        fh.write("%s%s\n" % (indent, value))
 
 
 def build_parser():
@@ -98,7 +84,8 @@ def main(argv):
             fh.write("== %s — %s (Section %s)\n"
                      % (exp.figure, exp.title, exp.section))
             fh.write("   workload: %s\n" % exp.workload)
-            _dump(fh, outcome.value)
+            for line in outline(outcome.value):
+                fh.write(line + "\n")
             fh.write("\n")
     manifest_path = args.manifest or out + ".manifest.json"
     run.manifest.save(manifest_path)

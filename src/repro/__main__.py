@@ -12,7 +12,7 @@ from repro.core.experiments import REGISTRY, all_experiments, get
 from repro.core.guidelines import (
     AccessPlan, Violation, audit_access_pattern,
 )
-from repro.lattester.report import table
+from repro.lattester.report import outline, table
 
 
 def cmd_list(_args):
@@ -37,8 +37,7 @@ def cmd_run(args):
         exp = get(figure)
         print("== %s — %s (workload: %s)" % (exp.figure, exp.title,
                                              exp.workload))
-        result = exp.run()
-        _pretty(result)
+        _pretty(exp.run())
     return 0
 
 
@@ -204,19 +203,11 @@ def cmd_faults(args):
     return status
 
 
-def _pretty(result, indent="  "):
-    if isinstance(result, dict):
-        for key, value in result.items():
-            if isinstance(value, (dict, list)):
-                print("%s%s:" % (indent, key))
-                _pretty(value, indent + "  ")
-            else:
-                print("%s%s: %s" % (indent, key, value))
-    elif isinstance(result, list):
-        for item in result:
-            print("%s%s" % (indent, item))
-    else:
-        print("%s%s" % (indent, result))
+def _pretty(result):
+    """Print a result as the record ``scripts/regenerate_all.py`` writes."""
+    from repro.harness.keys import to_jsonable
+    for line in outline(to_jsonable(result)):
+        print(line)
 
 
 def cmd_calibrate(_args):

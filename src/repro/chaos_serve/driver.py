@@ -55,10 +55,11 @@ from random import Random
 
 from repro.chaos_serve.history import History
 from repro.chaos_serve.oracle import check_durability, service_read_fn
-from repro.faults.model import FaultController, MediaError, _mix
+from repro.faults.model import (
+    FaultController, MediaError, SimulatedPowerFailure, _mix,
+)
 from repro.faults.report import RecoveryReport
 from repro.obs import ObsRecorder
-from repro.sim.crashpoints import CrashInjector, SimulatedPowerFailure
 from repro.sim.platform import Machine
 from repro.telemetry.events import CAT_CHAOS, CAT_DEGRADE
 from repro.workloads.generators import get_workload
@@ -230,7 +231,6 @@ class _Env:
         self.load_end = preload(self.service, self.machine, self.spec,
                                 self.records, seed=self.seed)
         self.history.preload(self.records)
-        self.injector = CrashInjector(self.machine)  # armed by _fire
 
     # -- tracing --------------------------------------------------------
 
@@ -375,10 +375,10 @@ def _fire(env, kind, at_op):
     """Inject one scheduled fault just before dispatching ``at_op``."""
     rng = env.chaos_rng
     if kind == "crash":
-        # Arm the injector a seeded handful of persists ahead, so the
-        # failure lands *inside* whichever request persists next.
-        env.injector.crash_at = \
-            env.injector.persists + 1 + rng.randrange(4)
+        # Arm the controller a seeded handful of persists ahead, so
+        # the failure lands *inside* whichever request persists next.
+        env.controller.crash_at = \
+            env.controller.persists + 1 + rng.randrange(4)
         env.chaos_instant("chaos.crash_armed", {"at_op": at_op})
     elif kind == "poison" or kind == "transient":
         draw = rng.randrange(1 << 16)
@@ -408,7 +408,7 @@ def _recover_and_audit(env, at_op, final=False):
     line's ECC), so its chunk count lands in ``truncated`` and the
     oracle can excuse the acknowledged writes the tear rolled back.
     """
-    env.injector.crash_at = None
+    env.controller.crash_at = None
     interrupted = env.history.crash()
     start = max((t.now for t in env.threads), default=env.load_end)
     env.machine.power_fail()
@@ -461,15 +461,12 @@ def chaos_serve_cell(payload):
     args = (env.machine, env.service, env.spec, env.records, env.ops)
     hooks = dict(seed=env.seed, load_end=env.load_end, obs=env.obs,
                  chaos=env)
-    try:
-        if env.open:
-            served = open_loop(*args, payload["rate_kops"],
-                               workers=env.clients, **hooks)
-        else:
-            served = closed_loop(*args, clients=env.clients, **hooks)
-        _recover_and_audit(env, env.ops, final=True)
-    finally:
-        env.injector.uninstall()
+    if env.open:
+        served = open_loop(*args, payload["rate_kops"],
+                           workers=env.clients, **hooks)
+    else:
+        served = closed_loop(*args, clients=env.clients, **hooks)
+    _recover_and_audit(env, env.ops, final=True)
     results = env.results
     crashes = sum(1 for r in env.recoveries if not r["final"])
     obs = env.obs

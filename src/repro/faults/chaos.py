@@ -25,13 +25,9 @@ matrix is expected to *find* wrong-value violations then, demonstrating
 that it catches exactly the torn-tail corruption the CRCs prevent.
 """
 
-from repro.faults.model import FaultController, MediaError
+from repro.faults.model import MediaError, count_persists, crash_once
 from repro.faults.report import RecoveryReport
 from repro.harness.runner import run_matrix
-from repro.sim.crashpoints import (
-    CrashInjector, SimulatedPowerFailure, count_persists,
-)
-from repro.sim.platform import Machine
 
 #: Tear patterns: ``none`` disables tearing, ``prefix-N`` keeps exactly
 #: N 64 B chunks of the final XPLine, ``seeded`` derives the kept
@@ -241,18 +237,10 @@ def _run_case(payload):
     case's Chrome trace shows its fault instants on the ``faults``
     track."""
     run, check = WORKLOADS[payload["workload"]]
-    machine = Machine()
     tear, keep = _parse_tear(payload["tear"])
-    controller = FaultController(machine, seed=payload["seed"],
-                                 tear=tear, tear_keep=keep)
-    injector = CrashInjector(machine, crash_at=payload["crash_at"])
-    crashed = False
-    try:
-        run(machine, payload)
-    except SimulatedPowerFailure:
-        crashed = True
-    injector.uninstall()
-    machine.power_fail()
+    machine, controller, crashed = crash_once(
+        lambda machine: run(machine, payload), payload["crash_at"],
+        seed=payload["seed"], tear=tear, tear_keep=keep)
     if payload.get("poison_site") is not None:
         controller.poison_site(payload["poison_site"])
     try:

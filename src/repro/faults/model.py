@@ -15,15 +15,26 @@ Real Optane DIMMs misbehave in ways a clean power-cut model misses:
   during a configured window, degrading bandwidth the way a hot DIMM
   does.
 
-All faults are injected through one :class:`FaultController` installed
-on the :class:`~repro.sim.platform.Machine`; it hooks the namespace
-persist path (composing with :class:`~repro.sim.crashpoints.CrashInjector`)
-and the :class:`~repro.sim.media.XPMedia` occupancy model.
+* **Power failure at a persist boundary** — the controller counts the
+  lines entering ADR and raises :class:`SimulatedPowerFailure` at
+  ``crash_at``.  The simulator is deterministic, so
+  :func:`exhaustive_crash_test` can count a workload's persists once
+  and re-run it cutting the power at each one in turn.
+
+All faults are injected through the one :class:`FaultController` a
+:class:`~repro.sim.platform.Machine` may hold; it is the namespace
+persist path's only hook and the
+:class:`~repro.sim.media.XPMedia` occupancy model's.
 """
 
 import zlib
 
 from repro._units import CACHELINE, XPLINE, align_up
+from repro.sim.platform import Machine
+
+
+class SimulatedPowerFailure(Exception):
+    """Raised inside a workload when the armed crash point hits."""
 
 
 class MediaError(Exception):
@@ -50,21 +61,28 @@ def _xplines(addr, size):
 
 
 class FaultController:
-    """Machine-wide fault injector; install once per simulated machine.
+    """Machine-wide fault injector; a machine holds at most one.
 
     Creating the controller wires it into the machine's persist path
-    and every Optane DIMM's media model.  All randomness derives from
+    and every Optane DIMM's media model; a second controller on the
+    same machine raises ``ValueError``.  All randomness derives from
     ``seed`` plus the fault site, never from global state, so the same
     (workload, seed) pair replays the same faults bit-for-bit.
     """
 
-    def __init__(self, machine, seed=0, tear=False, tear_keep=None):
+    def __init__(self, machine, seed=0, tear=False, tear_keep=None,
+                 crash_at=None):
+        if machine.faults is not None:
+            raise ValueError("machine already has a fault controller")
         self.machine = machine
         self.seed = seed
         self.tear = tear
         #: Explicit prefix length for torn writes; None derives it from
         #: the seed per torn line.
         self.tear_keep = tear_keep
+        #: Persist number the power fails at; None never crashes.
+        self.crash_at = crash_at
+        self.persists = 0            # lines that entered ADR so far
         self._tail = []              # [(ns, line_addr, old_bytes)]
         self._tail_key = None        # (ns_id, xpline) of the open tail
         self.persist_order = []      # distinct (ns_id, xpline), first-persist order
@@ -94,22 +112,33 @@ class FaultController:
             tracer.instant(tracer.last_ts, "fault", name,
                            track="faults", args=args)
 
-    # -- torn-write model (persist-path hook) --------------------------
+    # -- the persist path: torn writes and crash points ----------------
 
-    def before_persist(self, ns, line):
-        """Called by the namespace for every line entering ADR."""
+    def persist(self, ns, line):
+        """Commit one line entering ADR; the persist path's only hook.
+
+        Snapshots the line *before* it persists (torn-write rollback
+        needs the old contents), makes it durable, counts it and fails
+        the power at ``crash_at``: a crash at persist #N leaves line N
+        durable, modulo any tearing applied at power failure.
+        """
         key = (ns.ns_id, line // XPLINE)
         if key not in self._persist_seen:
             self._persist_seen.add(key)
             self.persist_order.append(key)
-        if not self.tear:
-            return
-        if key != self._tail_key:
-            # A new XPLine started: everything before it is fully on
-            # media (the controller wrote the old line out whole).
-            self._tail_key = key
-            self._tail = []
-        self._tail.append((ns, line, ns.data.read_persistent(line, CACHELINE)))
+        if self.tear:
+            if key != self._tail_key:
+                # A new XPLine started: everything before it is fully
+                # on media (the controller wrote the old line out whole).
+                self._tail_key = key
+                self._tail = []
+            self._tail.append(
+                (ns, line, ns.data.read_persistent(line, CACHELINE)))
+        ns.data.persist_line(line)
+        self.persists += 1
+        if self.crash_at is not None and self.persists >= self.crash_at:
+            raise SimulatedPowerFailure(
+                "power failed at persist #%d" % self.persists)
 
     def on_power_fail(self):
         """Tear the final XPLine: keep only a prefix of its 64 B chunks.
@@ -251,6 +280,49 @@ class FaultController:
             if start <= now < end:
                 factor *= f
         return factor
+
+
+# -- crash points ------------------------------------------------------------
+
+def crash_once(workload, crash_at, **faults):
+    """Run ``workload(machine)`` on a fresh machine, then cut its power.
+
+    One controller (``faults`` are its settings) fails the power at
+    persist ``crash_at`` (None runs the workload out) and is disarmed,
+    so recovery runs normally.  Returns ``(machine, controller,
+    crashed)``.
+    """
+    machine = Machine()
+    controller = FaultController(machine, crash_at=crash_at, **faults)
+    crashed = False
+    try:
+        workload(machine)
+    except SimulatedPowerFailure:
+        crashed = True
+    controller.crash_at = None
+    machine.power_fail()
+    return machine, controller, crashed
+
+
+def count_persists(workload):
+    """Dry-run the workload; returns how many persist points it has."""
+    return crash_once(workload, None)[1].persists
+
+
+def exhaustive_crash_test(workload, check, stride=1):
+    """Crash at every ``stride``-th persist boundary and verify recovery.
+
+    ``workload(machine)`` runs the operation sequence; ``check(machine,
+    crashed_at)`` is called after the simulated power failure and must
+    assert the recovery invariants.  Returns the number of crash points
+    exercised.
+    """
+    exercised = 0
+    for crash_at in range(1, count_persists(workload) + 1, stride):
+        machine, _, _ = crash_once(workload, crash_at)
+        check(machine, crash_at)
+        exercised += 1
+    return exercised
 
 
 def tolerant_read(ns, addr, size, view="persistent"):

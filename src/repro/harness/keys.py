@@ -9,6 +9,7 @@ miss, never a stale hit.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -41,10 +42,16 @@ def canonical_json(value):
 def config_fingerprint(config=None):
     """Stable hash of a simulator :class:`MachineConfig` (or default)."""
     if config is None:
-        from repro.sim import default_config
-        config = default_config()
+        return _default_fingerprint()
     return hashlib.sha256(
         canonical_json(config).encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _default_fingerprint():
+    """The default config's hash, computed once per process."""
+    from repro.sim import default_config
+    return config_fingerprint(default_config())
 
 
 def point_key(experiment, params, config=None, version=None):

@@ -1,8 +1,9 @@
-"""Result formatting: ASCII tables for experiment output.
+"""Result formatting: ASCII tables and nested-record outlines.
 
 LATTester's results are plain dataclasses; this module renders them
 the way the paper's tables/figures organise them, for the CLI
-(``python -m repro``) and the benchmark reports.
+(``python -m repro``), ``scripts/regenerate_all.py`` and the benchmark
+reports.
 """
 
 
@@ -33,3 +34,24 @@ def table(headers, rows, title=None):
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
+
+def outline(value, indent="  "):
+    """Yield a nested record (dicts, lists, scalars) as indented lines.
+
+    A scalar under a key renders ``key: value``; a dict or list under a
+    key renders ``key:`` with its block indented two more spaces below.
+    ``repro run`` prints and ``scripts/regenerate_all.py`` writes a
+    figure's :func:`~repro.harness.keys.to_jsonable` record this way.
+    """
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            if isinstance(sub, (dict, list)):
+                yield "%s%s:" % (indent, key)
+                yield from outline(sub, indent + "  ")
+            else:
+                yield "%s%s: %s" % (indent, key, sub)
+    elif isinstance(value, list):
+        for item in value:
+            yield "%s%s" % (indent, item)
+    else:
+        yield "%s%s" % (indent, value)

@@ -21,10 +21,6 @@ from repro.sim.counters import (
     EWR_UNDEFINED, CounterSnapshot, aggregate, effective_write_ratio,
     is_ewr_defined, write_amplification,
 )
-from repro.sim.crashpoints import (
-    CrashInjector, SimulatedPowerFailure, count_persists,
-    exhaustive_crash_test,
-)
 from repro.sim.engine import (
     BackfillResource, DirectionalLink, Resource, ThreadCtx, run_workloads,
 )
@@ -36,12 +32,10 @@ from repro.sim.platform import Machine
 
 __all__ = [
     "AITConfig", "BackfillResource", "CacheConfig", "ChannelConfig",
-    "CounterSnapshot", "CrashInjector", "EWR_UNDEFINED",
-    "SimulatedPowerFailure", "count_persists", "exhaustive_crash_test",
-    "DRAMConfig", "DirectionalLink", "InterleaveConfig", "Machine",
-    "MachineConfig", "MediaConfig", "MemoryModeNamespace", "NUMAConfig",
-    "Namespace", "NearMemoryCache", "Resource", "ThreadCtx",
-    "WPQConfig", "XPBufferConfig", "aggregate", "default_config",
-    "effective_write_ratio", "is_ewr_defined",
+    "CounterSnapshot", "DRAMConfig", "DirectionalLink", "EWR_UNDEFINED",
+    "InterleaveConfig", "Machine", "MachineConfig", "MediaConfig",
+    "MemoryModeNamespace", "NUMAConfig", "Namespace", "NearMemoryCache",
+    "Resource", "ThreadCtx", "WPQConfig", "XPBufferConfig", "aggregate",
+    "default_config", "effective_write_ratio", "is_ewr_defined",
     "make_memory_mode_namespace", "run_workloads", "write_amplification",
 ]

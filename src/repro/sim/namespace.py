@@ -388,16 +388,16 @@ class Namespace:
         accept = dimm.ingest_write(ch_end, dev_addr)
         stores.append(accept)
         thread.bytes_written += CACHELINE
-        if machine.faults is not None:           # _persist_line, inlined
-            machine.faults.before_persist(self, line)
-        # data.persist_line, inlined: the line is durable as the CPU
-        # sees it, so its pre-image goes.  Bandwidth kernels carry no
-        # payload and leave the undo map empty.
-        undo = self.data._undo
-        if undo:
-            undo.pop(line, None)
-        if machine._persist_hook is not None:
-            machine._persist_hook()
+        faults = machine.faults                  # _persist_line, inlined
+        if faults is not None:
+            faults.persist(self, line)
+        else:
+            # data.persist_line, inlined: the line is durable as the
+            # CPU sees it, so its pre-image goes.  Bandwidth kernels
+            # carry no payload and leave the undo map empty.
+            undo = self.data._undo
+            if undo:
+                undo.pop(line, None)
 
     def _store_clwb_line(self, thread, line):
         """``store`` then ``clwb`` of one line — the Figure 2/14 pairing.
@@ -517,16 +517,16 @@ class Namespace:
         accept = dimm.ingest_write(ch_end, dev_addr)
         stores.append(accept)
         thread.bytes_written += CACHELINE
-        if machine.faults is not None:           # _persist_line, inlined
-            machine.faults.before_persist(self, line)
-        # data.persist_line, inlined: the line is durable as the CPU
-        # sees it, so its pre-image goes.  Bandwidth kernels carry no
-        # payload and leave the undo map empty.
-        undo = self.data._undo
-        if undo:
-            undo.pop(line, None)
-        if machine._persist_hook is not None:
-            machine._persist_hook()
+        faults = machine.faults                  # _persist_line, inlined
+        if faults is not None:
+            faults.persist(self, line)
+        else:
+            # data.persist_line, inlined: the line is durable as the
+            # CPU sees it, so its pre-image goes.  Bandwidth kernels
+            # carry no payload and leave the undo map empty.
+            undo = self.data._undo
+            if undo:
+                undo.pop(line, None)
 
     # -- batched run entry points ----------------------------------------------
     #
@@ -640,31 +640,25 @@ class Namespace:
         accept = dimm.ingest_write(ch_end, dev_addr)
         stores.append(accept)                    # track_store, inlined
         thread.bytes_written += CACHELINE
-        if machine.faults is not None:           # _persist_line, inlined
-            machine.faults.before_persist(self, line)
-        # data.persist_line, inlined: the line is durable as the CPU
-        # sees it, so its pre-image goes.  Bandwidth kernels carry no
-        # payload and leave the undo map empty.
-        undo = self.data._undo
-        if undo:
-            undo.pop(line, None)
-        if machine._persist_hook is not None:
-            machine._persist_hook()
+        faults = machine.faults                  # _persist_line, inlined
+        if faults is not None:
+            faults.persist(self, line)
+        else:
+            # data.persist_line, inlined: the line is durable as the
+            # CPU sees it, so its pre-image goes.  Bandwidth kernels
+            # carry no payload and leave the undo map empty.
+            undo = self.data._undo
+            if undo:
+                undo.pop(line, None)
 
     def _persist_line(self, line):
-        """Commit one line to the ADR domain, with fault/crash hooks.
-
-        The fault controller snapshots the line *before* it persists
-        (torn-write rollback needs the old contents); the crash hook
-        runs after, so a crash at persist #N leaves line N durable —
-        modulo any tearing applied at power failure.
-        """
-        machine = self._machine()
-        if machine.faults is not None:
-            machine.faults.before_persist(self, line)
-        self.data.persist_line(line)
-        if machine._persist_hook is not None:
-            machine._persist_hook()
+        """Commit one line to the ADR domain, through the machine's
+        fault controller when it has one (torn writes, crash points)."""
+        faults = self._machine().faults
+        if faults is not None:
+            faults.persist(self, line)
+        else:
+            self.data.persist_line(line)
 
     def _evict_writeback(self, line, now):
         """A natural cache eviction wrote this dirty line back."""

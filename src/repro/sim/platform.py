@@ -73,11 +73,9 @@ class Machine:
         self._ns_by_id = []
         self._threads = weakref.WeakSet()
         self._tids = itertools.count()
-        # Optional crash-injection hook (see repro.sim.crashpoints):
-        # called once per line that reaches the ADR domain.
-        self._persist_hook = None
-        # Optional fault controller (see repro.faults.model): torn
-        # writes, poison, transient errors, thermal throttling.
+        # Optional fault controller (see repro.faults.model), the
+        # persist path's only hook: crash points, torn writes, poison,
+        # transient errors, thermal throttling.
         self.faults = None
         # Optional persistency-order checker (see repro.pmcheck): set
         # via PmCheck.install(); namespaces read it on every persist

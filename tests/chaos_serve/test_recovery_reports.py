@@ -8,9 +8,10 @@ even over poisoned media.
 
 import pytest
 
-from repro.faults.model import FaultController, MediaError
+from repro.faults.model import (
+    FaultController, MediaError, SimulatedPowerFailure,
+)
 from repro.faults.report import RecoveryReport
-from repro.sim.crashpoints import CrashInjector, SimulatedPowerFailure
 from repro.sim.platform import Machine
 from repro.workloads.generators import (
     get_workload, make_key, make_value,
@@ -45,14 +46,14 @@ class TestEverySubstrate:
             make_value(SPEC, 0, 0)
 
     def test_mid_write_crash_recovers_with_report(self, substrate):
-        machine, _, service = build(substrate, tear=True)
+        machine, controller, service = build(substrate, tear=True)
         thread = machine.thread()
-        injector = CrashInjector(machine, crash_at=3)
+        controller.crash_at = controller.persists + 3
         try:
             service.put(thread, make_key(0), make_value(SPEC, 0, 1))
         except SimulatedPowerFailure:
             pass
-        injector.uninstall()
+        controller.crash_at = None
         machine.power_fail()
         recovered, report = service.recover()
         assert isinstance(report, RecoveryReport)

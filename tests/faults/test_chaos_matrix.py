@@ -10,7 +10,7 @@ persist boundary x every tear pattern x every poison site — is marked
 import pytest
 
 from repro.faults.chaos import WORKLOADS, _run_case, build_matrix, run_chaos
-from repro.sim.crashpoints import count_persists
+from repro.faults.model import count_persists
 
 
 def _case(workload, crash_at=None, tear="none", poison=None, seed=0,

@@ -4,11 +4,10 @@ import pytest
 
 from repro._units import CACHELINE, XPLINE
 from repro.faults.model import (
-    FaultController, MediaError, overlaps_lost, tolerant_read,
+    FaultController, MediaError, SimulatedPowerFailure, overlaps_lost,
+    tolerant_read,
 )
-from repro.sim.crashpoints import (
-    CrashInjector, SimulatedPowerFailure, count_persists,
-)
+from repro.sim.config import CacheConfig, default_config
 from repro.sim.platform import Machine
 
 
@@ -190,41 +189,85 @@ class TestThermalThrottle:
             fc.add_thermal_window(0, 1, factor=0.0)
 
 
-class TestCrashInjectorComposition:
-    def test_injector_chains_fault_hook(self):
+#: The four persist tails: ``_ntstore_line``, ``_store_clwb_line``,
+#: ``_send_store`` (clwb or clflushopt write-back) and ``_persist_line``
+#: (a natural LLC eviction).
+PERSIST_TAILS = ("ntstore", "store+clwb", "clwb", "clflushopt", "eviction")
+
+
+def _persist_through(tail, ns, thread, new):
+    """Write ``new`` from address 0 so it reaches ADR through ``tail``."""
+    if tail == "ntstore":
+        ns.ntstore(thread, 0, len(new), data=new)
+    elif tail == "store+clwb":
+        ns.data.write(0, new)
+        ns.store_run(thread, 0, len(new) // CACHELINE, clwb=True)
+    else:
+        ns.store(thread, 0, len(new), data=new)
+        if tail == "clwb":
+            ns.clwb(thread, 0, len(new))
+        elif tail == "clflushopt":
+            ns.clflushopt(thread, 0, len(new))
+        else:                            # load until a dirty line evicts
+            for i in range(1, 1024):
+                ns.load(thread, i * XPLINE)
+
+
+class TestCrashPoints:
+    def test_tear_applies_to_the_chunks_counted_before_the_crash(self):
         machine = Machine()
-        fc = FaultController(machine, seed=1, tear=True, tear_keep=1)
-        injector = CrashInjector(machine, crash_at=3)
+        fc = FaultController(machine, seed=1, tear=True, tear_keep=1,
+                             crash_at=3)
         thread = machine.thread()
         ns = machine.namespace("optane")
         with pytest.raises(SimulatedPowerFailure):
             ns.ntstore(thread, 0, XPLINE, data=b"\x77" * XPLINE)
-        injector.uninstall()
+        assert fc.persists == 3
+        fc.crash_at = None
         machine.power_fail()
-        # The fault hook saw every persist the injector counted: the
-        # tear still applies to the chunks that reached ADR.
+        # Three chunks reached ADR before the power failed; the tear
+        # keeps a one-chunk prefix of them.
         got = ns.read_persistent(0, XPLINE)
         assert got[:CACHELINE] == b"\x77" * CACHELINE
-        assert got[CACHELINE:3 * CACHELINE] == b"\x00" * (2 * CACHELINE)
-        assert fc.persist_order  # before_persist ran under the injector
+        assert got[CACHELINE:] == b"\x00" * (XPLINE - CACHELINE)
+        assert fc.torn_chunks == 2
 
-    def test_uninstall_restores_previous_hook(self):
+    def test_count_unaffected_by_tear(self):
+        def persists(**settings):
+            machine = Machine()
+            fc = FaultController(machine, seed=1, **settings)
+            _write_xpline(machine)
+            return fc.persists
+
+        assert persists(tear=True) == persists() == 4
+
+    def test_a_machine_holds_one_controller(self):
         machine = Machine()
-        fc = FaultController(machine, seed=1)
-        injector = CrashInjector(machine)
-        injector.uninstall()
-        _write_xpline(machine)
-        # After uninstall the fault hook still sees persists.
-        assert fc.persist_order
+        fc = FaultController(machine)
+        with pytest.raises(ValueError):
+            FaultController(machine, crash_at=1)
+        assert machine.faults is fc
 
-    def test_count_persists_unaffected_by_faults(self):
-        def workload(machine):
-            _write_xpline(machine)
-
-        baseline = count_persists(workload)
-
-        def workload_with_faults(machine):
-            FaultController(machine, seed=1, tear=True)
-            _write_xpline(machine)
-
-        assert count_persists(workload_with_faults) == baseline
+    @pytest.mark.parametrize("tail", PERSIST_TAILS)
+    def test_crash_at_the_first_persist_of_every_tail(self, tail):
+        machine = Machine(default_config().with_overrides(
+            cache=CacheConfig(capacity_bytes=16 * 1024)))
+        ns = machine.namespace("optane")
+        thread = machine.thread()
+        old, new = b"O" * XPLINE, b"N" * XPLINE
+        ns.pwrite(thread, 0, old)
+        fc = FaultController(machine, crash_at=1)
+        with pytest.raises(SimulatedPowerFailure):
+            _persist_through(tail, ns, thread, new)
+        assert fc.persists == 1
+        fc.crash_at = None
+        machine.power_fail()
+        got = ns.read_persistent(0, XPLINE)
+        lines = [got[i:i + CACHELINE] for i in range(0, XPLINE, CACHELINE)]
+        durable = [i for i, line in enumerate(lines)
+                   if line == new[:CACHELINE]]
+        # An eviction persists whichever line the LLC picks first.
+        assert len(durable) == 1
+        assert tail == "eviction" or durable == [0]
+        assert all(line == old[:CACHELINE] for i, line in enumerate(lines)
+                   if i not in durable)

@@ -3,12 +3,11 @@
 import pytest
 
 from repro._units import XPLINE
-from repro.faults.model import FaultController
+from repro.faults.model import FaultController, SimulatedPowerFailure
 from repro.fs.layout import INODE_TABLE_PAGE, PAGE, split_gaddr
 from repro.fs.nova import NovaFS
 from repro.pmdk.pool import PmemPool
 from repro.pmdk.tx import Transaction, recover, recover_report
-from repro.sim.crashpoints import CrashInjector, SimulatedPowerFailure
 from repro.sim.platform import Machine
 
 WRITES = 6
@@ -61,13 +60,13 @@ class TestNovaTornLog:
     def test_mid_write_crash_replays_prefix(self):
         for crash_at in (1, 6, 13, 21):
             machine = Machine()
-            FaultController(machine, seed=2, tear=True)
-            injector = CrashInjector(machine, crash_at=crash_at)
+            fc = FaultController(machine, seed=2, tear=True,
+                                 crash_at=crash_at)
             try:
                 _populate_fs(machine)
             except SimulatedPowerFailure:
                 pass
-            injector.uninstall()
+            fc.crash_at = None
             machine.power_fail()
             mounted = NovaFS.mount(machine, datalog=True)
             if 1 not in mounted._files:
@@ -140,13 +139,13 @@ class TestPmdkUndoLog:
     def test_atomicity_holds_under_every_tear(self, keep):
         for crash_at in (4, 6, 8, 10, 12):
             machine = Machine()
-            FaultController(machine, seed=1, tear=True, tear_keep=keep)
-            injector = CrashInjector(machine, crash_at=crash_at)
+            fc = FaultController(machine, seed=1, tear=True,
+                                 tear_keep=keep, crash_at=crash_at)
             try:
                 self._pool_with_tx(machine)
             except SimulatedPowerFailure:
                 pass
-            injector.uninstall()
+            fc.crash_at = None
             machine.power_fail()
             try:
                 pool = PmemPool.open(machine)

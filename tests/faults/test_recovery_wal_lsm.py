@@ -3,11 +3,10 @@
 import pytest
 
 from repro._units import XPLINE
-from repro.faults.model import FaultController
+from repro.faults.model import FaultController, SimulatedPowerFailure
 from repro.kvstore.lsm import WAL_BASE, LSMStore
 from repro.kvstore.sstable import SSTable
 from repro.kvstore.wal import WalFlex, WalPosix
-from repro.sim.crashpoints import CrashInjector, SimulatedPowerFailure
 from repro.sim.platform import Machine
 
 #: Values span multiple 64 B tear chunks, so a torn record is partially
@@ -249,13 +248,13 @@ class TestCrashPlusTear:
     def test_mid_put_crash_with_tear_keeps_prefix(self, mode):
         def run(crash_at):
             machine = Machine()
-            FaultController(machine, seed=2, tear=True)
-            injector = CrashInjector(machine, crash_at=crash_at)
+            fc = FaultController(machine, seed=2, tear=True,
+                                 crash_at=crash_at)
             try:
                 _populate(machine, mode=mode)
             except SimulatedPowerFailure:
                 pass
-            injector.uninstall()
+            fc.crash_at = None
             machine.power_fail()
             store = LSMStore.recover(machine, mode=mode, seed=1)
             thread = machine.thread()

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults.model import FaultController, MediaError
+from repro.faults.model import (
+    FaultController, MediaError, SimulatedPowerFailure,
+)
 from repro.fs import DAXFileSystem, NovaFS, PAGE
 from repro.fs.layout import (
     AllocationPolicy, PageAllocator, make_gaddr, split_gaddr,
@@ -19,7 +21,6 @@ from repro.fs.nova import CLEANER_THRESHOLD
 from repro.pmcheck import checking
 from repro.pmcheck.state import V_ACK_BEFORE_FENCE, V_UNORDERED
 from repro.sim import Machine
-from repro.sim.crashpoints import CrashInjector, SimulatedPowerFailure
 from repro.sim.engine import ThreadCtx
 
 
@@ -324,15 +325,15 @@ class TestCleaner:
         it has, cutting the power there; yields what ``mount`` reads
         back next to the contents acknowledged before the operation."""
         m, t, fs, inode, model = self._slotted_file(datalog)
-        counter = CrashInjector(m)
+        counter = FaultController(m)
         operation(fs, t, inode)
         assert counter.persists > 2 * PAGE // 64
         for crash_at in range(1, counter.persists + 1):
             m, t, fs, inode, model = self._slotted_file(datalog)
-            injector = CrashInjector(m, crash_at=crash_at)
+            fc = FaultController(m, crash_at=crash_at)
             with pytest.raises(SimulatedPowerFailure):
                 operation(fs, t, inode)
-            injector.uninstall()
+            fc.crash_at = None
             m.power_fail()
             fs2 = NovaFS.mount(m, datalog=datalog)
             yield fs2.read_persistent_file(inode, 0, len(model)), model
@@ -374,15 +375,15 @@ class TestCleaner:
         assert any(a[0] < b[0] < a[0] + a[1] < b[0] + b[1]
                    for page in extents.values()
                    for a in page for b in page)
-        counter = CrashInjector(m)
+        counter = FaultController(m)
         fs.clean(t, inode)
         for crash_at in range(1, counter.persists + 1):
             m, t, fs, inode, model = self._overlapping_file()
-            FaultController(m, seed=crash_at, tear=True, tear_keep=tear_keep)
-            injector = CrashInjector(m, crash_at=crash_at)
+            fc = FaultController(m, seed=crash_at, tear=True,
+                                 tear_keep=tear_keep, crash_at=crash_at)
             with pytest.raises(SimulatedPowerFailure):
                 fs.clean(t, inode)
-            injector.uninstall()
+            fc.crash_at = None
             m.power_fail()
             fs2 = NovaFS.mount(m, datalog=True)
             assert fs2.read_persistent_file(inode, 0, len(model)) == model

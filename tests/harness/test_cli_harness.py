@@ -177,6 +177,23 @@ class TestRegenerateAllScript:
         assert "('dram', 'read-seq')" in texts[0]
         assert texts[0] == texts[1]
 
+    def test_run_verb_prints_the_block_the_script_writes(self, tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+        script = _load_script("regenerate_all.py")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        out = str(tmp_path / "raw.txt")
+        assert script.main([out, "fig2"]) == 0
+        with open(out) as fh:
+            # The figure's block: after the title and workload lines, up
+            # to the blank line that ends it.
+            written = fh.read().split("\n\n")[0].split("\n")[2:]
+        capsys.readouterr()
+        assert main(["run", "fig2"]) == 0
+        printed = capsys.readouterr().out.rstrip("\n").split("\n")[1:]
+        assert "  ('dram', 'read-seq'):" in written
+        assert printed == written
+
     def test_unknown_figure_exits_2(self, tmp_path, capsys):
         script = _load_script("regenerate_all.py")
         out = str(tmp_path / "raw.txt")

@@ -102,8 +102,8 @@ class TestCrashRecovery:
     def test_crash_mid_put_is_atomic(self):
         # The slot is persisted before the bitmap flips: crash between
         # the two leaves the key absent, never half-present.
-        from repro.sim.crashpoints import (
-            SimulatedPowerFailure, CrashInjector,
+        from repro.faults.model import (
+            FaultController, SimulatedPowerFailure,
         )
         baseline_m, bt, bpool, btree = make_tree()
         btree.put(bt, 1, 11)
@@ -116,12 +116,12 @@ class TestCrashRecovery:
             tree = BPlusTree(pool, leaf_bytes=256)
             tree.format(t)
             tree.put(t, 1, 11)
-            CrashInjector(m, crash_at=crash_at)
+            fc = FaultController(m, crash_at=crash_at)
             try:
                 tree.put(t, 2, 22)
             except SimulatedPowerFailure:
                 pass
-            m._persist_hook = None
+            fc.crash_at = None
             m.power_fail()
             rec = BPlusTree.recover(PmemPool.open(m), tree.head)
             t2 = m.thread()

@@ -11,8 +11,8 @@ from repro.fs import NovaFS, PAGE
 from repro.kvstore import LSMStore
 from repro.pmdk import PmemPool, Transaction, recover
 from repro.pmemkv import CMap
-from repro.sim.crashpoints import (
-    CrashInjector, SimulatedPowerFailure, count_persists,
+from repro.faults import (
+    FaultController, SimulatedPowerFailure, count_persists,
     exhaustive_crash_test,
 )
 from repro.sim.platform import Machine
@@ -29,7 +29,7 @@ class TestInjectorMechanics:
 
     def test_crash_fires_at_requested_point(self):
         machine = Machine()
-        CrashInjector(machine, crash_at=2)
+        FaultController(machine, crash_at=2)
         ns = machine.namespace("optane")
         t = machine.thread()
         ns.ntstore(t, 0)
@@ -55,10 +55,10 @@ class TestCrashInsideOneRange:
         ns = machine.namespace("optane")
         t = machine.thread()
         ns.pwrite(t, 0, b"O" * 1024, instr="ntstore")      # 16 lines
-        injector = CrashInjector(machine, crash_at=crash_at)
+        fc = FaultController(machine, crash_at=crash_at)
         with pytest.raises(SimulatedPowerFailure):
             ns.ntstore(t, 0, 1024, data=b"N" * 1024)
-        injector.uninstall()
+        fc.crash_at = None
         machine.power_fail()
         want = b"N" * (64 * crash_at) + b"O" * (1024 - 64 * crash_at)
         assert ns.read_persistent(0, 1024) == want
