@@ -13,7 +13,7 @@
 from repro.faults.chaos import WORKLOADS, build_matrix, run_chaos
 from repro.faults.model import (
     FaultController, MediaError, SimulatedPowerFailure, count_persists,
-    exhaustive_crash_test, overlaps_lost, tolerant_read,
+    exhaustive_crash_test, tolerant_read,
 )
 from repro.faults.report import RecoveryReport
 
@@ -26,7 +26,6 @@ __all__ = [
     "build_matrix",
     "count_persists",
     "exhaustive_crash_test",
-    "overlaps_lost",
     "run_chaos",
     "tolerant_read",
 ]

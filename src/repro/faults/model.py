@@ -349,12 +349,6 @@ def tolerant_read(ns, addr, size, view="persistent"):
     return bytes(buf), lost
 
 
-def overlaps_lost(lost, offset, length):
-    """True when ``[offset, offset+length)`` touches an unreadable range."""
-    end = offset + length
-    return any(offset < lo + ll and lo < end for lo, ll in lost)
-
-
 #: What a :func:`scan_log` ``decode`` answers where its log ends.
 END = object()
 

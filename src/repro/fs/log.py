@@ -1,8 +1,9 @@
 """Per-inode logs: entry formats, appends, scanning (NOVA's core).
 
 A log is a chain of 4 KB log pages; each page begins with a 64-byte
-header whose first quadword is the gaddr of the next page (0 = end).
-Entries are multiples of 64 bytes:
+header, ``next u64 | end u32``: the gaddr of the next page (0 = none)
+and the offset where this page's entries end.  Entries are multiples
+of 64 bytes:
 
 * **WriteEntry** (64 B) — a copy-on-write file write: "page ``pgoff``
   of the file now lives at ``page_gaddr``; file size is now N".
@@ -21,20 +22,24 @@ chain plus the tail position.  An append is acknowledged only once
 replays the chain up to that committed tail and no further.  Both
 halves of that rule live here.
 Pages are read back by :func:`~repro.faults.model.scan_log` at 64 B
-alignment, ending at the zero terminator a grow leaves behind them.
+alignment, each up to its end: the committed tail on the tail page, the
+header's ``end`` on every other.
 """
 
+import functools
 import struct
 import weakref
 import zlib
 
 from repro._units import CACHELINE, align_up
-from repro.faults.model import (
-    END, MediaError, overlaps_lost, scan_log, tolerant_read,
-)
+from repro.faults.model import MediaError, scan_log, tolerant_read
 from repro.fs.layout import INODE_TABLE_PAGE, PAGE, split_gaddr
 
 LOG_PAGE_HEADER = 64
+
+#: log page header: next page gaddr u64 | end of this page's entries u32
+#: (one store, inside one 64 B chunk, so a tear cannot split it)
+_PAGE_LINK = struct.Struct("<QI")
 
 WRITE_ENTRY = 1
 EMBED_ENTRY = 2
@@ -45,8 +50,6 @@ SIZE_ENTRY = 3          # truncate / explicit size change
 _ENTRY = struct.Struct("<BBHIQQHHI")
 ENTRY_SIZE = 64
 assert _ENTRY.size <= ENTRY_SIZE
-
-_TERMINATOR = b"\x00" * ENTRY_SIZE
 
 #: inode-table slot: log_head u64 | tail_page u64 | tail_off u32 | crc u32
 _INODE_SLOT = struct.Struct("<QQII")
@@ -217,9 +220,10 @@ class InodeLog:
 
     def _adopt_page(self, thread, gaddr):
         """Initialise a (possibly recycled) page as a log page: its
-        next-pointer must be durably zero before anything links to it."""
+        link must be durably zero before anything links to it."""
         dev, off = split_gaddr(gaddr)
-        self._fs().devices[dev].ntstore(thread, off, 8, data=b"\x00" * 8)
+        self._fs().devices[dev].ntstore(thread, off, _PAGE_LINK.size,
+                                        data=bytes(_PAGE_LINK.size))
         thread.sfence()
 
     def append(self, thread, entry_blob, page=None):
@@ -270,21 +274,18 @@ class InodeLog:
         if pmcheck is not None:
             new_dev, new_off = split_gaddr(new_page)
             pmcheck.require_order(
-                [(devices[new_dev], new_off, 8)],
-                [(ns, off, 8)],
+                [(devices[new_dev], new_off, _PAGE_LINK.size)],
+                [(ns, off, _PAGE_LINK.size)],
                 note="nova log grow: the fresh page's zeroed "
-                     "next-pointer must be durable before the old "
+                     "link must be durable before the old "
                      "tail links to it")
-        if self.tail_off <= PAGE - ENTRY_SIZE:
-            # A recycled page still holds whatever it was last used
-            # for: end this page's entries with a zero terminator so a
-            # scan of an intact page never decodes the slack behind
-            # them.
-            ns.ntstore(thread, off + self.tail_off, ENTRY_SIZE,
-                       data=_TERMINATOR)
-        # Persist the next-pointer in the old tail's header (only after
-        # the new page's own header is durably clean).
-        ns.ntstore(thread, off, 8, data=struct.pack("<Q", new_page))
+        # One store links the old tail to the new page and records where
+        # its entries end (only once the new page's own header is
+        # durably clean): a recycled page still holds whatever it was
+        # last used for, and recovery must not decode the slack behind
+        # the last entry.
+        ns.ntstore(thread, off, _PAGE_LINK.size,
+                   data=_PAGE_LINK.pack(new_page, self.tail_off))
         thread.sfence()
         self.tail_page = new_page
         self.tail_off = LOG_PAGE_HEADER
@@ -296,11 +297,10 @@ class InodeLog:
 
         Log pages are recycled without being wiped, so bytes behind the
         live entries may be CRC-valid entries from a page's previous
-        life.  The scan therefore ends, quietly, at the committed tail
-        (nothing past it was ever acknowledged) and leaves a non-tail
-        page at the zero terminator ``_grow`` wrote behind its last
-        entry: the ``END`` of this format's
-        :func:`~repro.faults.model.scan_log` decode.
+        life.  Each page is therefore scanned only up to its end: the
+        committed tail on the tail page (nothing past it was ever
+        acknowledged), and on every other page the ``end`` that
+        ``_grow`` stored in its header together with the next-pointer.
 
         As a side effect (recovery runs this on a fresh handle) the
         log's tail position and ``pages_seen`` are restored, so appends
@@ -308,11 +308,11 @@ class InodeLog:
 
         Tolerates media faults: a torn tail entry truncates the log, a
         poisoned XPLine inside a page loses the entries it covers (the
-        scan resyncs at the next 64 B-aligned intact entry, or ends the
-        page at a readable terminator), and a poisoned next-pointer
-        loses the rest of the chain.  A hole that swallows a page's
-        terminator leaves the scan nothing to stop at, so stale entries
-        behind it can still be replayed.  ``report`` (a
+        scan resyncs at the next 64 B-aligned intact entry before the
+        page's end), and an unreadable header on a non-tail page hides
+        both where its entries end and where the chain goes on, so none
+        of that page's entries are replayed and the rest of the chain
+        is lost.  ``report`` (a
         :class:`~repro.faults.report.RecoveryReport`) collects the
         accounting.
         """
@@ -329,26 +329,20 @@ class InodeLog:
             self.pages_seen.append(page)
             raw, lost = tolerant_read(devices[dev], off, PAGE)
             if page == tail_page:
-                raw = raw[:tail_off]
-
-            def decode(pos):
-                got = decode_entry(raw, pos)
-                if got is None and not any(raw[pos:pos + ENTRY_SIZE]) \
-                        and not overlaps_lost(lost, pos, ENTRY_SIZE):
-                    return END             # the page's entries end here
-                return got
-
+                nxt, end = 0, tail_off
+            elif any(lo < _PAGE_LINK.size for lo, _ in lost):
+                report.lost += 1
+                report.note("log page %#x: header unreadable, chain "
+                            "abandoned" % page)
+                break
+            else:
+                nxt, end = _PAGE_LINK.unpack_from(raw)
+            raw = raw[:end]
             entries, self.tail_off = scan_log(
-                raw, lost, decode, report, start=LOG_PAGE_HEADER,
-                align=CACHELINE, hole="log page %#x: hole" % page,
+                raw, lost, functools.partial(decode_entry, raw), report,
+                start=LOG_PAGE_HEADER, align=CACHELINE,
+                hole="log page %#x: hole" % page,
                 torn="log page %#x: torn entry" % page)
             yield from entries
             self.tail_page = page
-            if page == tail_page:
-                break
-            if any(lo + ll > 0 and lo < 8 for lo, ll in lost):
-                report.lost += 1
-                report.note("log page %#x: next-pointer unreadable, "
-                            "chain abandoned" % page)
-                break
-            page = struct.unpack_from("<Q", raw, 0)[0]
+            page = nxt

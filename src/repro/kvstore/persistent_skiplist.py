@@ -101,7 +101,7 @@ class PersistentSkipList:
     def _tail_hint_addr(self):
         return self.base + MAX_LEVEL * _PTR.size
 
-    def _find_predecessors(self, key):
+    def _seek(self, key):
         preds = [0] * MAX_LEVEL
         node = 0
         steps = 0
@@ -122,7 +122,7 @@ class PersistentSkipList:
 
         ``value=None`` inserts a tombstone (durable delete marker).
         """
-        preds, steps = self._find_predecessors(key)
+        preds, steps = self._seek(key)
         thread.sleep(_COMPARE_NS * steps)
         existing = self._vnexts[preds[0]][0]
         if existing and self._vkeys.get(existing) == key:
@@ -153,7 +153,7 @@ class PersistentSkipList:
 
     def lookup(self, thread, key):
         """Timed lookup; returns ``(found, value)`` (tombstone: True, None)."""
-        preds, steps = self._find_predecessors(key)
+        preds, steps = self._seek(key)
         thread.sleep(_COMPARE_NS * steps)
         candidate = self._vnexts[preds[0]][0]
         if candidate and self._vkeys.get(candidate) == key:

@@ -45,33 +45,21 @@ class SkipList:
             h += 1
         return h
 
-    def _find_predecessors(self, key):
-        preds = [self._head] * MAX_LEVEL
-        node = self._head
-        for lvl in range(self._level - 1, -1, -1):
-            nxt = node.nexts[lvl]
-            while nxt is not None and nxt.key < key:
-                node = nxt
-                nxt = node.nexts[lvl]
-            preds[lvl] = node
-        return preds
-
     def put(self, key, value):
         """Insert or overwrite; returns the number of pointer updates.
 
         ``value=None`` stores a tombstone (LSM deletes), which ``get``
         and ``items`` faithfully return as None.
         """
-        return self.put_at(self._find_predecessors(key), key, value)
+        return self.put_at(self.seek_preds(key)[1], key, value)
 
     def put_at(self, preds, key, value):
         """:meth:`put` with the predecessors already located.
 
         The memtable finds predecessors while counting seek steps for
         timing, then inserts through here — one traversal instead of
-        two.  ``preds`` must come from
-        :meth:`_find_predecessors`/:meth:`seek_preds` for this exact
-        ``key`` with no intervening mutation.
+        two.  ``preds`` must come from :meth:`seek_preds` for this
+        exact ``key`` with no intervening mutation.
         """
         vlen = len(value) if value is not None else 0
         candidate = preds[0].nexts[0]
@@ -102,16 +90,7 @@ class SkipList:
         Distinguishes "absent" (False, None) from a stored tombstone
         (True, None).
         """
-        node = self._head
-        for lvl in range(self._level - 1, -1, -1):
-            nxt = node.nexts[lvl]
-            while nxt is not None and nxt.key < key:
-                node = nxt
-                nxt = node.nexts[lvl]
-        candidate = node.nexts[0]
-        if candidate is not None and candidate.key == key:
-            return True, candidate.value
-        return False, None
+        return self.seek_lookup(key)[1:]
 
     def items(self):
         """All (key, value) pairs in key order."""

@@ -4,8 +4,7 @@ import pytest
 
 from repro._units import CACHELINE, XPLINE
 from repro.faults.model import (
-    FaultController, MediaError, SimulatedPowerFailure, overlaps_lost,
-    tolerant_read,
+    FaultController, MediaError, SimulatedPowerFailure, tolerant_read,
 )
 from repro.sim.config import CacheConfig, default_config
 from repro.sim.platform import Machine
@@ -123,8 +122,6 @@ class TestPoison:
         assert got[:XPLINE] == b"\x00" * XPLINE
         assert got[XPLINE:] == b"\x00" * XPLINE  # never written: zeros
         assert lost == [(0, XPLINE)]
-        assert overlaps_lost(lost, 0, 1)
-        assert not overlaps_lost(lost, XPLINE, 64)
 
     def test_clear_poison_restores_reads(self):
         machine = Machine()
