@@ -54,10 +54,10 @@ class AITConfig:
     # Deterministic per-DIMM phase so DIMMs do not migrate in lock-step;
     # expressed in media writes.
     migrate_jitter: int = 512
-    # Thermal stall: a *buffered* XPLine that absorbs this many 64 B
-    # writes (without leaving the XPBuffer) stalls the controller.
-    # Covers hotspots smaller than the buffer, where the media never
-    # sees the traffic but the cell region still heats up.
+    # Thermal stall: an XPLine written this many times at the media
+    # (since its last stall) stalls the write.  Subline overwrites flush
+    # the XPBuffer, so even a hotspot smaller than the buffer reaches
+    # the media line by line.
     thermal_every: int = 2048
     thermal_stall_ns: float = 50.0 * US
 

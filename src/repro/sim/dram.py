@@ -34,22 +34,11 @@ class DRAMDimm:
         self._open_rows = {}
         self.counters = DimmCounters()
 
-    def _locate(self, dev_addr):
-        row = dev_addr // self._cfg.row_bytes
-        bank = row % self._cfg.banks
-        return bank, row
-
-    def _row_hit(self, dev_addr):
-        bank, row = self._locate(dev_addr)
-        hit = self._open_rows.get(bank) == row
-        self._open_rows[bank] = row
-        return hit
-
     def read(self, now, dev_addr):
         """Serve one 64 B read; returns the data-ready time."""
         cfg = self._cfg
         self.counters.imc_read_bytes += CACHELINE
-        row = dev_addr // cfg.row_bytes          # _row_hit, inlined
+        row = dev_addr // cfg.row_bytes
         bank = row % cfg.banks
         rows = self._open_rows
         row_hit = rows.get(bank) == row
@@ -80,7 +69,7 @@ class DRAMDimm:
         """Accept one 64 B write; returns the accept time."""
         cfg = self._cfg
         self.counters.imc_write_bytes += CACHELINE
-        row = dev_addr // cfg.row_bytes          # _row_hit, inlined
+        row = dev_addr // cfg.row_bytes
         self._open_rows[row % cfg.banks] = row
         occ = cfg.write_occupancy_ns
         slots = self._write_slots                # acquire, inlined

@@ -5,6 +5,11 @@ units accessed at XPLine (256 B) granularity.  Reads and writes have
 strongly asymmetric occupancies (the paper measures a 2.9x per-DIMM
 read/write bandwidth gap); wear-levelling stalls from the AIT are
 charged to the access that triggered them.
+
+Each access has one body: :meth:`XPMedia.read_line` and
+:meth:`XPMedia.write_line` (a partial-line eviction is a write with
+``rmw=True``).  Both book their bank inline, and the tracer sits in
+them as ``is None`` tests that only emit events.
 """
 
 from heapq import heapreplace as _heapreplace
@@ -30,19 +35,10 @@ class XPMedia:
         # throttle windows stretch occupancies while they are open.
         self.fault_controller = None
 
-    def _scaled(self, occupancy, now=0.0):
-        budget = self._cfg.power_budget
-        if budget <= 0:
-            raise ValueError("power budget must be positive")
-        occ = occupancy / budget
-        if self.fault_controller is not None:
-            occ *= self.fault_controller.throttle_factor(now)
-        return occ
-
     def read_line(self, now, xpline):
         """Fetch one XPLine; returns (bank_free_at, data_ready_at)."""
         cfg = self._cfg
-        budget = cfg.power_budget                # _scaled, inlined
+        budget = cfg.power_budget
         if budget <= 0:
             raise ValueError("power budget must be positive")
         occ = cfg.read_occupancy_ns / budget
@@ -68,125 +64,78 @@ class XPMedia:
                                        "queued_ns": start - now})
         return end, end + cfg.read_extra_ns
 
-    def write_line(self, now, xpline):
-        """Write one full XPLine; returns the time the bank frees up.
+    def write_line(self, now, xpline, rmw=False):
+        """Write one XPLine back; returns the time the bank frees up.
 
-        Wear-levelling migrations extend the bank occupancy by the
-        migration stall, which is how the 50 us outliers back-pressure
-        the pipeline all the way to the application store.
+        ``rmw`` marks a partially written line: the media reads it
+        first, and the read and the write occupy the same bank back to
+        back, which is why small stores with poor locality are so
+        expensive.  Wear-levelling migrations and thermal stalls extend
+        the occupancy, which is how the 50 us outliers back-pressure the
+        pipeline all the way to the application store.
         """
         cfg = self._cfg
-        budget = cfg.power_budget                # _scaled, inlined
+        budget = cfg.power_budget
         if budget <= 0:
             raise ValueError("power budget must be positive")
-        occ = cfg.write_occupancy_ns / budget
-        if self.fault_controller is not None:
-            occ *= self.fault_controller.throttle_factor(now)
-        if self._tracer is None:                 # _record_write, inlined
-            stall = self.ait.record_write(xpline)
-            if stall:
-                self.counters.migrations += 1
-        else:
-            stall = self._record_write(now, xpline)
-        occ += stall
-        banks = self._banks                      # acquire, inlined
-        free = banks._free
-        earliest = free[0]
-        start = earliest if earliest > now else now
-        end = start + occ
-        if banks._single:
-            free[0] = end
-        else:
-            _heapreplace(free, end)
-        banks.busy_ns += occ
-        if end > banks._last_end:
-            banks._last_end = end
-        self.counters.media_write_bytes += XPLINE
-        if self._tracer is not None:
-            self._tracer.complete(
-                start, "media", "media.write", end - start,
-                track=self.name,
-                args={"xpline": xpline, "queued_ns": start - now,
-                      "stall_ns": stall})
-        return end
-
-    def rmw_line(self, now, xpline):
-        """Read-modify-write of one XPLine (partial-line eviction).
-
-        The read and the write occupy the same bank back to back, which
-        is why small stores with poor locality are so expensive.
-        """
-        cfg = self._cfg
-        budget = cfg.power_budget                # _scaled x2, inlined
-        if budget <= 0:
-            raise ValueError("power budget must be positive")
-        occ = cfg.read_occupancy_ns / budget + \
-            cfg.write_occupancy_ns / budget
-        if self.fault_controller is not None:
-            factor = self.fault_controller.throttle_factor(now)
-            occ = (cfg.read_occupancy_ns / budget * factor
-                   + cfg.write_occupancy_ns / budget * factor)
-        if self._tracer is None:                 # _record_write, inlined
-            stall = self.ait.record_write(xpline)
-            if stall:
-                self.counters.migrations += 1
-        else:
-            stall = self._record_write(now, xpline)
-        occ += stall
-        banks = self._banks                      # acquire, inlined
-        free = banks._free
-        earliest = free[0]
-        start = earliest if earliest > now else now
-        end = start + occ
-        if banks._single:
-            free[0] = end
-        else:
-            _heapreplace(free, end)
-        banks.busy_ns += occ
-        if end > banks._last_end:
-            banks._last_end = end
+        controller = self.fault_controller
         counters = self.counters
-        counters.media_read_bytes += XPLINE
+        if rmw:
+            if controller is not None:
+                factor = controller.throttle_factor(now)
+                occ = (cfg.read_occupancy_ns / budget * factor
+                       + cfg.write_occupancy_ns / budget * factor)
+            else:
+                occ = cfg.read_occupancy_ns / budget + \
+                    cfg.write_occupancy_ns / budget
+        else:
+            occ = cfg.write_occupancy_ns / budget
+            if controller is not None:
+                occ *= controller.throttle_factor(now)
+        ait = self.ait
+        tracer = self._tracer
+        if tracer is not None:
+            migrations = ait.migrations
+            thermal = ait.thermal_stalls
+        stall = ait.record_write(xpline)
+        if tracer is not None:
+            # The AIT's counters tell a migration from a thermal stall.
+            tracer.instant(now, "ait", "ait.lookup", track=self.name,
+                           args={"xpline": xpline,
+                                 "hot": ait.hot_of(xpline)})
+            if stall and ait.migrations > migrations:
+                tracer.instant(now, "ait", "ait.migrate", track=self.name,
+                               args={"xpline": xpline, "stall_ns": stall})
+            if stall and ait.thermal_stalls > thermal:
+                tracer.instant(now, "ait", "ait.thermal", track=self.name,
+                               args={"xpline": xpline, "stall_ns": stall})
+        if stall:
+            counters.migrations += 1
+        occ += stall
+        banks = self._banks                      # acquire, inlined
+        free = banks._free
+        earliest = free[0]
+        start = earliest if earliest > now else now
+        end = start + occ
+        if banks._single:
+            free[0] = end
+        else:
+            _heapreplace(free, end)
+        banks.busy_ns += occ
+        if end > banks._last_end:
+            banks._last_end = end
+        # Both byte counts move here, after the AIT instants: a tracer's
+        # counter sample taken at one of them must not count the line.
+        if rmw:
+            counters.media_read_bytes += XPLINE
         counters.media_write_bytes += XPLINE
-        if self._tracer is not None:
-            self._tracer.complete(
-                start, "media", "media.rmw", end - start,
-                track=self.name,
+        if tracer is not None:
+            tracer.complete(
+                start, "media", "media.rmw" if rmw else "media.write",
+                end - start, track=self.name,
                 args={"xpline": xpline, "queued_ns": start - now,
                       "stall_ns": stall})
         return end
-
-    def _record_write(self, now, xpline):
-        """AIT housekeeping for one media write; returns the stall ns.
-
-        When tracing, migration and thermal stalls additionally surface
-        as instant events (the AIT's counters tell the two apart).
-        """
-        if self._tracer is None:
-            stall = self.ait.record_write(xpline)
-            if stall:
-                self.counters.migrations += 1
-            return stall
-        migrations = self.ait.migrations
-        thermal = self.ait.thermal_stalls
-        stall = self.ait.record_write(xpline)
-        self._tracer.instant(
-            now, "ait", "ait.lookup", track=self.name,
-            args={"xpline": xpline, "hot": self.ait.hot_of(xpline)})
-        if stall:
-            self.counters.migrations += 1
-            if self.ait.migrations > migrations:
-                self._tracer.instant(
-                    now, "ait", "ait.migrate", track=self.name,
-                    args={"xpline": xpline, "stall_ns": stall})
-            if self.ait.thermal_stalls > thermal:
-                self._tracer.instant(
-                    now, "ait", "ait.thermal", track=self.name,
-                    args={"xpline": xpline, "stall_ns": stall})
-        return stall
-
-    def next_free_at(self):
-        return self._banks.next_free_at()
 
     def reset(self):
         self._banks.reset()

@@ -12,6 +12,10 @@ this model produce headline results of the paper:
 
 Reads allocate entries too, so read streams compete with writes for
 buffer space, as the paper observes.
+
+This module holds the buffer's state; its transitions run inline in
+:meth:`~repro.sim.xpdimm.XPDimm.ingest_write` and
+:meth:`~repro.sim.xpdimm.XPDimm.read`, once per 64 B beat.
 """
 
 from collections import OrderedDict
@@ -24,13 +28,12 @@ FULL_MASK = (1 << LINES_PER_XPLINE) - 1
 class BufferEntry:
     """State of one buffered XPLine."""
 
-    __slots__ = ("xpline", "dirty_mask", "valid", "writes")
+    __slots__ = ("xpline", "dirty_mask", "valid")
 
     def __init__(self, xpline, dirty_mask=0, valid=False):
         self.xpline = xpline
         self.dirty_mask = dirty_mask
         self.valid = valid          # True when the full 256 B is present
-        self.writes = 0             # 64 B writes absorbed (thermal model)
 
     @property
     def dirty(self):
@@ -63,68 +66,6 @@ class XPBuffer:
         self.hits = 0
         self.misses = 0
 
-    def _set_for(self, xpline):
-        return self._table[xpline % self._sets]
-
-    def lookup(self, xpline):
-        """Return the entry for ``xpline`` or None (no state change)."""
-        return self._set_for(xpline).get(xpline)
-
-    def write(self, xpline, subline):
-        """Merge a 64 B write into the buffer.
-
-        Returns ``(entry, hit, evicted)``: the (possibly fresh) entry
-        for ``xpline``, whether the write combined into an existing
-        entry, and a :class:`BufferEntry` the controller must now write
-        to media (either a capacity victim or — for an *overwrite* of
-        an already-dirty subline — the previous version of this very
-        line: combining is write-once per subline, so overwriting
-        flushes the old contents first).
-        """
-        table = self._table[xpline % self._sets]
-        entry = table.get(xpline)
-        if entry is not None:
-            if not entry.dirty_mask & (1 << subline):
-                entry.dirty_mask |= 1 << subline
-                entry.writes += 1
-                self.hits += 1
-                return entry, True, None
-            # Overwrite: flush the old version, restart the entry.
-            del table[xpline]
-            fresh = BufferEntry(xpline, dirty_mask=1 << subline)
-            fresh.writes = entry.writes + 1
-            table[xpline] = fresh
-            self.misses += 1
-            return fresh, False, (entry if entry.dirty else None)
-        self.misses += 1
-        evicted = self._make_room(table)
-        entry = BufferEntry(xpline, dirty_mask=1 << subline)
-        entry.writes = 1
-        table[xpline] = entry
-        return entry, False, evicted
-
-    def read(self, xpline):
-        """Look up ``xpline`` for a read; allocate on miss.
-
-        Returns ``(hit, evicted)``.  A miss allocates a fully valid
-        entry (the controller fetches the whole XPLine from media).
-        """
-        table = self._table[xpline % self._sets]
-        entry = table.get(xpline)
-        if entry is not None:
-            self.hits += 1
-            return True, None
-        self.misses += 1
-        evicted = self._make_room(table)
-        table[xpline] = BufferEntry(xpline, valid=True)
-        return False, evicted
-
-    def _make_room(self, table):
-        if len(table) < self._ways:
-            return None
-        _, victim = table.popitem(last=False)
-        return victim
-
     def flush_all(self):
         """Evict every entry (power-fail drain); returns the dirty ones."""
         dirty = []
@@ -138,8 +79,3 @@ class XPBuffer:
     def occupancy(self):
         """Number of currently buffered XPLines."""
         return sum(len(table) for table in self._table)
-
-    def dirty_lines(self):
-        return sum(
-            1 for table in self._table for e in table.values() if e.dirty
-        )

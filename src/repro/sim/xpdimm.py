@@ -4,9 +4,9 @@ The controller receives 64 B DDR-T transfers from the iMC and turns
 them into 256 B media accesses:
 
 * a write that hits a buffered XPLine merges in ``ingest_ns``;
-* a write that misses allocates a buffer entry, evicting the set's LRU
-  line if needed — a fully written (or fully valid) victim costs one
-  media write, a partially written one costs a read-modify-write;
+* a write that misses allocates a buffer entry, evicting the set's
+  oldest line if needed — a fully written (or fully valid) victim costs
+  one media write, a partially written one a read-modify-write;
 * a read that hits the buffer returns quickly; a miss fetches the whole
   XPLine from media (and the allocation can evict a dirty victim).
 
@@ -14,11 +14,14 @@ Eviction back-pressure is what bounds sustained write bandwidth: the
 controller's accept time for a miss waits for the media bank *booking*
 (posted write), so once the banks backlog, accepts — and therefore the
 WPQ, and therefore the application's stores — stall.
+
+The buffer transitions live inline in :meth:`XPDimm.ingest_write` and
+:meth:`XPDimm.read`, which run once per 64 B beat; every media access
+goes through :meth:`XPMedia.read_line` / :meth:`XPMedia.write_line`,
+traced or not.
 """
 
-from heapq import heapreplace as _heapreplace
-
-from repro._units import CACHELINE, XPLINE
+from repro._units import CACHELINE
 from repro.sim.counters import DimmCounters
 from repro.sim.media import XPMedia
 from repro.sim.xpbuffer import BufferEntry, XPBuffer
@@ -30,7 +33,6 @@ class XPDimm:
     def __init__(self, machine_config, name, tracer=None):
         self.name = name
         self._buf_cfg = machine_config.xpbuffer
-        self._ait_cfg = machine_config.ait
         self._tracer = tracer
         self.counters = DimmCounters()
         self.buffer = XPBuffer(machine_config.xpbuffer)
@@ -47,44 +49,40 @@ class XPDimm:
     def ingest_write(self, now, dev_addr):
         """Accept one 64 B write from the WPQ; returns the accept time.
 
-        The body of :meth:`XPBuffer.write` is inlined (same state
-        transitions, counters and FIFO order): this runs once per 64 B
-        store beat, so the extra call and tuple return were measurable.
+        A write to a resident line's clean subline combines into it
+        without moving the line in its set's FIFO.  Combining is
+        write-once per subline: overwriting a dirty subline flushes the
+        line's previous version to media and restarts the entry.  A
+        miss allocates, evicting the set's oldest line when it is full.
         """
         self.counters.imc_write_bytes += CACHELINE
         xpline = dev_addr >> 8                   # divmod by XPLINE (256)
         subline = (dev_addr >> 6) & 3            # ... // CACHELINE (64)
+        bit = 1 << subline
         buf = self.buffer
-        table = buf._table[xpline % buf._sets]   # buffer.write, inlined
+        table = buf._table[xpline % buf._sets]
         entry = table.get(xpline)
         hit = False
         evicted = None
         if entry is not None:
-            bit = 1 << subline
             if not entry.dirty_mask & bit:
                 entry.dirty_mask |= bit
-                entry.writes += 1
                 buf.hits += 1
                 hit = True
             else:
                 # Overwrite: flush the old version, restart the entry.
                 del table[xpline]
-                fresh = BufferEntry(xpline, dirty_mask=bit)
-                fresh.writes = entry.writes + 1
-                table[xpline] = fresh
+                table[xpline] = BufferEntry(xpline, dirty_mask=bit)
                 buf.misses += 1
-                if entry.dirty_mask:
-                    evicted = entry
+                evicted = entry
         else:
             buf.misses += 1
-            if len(table) >= buf._ways:          # _make_room, inlined
+            if len(table) >= buf._ways:
                 _, evicted = table.popitem(last=False)
-            fresh = BufferEntry(xpline, dirty_mask=1 << subline)
-            fresh.writes = 1
-            table[xpline] = fresh
+            table[xpline] = BufferEntry(xpline, dirty_mask=bit)
         ingest_ns = self._buf_cfg.ingest_ns
         accept = now + ingest_ns
-        if not hit and evicted is not None and evicted.dirty_mask:
+        if evicted is not None and evicted.dirty_mask:
             bank_start = self._evict(now, evicted)
             if bank_start + ingest_ns > accept:
                 accept = bank_start + ingest_ns
@@ -106,12 +104,14 @@ class XPDimm:
     def read(self, now, dev_addr):
         """Serve one 64 B read; returns the data-ready time.
 
-        :meth:`XPBuffer.read` is inlined here, like ``ingest_write``.
+        A hit does not move the line in its set's FIFO.  A miss
+        allocates a fully valid entry (the whole XPLine comes from
+        media), and that allocation can push a dirty write out.
         """
         self.counters.imc_read_bytes += CACHELINE
         xpline = dev_addr >> 8                   # // XPLINE (256)
         buf = self.buffer
-        table = buf._table[xpline % buf._sets]   # buffer.read, inlined
+        table = buf._table[xpline % buf._sets]
         if xpline in table:
             buf.hits += 1
             ready = now + self._buf_cfg.read_hit_ns + \
@@ -123,38 +123,12 @@ class XPDimm:
             return ready
         buf.misses += 1
         evicted = None
-        if len(table) >= buf._ways:              # _make_room, inlined
+        if len(table) >= buf._ways:
             _, evicted = table.popitem(last=False)
         table[xpline] = BufferEntry(xpline, valid=True)
         if evicted is not None and evicted.dirty_mask:
-            # Reads compete for buffer space: allocating the fill can
-            # push a dirty write out to media.
             self._evict(now, evicted)
-        media = self.media
-        if media._tracer is not None:
-            _, data_ready = media.read_line(now, xpline)
-        else:
-            cfg = media._cfg                     # read_line, inlined
-            budget = cfg.power_budget
-            if budget <= 0:
-                raise ValueError("power budget must be positive")
-            occ = cfg.read_occupancy_ns / budget
-            if media.fault_controller is not None:
-                occ *= media.fault_controller.throttle_factor(now)
-            banks = media._banks                 # acquire, inlined
-            free = banks._free
-            earliest = free[0]
-            start = earliest if earliest > now else now
-            end = start + occ
-            if banks._single:
-                free[0] = end
-            else:
-                _heapreplace(free, end)
-            banks.busy_ns += occ
-            if end > banks._last_end:
-                banks._last_end = end
-            media.counters.media_read_bytes += XPLINE
-            data_ready = end + cfg.read_extra_ns
+        data_ready = self.media.read_line(now, xpline)[1]
         if self._tracer is not None:
             self._tracer.complete(
                 now, "xpbuffer", "xpbuffer.read_miss", data_ready - now,
@@ -165,63 +139,17 @@ class XPDimm:
         return data_ready
 
     def _evict(self, now, entry):
-        """Write a victim line back to media; returns the bank start time.
+        """Write a victim line back to media.
 
-        With no tracer attached the bodies of :meth:`XPMedia.rmw_line`
-        / :meth:`XPMedia.write_line` are inlined (same occupancy
-        arithmetic term by term, same AIT bookkeeping, same bank
-        booking); tracing runs the composed calls so media events keep
-        appearing.
+        Returns the bank's end time less the line's unscaled occupancy:
+        the booking's start unless a stall or a throttle stretched it.
         """
-        media = self.media
-        cfg = media._cfg
         rmw = entry.needs_rmw()
-        if media._tracer is not None:
-            if rmw:
-                end = media.rmw_line(now, entry.xpline)
-                occ = cfg.read_occupancy_ns + cfg.write_occupancy_ns
-            else:
-                end = media.write_line(now, entry.xpline)
-                occ = cfg.write_occupancy_ns
-            return end - occ
-        budget = cfg.power_budget
-        if budget <= 0:
-            raise ValueError("power budget must be positive")
-        controller = media.fault_controller
-        counters = media.counters
-        if rmw:                                  # rmw_line, inlined
-            raw = cfg.read_occupancy_ns + cfg.write_occupancy_ns
-            if controller is not None:
-                factor = controller.throttle_factor(now)
-                occ = (cfg.read_occupancy_ns / budget * factor
-                       + cfg.write_occupancy_ns / budget * factor)
-            else:
-                occ = cfg.read_occupancy_ns / budget + \
-                    cfg.write_occupancy_ns / budget
-            counters.media_read_bytes += XPLINE
-        else:                                    # write_line, inlined
-            raw = cfg.write_occupancy_ns
-            occ = cfg.write_occupancy_ns / budget
-            if controller is not None:
-                occ *= controller.throttle_factor(now)
-        stall = media.ait.record_write(entry.xpline)
-        if stall:
-            counters.migrations += 1
-        occ += stall
-        banks = media._banks                     # acquire, inlined
-        free = banks._free
-        earliest = free[0]
-        start = earliest if earliest > now else now
-        end = start + occ
-        if banks._single:
-            free[0] = end
-        else:
-            _heapreplace(free, end)
-        banks.busy_ns += occ
-        if end > banks._last_end:
-            banks._last_end = end
-        counters.media_write_bytes += XPLINE
-        return end - raw
+        end = self.media.write_line(now, entry.xpline, rmw)
+        cfg = self.media._cfg
+        if rmw:
+            return end - (cfg.read_occupancy_ns + cfg.write_occupancy_ns)
+        return end - cfg.write_occupancy_ns
 
     # -- management ----------------------------------------------------------
 

@@ -207,8 +207,7 @@ class TestEveryLogFenceIsLoadBearing:
     embedded write, a copy-on-write page, then an embed that grows the
     log onto a second page."""
 
-    #: The function issuing each fence, in order (create's two fences
-    #: run outside any acked operation).
+    #: The function issuing each fence, in order.
     SITES = ["_adopt_page", "commit",                      # create
              "append", "commit",                           # embed
              "_write_cow", "append", "commit",             # cow page
@@ -216,6 +215,14 @@ class TestEveryLogFenceIsLoadBearing:
 
     @pytest.mark.parametrize("skip, kind, note", [
         (None, None, None),
+        # create's head-page fence is redundant: the head is the tail
+        # page until a grow rewrites its whole header, recovery never
+        # reads the tail page's header, and create's commit fence
+        # follows before the ack.  No declared order covers it, so
+        # nothing may be flagged.  It stays, like grow-link's: deleting
+        # it makes every create cheaper (680 -> 592 simulated ns).
+        (1, None, None),
+        (2, V_ACK_BEFORE_FENCE, None),          # create's commit
         (3, V_UNORDERED, "nova commit"),        # append: entry -> slot
         (4, V_ACK_BEFORE_FENCE, None),          # commit
         (5, V_UNORDERED, "nova cow"),           # cow page -> its entry
@@ -226,7 +233,8 @@ class TestEveryLogFenceIsLoadBearing:
         # moves Fig 17's interleaved write rows (4.0 -> 3.9, 3.8 -> 3.7)
         # and its average NI gain (37.0 % -> 39.5 %, paper 17 %).
         (9, None, None),
-    ], ids=["none", "append", "commit", "cow-page", "adopt", "grow-link"])
+    ], ids=["none", "create-adopt", "create-commit", "append", "commit",
+            "cow-page", "adopt", "grow-link"])
     def test_skipped_fence_is_caught(self, monkeypatch, skip, kind, note):
         m = Machine()
         fs = NovaFS(m, datalog=True)
@@ -241,7 +249,9 @@ class TestEveryLogFenceIsLoadBearing:
 
         with checking(m) as checker:
             monkeypatch.setattr(ThreadCtx, "sfence", sfence)
+            checker.op_begin(t, "create")
             inode = fs.create(t)
+            checker.op_ack(t)
             for offset, data in ((0, b"A" * 3000), (PAGE, b"B" * PAGE),
                                  (100, b"C" * 1000)):
                 checker.op_begin(t, "write")

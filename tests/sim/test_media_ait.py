@@ -30,7 +30,7 @@ class TestMedia:
 
     def test_rmw_combines_read_and_write(self):
         media = make_media()
-        end = media.rmw_line(0.0, 0)
+        end = media.write_line(0.0, 0, rmw=True)
         assert end == 905.0
 
     def test_bank_saturation(self):
@@ -42,7 +42,7 @@ class TestMedia:
         media = make_media()
         media.read_line(0.0, 0)
         media.write_line(0.0, 1)
-        media.rmw_line(0.0, 2)
+        media.write_line(0.0, 2, rmw=True)
         assert media.counters.media_read_bytes == 2 * XPLINE
         assert media.counters.media_write_bytes == 2 * XPLINE
 

@@ -1,9 +1,14 @@
 """Unit tests for the XPDimm controller and the DRAM comparator."""
 
-from repro._units import CACHELINE, XPLINE
-from repro.sim.config import DRAMConfig, MachineConfig
+import random
+
+from repro._units import CACHELINE, US, XPLINE
+from repro.faults import FaultController
+from repro.sim import Machine
+from repro.sim.config import AITConfig, DRAMConfig, MachineConfig
 from repro.sim.dram import DRAMDimm
 from repro.sim.xpdimm import XPDimm
+from repro.telemetry import recording
 
 
 def make_dimm(**ait_overrides):
@@ -103,6 +108,70 @@ class TestXPDimmManagement:
         dimm.reset()
         assert dimm.counters.imc_write_bytes == 0
         assert dimm.buffer.occupancy() == 0
+
+
+class TestTracingLeavesTheDeviceAlone:
+    """A tracer only emits events: traced or not, the DIMM runs the same
+    buffer, AIT and media bodies and books the same times."""
+
+    #: Media writes per migration and per-line media writes per thermal
+    #: stall, small enough that both fire within the run.
+    AIT = dict(migrate_every=64, migrate_jitter=1, thermal_every=8,
+               migrate_stall_ns=5 * US, thermal_stall_ns=3 * US)
+    WINDOW = (20 * US, 60 * US, 3.0)
+
+    def _run(self):
+        cfg = MachineConfig()
+        cfg.ait = AITConfig(**self.AIT)
+        m = Machine(cfg)
+        FaultController(m).add_thermal_window(*self.WINDOW)
+        dimm = m.optane[0][0][1]
+        rng = random.Random(7)
+        span = 4 * cfg.xpbuffer.capacity_bytes
+        now = 0.0
+        clocks = []
+
+        def op(done):
+            clocks.append((now, done))
+            return done
+
+        # 64 B random stores over 4x the buffer: partial-line evictions.
+        for _ in range(1500):
+            now = op(dimm.ingest_write(
+                now, rng.randrange(span // CACHELINE) * CACHELINE))
+        # Read misses past the store span evict dirty victims.
+        for i in range(200):
+            op(dimm.read(now, span + i * XPLINE))
+            now += 10.0
+        # Rewriting one whole XPLine flushes it, full, once per round:
+        # a hotspot.
+        for _ in range(40):
+            for sub in range(4):
+                now = op(dimm.ingest_write(now, span + sub * CACHELINE))
+        now = op(dimm.drain(now))
+        return dict(
+            clocks=clocks,
+            latencies=[done - start for start, done in clocks],
+            counters=dimm.counters.snapshot(),
+            buffer=(dimm.buffer.hits, dimm.buffer.misses),
+            migrations=dimm.media.ait.migrations,
+            thermal_stalls=dimm.thermal_stalls,
+            bank_busy_ns=dimm.media._banks.busy_ns)
+
+    def test_traced_run_matches_untraced(self):
+        plain = self._run()
+        with recording() as tracer:
+            traced = self._run()
+        assert traced == plain
+        assert plain["migrations"] > 0 and plain["thermal_stalls"] > 0
+        start, end, _ = self.WINDOW
+        assert plain["clocks"][0][0] < start < end < plain["clocks"][-1][1]
+        names = {ev.name for ev in tracer.events()}
+        assert {"media.rmw", "media.write", "media.read", "ait.migrate",
+                "ait.thermal", "xpbuffer.evict", "xpbuffer.read_miss",
+                "fault.thermal_window"} <= names
+        assert any(ev.name == "xpbuffer.read_miss"
+                   and ev.args["evicted_dirty"] for ev in tracer.events())
 
 
 class TestDRAM:
