@@ -249,12 +249,15 @@ class FaultController:
     def poisoned_ranges(self, ns, addr, size):
         """Sub-ranges of ``[addr, addr+size)`` destroyed by poison.
 
-        Returned as (offset, length) pairs *relative to addr*.
+        Returned as (offset, length) pairs *relative to addr*, in
+        address order, adjacent XPLines merged.  Walks the poisoned set
+        (a handful of lines), not the range's XPLines.
         """
+        span = _xplines(addr, size)
+        ns_id = ns.ns_id
         out = []
-        for xp in _xplines(addr, size):
-            if (ns.ns_id, xp) not in self.poisoned:
-                continue
+        for xp in sorted(xp for nid, xp in self.poisoned
+                         if nid == ns_id and xp in span):
             start = max(addr, xp * XPLINE)
             end = min(addr + size, (xp + 1) * XPLINE)
             if out and out[-1][0] + out[-1][1] == start - addr:
@@ -325,24 +328,44 @@ def exhaustive_crash_test(workload, check, stride=1):
     return exercised
 
 
+def written_extent(ns, addr, size):
+    """How much of ``[addr, addr+size)`` a recovery scan must read.
+
+    Returns ``(extent, lost)``: ``lost`` is the range's
+    :meth:`FaultController.poisoned_ranges` (``[]`` without poison) and
+    ``extent`` runs to the end of the last page the namespace ever
+    materialised (:meth:`~repro.sim.address.DataStore.extent`) or of
+    the last lost range, whichever is further.  Past it every byte
+    reads as zero in both views and none is lost.
+    """
+    fc = getattr(ns.machine, "faults", None)
+    lost = fc.poisoned_ranges(ns, addr, size) if fc is not None \
+        and fc.poisoned else []
+    extent = ns.data.extent(addr, size)
+    if lost:
+        extent = max(extent, lost[-1][0] + lost[-1][1])
+    return extent, lost
+
+
 def tolerant_read(ns, addr, size, view="persistent"):
     """Read a range, zero-filling poisoned XPLines instead of raising.
 
     The workhorse of every graceful recovery scan: returns
     ``(data, lost)`` where ``lost`` is a list of (offset, length)
     ranges relative to ``addr`` that were unreadable (their bytes come
-    back zeroed).  Without a fault controller this is a plain read.
+    back zeroed).  ``data`` stops at the range's
+    :func:`written_extent`: a byte past its end is a zero that was not
+    lost, so a caller reading a fixed offset must zero-fill what a
+    short ``data`` leaves out.  Without a fault controller this is a
+    plain (clipped) read.
     """
-    fc = getattr(ns.machine, "faults", None)
+    extent, lost = written_extent(ns, addr, size)
     raw_read = (ns.data.read_persistent if view == "persistent"
                 else ns.data.read)
-    data = raw_read(addr, size)
-    if fc is None or not fc.poisoned:
-        return data, []
-    lost = fc.poisoned_ranges(ns, addr, size)
+    data = raw_read(addr, extent)
     if not lost:
         return data, []
-    fc.poison_reads += len(lost)
+    ns.machine.faults.poison_reads += len(lost)
     buf = bytearray(data)
     for offset, length in lost:
         buf[offset:offset + length] = b"\x00" * length
@@ -359,8 +382,10 @@ def scan_log(buf, lost, decode, report, start=0, end=None, align=None,
 
     ``buf`` and ``lost`` come from :func:`tolerant_read`;
     ``decode(offset)`` answers ``(item, next_offset)``, ``None`` (no
-    valid record) or :data:`END` (the format's end of log).  From
-    ``start`` to ``end`` (default ``len(buf)``) each offset is:
+    valid record) or :data:`END` (the format's end of log).  The end of
+    ``buf`` is where zeroed space starts (see :func:`tolerant_read`), so
+    the scan stops there at the latest.  From ``start`` to ``end``
+    (default and at most ``len(buf)``) each offset is:
 
     * *recovered* — a record decodes;
     * *quiet end* — ``END``, or zeroed space with no unreadable range
@@ -374,7 +399,7 @@ def scan_log(buf, lost, decode, report, start=0, end=None, align=None,
 
     Returns ``(items, offset where the scan stopped)``.
     """
-    end = len(buf) if end is None else end
+    end = len(buf) if end is None else min(end, len(buf))
 
     def probe(pos):
         got = decode(pos)

@@ -328,6 +328,9 @@ class InodeLog:
                 break                      # corrupt chain pointer: stop
             self.pages_seen.append(page)
             raw, lost = tolerant_read(devices[dev], off, PAGE)
+            # Short only for a page never written: zero-fill it (a
+            # log page is too small to be worth clipping).
+            raw = raw.ljust(PAGE, b"\0")
             if page == tail_page:
                 nxt, end = 0, tail_off
             elif any(lo < _PAGE_LINK.size for lo, _ in lost):

@@ -66,6 +66,8 @@ class Manifest:
             raw, lost = tolerant_read(self.ns, slot, SLOT_SIZE)
             if lost and not any(raw):
                 continue
+            # The read stops at the written extent: the rest is zeros.
+            raw = raw.ljust(SLOT_SIZE, b"\0")
             crc = struct.unpack_from("<I", raw)[0]
             seq, wal_epoch, count = _HEAD.unpack_from(raw, 4)
             body_len = _HEAD.size + count * _ENTRY.size

@@ -20,6 +20,7 @@ Node layout (little-endian)::
 import random
 import struct
 
+from repro.faults.model import written_extent
 from repro.kvstore.skiplist import MAX_LEVEL
 
 _HEADER = struct.Struct("<HHI")
@@ -215,13 +216,18 @@ class PersistentSkipList:
         as hints and kept only when they reference recovered nodes.
         """
         inst = cls(ns, base, capacity)
-        raw = ns.read_persistent(base, capacity)
+        # Only the written extent (the rest of the arena reads as
+        # zeros); poison anywhere in the arena still raises MediaError.
+        raw = ns.read_persistent(base, written_extent(ns, base, capacity)[0])
+        alloc_high = _PTR.size * (MAX_LEVEL + 1)
+        raw = raw.ljust(alloc_high, b"\0")          # the head table
         offset = _PTR.unpack_from(raw, 0)[0]
         nodes = []
-        alloc_high = _PTR.size * (MAX_LEVEL + 1)
         while offset:
             if offset + _HEADER.size > capacity:
                 break
+            # A node running past the read runs into zeros.
+            raw = raw.ljust(offset + _HEADER.size, b"\0")
             klen, height_field, vlen = _HEADER.unpack_from(raw, offset)
             height = height_field & _HEIGHT_MASK
             tombstone = bool(height_field & _TOMBSTONE_FLAG)
@@ -232,6 +238,7 @@ class PersistentSkipList:
             val_end = key_base + klen + vlen
             if val_end > capacity:
                 break
+            raw = raw.ljust(val_end, b"\0")
             key = bytes(raw[key_base:key_base + klen])
             value = None if tombstone \
                 else bytes(raw[key_base + klen:val_end])

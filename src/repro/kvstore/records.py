@@ -37,12 +37,17 @@ def encode(key, value, epoch=0):
     return struct.pack("<I", zlib.crc32(body, epoch)) + body
 
 
-def decode(buf, offset=0, verify_crc=True, epoch=0):
+def decode(buf, offset=0, verify_crc=True, epoch=0, size=None):
     """Decode one record at ``offset``.
 
     Returns ``(key, value, next_offset)`` — ``value is None`` for a
     tombstone — or None if the bytes do not form a valid record of
     ``epoch`` (torn write, zeroed space, corruption, another epoch).
+
+    ``size`` is the length of the region ``buf`` was read from (default
+    ``len(buf)``); its bytes past the end of ``buf`` read as zeros, as
+    in a recovery scan's clipped read (see
+    :func:`~repro.faults.model.tolerant_read`).
 
     ``verify_crc=False`` is the deliberately *naive* mode: it trusts
     any length-plausible header, so torn or corrupt records decode into
@@ -50,12 +55,12 @@ def decode(buf, offset=0, verify_crc=True, epoch=0):
     catches exactly the corruption CRCs prevent.
     """
     if offset + HEADER_SIZE > len(buf):
-        return None
+        return _decode_past(buf, offset, verify_crc, epoch, size)
     crc, klen_field, vlen = _HEADER.unpack_from(buf, offset)
     klen = klen_field & _KLEN_MASK
     end = offset + HEADER_SIZE + klen + vlen
     if end > len(buf):
-        return None
+        return _decode_past(buf, offset, verify_crc, epoch, size)
     body = bytes(buf[offset + 4:end])
     if crc == 0 and not any(body):
         return None                  # zeroed space, in any mode
@@ -68,10 +73,25 @@ def decode(buf, offset=0, verify_crc=True, epoch=0):
     return key, value, end
 
 
-def retired(buf, offset, epoch):
+def _decode_past(buf, offset, verify_crc, epoch, size):
+    """:func:`decode` of a record running past the end of ``buf`` into
+    the zeros of a ``size``-byte region (None past the region)."""
+    if size is None or offset + HEADER_SIZE > size:
+        return None
+    head = bytes(buf[offset:offset + HEADER_SIZE]).ljust(HEADER_SIZE, b"\0")
+    _, klen_field, vlen = _HEADER.unpack(head)
+    span = HEADER_SIZE + (klen_field & _KLEN_MASK) + vlen
+    if offset + span > size:
+        return None
+    rec = decode(bytes(buf[offset:offset + span]).ljust(span, b"\0"), 0,
+                 verify_crc, epoch)
+    return None if rec is None else (rec[0], rec[1], offset + span)
+
+
+def retired(buf, offset, epoch, size=None):
     """True when the record at ``offset`` is intact under an epoch older
     than ``epoch``: a leftover of a log generation a flush retired."""
-    return any(decode(buf, offset, epoch=e) is not None
+    return any(decode(buf, offset, epoch=e, size=size) is not None
                for e in range(epoch))
 
 

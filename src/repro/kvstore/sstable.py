@@ -38,7 +38,10 @@ def _entries(blob, size, lost, report):
     records resync byte-wise past a hole on the next valid CRC (a 32-bit
     CRC makes false resyncs vanishingly unlikely)."""
     footer_off = size - _FOOTER.size
-    data_size, _, magic = _FOOTER.unpack_from(blob, footer_off)
+    # A clipped blob (see tolerant_read) ends before the footer only
+    # when the footer was never written: zeros.
+    data_size, _, magic = _FOOTER.unpack(
+        bytes(blob[footer_off:size]).ljust(_FOOTER.size, b"\0"))
     if magic != _MAGIC or data_size > footer_off:
         if any(lo + ll > footer_off for lo, ll in lost):
             report.lost += 1
@@ -49,7 +52,7 @@ def _entries(blob, size, lost, report):
         return None
 
     def decode(pos):
-        rec = records.decode(blob, pos)
+        rec = records.decode(blob, pos, size=size)
         return None if rec is None else ((pos,) + rec[:2], rec[2])
 
     entries, _ = scan_log(blob, [h for h in lost if h[0] < data_size],

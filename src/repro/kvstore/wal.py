@@ -74,16 +74,19 @@ class WalBase:
         quietly; see :func:`~repro.faults.model.scan_log` for torn and
         poisoned records.  ``naive`` replay checks neither CRC nor epoch.
         """
-        buf, lost = tolerant_read(self.ns, self.base, self.capacity)
+        capacity = self.capacity
+        # Only the written extent: a log of a few records costs a few
+        # pages, not its whole region.
+        buf, lost = tolerant_read(self.ns, self.base, capacity)
         report = RecoveryReport(component="wal")
         verify = not self.naive
         align = self.ALIGN or 1
 
         def decode(pos):
-            rec = records.decode(buf, pos, verify, self.epoch)
+            rec = records.decode(buf, pos, verify, self.epoch, capacity)
             if rec is not None:
                 return rec[:2], align_up(rec[2], align)
-            if verify and records.retired(buf, pos, self.epoch):
+            if verify and records.retired(buf, pos, self.epoch, capacity):
                 return END
             return None
 

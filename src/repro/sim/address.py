@@ -13,6 +13,7 @@ from repro._units import CACHELINE, align_down
 
 _PAGE = 4096
 _ZERO_LINE = bytes(CACHELINE)
+_ZERO_PAGE = memoryview(bytes(_PAGE))
 
 
 class DataStore:
@@ -70,16 +71,46 @@ class DataStore:
             if buf is None:
                 return bytes(size)
             return bytes(buf[off:end])
-        out = bytearray(size)
-        pos = 0
-        while pos < size:
-            page, off = divmod(addr + pos, _PAGE)
-            chunk = min(_PAGE - off, size - pos)
-            buf = self._volatile.get(page)
-            if buf is not None:
-                out[pos:pos + chunk] = buf[off:off + chunk]
-            pos += chunk
-        return bytes(out)
+        return b"".join(self._views(addr, addr + size))
+
+    def _views(self, addr, end):
+        """Zero-copy views of the volatile bytes in ``[addr, end)``, one
+        per page (a shared zero page stands in for an absent one), so a
+        multi-page read joins them into its only allocation."""
+        pages = self._volatile
+        views = []
+        while addr < end:
+            page, off = divmod(addr, _PAGE)
+            stop = min(_PAGE, off + end - addr)
+            buf = pages.get(page)
+            views.append(_ZERO_PAGE[off:stop] if buf is None
+                         else memoryview(buf)[off:stop])
+            addr += stop - off
+        return views
+
+    def extent(self, addr, size):
+        """How many leading bytes of ``[addr, addr+size)`` may be non-zero.
+
+        The range ends at the last materialised page it overlaps: every
+        byte that is non-zero in either view lies in a materialised page
+        (``write`` and ``write_persistent`` create the pages they touch,
+        and every pre-image has its page), so the rest reads as zero in
+        both views.  Costs the fewer of the range's pages and the
+        materialised ones.
+        """
+        if size <= 0:
+            return 0
+        first, last = addr // _PAGE, (addr + size - 1) // _PAGE
+        pages = self._volatile
+        if last - first < len(pages):
+            top = next((p for p in range(last, first - 1, -1)
+                        if p in pages), None)
+        else:
+            top = max((p for p in pages if first <= p <= last),
+                      default=None)
+        if top is None:
+            return 0
+        return min((top + 1) * _PAGE - addr, size)
 
     # -- persistence --------------------------------------------------------
 
@@ -119,13 +150,28 @@ class DataStore:
             return self.read(addr, size) if image is None else bytes(image)
         if not undo:
             return self.read(addr, size)
-        out = bytearray(self.read(addr, size))
-        for line, start, chunk in split_lines(addr, size):
-            image = undo.get(line)
-            if image is not None:
-                pos, off = start - addr, start - line
-                out[pos:pos + chunk] = image[off:off + chunk]
-        return bytes(out)
+        end = addr + size
+        first = addr - addr % CACHELINE
+        if (end - first) // CACHELINE < len(undo):
+            pending = [line for line in range(first, end, CACHELINE)
+                       if line in undo]
+        else:
+            pending = sorted(line for line in undo if first <= line < end)
+        if not pending:
+            return self.read(addr, size)
+        # Volatile views between the pending lines' pre-images, joined
+        # into the one allocation.
+        views = []
+        pos = addr
+        for line in pending:
+            start, stop = max(line, addr), min(line + CACHELINE, end)
+            if pos < start:
+                views += self._views(pos, start)
+            views.append(memoryview(undo[line])[start - line:stop - line])
+            pos = stop
+        if pos < end:
+            views += self._views(pos, end)
+        return b"".join(views)
 
     def power_fail(self):
         """Drop the volatile view: only persisted data survives.

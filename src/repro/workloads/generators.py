@@ -285,6 +285,9 @@ def key_index(key):
 #: The 0x5E possible single-byte value patterns, prebuilt so
 #: :func:`make_value` never allocates a one-byte ``bytes`` per write.
 _VALUE_BYTES = tuple(bytes((0x21 + i,)) for i in range(0x5E))
+#: ``value_size * 0x5E + pattern`` -> the value: one shared (immutable)
+#: ``bytes`` per pattern and size, so at most 0x5E entries per size.
+_VALUES = {}
 
 
 def make_value(spec, index, version):
@@ -293,10 +296,14 @@ def make_value(spec, index, version):
     One printable byte derived from ``(key, version)`` repeated to the
     spec's value size: cheap to build, distinct across versions, and
     non-zero so zero-filled (lost) media reads back as *missing*, never
-    as a valid value.
+    as a valid value.  Equal values are one shared object.
     """
-    h = fnv64(index * 2654435761 + version)
-    return _VALUE_BYTES[h % 0x5E] * spec.value_size
+    pattern = fnv64(index * 2654435761 + version) % 0x5E
+    key = spec.value_size * 0x5E + pattern
+    value = _VALUES.get(key)
+    if value is None:
+        value = _VALUES[key] = _VALUE_BYTES[pattern] * spec.value_size
+    return value
 
 
 @dataclass

@@ -123,6 +123,20 @@ class TestPoison:
         assert got[XPLINE:] == b"\x00" * XPLINE  # never written: zeros
         assert lost == [(0, XPLINE)]
 
+    def test_poisoned_ranges_order_and_merge(self):
+        machine = Machine()
+        fc = FaultController(machine)
+        ns = machine.namespace("optane")
+        other = machine.namespace("dram")
+        for xp in (9, 5, 1, 0):                  # set order is no order
+            fc.poison(ns, xp * XPLINE, 1)
+        fc.poison(other, 2 * XPLINE, 1)
+        # Relative to addr, clipped to the range, adjacent lines merged;
+        # line 9 lies past the range, line 2 is poisoned elsewhere.
+        assert fc.poisoned_ranges(ns, 100, 6 * XPLINE) == [
+            (0, 2 * XPLINE - 100), (5 * XPLINE - 100, XPLINE)]
+        assert fc.poisoned_ranges(ns, 2 * XPLINE, XPLINE) == []
+
     def test_clear_poison_restores_reads(self):
         machine = Machine()
         fc = FaultController(machine)

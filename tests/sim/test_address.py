@@ -76,6 +76,18 @@ class TestDataStore:
         ds.persist_line(1 << 20)
         assert ds.read_persistent(1 << 20, 4) == b"\x00" * 4
 
+    def test_extent_ends_at_the_last_materialised_page(self):
+        ds = DataStore()
+        assert ds.extent(0, 1 << 20) == 0
+        ds.write(PAGE + 904, b"x")
+        ds.write(3 * PAGE + 10, b"y")
+        assert ds.extent(0, 1 << 20) == 4 * PAGE     # walks the pages
+        assert ds.extent(100, 2 * PAGE) == 2 * PAGE - 100
+        assert ds.extent(PAGE, 100) == 100           # probes the range
+        assert ds.extent(2 * PAGE, 10) == 0
+        ds.write_persistent(10 * PAGE, b"z")         # durable bytes too
+        assert ds.extent(0, 1 << 20) == 11 * PAGE
+
     @given(st.integers(0, 1 << 20), st.binary(min_size=1, max_size=512))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_property(self, addr, data):
@@ -223,6 +235,13 @@ class DataStoreModel(RuleBasedStateMachine):
         line = addr - addr % CACHELINE
         assert self.ds.read_persistent(line, CACHELINE) == \
             self.ref.read_persistent(line, CACHELINE)
+
+    @rule(addr=st.integers(0, 3 * PAGE), size=st.integers(1, 3 * PAGE))
+    def extent(self, addr, size):
+        n = self.ds.extent(addr, size)
+        assert n in (0, size) or (addr + n) % PAGE == 0
+        assert not any(self.ref.read(addr + n, size - n))
+        assert not any(self.ref.read_persistent(addr + n, size - n))
 
     @rule()
     def power_fail(self):
