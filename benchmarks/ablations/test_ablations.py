@@ -147,46 +147,3 @@ def test_ablate_upi_turnaround(benchmark, report):
                                    machine=Machine(cfg))
     assert app_free.bandwidth_gbps > app_base.bandwidth_gbps
 
-
-def test_extension_btree_fingerprints(benchmark, report):
-    """Extension experiment: FPTree's fingerprints on this hardware.
-
-    One hash byte per slot (probed in the metadata cache line) lets a
-    lookup skip most slot reads; on 3D XPoint, where every avoidable
-    read costs device bandwidth (guideline lore from Section 5.2's
-    "avoid the extra read"), fingerprints cut per-get traffic and
-    latency measurably.
-    """
-    from repro.pmdk import PmemPool
-    from repro.pmemkv.btree import BPlusTree
-    from repro.sim import aggregate
-
-    def per_get_cost(use_fps, n=150, gets=150):
-        m = Machine()
-        t = m.thread()
-        pool = PmemPool.create(m, t)
-        tree = BPlusTree(pool, use_fingerprints=use_fps)
-        tree.format(t)
-        for k in range(n):
-            tree.put(t, k, k)
-        m.caches[0].drop_all()                  # cold CPU cache
-        snaps = pool.ns.counter_snapshots()
-        start = t.now
-        for k in range(gets):
-            assert tree.get(t, (k * 17) % n) == (k * 17) % n
-        elapsed = t.now - start
-        delta = aggregate(pool.ns.counter_deltas(snaps))
-        return delta.imc_read_bytes / gets, elapsed / gets
-
-    def run():
-        return per_get_cost(True), per_get_cost(False)
-
-    (fp_bytes, fp_ns), (nofp_bytes, nofp_ns) = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-    report.row("get with fingerprints",
-               "%s B read, %s ns" % (fmt(fp_bytes, 0), fmt(fp_ns, 0)),
-               "fewer slot reads")
-    report.row("get without fingerprints",
-               "%s B read, %s ns" % (fmt(nofp_bytes, 0), fmt(nofp_ns, 0)),
-               "reads every slot")
-    assert fp_ns < 0.7 * nofp_ns

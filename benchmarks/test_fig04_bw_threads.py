@@ -6,24 +6,11 @@ threads) and then *declines*; interleaving scales both by ~5.6-5.8x.
 """
 
 from benchmarks.conftest import fmt
-from repro._units import KIB
-from repro.lattester.bandwidth import bandwidth_vs_threads
-
-THREADS = (1, 2, 4, 8, 16, 24)
-PER_THREAD = 64 * KIB
-
-
-def run():
-    return {
-        kind: bandwidth_vs_threads(
-            kind, ("read", "ntstore", "clwb"), THREADS,
-            per_thread=PER_THREAD)
-        for kind in ("dram", "optane-ni", "optane")
-    }
+from repro.lattester.bandwidth import figure4
 
 
 def test_fig04_bw_threads(benchmark, report):
-    curves = benchmark.pedantic(run, rounds=1, iterations=1)
+    curves = benchmark.pedantic(figure4, rounds=1, iterations=1)
     for kind, ops in curves.items():
         for op, pts in ops.items():
             report.series("%s %s" % (kind, op),

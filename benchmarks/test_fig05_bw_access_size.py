@@ -7,28 +7,11 @@ stripe); DRAM flat-ish.
 
 from benchmarks.conftest import fmt
 from repro._units import KIB
-from repro.lattester.bandwidth import measure_bandwidth
-
-SIZES = (64, 256, 1024, 4 * KIB, 8 * KIB, 24 * KIB, 64 * KIB)
-
-
-def run():
-    out = {}
-    for kind, op, threads in (
-            ("optane", "read", 16), ("optane", "ntstore", 4),
-            ("optane-ni", "ntstore", 1), ("dram", "read", 24)):
-        pts = []
-        for size in SIZES:
-            span = max(256 * KIB, size * 8)
-            pts.append(measure_bandwidth(
-                kind=kind, op=op, threads=threads, access=size,
-                pattern="rand", per_thread=span))
-        out[kind, op] = pts
-    return out
+from repro.lattester.bandwidth import figure5
 
 
 def test_fig05_bw_access_size(benchmark, report):
-    curves = benchmark.pedantic(run, rounds=1, iterations=1)
+    curves = benchmark.pedantic(figure5, rounds=1, iterations=1)
     for (kind, op), pts in curves.items():
         report.series("%s %s" % (kind, op),
                       [(r.access, fmt(r.gbps, 1)) for r in pts], "GB/s")

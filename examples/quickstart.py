@@ -8,7 +8,9 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Machine
-from repro.core import Advisor, AccessPlan, audit_access_pattern
+from repro.core import (
+    AccessPlan, audit_access_pattern, recommend_store_instruction,
+)
 from repro.lattester import read_latency, write_latency, measure_bandwidth
 
 
@@ -48,11 +50,10 @@ def main():
           "<- guideline #3: limit writers" % (write8.gbps, write8.ewr))
 
     # --- 5. Ask the guidelines before designing your data structure. ------
-    advisor = Advisor()
     print("\nadvisor says: persist a 2 KB object with '%s', "
           "a 64 B object with '%s'"
-          % (advisor.recommend_store_instruction(2048),
-             advisor.recommend_store_instruction(64)))
+          % (recommend_store_instruction(2048),
+             recommend_store_instruction(64)))
     plan = AccessPlan(access_bytes=64, pattern="rand", is_write=True,
                       threads=24, dimms=6, remote=True,
                       mixed_read_write=True)

@@ -45,13 +45,13 @@ REGISTRY = {
         figure="fig4", title="Bandwidth vs thread count",
         section="3.4",
         workload="256 B sequential read/ntstore/store+clwb, 1-24 threads",
-        runner="repro.lattester.bandwidth:bandwidth_vs_threads",
+        runner="repro.lattester.bandwidth:figure4",
         bench="benchmarks/test_fig04_bw_threads.py"),
     "fig5": Experiment(
         figure="fig5", title="Bandwidth vs access size",
         section="3.4",
         workload="random accesses 64 B-2 MB at best thread counts",
-        runner="repro.lattester.bandwidth:bandwidth_vs_access_size",
+        runner="repro.lattester.bandwidth:figure5",
         bench="benchmarks/test_fig05_bw_access_size.py"),
     "fig6": Experiment(
         figure="fig6", title="Latency under load",

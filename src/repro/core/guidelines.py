@@ -8,12 +8,11 @@ Section 5 distils the characterization into four guidelines:
 3. Limit the number of concurrent threads writing to one DIMM.
 4. Avoid NUMA accesses, especially mixed or multi-threaded ones.
 
-:class:`Advisor` answers concrete tuning questions ("which persistence
-instruction for an N-byte write?", "how many writer threads for this
-namespace?") and :func:`audit_access_pattern` grades a planned workload
-against all four rules, returning the violated guidelines with
-explanations — the programmatic equivalent of the paper's Section 5
-case-study analyses.
+:func:`recommend_store_instruction` answers which persistence
+instruction suits an N-byte write, and :func:`audit_access_pattern`
+grades a planned workload against all four rules, returning the
+violated guidelines with explanations — the programmatic equivalent of
+the paper's Section 5 case-study analyses.
 """
 
 from dataclasses import dataclass, field
@@ -33,10 +32,6 @@ XPBUFFER_BYTES = 16 * KIB
 #: store throughput peaks between one and four threads per DIMM).
 MAX_WRITERS_PER_DIMM = 1
 
-#: Peak-bandwidth reader threads per DIMM (Optane-NI reads saturate at
-#: about four threads).
-MAX_READERS_PER_DIMM = 4
-
 
 @dataclass
 class Violation:
@@ -52,10 +47,6 @@ class Violation:
         3: "limit concurrent threads per DIMM",
         4: "avoid remote NUMA accesses",
     }
-
-    @property
-    def name(self):
-        return self.GUIDELINE_NAMES[self.guideline]
 
     def __str__(self):
         return "[G%d %s] %s" % (self.guideline, self.severity, self.message)
@@ -77,31 +68,11 @@ class AccessPlan:
     notes: list = field(default_factory=list)
 
 
-class Advisor:
-    """Answers tuning questions according to the guidelines."""
-
-    def recommend_store_instruction(self, size_bytes):
-        """'ntstore' for large transfers, 'clwb' for small ones (G2)."""
-        if size_bytes >= NTSTORE_CROSSOVER_BYTES:
-            return "ntstore"
-        return "clwb"
-
-    def recommend_access_size(self, size_bytes):
-        """Round small random accesses up to the 256 B XPLine (G1)."""
-        if size_bytes >= XPLINE:
-            return size_bytes
-        return XPLINE
-
-    def max_concurrent_writers(self, dimms=6):
-        """Writer-thread budget for a namespace spanning ``dimms`` (G3)."""
-        return max(1, dimms * MAX_WRITERS_PER_DIMM)
-
-    def max_concurrent_readers(self, dimms=6):
-        return max(1, dimms * MAX_READERS_PER_DIMM)
-
-    def should_use_local_socket(self, mixed=False, threads=1):
-        """Remote access is tolerable only single-threaded and unmixed (G4)."""
-        return not (mixed or threads > 1)
+def recommend_store_instruction(size_bytes):
+    """'ntstore' for large transfers, 'clwb' for small ones (G2)."""
+    if size_bytes >= NTSTORE_CROSSOVER_BYTES:
+        return "ntstore"
+    return "clwb"
 
 
 def audit_access_pattern(plan):

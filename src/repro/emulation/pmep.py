@@ -50,10 +50,6 @@ class PMEPDimm:
     def drain(self, now):
         return now
 
-    def reset(self):
-        self._dram.reset()
-        self._throttle.reset()
-
 
 def make_pmep_namespace(machine):
     """A plain (non-Optane) namespace on PMEP-emulated persistent

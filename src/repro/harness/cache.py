@@ -56,9 +56,6 @@ class ResultCache:
     def _path(self, key):
         return os.path.join(self.root, key[:2], key + ".json")
 
-    def contains(self, key):
-        return self.enabled and os.path.exists(self._path(key))
-
     # -- read/write ---------------------------------------------------
 
     def get(self, key):

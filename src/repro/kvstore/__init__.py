@@ -22,14 +22,11 @@ from repro.kvstore.memtable import VolatileMemtable
 from repro.kvstore.persistent_skiplist import PersistentSkipList
 from repro.kvstore.skiplist import SkipList
 from repro.kvstore.sstable import SSTable
-from repro.kvstore.study import (
-    SetResult, figure8, get_benchmark, mixed_benchmark, set_benchmark,
-)
+from repro.kvstore.study import SetResult, figure8, set_benchmark
 from repro.kvstore.wal import WalFlex, WalPosix
 
 __all__ = [
     "BloomFilter", "LSMStore", "MODES", "Manifest", "PersistentSkipList",
     "SSTable", "SetResult", "SkipList", "VolatileMemtable", "WalFlex",
-    "WalPosix", "figure8", "get_benchmark", "mixed_benchmark",
-    "set_benchmark",
+    "WalPosix", "figure8", "set_benchmark",
 ]

@@ -30,10 +30,6 @@ class Manifest:
         #: Epoch of the live WAL generation; :meth:`commit` persists it.
         self.wal_epoch = 0
 
-    @property
-    def capacity(self):
-        return 2 * SLOT_SIZE
-
     def slot(self, ahead=0):
         """Address of the slot the newest commit wrote (``ahead=1``: the
         slot the next commit writes)."""

@@ -38,9 +38,6 @@ class VolatileMemtable:
         """Record a tombstone (the LSM delete path)."""
         self.put(thread, key, None)
 
-    def get(self, thread, key):
-        return self.lookup(thread, key)[1]
-
     def lookup(self, thread, key):
         """Timed lookup distinguishing absent from tombstoned."""
         steps, found, value = self._sl.seek_lookup(key)

@@ -64,48 +64,6 @@ def set_benchmark(mode, kind="optane", ops=8000, machine=None, seed=11,
     return SetResult(mode=mode, kind=kind, ops=ops, elapsed_ns=t.now - start)
 
 
-def get_benchmark(mode, kind="optane", ops=4000, populate=4000,
-                  machine=None, seed=13):
-    """db_bench readrandom: point lookups over a populated store."""
-    m = machine if machine is not None else Machine()
-    store = LSMStore(m, mode=mode, kind=kind, seed=seed)
-    t = m.thread()
-    rng = random.Random(seed)
-    for i in range(populate):
-        store.put(t, make_key(i), make_value(rng))
-    start = t.now
-    hits = 0
-    for _ in range(ops):
-        t.sleep(ENGINE_OVERHEAD_NS)
-        if store.get(t, make_key(rng.randrange(populate))) is not None:
-            hits += 1
-    result = SetResult(mode=mode, kind=kind, ops=ops,
-                       elapsed_ns=t.now - start)
-    assert hits == ops, "readrandom missed %d keys" % (ops - hits)
-    return result
-
-
-def mixed_benchmark(mode, kind="optane", ops=4000, read_frac=0.5,
-                    populate=2000, machine=None, seed=17):
-    """db_bench readrandomwriterandom: interleaved GETs and SETs."""
-    m = machine if machine is not None else Machine()
-    store = LSMStore(m, mode=mode, kind=kind, seed=seed)
-    t = m.thread()
-    rng = random.Random(seed)
-    for i in range(populate):
-        store.put(t, make_key(i), make_value(rng))
-    start = t.now
-    for _ in range(ops):
-        t.sleep(ENGINE_OVERHEAD_NS)
-        i = rng.randrange(populate)
-        if rng.random() < read_frac:
-            store.get(t, make_key(i))
-        else:
-            store.put(t, make_key(i), make_value(rng))
-    return SetResult(mode=mode, kind=kind, ops=ops,
-                     elapsed_ns=t.now - start)
-
-
 def figure8(ops=25000, modes=("wal-posix", "wal-flex",
                               "persistent-memtable"),
             kinds=("dram", "optane")):

@@ -19,8 +19,7 @@ from repro.lattester.access import (
     staggered_base, store_clwb_kernel,
 )
 from repro.lattester.bandwidth import (
-    BandwidthResult, bandwidth_vs_access_size, bandwidth_vs_threads,
-    measure_bandwidth,
+    BandwidthResult, figure4, figure5, measure_bandwidth,
 )
 from repro.lattester.contention import (
     ContentionPoint, contention_experiment, figure16,
@@ -35,9 +34,7 @@ from repro.lattester.load import (
     LoadPoint, latency_bandwidth_curve, loaded_latency,
 )
 from repro.lattester.stats import percentile
-from repro.lattester.sweep import (
-    best_thread_count, filter_records, sweep_grid,
-)
+from repro.lattester.sweep import sweep_grid
 from repro.lattester.tail import TailResult, figure3, hotspot_tail
 from repro.lattester.xpbuffer_probe import (
     ProbePoint, figure10, inferred_buffer_lines, probe_region,
@@ -46,10 +43,9 @@ from repro.lattester.xpbuffer_probe import (
 __all__ = [
     "BandwidthResult", "ContentionPoint", "EWRPoint", "LatencyResult",
     "LoadPoint", "ProbePoint", "TailResult", "address_stream",
-    "bandwidth_vs_access_size", "bandwidth_vs_threads",
-    "best_thread_count", "contention_experiment", "correlation",
-    "ewr_experiment", "figure2", "figure3", "figure9_sweep", "figure10",
-    "figure16", "filter_records", "hotspot_tail",
+    "contention_experiment", "correlation", "ewr_experiment",
+    "figure2", "figure3", "figure4", "figure5", "figure9_sweep",
+    "figure10", "figure16", "hotspot_tail",
     "inferred_buffer_lines", "latency_bandwidth_curve", "loaded_latency",
     "make_kernel", "measure_bandwidth", "ntstore_kernel", "percentile",
     "probe_region", "read_kernel", "read_latency",

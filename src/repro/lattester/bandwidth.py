@@ -44,11 +44,6 @@ class BandwidthResult:
     access: int
     pattern: str
 
-    def __repr__(self):
-        return ("BandwidthResult(%s %s/%dB x%d: %.2f GB/s, EWR %.2f)"
-                % (self.op, self.pattern, self.access, self.threads,
-                   self.gbps, self.ewr))
-
 
 def measure_bandwidth(kind="optane", op="read", threads=4, access=256,
                       pattern="seq", per_thread=256 * KIB, machine=None,
@@ -114,29 +109,34 @@ def measure_bandwidth(kind="optane", op="read", threads=4, access=256,
     )
 
 
-def bandwidth_vs_threads(kind, ops, thread_counts, access=256,
-                         pattern="seq", per_thread=256 * KIB):
-    """Figure 4: one curve per op, bandwidth as thread count grows."""
-    curves = {}
-    for op in ops:
-        curves[op] = [
-            measure_bandwidth(kind=kind, op=op, threads=n, access=access,
-                              pattern=pattern, per_thread=per_thread)
-            for n in thread_counts
-        ]
-    return curves
+def figure4():
+    """Figure 4: 256 B sequential bandwidth as the thread count grows.
+
+    Returns ``{kind: {op: [BandwidthResult per thread count]}}``.
+    """
+    return {
+        kind: {op: [measure_bandwidth(kind=kind, op=op, threads=n,
+                                      per_thread=64 * KIB)
+                    for n in (1, 2, 4, 8, 16, 24)]
+               for op in ("read", "ntstore", "clwb")}
+        for kind in ("dram", "optane-ni", "optane")
+    }
 
 
-def bandwidth_vs_access_size(kind, ops_threads, access_sizes,
-                             pattern="rand", per_thread=256 * KIB):
-    """Figure 5: one curve per (op, best-thread-count) pair vs access size."""
-    curves = {}
-    for op, nthreads in ops_threads.items():
-        pts = []
-        for access in access_sizes:
-            span = max(per_thread, access * 8)
-            pts.append(measure_bandwidth(
-                kind=kind, op=op, threads=nthreads, access=access,
-                pattern=pattern, per_thread=span))
-        curves[op] = pts
-    return curves
+def figure5():
+    """Figure 5: random-access bandwidth as the access size grows, each
+    curve at its op's best thread count.
+
+    Returns ``{(kind, op): [BandwidthResult per access size]}``; each
+    thread covers at least eight accesses.
+    """
+    sizes = (64, 256, 1024, 4 * KIB, 8 * KIB, 24 * KIB, 64 * KIB)
+    return {
+        (kind, op): [measure_bandwidth(kind=kind, op=op, threads=threads,
+                                       access=size, pattern="rand",
+                                       per_thread=max(256 * KIB, size * 8))
+                     for size in sizes]
+        for kind, op, threads in (
+            ("optane", "read", 16), ("optane", "ntstore", 4),
+            ("optane-ni", "ntstore", 1), ("dram", "read", 24))
+    }

@@ -23,10 +23,6 @@ class LatencyResult:
     stdev_ns: float
     samples: int
 
-    def __repr__(self):
-        return "LatencyResult(%.1f +- %.1f ns, n=%d)" % (
-            self.mean_ns, self.stdev_ns, self.samples)
-
 
 def _result(latencies):
     return LatencyResult(

@@ -78,15 +78,6 @@ def _outcome_record(outcome):
     return record
 
 
-def filter_records(records, **criteria):
-    """Select sweep records matching all the given field values."""
-    out = []
-    for rec in records:
-        if all(rec.get(k) == v for k, v in criteria.items()):
-            out.append(rec)
-    return out
-
-
 def csv_fieldnames(records):
     """Column order for a set of records: known fields, then extras.
 
@@ -145,15 +136,3 @@ def read_csv(path):
             out.append({k: _restore(v) for k, v in row.items()
                         if v != ""})
     return out
-
-
-def best_thread_count(records, kind, op, access=None):
-    """The thread count achieving peak bandwidth for a configuration."""
-    matches = [
-        r for r in records
-        if r["kind"] == kind and r["op"] == op
-        and (access is None or r["access"] == access)
-    ]
-    if not matches:
-        raise ValueError("no sweep records for %s/%s" % (kind, op))
-    return max(matches, key=lambda r: r["gbps"])["threads"]

@@ -168,7 +168,3 @@ class LatencyHistogram:
     def __eq__(self, other):
         return isinstance(other, LatencyHistogram) \
             and self.counts == other.counts
-
-    def __repr__(self):
-        return ("LatencyHistogram(buckets=%d, total=%d)"
-                % (len(self.counts), self.total()))

@@ -410,10 +410,6 @@ class PmCheck:
                            track="pmcheck",
                            args={"site": site, "ns": ns_name, "line": line})
 
-    @property
-    def violations(self):
-        return list(self._violations)
-
     def summary(self):
         """JSON-able report: total, per-kind counts, deduped violations."""
         kinds = {}

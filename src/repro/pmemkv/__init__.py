@@ -14,13 +14,12 @@ Public surface::
     assert kv.get(t, b"key") == b"value"
 """
 
-from repro.pmemkv.btree import BPlusTree
 from repro.pmemkv.cmap import CMap
 from repro.pmemkv.study import (
     OverwriteResult, degradation, figure19, overwrite_benchmark,
 )
 
 __all__ = [
-    "BPlusTree", "CMap", "OverwriteResult", "degradation", "figure19",
+    "CMap", "OverwriteResult", "degradation", "figure19",
     "overwrite_benchmark",
 ]

@@ -64,14 +64,3 @@ class AddressIndirectionTable:
     def hot_of(self, xpline):
         """Media writes to ``xpline`` since its last thermal stall."""
         return self._hot.get(xpline, 0)
-
-    @property
-    def total_media_writes(self):
-        return self._writes
-
-    def reset(self):
-        self._hot.clear()
-        self._writes = 0
-        self._next_migration = self._cfg.migrate_every
-        self.migrations = 0
-        self.thermal_stalls = 0

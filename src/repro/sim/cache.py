@@ -17,7 +17,7 @@ Replacement is exact LRU, and recency *is* the set table's insertion
 order: every access that refreshes a line (a load hit, a store hit, a
 refill) moves its entry to the end of the set dict, a fill appends, and
 the victim is the first key.  Flush-side operations (``clean``,
-``clean_ready``, ``ready_time``, ``is_dirty``) do not touch recency.
+``clean_ready``, ``is_dirty``) do not touch recency.
 
 A resident line costs one int and one float.  Inside the model a line
 is named by its *tag*, ``line | ns_id`` (lines are 64 B aligned, so the
@@ -80,7 +80,7 @@ class CacheModel:
     # -- fused hot-path helpers ------------------------------------------------
     #
     # The per-line access paths used to hash every key twice (lookup
-    # then fill, mark_dirty then fill, ready_time then clean).  These
+    # then fill, mark_dirty then fill, the ready time then clean).  These
     # helpers hash once and hand the set table back to the caller so the
     # follow-up mutation can reuse it.  Counter and recency sequences are
     # identical to the two-call forms.
@@ -140,7 +140,7 @@ class CacheModel:
         return victim
 
     def clean_ready(self, key):
-        """Fused :meth:`ready_time` + :meth:`clean`.
+        """The line's fill-ready time, fused with :meth:`clean`.
 
         Returns ``(was_dirty, ready_ns)``; ``ready_ns`` is 0.0 when the
         line is absent or already clean (callers only use it for dirty
@@ -176,13 +176,6 @@ class CacheModel:
             table[tag] = ready                   # now most recent
             return None
         return self.fill_in(table, key, dirty, ready_ns)
-
-    def ready_time(self, key):
-        """When the line's fill completes (0.0 if unknown/absent)."""
-        table = self._sets.get(self._index(key))
-        if table is None:
-            return 0.0
-        return table.get(pack(key), 0.0)
 
     def mark_dirty(self, key):
         """Mark a (present) line dirty; returns False if not cached."""

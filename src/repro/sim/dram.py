@@ -92,9 +92,3 @@ class DRAMDimm:
 
     def drain(self, now):
         return now
-
-    def reset(self):
-        self._banks.reset()
-        self._write_slots.reset()
-        self._open_rows.clear()
-        self.counters.reset()

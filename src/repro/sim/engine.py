@@ -55,17 +55,6 @@ class Resource:
             self._last_end = end
         return start, end
 
-    def next_free_at(self):
-        """Earliest time at which some server is available."""
-        return self._free[0]
-
-    def reset(self, now=0.0):
-        """Clear all bookings (used when reusing a machine between runs)."""
-        self._free = [now] * len(self._free)
-        heapq.heapify(self._free)
-        self.busy_ns = 0.0
-        self._last_end = now
-
 
 class BackfillResource:
     """A single-server resource that can reuse idle gaps.
@@ -142,11 +131,6 @@ class BackfillResource:
             del ends[0]
         return start, end
 
-    def next_free_at(self):
-        if self._gap_start:
-            return self._gap_start[0]
-        return self._tail
-
     @property
     def _gaps(self):
         """The idle gaps as ``[(start, end)]`` (introspection helper)."""
@@ -160,11 +144,6 @@ class BackfillResource:
     @property
     def _last_end(self):
         return self._tail
-
-    def reset(self, now=0.0):
-        self.clear_gaps()
-        self._tail = now
-        self.busy_ns = 0.0
 
 
 class DirectionalLink(BackfillResource):
@@ -221,12 +200,6 @@ class DirectionalLink(BackfillResource):
         self._direction = direction
         self._source = source
         return self.acquire(now, cost)
-
-    def reset(self, now=0.0):
-        super().reset(now)
-        self._direction = None
-        self._source = None
-        self.turnarounds = 0
 
 
 class ThreadCtx:

@@ -40,10 +40,6 @@ class MemoryChannel:
         _, end = self._write_link.acquire(now, self._cfg.writeback_occ_ns)
         return end
 
-    def reset(self):
-        self._read_link.reset()
-        self._write_link.reset()
-
 
 def wpq_insert_latency(wpq_config, instr, is_optane):
     """WPQ insertion latency for a store travelling ``instr`` path.

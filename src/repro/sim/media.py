@@ -136,7 +136,3 @@ class XPMedia:
                 args={"xpline": xpline, "queued_ns": start - now,
                       "stall_ns": stall})
         return end
-
-    def reset(self):
-        self._banks.reset()
-        self.ait.reset()

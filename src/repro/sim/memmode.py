@@ -63,11 +63,6 @@ class NearMemoryCache:
         self.dram.ingest_write(ready, dev_addr)     # install, off path
         return ready
 
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class MemoryModeNamespace(Namespace):
     """A volatile namespace backed by DRAM-cached 3D XPoint."""

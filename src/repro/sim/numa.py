@@ -28,10 +28,6 @@ class Interconnect:
     def write_extra_ns(self):
         return self._cfg.write_extra_ns
 
-    @property
-    def turnarounds(self):
-        return self._link.turnarounds
-
     def read_transfer(self, now, source=None, heavy=True):
         """Book a 64 B read-response transfer; returns its end time."""
         turnarounds = self._link.turnarounds
@@ -62,6 +58,3 @@ class Interconnect:
             self._tracer.instant(
                 start, "upi", "upi.turnaround", track=self.name,
                 args={"direction": direction, "source": source})
-
-    def reset(self):
-        self._link.reset()

@@ -159,8 +159,3 @@ class XPDimm:
         for entry in self.buffer.flush_all():
             t = self._evict(t, entry)
         return t
-
-    def reset(self):
-        self.counters.reset()
-        self.media.reset()
-        self.buffer = XPBuffer(self._buf_cfg)

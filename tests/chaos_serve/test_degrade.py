@@ -2,11 +2,18 @@
 
 import random
 
+import pytest
+
+from repro.chaos_serve import driver
 from repro.chaos_serve.driver import (
     BACKOFF_BASE_NS, BACKOFF_JITTER, BACKOFF_MULT, BREAKER_CLOSED,
-    BREAKER_HALF_OPEN, BREAKER_OPEN, CircuitBreaker, backoff_ns,
+    BREAKER_COOLDOWN_NS, BREAKER_HALF_OPEN, BREAKER_OPEN, BREAKER_THRESHOLD,
+    BROKEN, FAILED, CircuitBreaker, _Env, backoff_ns,
 )
-from repro.faults.model import _mix
+from repro.faults.model import MediaError, _mix
+from repro.telemetry import recording
+from repro.workloads.generators import Request
+from repro.workloads.loadloop import OK
 
 
 def make_breaker(threshold=3, cooldown_ns=1000.0):
@@ -69,6 +76,55 @@ class TestCircuitBreaker:
 def retry_rng(seed, client):
     """The stream a chaos cell's client draws its retry jitter from."""
     return random.Random(_mix(seed, "retry", client))
+
+
+
+class TestBreakerWiring:
+    """A cell's breaker transitions reach its obs timeline and, when a
+    tracer is attached, its trace."""
+
+    PAYLOAD = {"workload": "ycsb-a", "substrate": "lsm",
+               "scenario": "poison", "mode": "closed", "seed": 0,
+               "records": 32, "ops": 64, "clients": 1}
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        """While ``failing["on"]``, every request hits a hard error."""
+        state = {"on": True}
+
+        def execute(*args):
+            if state["on"]:
+                raise MediaError("uncorrectable", transient=False)
+
+        monkeypatch.setattr(driver, "execute_request", execute)
+        return state
+
+    def drive(self, env, failing):
+        t = env.machine.thread()
+        req = Request("read", 0, 0, 0)
+        disps = [env.serve(t, 0, req, t.now)
+                 for _ in range(BREAKER_THRESHOLD + 1)]
+        t.sleep(BREAKER_COOLDOWN_NS)
+        failing["on"] = False
+        disps.append(env.serve(t, 0, req, t.now))
+        return disps
+
+    def test_open_half_open_closed_reach_the_obs_timeline(self, failing):
+        env = _Env(self.PAYLOAD)
+        disps = self.drive(env, failing)
+        assert disps == [FAILED] * BREAKER_THRESHOLD + [BROKEN, OK]
+        assert [e["name"] for e in env.obs.events
+                if e["name"].startswith("breaker.")] == [
+            "breaker.open", "breaker.half-open", "breaker.closed"]
+
+    def test_a_tracer_sees_each_transition(self, failing):
+        with recording() as tracer:
+            env = _Env(self.PAYLOAD)
+            self.drive(env, failing)
+        assert [e.name for e in tracer.events()
+                if e.name.startswith("degrade.breaker_")] == [
+            "degrade.breaker_open", "degrade.breaker_half-open",
+            "degrade.breaker_closed"]
 
 
 class TestRetryPolicy:

@@ -360,31 +360,3 @@ class TestEveryWalFenceIsLoadBearing:
         if note is not None:
             assert any(v["kind"] == kind and v["note"].startswith(note)
                        for v in violations), violations
-
-
-class TestDbBenchWorkloads:
-    def test_readrandom_finds_everything(self):
-        from repro.kvstore import get_benchmark
-        r = get_benchmark("wal-flex", ops=300, populate=300)
-        assert r.kops_per_sec > 0
-
-    def test_mixed_workload_runs(self):
-        from repro.kvstore import mixed_benchmark
-        r = mixed_benchmark("wal-flex", ops=300, populate=150)
-        assert r.kops_per_sec > 0
-
-    def test_reads_faster_than_synced_writes(self):
-        from repro.kvstore import get_benchmark, set_benchmark
-        reads = get_benchmark("wal-flex", ops=400, populate=400)
-        writes = set_benchmark("wal-flex", ops=400)
-        assert reads.kops_per_sec > writes.kops_per_sec
-
-    def test_mixed_between_pure_read_and_write(self):
-        from repro.kvstore import (
-            get_benchmark, mixed_benchmark, set_benchmark,
-        )
-        reads = get_benchmark("wal-flex", ops=400, populate=400)
-        mixed = mixed_benchmark("wal-flex", ops=400, populate=400)
-        writes = set_benchmark("wal-flex", ops=400)
-        assert writes.kops_per_sec < mixed.kops_per_sec < \
-            reads.kops_per_sec

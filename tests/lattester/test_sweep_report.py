@@ -1,13 +1,11 @@
-"""Tests for the sweep driver (CSV round trip, filtering) and the
+"""Tests for the sweep driver (CSV round trip) and the
 load/report helpers."""
 
 import os
 
 from repro._units import KIB
 from repro.lattester.load import loaded_latency
-from repro.lattester.sweep import (
-    best_thread_count, filter_records, read_csv, sweep_grid, write_csv,
-)
+from repro.lattester.sweep import read_csv, sweep_grid, write_csv
 
 SMALL_GRID = {
     "kind": ("dram-ni", "optane-ni"),
@@ -31,24 +29,6 @@ class TestSweep:
 
     def test_records_have_results(self):
         assert all(r["gbps"] > 0 for r in self.records)
-
-    def test_filter(self):
-        subset = filter_records(self.records, kind="optane-ni",
-                                op="read")
-        assert len(subset) == 2
-        assert all(r["kind"] == "optane-ni" for r in subset)
-
-    def test_best_thread_count(self):
-        best = best_thread_count(self.records, "optane-ni", "read")
-        assert best == 4                      # reads scale to 4 threads
-
-    def test_best_thread_count_missing(self):
-        try:
-            best_thread_count(self.records, "nvme", "read")
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("expected ValueError")
 
     def test_csv_roundtrip(self, tmp_path=None):
         path = "/tmp/repro_sweep_test.csv"

@@ -44,13 +44,6 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource("r", 0)
 
-    def test_reset(self):
-        r = Resource("r", 2)
-        r.acquire(0.0, 50.0)
-        r.reset()
-        assert r.next_free_at() == 0.0
-        assert r.busy_ns == 0.0
-
 
 class TestDirectionalLink:
     def test_same_direction_no_turnaround(self):

@@ -112,15 +112,6 @@ class TestAIT:
         first_b = next(i for i in range(300) if b.record_write(i) > 0)
         assert first_a != first_b
 
-    def test_reset(self):
-        ait = AddressIndirectionTable(AITConfig(migrate_every=10,
-                                                migrate_jitter=1))
-        for i in range(20):
-            ait.record_write(i)
-        ait.reset()
-        assert ait.migrations == 0
-        assert ait.total_media_writes == 0
-
 
 class TestCounters:
     def test_snapshot_delta(self):

@@ -81,6 +81,27 @@ class TestMemoryMode:
         assert sum(c.writebacks for c in ns._near) >= 1
         assert xp.counters.imc_write_bytes > before
 
+    def test_own_llc_victim_reaches_far_memory(self):
+        # A dirty Memory Mode line evicted from the LLC is written into
+        # its near-memory block, and that block goes to the 3D XPoint
+        # DIMM when a colliding fill evicts it.
+        cfg = default_config().with_overrides(
+            cache=CacheConfig(capacity_bytes=16 * KIB))
+        cfg.dram_capacity = 16 * KIB
+        m = Machine(cfg)
+        ns = make_memory_mode_namespace(m)
+        t = m.thread()
+        near, xp = ns._near[0], ns.dimms[0]
+        ns.store(t, 0, CACHELINE, data=b"v" * CACHELINE)
+        assert near._tags[0] == (0, False)   # filled clean by the RFO
+        ns.load(t, CACHELINE, 64 * KIB)      # evicts line 0 from the LLC
+        assert not m.caches[0].is_dirty((ns.ns_id, 0))
+        assert near._tags[0] == (0, True)
+        before = xp.counters.imc_write_bytes
+        ns.load(t, 16 * KIB * 6)             # same near block, new tag
+        assert near.writebacks == 1
+        assert xp.counters.imc_write_bytes == before + CACHELINE
+
     def test_victims_of_other_namespaces_go_home(self):
         # The LLC is shared: a Memory Mode fill that evicts an App
         # Direct line must persist it in its own namespace.

@@ -104,13 +104,6 @@ class TestXPDimmManagement:
         assert dimm.buffer.occupancy() == 0
         assert dimm.counters.media_write_bytes == 16 * XPLINE
 
-    def test_reset(self):
-        dimm = make_dimm()
-        dimm.ingest_write(0.0, 0)
-        dimm.reset()
-        assert dimm.counters.imc_write_bytes == 0
-        assert dimm.buffer.occupancy() == 0
-
 
 class TestTracingLeavesTheDeviceAlone:
     """A tracer only emits events: traced or not, the DIMM runs the same
