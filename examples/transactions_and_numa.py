@@ -11,7 +11,7 @@ Run:  python examples/transactions_and_numa.py
 
 import struct
 
-from repro.pmdk import MicroBufferTx, PmemPool, Transaction, recover
+from repro.pmdk import PmemPool, Transaction, recover
 from repro.pmdk.study import noop_tx_latency
 from repro.pmemkv import CMap, overwrite_benchmark
 from repro.sim import Machine

@@ -50,7 +50,7 @@ REGISTRY = {
     "fig5": Experiment(
         figure="fig5", title="Bandwidth vs access size",
         section="3.4",
-        workload="random accesses 64 B-2 MB at best thread counts",
+        workload="random accesses 64 B-64 KiB at best thread counts",
         runner="repro.lattester.bandwidth:figure5",
         bench="benchmarks/test_fig05_bw_access_size.py"),
     "fig6": Experiment(

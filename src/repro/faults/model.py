@@ -378,7 +378,7 @@ END = object()
 
 def scan_log(buf, lost, decode, report, start=0, end=None, align=None,
              hole="unreadable hole", torn="torn tail"):
-    """The one tolerant recovery scan (WAL, SSTables, NOVA's log pages).
+    """The one tolerant recovery scan (WAL, SSTables, NOVA, PMDK lanes).
 
     ``buf`` and ``lost`` come from :func:`tolerant_read`;
     ``decode(offset)`` answers ``(item, next_offset)``, ``None`` (no

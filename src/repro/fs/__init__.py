@@ -20,7 +20,7 @@ from repro.fs.cleaner import clean_file
 from repro.fs.dax import DAXFileSystem
 from repro.fs.fio import FIOResult, run_fio
 from repro.fs.layout import PAGE, AllocationPolicy, PageAllocator
-from repro.fs.log import InodeLog, encode_embed_entry, encode_write_entry
+from repro.fs.log import InodeLog, encode_entry
 from repro.fs.nova import NovaFS
 from repro.fs.study import (
     FIG12_SYSTEMS, IOLatency, figure12, figure17, file_io_latency,
@@ -30,6 +30,6 @@ __all__ = [
     "AllocationPolicy", "DAXFileSystem", "FIG12_SYSTEMS",
     "FIOResult", "IOLatency", "InodeLog", "NovaFS",
     "PAGE", "PageAllocator",
-    "clean_file", "encode_embed_entry", "encode_write_entry",
+    "clean_file", "encode_entry",
     "figure12", "figure17", "file_io_latency", "run_fio",
 ]

@@ -30,7 +30,7 @@ each pay for — and fail on — a clean that can never finish.
 
 from repro.fs.layout import PAGE, split_gaddr
 from repro.fs.log import (
-    INODE_SLOT_SIZE, InodeLog, encode_embed_entry, encode_write_entry,
+    EMBED_ENTRY, INODE_SLOT_SIZE, WRITE_ENTRY, InodeLog, encode_entry,
     slot_addr,
 )
 from repro.fs.nova import _patched
@@ -72,12 +72,12 @@ def clean_file(fs, thread, inode):
         new_log = InodeLog(fs, inode, fs.policy.alloc_for(thread),
                            thread=thread)
         for pgoff in sorted(pages):
-            new_log.append(thread, encode_write_entry(
-                pgoff, pages[pgoff], f.size))
+            new_log.append(thread, encode_entry(
+                WRITE_ENTRY, f.size, pgoff, page_gaddr=pages[pgoff]))
         for pgoff, extents in sorted(carried.items()):
             for in_off, _, data in extents:
-                new_log.append(thread, encode_embed_entry(
-                    pgoff, in_off, data, f.size))
+                new_log.append(thread, encode_entry(
+                    EMBED_ENTRY, f.size, pgoff, in_off=in_off, data=data))
         # 3. Atomic switch: persist the inode slot pointing at the new
         # log; that commit recycles what only the old log referenced.
         pmcheck = fs.machine.pmcheck

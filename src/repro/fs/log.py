@@ -3,20 +3,26 @@
 A log is a chain of 4 KB log pages; each page begins with a 64-byte
 header, ``next u64 | end u32``: the gaddr of the next page (0 = none)
 and the offset where this page's entries end.  Entries are multiples
-of 64 bytes:
+of 64 bytes, one format for every kind (:func:`encode_entry`): a 64 B
+header line, then any inline data padded to whole lines::
 
-* **WriteEntry** (64 B) — a copy-on-write file write: "page ``pgoff``
-  of the file now lives at ``page_gaddr``; file size is now N".
-* **EmbedWriteEntry** (64 B header + inline data, 64 B-aligned) — the
-  NOVA-datalog optimisation (Figure 11): a sub-page write whose data
-  is embedded in the log itself, turning a random small write into a
-  sequential append.
+    crc u32 | type u8 | pad u8 | dlen u16 | pgoff u32 | page_gaddr u64 |
+    file_size u64 | in_page_off u16 | pad u16 | ... | data
 
-Every entry carries a CRC over its header (and, for embed entries, the
-data), so recovery can detect torn appends.
+* **WriteEntry** — a copy-on-write file write: "page ``pgoff`` of the
+  file now lives at ``page_gaddr``; file size is now N".
+* **SizeEntry** — a truncate: the file size, authoritatively.
+* **EmbedWriteEntry** — the NOVA-datalog optimisation (Figure 11): a
+  sub-page write whose ``dlen`` bytes of data are embedded in the log
+  itself, turning a random small write into a sequential append.
 
-The log's root is the inode's slot in the inode table: the head of the
-chain plus the tail position.  An append is acknowledged only once
+A write or size entry is an entry with no inline data.  The CRC
+(:mod:`repro.faults.codec`, plain) seals the 28 header bytes behind it
+and the data, so recovery can detect torn appends.
+
+The log's root is the inode's slot in the inode table, the sealed
+``crc u32 | log_head u64 | tail_page u64 | tail_off u32``: the head of
+the chain plus the tail position.  An append is acknowledged only once
 :meth:`InodeLog.commit` has persisted the tail behind it, and recovery
 (:meth:`InodeLog.open_persistent` + :meth:`InodeLog.scan_persistent`)
 replays the chain up to that committed tail and no further.  Both
@@ -29,9 +35,9 @@ header's ``end`` on every other.
 import functools
 import struct
 import weakref
-import zlib
 
 from repro._units import CACHELINE, align_up
+from repro.faults.codec import CRC_SIZE, check, seal
 from repro.faults.model import MediaError, scan_log, tolerant_read
 from repro.fs.layout import INODE_TABLE_PAGE, PAGE, split_gaddr
 
@@ -45,14 +51,13 @@ WRITE_ENTRY = 1
 EMBED_ENTRY = 2
 SIZE_ENTRY = 3          # truncate / explicit size change
 
-# type u8 | pad u8 | dlen u16 | pgoff u32 | page_gaddr u64 |
-# file_size u64 | in_page_off u16 | pad | crc u32
-_ENTRY = struct.Struct("<BBHIQQHHI")
+#: the sealed entry header, after its crc
+_FIELDS = struct.Struct("<BBHIQQHH")
+_HEAD = CRC_SIZE + _FIELDS.size
 ENTRY_SIZE = 64
-assert _ENTRY.size <= ENTRY_SIZE
 
-#: inode-table slot: log_head u64 | tail_page u64 | tail_off u32 | crc u32
-_INODE_SLOT = struct.Struct("<QQII")
+#: the sealed inode-table slot, after its crc
+_SLOT = struct.Struct("<QQI")
 INODE_SLOT_SIZE = 64
 
 
@@ -61,61 +66,33 @@ def slot_addr(inode):
     return INODE_TABLE_PAGE * PAGE + inode * INODE_SLOT_SIZE
 
 
-def encode_write_entry(pgoff, page_gaddr, file_size):
-    body = _ENTRY.pack(WRITE_ENTRY, 0, 0, pgoff, page_gaddr, file_size,
-                       0, 0, 0)[:-4]
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return (body + struct.pack("<I", crc)).ljust(ENTRY_SIZE, b"\x00")
-
-
-def encode_size_entry(file_size):
-    """A truncate record: sets the file size authoritatively."""
-    body = _ENTRY.pack(SIZE_ENTRY, 0, 0, 0, 0, file_size, 0, 0, 0)[:-4]
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return (body + struct.pack("<I", crc)).ljust(ENTRY_SIZE, b"\x00")
-
-
-def encode_embed_entry(pgoff, in_page_off, data, file_size):
+def encode_entry(etype, file_size, pgoff=0, page_gaddr=0, in_off=0,
+                 data=b""):
+    """One log entry: the header line, then ``data`` padded to lines."""
     if len(data) >= PAGE:
         raise ValueError("embed entries are for sub-page writes")
-    body = _ENTRY.pack(EMBED_ENTRY, 0, len(data), pgoff, 0, file_size,
-                       in_page_off, 0, 0)[:-4]
-    crc = zlib.crc32(body + data) & 0xFFFFFFFF
-    header = (body + struct.pack("<I", crc)).ljust(ENTRY_SIZE, b"\x00")
-    padded = align_up(len(data), CACHELINE)
-    return header + data + b"\x00" * (padded - len(data))
+    sealed = seal(_FIELDS.pack(etype, 0, len(data), pgoff, page_gaddr,
+                               file_size, in_off, 0) + data)
+    return (sealed[:_HEAD].ljust(ENTRY_SIZE, b"\x00")
+            + sealed[_HEAD:].ljust(align_up(len(data), CACHELINE), b"\x00"))
 
 
 def decode_entry(buf, offset):
     """Decode the entry at ``offset``; returns (dict, next_offset) or None."""
     if offset + ENTRY_SIZE > len(buf):
         return None
-    fields = _ENTRY.unpack_from(buf, offset)
-    etype, _, dlen, pgoff, page_gaddr, file_size, in_off, _, crc = fields
-    raw_body = bytes(buf[offset:offset + _ENTRY.size - 4])
-    if etype == WRITE_ENTRY:
-        if zlib.crc32(raw_body) & 0xFFFFFFFF != crc:
-            return None
-        entry = {"type": WRITE_ENTRY, "pgoff": pgoff,
-                 "page_gaddr": page_gaddr, "file_size": file_size}
-        return entry, offset + ENTRY_SIZE
-    if etype == SIZE_ENTRY:
-        if zlib.crc32(raw_body) & 0xFFFFFFFF != crc:
-            return None
-        return ({"type": SIZE_ENTRY, "file_size": file_size},
-                offset + ENTRY_SIZE)
-    if etype == EMBED_ENTRY:
-        data_start = offset + ENTRY_SIZE
-        data_end = data_start + dlen
-        if data_end > len(buf):
-            return None
-        data = bytes(buf[data_start:data_end])
-        if zlib.crc32(raw_body + data) & 0xFFFFFFFF != crc:
-            return None
-        entry = {"type": EMBED_ENTRY, "pgoff": pgoff, "in_off": in_off,
-                 "data": data, "file_size": file_size}
-        return entry, offset + ENTRY_SIZE + align_up(dlen, CACHELINE)
-    return None
+    dlen = _FIELDS.unpack_from(buf, offset + CRC_SIZE)[2]
+    # The sealed span: the header, then the data behind the header line.
+    at = offset + ENTRY_SIZE
+    body = check(bytes(buf[offset:offset + _HEAD])
+                 + bytes(buf[at:at + dlen]), 0, _HEAD + dlen)
+    if body is None:
+        return None
+    etype, _, _, pgoff, page_gaddr, file_size, in_off, _ = \
+        _FIELDS.unpack_from(body)
+    return ({"type": etype, "pgoff": pgoff, "page_gaddr": page_gaddr,
+             "file_size": file_size, "in_off": in_off,
+             "data": body[_FIELDS.size:]}, at + align_up(dlen, CACHELINE))
 
 
 class InodeLog:
@@ -157,8 +134,7 @@ class InodeLog:
         caller has taken over the fence — the async FIO engine batches
         it — and pages still recycle here, not at that later fence.)
         """
-        body = struct.pack("<QQI", self.head, self.tail_page, self.tail_off)
-        blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        blob = seal(_SLOT.pack(self.head, self.tail_page, self.tail_off))
         fs = self._fs()
         ns, addr = fs.devices[0], slot_addr(self.inode)
         pmcheck = thread.machine.pmcheck
@@ -204,9 +180,8 @@ class InodeLog:
             report.lost += 1
             report.note("inode %d: slot unreadable, file lost" % inode)
             return None
-        head, tail_page, tail_off, crc = _INODE_SLOT.unpack_from(raw)
-        body = raw[:_INODE_SLOT.size - 4]
-        if head == 0 or zlib.crc32(body) & 0xFFFFFFFF != crc:
+        fields = check(raw, 0, CRC_SIZE + _SLOT.size)
+        if fields is None:
             if any(raw):
                 # Non-empty slot failing its CRC = torn inode commit:
                 # expected crash semantics (slots are overwritten in
@@ -214,6 +189,7 @@ class InodeLog:
                 report.truncated += 1
                 report.note("inode %d: torn slot dropped" % inode)
             return None
+        head, tail_page, tail_off = _SLOT.unpack(fields)
         log = cls(fs, inode, head)
         log.committed = (tail_page, tail_off)
         return log

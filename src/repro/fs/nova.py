@@ -18,7 +18,7 @@ from repro.fs.layout import (
 )
 from repro.fs.log import (
     EMBED_ENTRY, INODE_SLOT_SIZE, SIZE_ENTRY, WRITE_ENTRY, InodeLog,
-    encode_embed_entry, encode_size_entry, encode_write_entry, slot_addr,
+    encode_entry, slot_addr,
 )
 
 MAX_INODES = ((16 - 1) * PAGE) // INODE_SLOT_SIZE
@@ -142,9 +142,8 @@ class NovaFS:
             page_data[in_off:in_off + len(piece)] = piece
         ns.ntstore(thread, off, PAGE, data=bytes(page_data))
         thread.sfence()
-        entry = encode_write_entry(pgoff, new_page,
-                                   max(f.size, pgoff * PAGE + in_off
-                                       + len(piece)))
+        size = max(f.size, pgoff * PAGE + in_off + len(piece))
+        entry = encode_entry(WRITE_ENTRY, size, pgoff, page_gaddr=new_page)
         f.log.append(thread, entry, page=(ns, off, PAGE))
         old = f.pages.get(pgoff)
         f.pages[pgoff] = new_page
@@ -154,9 +153,9 @@ class NovaFS:
 
     def _write_embed(self, thread, f, pgoff, in_off, piece):
         """NOVA-datalog: append the data itself to the log."""
-        entry = encode_embed_entry(
-            pgoff, in_off, bytes(piece),
-            max(f.size, pgoff * PAGE + in_off + len(piece)))
+        entry = encode_entry(
+            EMBED_ENTRY, max(f.size, pgoff * PAGE + in_off + len(piece)),
+            pgoff, in_off=in_off, data=bytes(piece))
         f.log.append(thread, entry)
         f.index_embed(pgoff, in_off, bytes(piece))
 
@@ -166,7 +165,7 @@ class NovaFS:
         f = self._files[inode]
         if new_size >= f.size:
             f.size = new_size
-            f.log.append(thread, encode_size_entry(new_size))
+            f.log.append(thread, encode_entry(SIZE_ENTRY, new_size))
             f.log.commit(thread)
             return
         keep_pages = -(-new_size // PAGE) if new_size else 0
@@ -184,7 +183,7 @@ class NovaFS:
         for pgoff in [p for p in f.overlays if p >= keep_pages]:
             f.overlays.pop(pgoff)
         f.size = new_size
-        f.log.append(thread, encode_size_entry(new_size))
+        f.log.append(thread, encode_entry(SIZE_ENTRY, new_size))
         f.log.commit(thread)
 
     def unlink(self, thread, inode):

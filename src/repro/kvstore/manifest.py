@@ -1,7 +1,9 @@
 """A crash-safe manifest: which SSTables exist, at which addresses.
 
-Two slots, written alternately, each carrying a sequence number and a
-CRC; recovery picks the newest intact slot.  This is the standard
+Two slots, written alternately, each a sealed record
+(:mod:`repro.faults.codec`, plain CRC) of ``seq u32 | wal_epoch u32 |
+count u32 | (base u64 | size u64 | level u64) * count``; recovery picks
+the newest intact slot.  This is the standard
 atomic-superblock trick (LevelDB's MANIFEST/CURRENT collapsed into a
 fixed-size record, which suffices here because tables are few).
 
@@ -10,14 +12,14 @@ retires the WAL generation it holds (see :mod:`repro.kvstore.wal`).
 """
 
 import struct
-import zlib
 
+from repro.faults.codec import CRC_SIZE, check, seal
 from repro.faults.model import tolerant_read
 
 _HEAD = struct.Struct("<III")             # seq | wal_epoch | count
 _ENTRY = struct.Struct("<QQQ")            # base | size | level
 SLOT_SIZE = 4096
-MAX_TABLES = (SLOT_SIZE - 4 - _HEAD.size) // _ENTRY.size
+MAX_TABLES = (SLOT_SIZE - CRC_SIZE - _HEAD.size) // _ENTRY.size
 
 
 class Manifest:
@@ -41,7 +43,7 @@ class Manifest:
         body = _HEAD.pack(self._seq, self.wal_epoch, len(entries))
         for base, size, level in entries:
             body += _ENTRY.pack(base, size, level)
-        return struct.pack("<I", zlib.crc32(body)) + body
+        return seal(body)
 
     def commit(self, thread, entries):
         """Durably record ``entries`` = [(base, size, level)]."""
@@ -59,19 +61,14 @@ class Manifest:
         for slot in (self.base, self.base + SLOT_SIZE):
             # A poisoned slot must not take the other one down with it:
             # read tolerantly and let the CRC reject the zeroed bytes.
-            raw, lost = tolerant_read(self.ns, slot, SLOT_SIZE)
-            if lost and not any(raw):
-                continue
+            raw, _ = tolerant_read(self.ns, slot, SLOT_SIZE)
             # The read stops at the written extent: the rest is zeros.
             raw = raw.ljust(SLOT_SIZE, b"\0")
-            crc = struct.unpack_from("<I", raw)[0]
-            seq, wal_epoch, count = _HEAD.unpack_from(raw, 4)
-            body_len = _HEAD.size + count * _ENTRY.size
-            if body_len > SLOT_SIZE - 4:
+            count = _HEAD.unpack_from(raw, CRC_SIZE)[2]
+            body = check(raw, 0, CRC_SIZE + _HEAD.size + count * _ENTRY.size)
+            if body is None:
                 continue
-            body = bytes(raw[4:4 + body_len])
-            if zlib.crc32(body) & 0xFFFFFFFF != crc:
-                continue
+            seq, wal_epoch, count = _HEAD.unpack_from(body)
             if seq > best_seq:
                 entries = [
                     _ENTRY.unpack_from(body, _HEAD.size + i * _ENTRY.size)

@@ -1,6 +1,6 @@
 """On-media record encoding shared by the WAL and the SSTables.
 
-A record is::
+A record is a sealed record (:mod:`repro.faults.codec`)::
 
     u32 crc (of everything after it) | u16 flags+klen | u32 vlen |
     key | value
@@ -10,13 +10,14 @@ a tombstone yields ``value = None``.  CRCs make recovery honest: a
 torn append (crash mid-record) is detected and replay stops there,
 exactly like LevelDB/RocksDB log replay.
 
-The CRC is seeded with the log's *epoch* (``zlib.crc32(body, epoch)``),
-so a record carries its generation without a byte more.  Epoch 0 is the
-plain CRC (SSTables, a WAL that never flushed); see :func:`retired`.
+The CRC is seeded with the log's *epoch*, so a record carries its
+generation without a byte more.  Epoch 0 is the plain CRC (SSTables, a
+WAL that never flushed); see :func:`retired`.
 """
 
 import struct
-import zlib
+
+from repro.faults.codec import check, seal
 
 _HEADER = struct.Struct("<IHI")
 HEADER_SIZE = _HEADER.size
@@ -33,8 +34,8 @@ def encode(key, value, epoch=0):
         value = b""
     else:
         klen_field = len(key)
-    body = struct.pack("<HI", klen_field, len(value)) + key + value
-    return struct.pack("<I", zlib.crc32(body, epoch)) + body
+    return seal(struct.pack("<HI", klen_field, len(value)) + key + value,
+                epoch)
 
 
 def decode(buf, offset=0, verify_crc=True, epoch=0, size=None):
@@ -43,49 +44,23 @@ def decode(buf, offset=0, verify_crc=True, epoch=0, size=None):
     Returns ``(key, value, next_offset)`` — ``value is None`` for a
     tombstone — or None if the bytes do not form a valid record of
     ``epoch`` (torn write, zeroed space, corruption, another epoch).
-
-    ``size`` is the length of the region ``buf`` was read from (default
-    ``len(buf)``); its bytes past the end of ``buf`` read as zeros, as
-    in a recovery scan's clipped read (see
-    :func:`~repro.faults.model.tolerant_read`).
+    ``size`` is the length of the region ``buf`` was read from, as in
+    :func:`~repro.faults.codec.check`.
 
     ``verify_crc=False`` is the deliberately *naive* mode: it trusts
     any length-plausible header, so torn or corrupt records decode into
     garbage.  It exists so the fault matrix can demonstrate that it
     catches exactly the corruption CRCs prevent.
     """
-    if offset + HEADER_SIZE > len(buf):
-        return _decode_past(buf, offset, verify_crc, epoch, size)
-    crc, klen_field, vlen = _HEADER.unpack_from(buf, offset)
+    _, klen_field, vlen = _HEADER.unpack(bytes(      # clipped: zeros
+        buf[offset:offset + HEADER_SIZE]).ljust(HEADER_SIZE, b"\0"))
     klen = klen_field & _KLEN_MASK
-    end = offset + HEADER_SIZE + klen + vlen
-    if end > len(buf):
-        return _decode_past(buf, offset, verify_crc, epoch, size)
-    body = bytes(buf[offset + 4:end])
-    if crc == 0 and not any(body):
-        return None                  # zeroed space, in any mode
-    if verify_crc and crc != zlib.crc32(body, epoch):
+    span = HEADER_SIZE + klen + vlen
+    body = check(buf, offset, span, epoch, size, verify_crc)
+    if body is None:
         return None
-    key = body[6:6 + klen]
-    value = body[6 + klen:]
-    if klen_field & _TOMBSTONE_FLAG:
-        return key, None, end
-    return key, value, end
-
-
-def _decode_past(buf, offset, verify_crc, epoch, size):
-    """:func:`decode` of a record running past the end of ``buf`` into
-    the zeros of a ``size``-byte region (None past the region)."""
-    if size is None or offset + HEADER_SIZE > size:
-        return None
-    head = bytes(buf[offset:offset + HEADER_SIZE]).ljust(HEADER_SIZE, b"\0")
-    _, klen_field, vlen = _HEADER.unpack(head)
-    span = HEADER_SIZE + (klen_field & _KLEN_MASK) + vlen
-    if offset + span > size:
-        return None
-    rec = decode(bytes(buf[offset:offset + span]).ljust(span, b"\0"), 0,
-                 verify_crc, epoch)
-    return None if rec is None else (rec[0], rec[1], offset + span)
+    value = None if klen_field & _TOMBSTONE_FLAG else body[6 + klen:]
+    return body[6:6 + klen], value, offset + span
 
 
 def retired(buf, offset, epoch, size=None):
@@ -94,12 +69,3 @@ def retired(buf, offset, epoch, size=None):
     return any(decode(buf, offset, epoch=e, size=size) is not None
                for e in range(epoch))
 
-
-def scan(buf, offset=0):
-    """Yield valid records until the first invalid one."""
-    while True:
-        rec = decode(buf, offset)
-        if rec is None:
-            return
-        key, value, offset = rec
-        yield key, value

@@ -2,36 +2,32 @@
 
 A lane's first line holds a u64, the last *retired* epoch; the live
 epoch is one past it, so a zeroed lane (a fresh pool) reads as epoch 1.
-Entries follow, each 64 B-aligned::
+Entries follow, each 64 B-aligned, a sealed record
+(:mod:`repro.faults.codec`) under the live epoch::
 
-    offset u64 | size u32 | crc u32 | epoch u64 | kind u32 | data
+    crc u32 | offset u64 | size u32 | epoch u64 | kind u32 | data
 
-The CRC covers every other field and the data.  An entry is live while
-its CRC holds and its epoch is the lane's, so an append writes the
-entry and nothing else (no count), and one 8 B store of the header
-retires every entry at once.  Slots of older epochs — zeroed ones carry
-epoch 0 — can never pass for live entries.  The live epoch is cached on
-the pool (``pool.lane_epochs``): the write path issues no load for it.
+An entry is live while its CRC holds and its epoch is the lane's, so an
+append writes the entry and nothing else (no count), and one 8 B store
+of the header retires every entry at once.  Slots of older epochs —
+zeroed ones carry epoch 0 — can never pass for live entries.  The live
+epoch is cached on the pool (``pool.lane_epochs``): the write path
+issues no load for it.
 """
 
 import struct
-import zlib
 
 from repro._units import CACHELINE, align_up
-from repro.faults.model import MediaError
+from repro.faults.codec import check, seal
+from repro.faults.model import END, MediaError, scan_log, tolerant_read
 from repro.faults.report import RecoveryReport
 from repro.pmdk.pool import LANE_SIZE
 
 UNDO, REDO = 0, 1
 
 _HEADER = struct.Struct("<Q")
-_ENTRY = struct.Struct("<QIIQI")
-_CRC_BODY = struct.Struct("<QIQI")        # the entry fields under CRC
-
-
-def _crc(offset, size, epoch, kind, data):
-    body = _CRC_BODY.pack(offset, size, epoch, kind)
-    return zlib.crc32(body + data) & 0xFFFFFFFF
+_ENTRY = struct.Struct("<IQIQI")          # crc, then the sealed fields
+_FIELDS = struct.Struct("<QIQI")
 
 
 def live_epoch(pool, lane):
@@ -46,9 +42,7 @@ def live_epoch(pool, lane):
 def encode(pool, lane, kind, offset, data):
     """One live entry, zero-padded to whole cache lines."""
     epoch = live_epoch(pool, lane)
-    blob = _ENTRY.pack(offset, len(data),
-                       _crc(offset, len(data), epoch, kind, data),
-                       epoch, kind) + data
+    blob = seal(_FIELDS.pack(offset, len(data), epoch, kind) + data, epoch)
     return blob + b"\x00" * (align_up(len(blob), CACHELINE) - len(blob))
 
 
@@ -65,37 +59,55 @@ def invalidate(pool, thread, lane):
     pool.lane_epochs[lane] = epoch + 1
 
 
-def scan(read, lane_base, report=None):
-    """``(live epoch, [(kind, offset, data)])`` decoded via ``read``.
+def scan(pool, lane, report=None, view="persistent"):
+    """``(live epoch, [(kind, offset, data)])``: the live run, as
+    :func:`~repro.faults.model.scan_log` decodes a tolerant read.
 
-    The run of live entries ends quietly at the first slot of another
-    epoch; a slot that carries the live epoch but fails its bounds or
-    CRC is a torn append, counted as *truncated* in ``report``.
+    The run ends quietly at the first slot of another epoch (a zeroed
+    one is epoch 0); a live-epoch slot failing its bounds or CRC is a
+    torn append, *truncated* in ``report``.  A hole under the header or
+    any slot the run reaches raises :class:`MediaError`: a half-readable
+    undo log must not be half-applied.
     """
-    epoch = _HEADER.unpack(read(lane_base, _HEADER.size))[0] + 1
-    out = []
-    tail = lane_base + CACHELINE
-    room = LANE_SIZE - CACHELINE - _ENTRY.size
-    while room >= 0:
-        offset, size, crc, entry_epoch, kind = _ENTRY.unpack(
-            read(tail, _ENTRY.size))
+    buf, lost = tolerant_read(pool.ns, pool.lane_base(lane), LANE_SIZE,
+                              view)
+
+    def unreadable(pos, span):
+        return any(lo < pos + span and pos < lo + ll for lo, ll in lost)
+
+    epoch = int.from_bytes(buf[:_HEADER.size], "little") + 1
+    torn = []
+
+    def decode(pos):
+        if unreadable(pos, _ENTRY.size):
+            return None
+        _, offset, size, entry_epoch, kind = _ENTRY.unpack(bytes(
+            buf[pos:pos + _ENTRY.size]).ljust(_ENTRY.size, b"\0"))
+        span = _ENTRY.size + size
         if entry_epoch != epoch:
-            break
+            return END
         # A torn header can carry a garbage size: bound it first.
-        data = read(tail + _ENTRY.size, size) if size <= room else None
-        if data is None or _crc(offset, size, epoch, kind, data) != crc:
-            if report is not None:
-                report.truncated += 1
-                report.note("lane @%#x: torn entry at +%d"
-                            % (lane_base, tail - lane_base))
-            break
-        out.append((kind, offset, data))
-        span = align_up(_ENTRY.size + size, CACHELINE)
-        tail += span
-        room -= span
+        if pos + span <= LANE_SIZE and unreadable(pos, span):
+            return None
+        body = check(buf, pos, span, epoch, LANE_SIZE)
+        if body is None:
+            torn.append(pos)
+            return END
+        return ((kind, offset, body[_FIELDS.size:]),
+                pos + align_up(span, CACHELINE))
+
+    holes = RecoveryReport()
+    entries, _ = scan_log(buf, lost, decode, holes, start=CACHELINE,
+                          align=CACHELINE)
+    if unreadable(0, _HEADER.size) or holes.lost:
+        raise MediaError("lane %d unreadable" % lane)
     if report is not None:
-        report.recovered += len(out)
-    return epoch, out
+        report.recovered += len(entries)
+        if torn:
+            report.truncated += 1
+            report.note("lane @%#x: torn entry at +%d"
+                        % (pool.lane_base(lane), torn[0]))
+    return epoch, entries
 
 
 def apply(pool, thread, entries):
@@ -111,16 +123,15 @@ def recover_report(pool, thread):
     """Post-crash: apply every lane's live run, then invalidate its epoch.
 
     Returns ``(entries applied, RecoveryReport)``.  A poisoned lane (its
-    header or a live entry behind a bad XPLine) is skipped — that
-    transaction's rollback is *lost*, so its in-place updates may
-    survive partially; everything else still recovers.
+    header, or a slot its live run reaches, behind a bad XPLine) is
+    skipped — that transaction's rollback is *lost*, so its in-place
+    updates may survive partially; everything else still recovers.
     """
     report = RecoveryReport(component="pmdk-tx")
     applied = 0
     for lane in range(pool.lanes):
         try:
-            pool.lane_epochs[lane], entries = scan(
-                pool.ns.read_persistent, pool.lane_base(lane), report)
+            pool.lane_epochs[lane], entries = scan(pool, lane, report)
         except MediaError:
             report.lost += 1
             report.note("lane %d unreadable: rollback lost" % lane)

@@ -127,7 +127,7 @@ class Transaction:
         if not self._active:
             raise TransactionError("no active transaction")
         if self._entries:
-            _, entries = scan(self.pool.ns.read_volatile, self._lane_base)
+            _, entries = scan(self.pool, self.lane, view="volatile")
             apply(self.pool, self.thread, entries)
             invalidate(self.pool, self.thread, self.lane)
         self._active = False

@@ -7,6 +7,9 @@ persist boundary x every tear pattern x every poison site — is marked
     PYTHONPATH=src python -m pytest -m faults tests/faults
 """
 
+import json
+import os
+
 import pytest
 
 from repro.faults.chaos import WORKLOADS, _run_case, build_matrix, run_chaos
@@ -88,6 +91,37 @@ class TestQuickSweep:
         torn = sum(o.value["torn_chunks"] for o in run.outcomes
                    if o.value and o.value["tear"] != "none")
         assert torn > 0
+
+
+class TestTracedSweep:
+    def test_every_case_writes_a_trace_and_the_records_do_not_move(
+            self, tmp_path):
+        from repro.telemetry.export import load_and_validate
+        traces = str(tmp_path / "traces")
+        plain = run_chaos(quick=True, seed=0, jobs=1,
+                          workloads=["pmdk-tx"])
+        traced = run_chaos(quick=True, seed=0, jobs=1,
+                           workloads=["pmdk-tx"], trace_dir=traces)
+        assert traced.records == plain.records
+        cases = traced.records
+        assert sorted(os.listdir(traces)) == [
+            "case-%04d-pmdk-tx.trace.json" % i for i in range(len(cases))]
+        crashed = 0
+        for i, case in enumerate(cases):
+            path = os.path.join(traces, "case-%04d-pmdk-tx.trace.json" % i)
+            assert load_and_validate(path) == []
+            with open(path) as fh:
+                events = json.load(fh)["traceEvents"]
+            tracks = {ev["tid"]: ev["args"]["name"] for ev in events
+                      if ev["ph"] == "M"}
+            faults = [ev["name"] for ev in events if ev["ph"] == "i"
+                      and tracks[ev["tid"]] == "faults"]
+            if case["crashed"]:
+                crashed += 1
+                assert "fault.power_fail" in faults, i
+            if case["poison_site"] is not None:
+                assert "fault.poison" in faults, i
+        assert crashed
 
 
 class TestNaiveDemo:

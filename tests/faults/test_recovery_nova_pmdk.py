@@ -179,9 +179,9 @@ class TestPmdkUndoLog:
         lane = pool.lane_base(0)
         import struct
         raw = bytearray(pool.ns.read_persistent(lane + 64, 16))
-        offset, size, crc = struct.unpack("<QII", raw)
+        crc, offset, size = struct.unpack("<IQI", raw)
         pool.ns.pwrite(thread, lane + 64,
-                       struct.pack("<QII", offset, size - 8, crc),
+                       struct.pack("<IQI", crc, offset, size - 8),
                        instr="ntstore")
         machine.power_fail()
         restored = recover(pool, machine.thread())

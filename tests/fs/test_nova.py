@@ -15,7 +15,7 @@ from repro.fs.layout import (
     AllocationPolicy, PageAllocator, make_gaddr, split_gaddr,
 )
 from repro.fs.log import (
-    decode_entry, encode_embed_entry, encode_write_entry,
+    EMBED_ENTRY, WRITE_ENTRY, decode_entry, encode_entry,
 )
 from repro.fs.nova import CLEANER_THRESHOLD
 from repro.pmcheck import checking
@@ -62,7 +62,8 @@ class TestLayout:
 
 class TestLogEntries:
     def test_write_entry_roundtrip(self):
-        blob = encode_write_entry(5, make_gaddr(1, PAGE), 12345)
+        blob = encode_entry(WRITE_ENTRY, 12345, 5,
+                            page_gaddr=make_gaddr(1, PAGE))
         entry, nxt = decode_entry(blob, 0)
         assert entry["type"] == 1
         assert entry["pgoff"] == 5
@@ -70,7 +71,8 @@ class TestLogEntries:
         assert nxt == 64
 
     def test_embed_entry_roundtrip(self):
-        blob = encode_embed_entry(2, 100, b"hello world", 4196)
+        blob = encode_entry(EMBED_ENTRY, 4196, 2, in_off=100,
+                            data=b"hello world")
         entry, nxt = decode_entry(blob, 0)
         assert entry["type"] == 2
         assert entry["in_off"] == 100
@@ -78,13 +80,13 @@ class TestLogEntries:
         assert nxt == 64 + 64
 
     def test_torn_entry_rejected(self):
-        blob = bytearray(encode_write_entry(5, 64, 100))
-        blob[8] ^= 0x1
+        blob = bytearray(encode_entry(WRITE_ENTRY, 100, 5, page_gaddr=64))
+        blob[12] ^= 0x1                     # page_gaddr's low byte
         assert decode_entry(bytes(blob), 0) is None
 
     def test_oversized_embed_rejected(self):
         with pytest.raises(ValueError):
-            encode_embed_entry(0, 0, b"x" * PAGE, PAGE)
+            encode_entry(EMBED_ENTRY, PAGE, data=b"x" * PAGE)
 
 
 class TestNovaFunctional:
@@ -954,7 +956,8 @@ class TestRecycledLogPages:
         dev, off = split_gaddr(stale)
         ns = fs.devices[dev]
         ns.ntstore(t, off + 64, PAGE - 64,
-                   data=encode_write_entry(999, stale, 7) * 63)
+                   data=encode_entry(WRITE_ENTRY, 7, 999,
+                                     page_gaddr=stale) * 63)
         t.sfence()
         fs.policy.free(stale)
         inode = fs.create(t)

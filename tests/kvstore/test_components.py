@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.model import scan_log
+from repro.faults.report import RecoveryReport
 from repro.kvstore import records
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.manifest import Manifest
@@ -79,7 +81,14 @@ class TestRecords:
     def test_scan_stops_at_garbage(self):
         stream = records.encode(b"a", b"1") + records.encode(b"b", b"2") \
             + b"\x00" * 32
-        assert list(records.scan(stream)) == [(b"a", b"1"), (b"b", b"2")]
+
+        def decode(pos):
+            rec = records.decode(stream, pos)
+            return None if rec is None else (rec[:2], rec[2])
+        report = RecoveryReport()
+        items, end = scan_log(stream, [], decode, report, align=1)
+        assert items == [(b"a", b"1"), (b"b", b"2")]
+        assert end == len(stream) - 32 and report.clean
 
     @given(st.binary(min_size=1, max_size=40), st.binary(max_size=200))
     @settings(max_examples=50, deadline=None)

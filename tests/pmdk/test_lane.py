@@ -12,6 +12,8 @@ Two families of known-bad input:
 
 import pytest
 
+from repro._units import KIB, XPLINE
+from repro.faults.model import FaultController
 from repro.pmcheck import checking
 from repro.pmcheck.state import V_ACK_BEFORE_FENCE, V_UNORDERED
 from repro.pmdk import MicroBufferTx, PmemPool, Transaction
@@ -114,6 +116,81 @@ class TestStaleEntries:
         pool, restored, report = crash_and_recover(m)
         assert restored == 1 and report.clean
         assert values(pool, objs + [big]) == [b"A", b"R"]
+
+
+class TestPoisonAroundTheLiveRun:
+    """Where a poisoned line sits relative to the live run decides
+    whether the lane recovers: a hole the run could reach loses the
+    whole rollback, one past the run's quiet end is never its business.
+    Each case pins ``(restored, recovered, truncated, lost)`` and the
+    objects' bytes after recovery."""
+
+    def crash_poisoned(self, m, pool, rel):
+        fc = FaultController(m)
+        m.power_fail()
+        fc.poison(pool.ns, pool.lane_base(0) + rel, 1)
+        pool = PmemPool.open(m)
+        restored, report = recover_report(pool, m.thread())
+        return pool, (restored, report.recovered, report.truncated,
+                      report.lost)
+
+    def two_line_entries(self):
+        """A committed transaction leaves 192 B entries at +64 and +256
+        (epoch 1); a crashed one's single live entry fills +64..+256,
+        so the first stale slot starts the lane's second XPLine."""
+        m, t, pool, _ = make_pool(0)
+        objs = [pool.heap.alloc(128) - pool.base for _ in range(2)]
+        for obj, fill in zip(objs, b"AB"):
+            pool.write(t, obj, bytes([fill]) * 128)
+        assert pool.lane_base(0) % XPLINE == 0
+        with Transaction(pool, t) as tx:
+            for obj in objs:
+                tx.store(obj, b"1" * 128)
+        tx = Transaction(pool, t)
+        tx.begin()
+        tx.store(objs[0], b"2" * 128)
+        assert tx._log_tail - pool.lane_base(0) == XPLINE
+        pool.ns.clwb(t, pool.addr(objs[0]), 128)
+        t.sfence()
+        return m, pool, objs
+
+    def test_poisoned_first_stale_slot_loses_the_lane(self):
+        m, pool, objs = self.two_line_entries()
+        pool, counts = self.crash_poisoned(m, pool, XPLINE)
+        assert counts == (0, 0, 0, 1)
+        assert values(pool, objs) == [b"2", b"1"]
+
+    def test_poison_past_the_stale_slot_is_never_read(self):
+        m, pool, objs = self.two_line_entries()
+        pool, counts = self.crash_poisoned(m, pool, 32 * KIB)
+        assert counts == (1, 1, 0, 0)
+        assert values(pool, objs) == [b"1", b"1"]
+
+    def test_zeroed_slot_ends_the_run_before_later_poison(self):
+        m, t, pool, objs = make_pool(2)
+        tx = Transaction(pool, t)
+        tx.begin()
+        tx.store(objs[0], b"X" * 64)          # one live entry, +64..+192
+        pool.ns.clwb(t, pool.addr(objs[0]), 64)
+        t.sfence()
+        pool, counts = self.crash_poisoned(m, pool, 4 * KIB)
+        assert counts == (1, 1, 0, 0)
+        assert values(pool, objs) == [b"A", b"B"]
+
+    def test_torn_live_entry_ends_the_run_before_later_poison(self):
+        m, t, pool, objs = make_pool(2)
+        tx = Transaction(pool, t)
+        tx.begin()
+        tx.store(objs[0], b"X" * 64)
+        torn = tx._log_tail
+        tx.store(objs[1], b"Y" * 64)
+        pool.ns.clwb(t, pool.addr(objs[0]), 128)
+        t.sfence()
+        # The second entry's header line landed, its data line did not.
+        pool.ns.pwrite(t, torn + 64, b"\x00" * 64)
+        pool, counts = self.crash_poisoned(m, pool, 4 * KIB)
+        assert counts == (1, 1, 1, 0)
+        assert values(pool, objs) == [b"A", b"Y"]
 
 
 class TestEveryFenceIsLoadBearing:
